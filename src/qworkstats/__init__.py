@@ -25,6 +25,8 @@ from .spectral import (
     dephase,
     diagonalize,
     eigenstate_projector,
+    level_populations,
+    thermal_populations,
     thermal_state,
     von_neumann_entropy,
 )

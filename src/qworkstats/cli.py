@@ -33,6 +33,7 @@ from .experiments import (
     DIRECTIONS,
     ZERO_TO_DELTA,
     StateSpec,
+    _aah_sweeps,
     aah_transition_sweep,
     aah_work_histogram,
     bandwidth_fit,
@@ -291,10 +292,6 @@ def _progress(message: str) -> None:
     print(f"[qworkstats] {message}", file=sys.stderr, flush=True)
 
 
-def _report_columns(report: BoundsReport) -> list:
-    return list(report.csv_row())
-
-
 _ENTROPY_HEADER = list(BoundsReport.CSV_FIELDS)
 
 
@@ -325,7 +322,7 @@ def _run_lz_sweep(config: RunConfig, out: str):
         entropy_path,
         ["omega_f"] + _ENTROPY_HEADER + ["flags"],
         (
-            [row.axis_value, *_report_columns(row.report), ";".join(row.flags)]
+            [row.axis_value, *row.report.csv_row(), ";".join(row.flags)]
             for row in result.rows
         ),
     )
@@ -366,7 +363,7 @@ def _sweep_csvs(result, out: str, prefix: str, axis_name: str) -> list[str]:
         entropy_path,
         [axis_name] + _ENTROPY_HEADER + ["gamma_max"],
         (
-            [row.axis_value, *_report_columns(row.report), row.gamma_max]
+            [row.axis_value, *row.report.csv_row(), row.gamma_max]
             for row in result.rows
         ),
     )
@@ -389,23 +386,23 @@ def _run_aah_sweep(config: RunConfig, out: str):
 
 
 def _run_thermal_sweep(config: RunConfig, out: str):
-    grid = config.grid()
+    states = tuple(StateSpec.thermal(beta) for beta in config.state_betas)
+    results = _aah_sweeps(
+        config.fib_index,
+        config.grid(),
+        config.direction,
+        states,
+        config.j,
+        config.eta,
+        config.cluster_tol,
+        config.workers,
+    )
     path = os.path.join(out, "thermal_sweep_entropy.csv")
-    rows = []
-    for beta in config.state_betas:
-        _progress(f"thermal sweep at beta = {beta:g}")
-        result = aah_transition_sweep(
-            fib_index=config.fib_index,
-            delta_grid=grid,
-            direction=config.direction,
-            state=StateSpec.thermal(beta),
-            j=config.j,
-            eta=config.eta,
-            cluster_tol=config.cluster_tol,
-            workers=config.workers,
-        )
-        for row in result.rows:
-            rows.append([beta, row.axis_value, *_report_columns(row.report)])
+    rows = [
+        [beta, row.axis_value, *row.report.csv_row()]
+        for beta, result in zip(config.state_betas, results)
+        for row in result.rows
+    ]
     _write_csv(path, ["beta", "delta"] + _ENTROPY_HEADER, rows)
     return [path], {"h_w_max": max(float(r[2]) for r in rows)}
 
@@ -507,12 +504,10 @@ def _run_bandwidth_fit(config: RunConfig, out: str):
 def _run_single_quench(config: RunConfig, out: str):
     """Two-level quench when omega_f is given, chain quench otherwise."""
     if config.omega_f is not None:
-        initial = diagonalize(lz_hamiltonian(LzParams(delta=config.delta, omega=config.omega_i)))
-        setup = QuenchSetup(
-            hi=lz_hamiltonian(LzParams(delta=config.delta, omega=config.omega_i)),
-            hf=lz_hamiltonian(LzParams(delta=config.delta, omega=config.omega_f)),
-            rho=config.state_spec().build(initial),
-        )
+        hi = lz_hamiltonian(LzParams(delta=config.delta, omega=config.omega_i))
+        hf = lz_hamiltonian(LzParams(delta=config.delta, omega=config.omega_f))
+        initial = diagonalize(hi)
+        setup = QuenchSetup(hi=hi, hf=hf, rho=config.state_spec().build(initial))
         uncollected = uncollected_distribution(setup, initial)
         work = collect_work_distribution(uncollected, config.cluster_tol)
     else:
@@ -545,11 +540,16 @@ def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit status.
 
     The manifest is written even when the computation fails, with an error
-    record, so a partial run is always auditable.
+    record, so a partial run is always auditable. An output directory that
+    cannot be created raises ``ConfigError`` first, as there is then no
+    place for a manifest.
     """
     started = time.time()
     out = config.out
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc}") from None
     if not os.access(out, os.W_OK):
         raise ConfigError(f"output directory {out!r} is not writable")
     outputs: list[str] = []

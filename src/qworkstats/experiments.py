@@ -27,11 +27,11 @@ from .models import (
     lz_hamiltonian,
 )
 from .spectral import (
-    DensityMatrix,
+    HermitianOperator,
     SpectralDecomposition,
     diagonalize,
-    eigenstate_projector,
-    thermal_state,
+    level_populations,
+    thermal_populations,
 )
 from .tpm import (
     QuenchSetup,
@@ -39,7 +39,6 @@ from .tpm import (
     check_first_moment,
     collect_work_distribution,
     max_degeneracy,
-    mean_work_direct,
     uncollected_distribution,
     work_moments,
 )
@@ -97,12 +96,11 @@ class StateSpec:
     def thermal(cls, beta: float) -> "StateSpec":
         return cls(kind="thermal", beta=beta)
 
-    def build(self, initial: SpectralDecomposition) -> DensityMatrix:
-        if self.kind == "ground":
-            return eigenstate_projector(initial, 0)
-        if self.kind == "eigenstate":
-            return eigenstate_projector(initial, self.level)
-        return thermal_state(initial, self.beta)
+    def build(self, initial: SpectralDecomposition) -> np.ndarray:
+        """Populations over the levels of ``initial``, in which the state is diagonal."""
+        if self.kind == "thermal":
+            return thermal_populations(initial, self.beta)
+        return level_populations(initial, self.level if self.kind == "eigenstate" else 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +199,9 @@ def _evaluate(
 ) -> SweepRow:
     uncollected = uncollected_distribution(setup, initial, final)
     work = collect_work_distribution(uncollected, cluster_tol)
-    check_first_moment(work, setup, initial)
+    # Sweep states carry no coherence in the initial basis, so the measured
+    # mean checked here is also the trace-formula mean.
+    mean_direct = check_first_moment(work, setup, initial)
     summary = work_moments(work, MOMENT_ORDERS)
     report = bounds_report(setup, work, uncollected)
     normalized = None
@@ -215,7 +215,7 @@ def _evaluate(
         moments=summary.moments,
         variance=summary.variance,
         h_w=report.h_w,
-        mean_direct=mean_work_direct(setup),
+        mean_direct=mean_direct,
         report=report,
         gamma_max=max_degeneracy(work),
         normalized_moments=normalized,
@@ -243,36 +243,20 @@ def lz_sweep(
     grid = np.asarray(omega_f_grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("empty detuning grid")
-    initial = diagonalize(lz_hamiltonian(LzParams(delta=delta, omega=omega_i)))
-    rho = thermal_state(initial, beta)
+    hi = lz_hamiltonian(LzParams(delta=delta, omega=omega_i))
+    initial = diagonalize(hi)
+    rho = thermal_populations(initial, beta)
 
     def run_point(omega_f: float, reference: np.ndarray | None) -> SweepRow:
-        final = diagonalize(lz_hamiltonian(LzParams(delta=delta, omega=omega_f)))
-        setup = QuenchSetup(
-            hi=lz_hamiltonian(LzParams(delta=delta, omega=omega_i)),
-            hf=lz_hamiltonian(LzParams(delta=delta, omega=omega_f)),
-            rho=rho,
-        )
+        hf = lz_hamiltonian(LzParams(delta=delta, omega=omega_f))
+        setup = QuenchSetup(hi=hi, hf=hf, rho=rho)
+        final = diagonalize(hf)
         flags = ()
         if math.isclose(abs(omega_f), abs(omega_i), rel_tol=0.0, abs_tol=1e-12 * delta):
             flags = ("degenerate-detuning",)
         return _evaluate(setup, initial, final, omega_f, cluster_tol, reference, flags)
 
-    reference = work_moments(
-        collect_work_distribution(
-            uncollected_distribution(
-                QuenchSetup(
-                    hi=lz_hamiltonian(LzParams(delta=delta, omega=omega_i)),
-                    hf=lz_hamiltonian(LzParams(delta=delta, omega=delta)),
-                    rho=rho,
-                ),
-                initial,
-                diagonalize(lz_hamiltonian(LzParams(delta=delta, omega=delta))),
-            ),
-            cluster_tol,
-        ),
-        MOMENT_ORDERS,
-    ).moments
+    reference = run_point(delta, None).moments
     rows = _fan_out(lambda wf: run_point(wf, reference), list(grid), workers)
     meta = {
         "experiment": "lz_sweep",
@@ -286,20 +270,17 @@ def lz_sweep(
     return SweepResult(axis=grid, rows=tuple(rows), meta=meta)
 
 
-def _aah_quench_setup(
-    params: AahParams, direction: str, state: StateSpec
-) -> tuple[QuenchSetup, SpectralDecomposition, SpectralDecomposition]:
+def _aah_quench(
+    params: AahParams, direction: str
+) -> tuple[HermitianOperator, HermitianOperator, SpectralDecomposition, SpectralDecomposition]:
+    """(hi, hf, initial, final) for switching the potential off or on."""
     flat = _flat_chain_decomposition(params.fib_index, params.j)
     modulated_h = aah_hamiltonian(params)
     flat_h = aah_hamiltonian(AahParams(fib_index=params.fib_index, delta=0.0, j=params.j))
+    modulated = diagonalize(modulated_h)
     if direction == DELTA_TO_ZERO:
-        hi, hf = modulated_h, flat_h
-        initial, final = diagonalize(modulated_h), flat
-    else:
-        hi, hf = flat_h, modulated_h
-        initial, final = flat, diagonalize(modulated_h)
-    rho = state.build(initial)
-    return QuenchSetup(hi=hi, hf=hf, rho=rho), initial, final
+        return modulated_h, flat_h, modulated, flat
+    return flat_h, modulated_h, flat, modulated
 
 
 def aah_work_histogram(
@@ -311,7 +292,8 @@ def aah_work_histogram(
     """Collected work distribution for switching the potential off or on."""
     _check_direction(direction)
     state = state or StateSpec.ground()
-    setup, initial, final = _aah_quench_setup(params, direction, state)
+    hi, hf, initial, final = _aah_quench(params, direction)
+    setup = QuenchSetup(hi=hi, hf=hf, rho=state.build(initial))
     uncollected = uncollected_distribution(setup, initial, final)
     return collect_work_distribution(uncollected, cluster_tol)
 
@@ -333,8 +315,25 @@ def aah_transition_sweep(
     quasiperiodic potential averages to zero over a full ring), which is
     asserted here to one part in 1e10 of the hopping.
     """
+    states = (state or StateSpec.ground(),)
+    (result,) = _aah_sweeps(fib_index, delta_grid, direction, states, j, eta, cluster_tol, workers)
+    return result
+
+
+def _aah_sweeps(
+    fib_index: int,
+    delta_grid: np.ndarray,
+    direction: str,
+    states: tuple[StateSpec, ...],
+    j: float,
+    eta: float,
+    cluster_tol: float | None,
+    workers: int,
+) -> tuple[SweepResult, ...]:
+    """``aah_transition_sweep`` for each of ``states``, one diagonalization per potential."""
     _check_direction(direction)
-    state = state or StateSpec.ground()
+    if not states:
+        raise ValidationError("a sweep needs at least one initial state")
     grid = np.asarray(delta_grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("empty potential grid")
@@ -342,42 +341,51 @@ def aah_transition_sweep(
         raise ValidationError(
             "potential grid must lie in (0, 4] hoppings; the flat chain is the endpoint"
         )
+    # Filled here, so that the pool threads do not all miss the cache at once.
+    _flat_chain_decomposition(fib_index, j)
 
-    def run_point(delta: float) -> SweepRow:
+    def run_point(delta: float) -> list[SweepRow]:
         params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)
-        setup, initial, final = _aah_quench_setup(params, direction, state)
-        row = _evaluate(setup, initial, final, delta, cluster_tol)
-        if direction == ZERO_TO_DELTA and state.kind == "ground":
-            if abs(row.mean_direct) > GROUND_MEAN_TOL * j:
-                raise ValidationError(
-                    f"switch-on ground-state mean work {row.mean_direct!r} "
-                    f"exceeds {GROUND_MEAN_TOL:g} hoppings"
-                )
-        return row
+        hi, hf, initial, final = _aah_quench(params, direction)
+        rows = []
+        for state in states:
+            setup = QuenchSetup(hi=hi, hf=hf, rho=state.build(initial))
+            row = _evaluate(setup, initial, final, delta, cluster_tol)
+            if direction == ZERO_TO_DELTA and state.kind == "ground":
+                if abs(row.mean_direct) > GROUND_MEAN_TOL * j:
+                    raise ValidationError(
+                        f"switch-on ground-state mean work {row.mean_direct!r} "
+                        f"exceeds {GROUND_MEAN_TOL:g} hoppings"
+                    )
+            rows.append(row)
+        return rows
 
-    rows = _fan_out(run_point, list(grid), workers)
+    per_point = _fan_out(run_point, list(grid), workers)
     meta = {
         "experiment": "aah_transition_sweep",
         "fib_index": fib_index,
         "size": fibonacci_pair(fib_index)[1],
         "direction": direction,
-        "state": (state.kind, state.level, state.beta),
         "j": float(j),
         "eta": float(eta),
         "cluster_tol": cluster_tol,
         "timestamp": time.time(),
     }
-    return SweepResult(axis=grid, rows=tuple(rows), meta=meta)
+    return tuple(
+        SweepResult(
+            axis=grid,
+            rows=tuple(rows[k] for rows in per_point),
+            meta={**meta, "state": (state.kind, state.level, state.beta)},
+        )
+        for k, state in enumerate(states)
+    )
 
 
 def _entropy_at(
     fib_index: int, delta: float, eta: float, j: float, direction: str
 ) -> float:
     params = AahParams(fib_index=fib_index, delta=delta, j=j, eta=eta)
-    setup, initial, final = _aah_quench_setup(params, direction, StateSpec.ground())
-    uncollected = uncollected_distribution(setup, initial, final)
-    work = collect_work_distribution(uncollected)
-    return entropy_of_work(work)
+    return entropy_of_work(aah_work_histogram(params, direction))
 
 
 def scaling_derivative(
@@ -419,6 +427,7 @@ def scaling_derivative(
     for fib_index in indices:
         sizes.append(fibonacci_pair(fib_index)[1])
         etas = rng.uniform(0.0, 2.0 * math.pi, size=eta_samples)
+        _flat_chain_decomposition(fib_index, j)  # filled before the pool threads need it
 
         def slope_for(eta: float, step: float = deriv_step) -> float:
             upper = _entropy_at(fib_index, 2.0 * j + step * j, eta, j, direction)

@@ -191,12 +191,12 @@ def diagonalize(operator: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=evals, eigenvectors=vecs)
 
 
-def thermal_state(decomposition: SpectralDecomposition, beta: float) -> DensityMatrix:
-    """Gibbs state exp(-beta H)/Z in the given eigenbasis.
+def thermal_populations(decomposition: SpectralDecomposition, beta: float) -> np.ndarray:
+    """Gibbs populations exp(-beta (E_n - E_0))/Z over the given eigenlevels.
 
-    Populations are computed after shifting energies by the ground energy,
-    so any beta >= 0 is overflow-safe. ``beta = math.inf`` returns the
-    ground-state projector, and raises if the ground level is degenerate.
+    Shifting by the ground energy makes any beta >= 0 overflow-safe.
+    ``beta = math.inf`` puts all weight on the ground level, and raises if
+    that level is degenerate.
     """
     if not (beta >= 0):
         raise ValidationError(f"inverse temperature must be >= 0, got {beta!r}")
@@ -207,11 +207,27 @@ def thermal_state(decomposition: SpectralDecomposition, beta: float) -> DensityM
             if gap <= GROUND_DEGENERACY_RTOL * decomposition.spectral_span:
                 raise DegenerateGroundStateError(
                     "ground level is degenerate at beta = inf; select a level "
-                    "explicitly with eigenstate_projector"
+                    "explicitly with level_populations or eigenstate_projector"
                 )
-        return eigenstate_projector(decomposition, 0)
+        return level_populations(decomposition, 0)
     weights = np.exp(-beta * (evals - evals[0]))
-    populations = weights / weights.sum()
+    return weights / weights.sum()
+
+
+def level_populations(decomposition: SpectralDecomposition, level: int) -> np.ndarray:
+    """All weight on eigenlevel ``level``: the populations of its projector."""
+    if not 0 <= level < decomposition.dim:
+        raise ValidationError(
+            f"level index {level} out of range for dimension {decomposition.dim}"
+        )
+    populations = np.zeros(decomposition.dim)
+    populations[level] = 1.0
+    return populations
+
+
+def thermal_state(decomposition: SpectralDecomposition, beta: float) -> DensityMatrix:
+    """Gibbs state exp(-beta H)/Z: ``thermal_populations`` as a dense matrix."""
+    populations = thermal_populations(decomposition, beta)
     v = decomposition.eigenvectors
     rho = (v * populations) @ v.conj().T
     return DensityMatrix(entries=0.5 * (rho + rho.conj().T))
@@ -219,11 +235,7 @@ def thermal_state(decomposition: SpectralDecomposition, beta: float) -> DensityM
 
 def eigenstate_projector(decomposition: SpectralDecomposition, level: int) -> DensityMatrix:
     """Rank-1 projector onto eigenlevel ``level``."""
-    if not 0 <= level < decomposition.dim:
-        raise ValidationError(
-            f"level index {level} out of range for dimension {decomposition.dim}"
-        )
-    vec = decomposition.eigenvectors[:, level]
+    vec = decomposition.eigenvectors @ level_populations(decomposition, level)
     return DensityMatrix(entries=np.outer(vec, vec.conj()))
 
 
@@ -237,17 +249,6 @@ def dephase(rho: DensityMatrix, basis: SpectralDecomposition) -> DensityMatrix:
     populations = np.real(np.sum(v.conj() * (rho.entries @ v), axis=0))
     out = (v * populations) @ v.conj().T
     return DensityMatrix(entries=0.5 * (out + out.conj().T))
-
-
-def basis_populations(rho: DensityMatrix, basis: SpectralDecomposition) -> np.ndarray:
-    """Diagonal of ``rho`` in the given eigenbasis, clipped to be nonnegative."""
-    if rho.dim != basis.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho.dim} does not match basis dimension {basis.dim}"
-        )
-    v = basis.eigenvectors
-    populations = np.real(np.sum(v.conj() * (rho.entries @ v), axis=0))
-    return np.clip(populations, 0.0, None)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

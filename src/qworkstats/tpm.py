@@ -6,6 +6,11 @@ state. Projective energy measurements before and after the protocol give
 the joint table p_n * p_{m|n} over level pairs, whose energy differences
 (Bohr frequencies) form the support of the work distribution. Pairs whose
 Bohr frequencies coincide are collected into a single work value.
+
+A state without coherence in the initial energy basis (eigenstates, Gibbs
+states) is carried as its populations p_n alone, since its statistics
+depend only on p_n and |<m_f|U|n_i>|^2; any other state is a
+``DensityMatrix``. This module is the only place that tells them apart.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
     UnitaryMatrix,
-    basis_populations,
-    dephase,
     diagonalize,
 )
 
@@ -47,20 +50,37 @@ PROXIMITY_WARNING_FACTOR = 10.0
 _RELATIVE_MEAN_TOL = 1e-8
 
 
+def _population_vector(values) -> np.ndarray:
+    populations = np.array(values, dtype=float, copy=True)
+    if populations.ndim != 1 or populations.size < 1:
+        raise ValidationError(f"populations must be a nonempty vector, not {populations.shape}")
+    if not np.all(np.isfinite(populations)) or float(populations.min()) < 0.0:
+        raise ValidationError(f"populations must be finite and nonnegative: {populations.min()!r}")
+    if abs(float(populations.sum()) - 1.0) > NORMALIZATION_TOL:
+        raise ValidationError(f"populations sum to {populations.sum()!r}, not 1")
+    populations.setflags(write=False)
+    return populations
+
+
 @dataclass(frozen=True, eq=False)
 class QuenchSetup:
     """Ingredients of one two-point-measurement experiment.
 
+    ``rho`` is a ``DensityMatrix``, or the populations of a state diagonal
+    in the initial eigenbasis, ordered like the levels of ``diagonalize(hi)``.
     ``u is None`` means a sudden quench (identity protocol).
     """
 
     hi: HermitianOperator
     hf: HermitianOperator
-    rho: DensityMatrix
+    rho: DensityMatrix | np.ndarray
     u: UnitaryMatrix | None = None
 
     def __post_init__(self):
-        dims = {self.hi.dim, self.hf.dim, self.rho.dim}
+        if not isinstance(self.rho, DensityMatrix):
+            object.__setattr__(self, "rho", _population_vector(self.rho))
+        state_dim = self.rho.dim if isinstance(self.rho, DensityMatrix) else self.rho.size
+        dims = {self.hi.dim, self.hf.dim, state_dim}
         if self.u is not None:
             dims.add(self.u.dim)
         if len(dims) != 1:
@@ -223,9 +243,23 @@ def transition_probabilities(
     return pmn
 
 
-def initial_populations(rho: DensityMatrix, initial: SpectralDecomposition) -> np.ndarray:
-    """<n_i| rho |n_i>, nonnegative and summing to one."""
-    populations = basis_populations(rho, initial)
+def initial_populations(
+    rho: DensityMatrix | np.ndarray, initial: SpectralDecomposition
+) -> np.ndarray:
+    """<n_i| rho |n_i>, nonnegative and summing to one.
+
+    A population vector, as validated by ``QuenchSetup``, is its own
+    answer; a density matrix is projected onto the initial eigenvectors.
+    """
+    dim = rho.dim if isinstance(rho, DensityMatrix) else len(rho)
+    if dim != initial.dim:
+        raise DimensionMismatchError(
+            f"state dimension {dim} does not match basis dimension {initial.dim}"
+        )
+    if not isinstance(rho, DensityMatrix):
+        return rho
+    v = initial.eigenvectors
+    populations = np.clip(np.real(np.sum(v.conj() * (rho.entries @ v), axis=0)), 0.0, None)
     total = float(populations.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(f"populations sum to {total!r}, not 1")
@@ -399,13 +433,14 @@ def _rotated_difference(setup: QuenchSetup) -> np.ndarray:
 def mean_work_direct(setup: QuenchSetup) -> float:
     """<W> from the trace formula tr[(U^dag Hf U - Hi) rho].
 
-    Evaluated without diagonalizing anything. This equals the mean of the
-    measured work statistics whenever the initial state carries no
-    coherence in the initial energy basis (thermal states, eigenstates);
-    otherwise the first projective measurement removes those coherences
-    and ``measured_mean_work`` is the matching quantity.
+    Evaluated without diagonalizing anything for a density matrix; a
+    population state has no coherence in the initial energy basis, so
+    there it is ``measured_mean_work``. For a coherent state the first
+    projective measurement removes the coherences, and the two differ.
     """
-    return float(np.real(np.einsum("ij,ji->", _rotated_difference(setup), setup.rho.entries)))
+    if isinstance(setup.rho, DensityMatrix):
+        return float(np.real(np.einsum("ij,ji->", _rotated_difference(setup), setup.rho.entries)))
+    return measured_mean_work(setup)
 
 
 def measured_mean_work(
@@ -415,12 +450,15 @@ def measured_mean_work(
 
     The first energy measurement projects the initial state onto the
     initial eigenbasis, so the exact first moment of the work distribution
-    is tr[(U^dag Hf U - Hi) rho_bar] with rho_bar the initial-basis
-    dephasing of rho.
+    is tr[(U^dag Hf U - Hi) rho_bar] = sum_n p_n <n_i|U^dag Hf U - Hi|n_i>,
+    over the levels with p_n > 0: one mat-vec for an eigenstate.
     """
     initial = initial if initial is not None else diagonalize(setup.hi)
-    rho_bar = dephase(setup.rho, initial)
-    return float(np.real(np.einsum("ij,ji->", _rotated_difference(setup), rho_bar.entries)))
+    pn = initial_populations(setup.rho, initial)
+    live = np.flatnonzero(pn > 0.0)
+    v = initial.eigenvectors[:, live]
+    diagonal = np.real(np.sum(v.conj() * (_rotated_difference(setup) @ v), axis=0))
+    return float(diagonal @ pn[live])
 
 
 def check_first_moment(
@@ -428,11 +466,12 @@ def check_first_moment(
     setup: QuenchSetup,
     initial: SpectralDecomposition | None = None,
     rel_tol: float = _RELATIVE_MEAN_TOL,
-) -> None:
+) -> float:
     """Raise unless the distribution mean matches the measured trace formula.
 
     The comparison is relative to max(|trace mean|, sum |W| P(W)) so it
-    stays meaningful when the mean is exactly zero.
+    stays meaningful when the mean is exactly zero. Returns the trace
+    mean, so a caller that reports it need not evaluate it twice.
     """
     from_dist = float(np.sum(work.support * work.probs))
     from_trace = measured_mean_work(setup, initial)
@@ -442,3 +481,4 @@ def check_first_moment(
             f"distribution mean {from_dist!r} and trace formula {from_trace!r} "
             f"disagree beyond {rel_tol:g} relative"
         )
+    return from_trace

@@ -132,6 +132,17 @@ def test_cli_main_config_error_exit_code(tmp_path):
     assert status == 2
 
 
+def test_cli_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    status = main(["aah-sweep", "--out", str(taken), "--fib-index", "8", "--grid-values", "1.0"])
+    assert status == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["type"] == "config-error"
+    assert str(taken) in record["message"]
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_cli_manifest_written_on_failure(tmp_path):
     out = tmp_path / "failing"
     config = RunConfig(
@@ -216,6 +227,22 @@ def test_cli_thermal_sweep_files(tmp_path):
     lines = (out / "thermal_sweep_entropy.csv").read_text().strip().split("\n")
     assert lines[0].startswith("beta,delta,h_w")
     assert len(lines) == 1 + 4
+
+
+def test_cli_thermal_sweep_rows_are_beta_major(tmp_path):
+    out = tmp_path / "thermal"
+    config = RunConfig(
+        subcommand="thermal-sweep",
+        out=str(out),
+        fib_index=7,
+        grid_values=(1.5, 2.5, 3.5),
+        state_betas=(100.0, 0.01),
+        threads=2,
+    )
+    assert run(config) == 0
+    lines = (out / "thermal_sweep_entropy.csv").read_text().strip().split("\n")[1:]
+    keys = [tuple(float(cell) for cell in line.split(",")[:2]) for line in lines]
+    assert keys == [(beta, delta) for beta in (100.0, 0.01) for delta in (1.5, 2.5, 3.5)]
 
 
 def test_runconfig_validation():

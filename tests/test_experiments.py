@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from qworkstats import (
     lz_sweep,
     scaling_derivative,
 )
-from qworkstats.experiments import _flat_chain_decomposition
+from qworkstats import experiments
+from qworkstats.experiments import _aah_sweeps, _flat_chain_decomposition
 from qworkstats.models import predicted_band_edge
 
 
@@ -264,3 +266,44 @@ def test_flat_chain_cache_consistency():
     again = _flat_chain_decomposition(9, 1.0)
     assert dec is again
     assert dec.eigenvalues[0] == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_each_potential_diagonalized_once_per_sweep(monkeypatch):
+    # one flat-chain decomposition plus one per potential, however many
+    # pool threads or inverse temperatures share them; the pause widens
+    # the window in which pool threads could miss the flat-chain cache
+    calls = []
+    real = experiments.diagonalize
+
+    def counting(operator):
+        calls.append(operator.dim)
+        time.sleep(0.02)
+        return real(operator)
+
+    monkeypatch.setattr(experiments, "diagonalize", counting)
+    grid = [1.0, 2.0, 3.0]
+    _flat_chain_decomposition.cache_clear()
+    aah_transition_sweep(8, grid, ZERO_TO_DELTA, workers=2)
+    assert len(calls) == 1 + len(grid)
+
+    calls.clear()
+    _flat_chain_decomposition.cache_clear()
+    betas = (0.01, 1.0, 100.0, 1e4)
+    states = tuple(StateSpec.thermal(beta) for beta in betas)
+    results = _aah_sweeps(8, grid, DELTA_TO_ZERO, states, 1.0, 1.2, None, workers=2)
+    assert len(calls) == 1 + len(grid)
+    assert len(results) == len(betas)
+
+
+def test_shared_sweep_matches_one_sweep_per_state():
+    grid = [1.5, 2.5]
+    betas = (0.01, 1.0, math.inf)
+    states = (StateSpec.ground(), StateSpec.eigenstate(2), *map(StateSpec.thermal, betas))
+    results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2)
+    for state, result in zip(states, results):
+        alone = aah_transition_sweep(8, grid, ZERO_TO_DELTA, state=state)
+        assert result.meta["state"] == alone.meta["state"] == (state.kind, state.level, state.beta)
+        for name in ("h_w", "h_u", "s_diag", "avg_coherence", "c_max", "variance", "mean_direct"):
+            assert np.array_equal(result.column(name), alone.column(name))
+    with pytest.raises(ValidationError):
+        _aah_sweeps(8, grid, ZERO_TO_DELTA, (), 1.0, 1.2, None, 1)

@@ -18,6 +18,7 @@ import configparser
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -25,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, experiments, infotheory, spectral, tpm
 from .errors import BoundViolationError, ConfigError, ValidationError
 from .experiments import (
     DEFAULT_DERIV_STEP,
@@ -62,6 +63,17 @@ SUBCOMMANDS = (
 )
 
 LN2 = math.log(2.0)
+
+# Tolerances the manifest records, by module.
+_TOLERANCES = (
+    (spectral, ("HERMITICITY_RTOL", "ORTHONORMALITY_TOL", "RECONSTRUCTION_RTOL", "TRACE_TOL",
+                "PSD_TOL", "ENTROPY_EIGENVALUE_FLOOR", "GROUND_DEGENERACY_RTOL")),
+    (tpm, ("PROBABILITY_TOL", "STOCHASTICITY_TOL", "NORMALIZATION_TOL", "DEFAULT_CLUSTER_SCALE",
+           "DROP_THRESHOLD", "PROXIMITY_WARNING_FACTOR", "RELATIVE_MEAN_TOL")),
+    (infotheory, ("NEGATIVE_PROB_TOL", "NORMALIZATION_ERROR", "BOUND_SLACK",
+                  "GROUND_PROJECTOR_TOL")),
+    (experiments, ("GROUND_MEAN_TOL",)),
+)
 
 _RUN_KEYS = {"subcommand", "seed", "threads", "cluster_tol", "bits", "out"}
 _MODEL_KEYS = {
@@ -561,10 +573,12 @@ def run(config: RunConfig) -> int:
         outputs, extras = _HANDLERS[config.subcommand](config, out)
         _progress(f"wrote {len(outputs)} file(s) in {time.time() - started:.1f}s")
     except BoundViolationError as exc:
-        error_record = {"type": "bound-violation", "message": str(exc)}
+        error_record = {"type": "bound-violation", "message": str(exc),
+                        "axis_point": getattr(exc, "axis_point", None)}
         status = 3
     except (ValidationError, ConfigError) as exc:
-        error_record = {"type": "validation", "message": str(exc)}
+        error_record = {"type": "validation", "message": str(exc),
+                        "axis_point": getattr(exc, "axis_point", None)}
         status = 2
     except Exception as exc:  # manifest must record even unexpected failures
         error_record = {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}
@@ -574,6 +588,17 @@ def run(config: RunConfig) -> int:
         "config": config.echo(),
         "seed": config.seed,
         "cluster_tol": config.cluster_tol,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "pool_workers": config.workers,
+        },
+        "tolerances": {
+            f"{module.__name__.rsplit('.', 1)[1]}.{name}": getattr(module, name)
+            for module, names in _TOLERANCES
+            for name in names
+        },
         "outputs": [os.path.basename(path) for path in outputs],
         "wall_time_s": time.time() - started,
         "error": error_record,

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BoundViolationError, ValidationError
 from .infotheory import BoundsReport, bounds_report, entropy_of_work, per_level_coherences
 from .models import (
     AahParams,
@@ -34,10 +35,12 @@ from .spectral import (
     thermal_populations,
 )
 from .tpm import (
+    PairTable,
     QuenchSetup,
     WorkDistribution,
     check_first_moment,
     collect_work_distribution,
+    initial_populations,
     max_degeneracy,
     uncollected_distribution,
     work_moments,
@@ -182,6 +185,22 @@ def _check_direction(direction: str) -> None:
         raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
+@contextmanager
+def _at_point(**point):
+    """Name the sweep point on a validation or bound failure raised inside.
+
+    The coordinates that are not None are set as ``axis_point`` on the
+    exception (those of an inner point win), and the run manifest writes
+    them out.
+    """
+    try:
+        yield
+    except (ValidationError, BoundViolationError) as exc:
+        known = {name: value for name, value in point.items() if value is not None}
+        exc.axis_point = {**known, **getattr(exc, "axis_point", {})}
+        raise
+
+
 @lru_cache(maxsize=8)
 def _flat_chain_decomposition(fib_index: int, j: float) -> SpectralDecomposition:
     """Decomposition of the zero-potential chain; phase-independent, so cached."""
@@ -196,12 +215,16 @@ def _evaluate(
     cluster_tol: float | None,
     normalized_reference: np.ndarray | None = None,
     flags: tuple[str, ...] = (),
+    table: PairTable | None = None,
 ) -> SweepRow:
-    uncollected = uncollected_distribution(setup, initial, final)
+    """One sweep row; ``table``, when given, is the quench's ``PairTable.of`` to share."""
+    if table is None:
+        table = PairTable.of(setup.hi, setup.hf, initial, final, setup.u)
+    uncollected = table.uncollected(initial_populations(setup.rho, initial))
     work = collect_work_distribution(uncollected, cluster_tol)
     # Sweep states carry no coherence in the initial basis, so the measured
     # mean checked here is also the trace-formula mean.
-    mean_direct = check_first_moment(work, setup, initial)
+    mean_direct = check_first_moment(work, setup, initial, table=table)
     summary = work_moments(work, MOMENT_ORDERS)
     report = bounds_report(setup, work, uncollected)
     normalized = None
@@ -248,13 +271,15 @@ def lz_sweep(
     rho = thermal_populations(initial, beta)
 
     def run_point(omega_f: float, reference: np.ndarray | None) -> SweepRow:
-        hf = lz_hamiltonian(LzParams(delta=delta, omega=omega_f))
-        setup = QuenchSetup(hi=hi, hf=hf, rho=rho)
-        final = diagonalize(hf)
-        flags = ()
-        if math.isclose(abs(omega_f), abs(omega_i), rel_tol=0.0, abs_tol=1e-12 * delta):
-            flags = ("degenerate-detuning",)
-        return _evaluate(setup, initial, final, omega_f, cluster_tol, reference, flags)
+        with _at_point(omega_f=float(omega_f)):
+            hf = lz_hamiltonian(LzParams(delta=delta, omega=omega_f))
+            setup = QuenchSetup(hi=hi, hf=hf, rho=rho)
+            flags = ()
+            if math.isclose(abs(omega_f), abs(omega_i), rel_tol=0.0, abs_tol=1e-12 * delta):
+                flags = ("degenerate-detuning",)
+            return _evaluate(
+                setup, initial, diagonalize(hf), omega_f, cluster_tol, reference, flags
+            )
 
     reference = run_point(delta, None).moments
     rows = _fan_out(lambda wf: run_point(wf, reference), list(grid), workers)
@@ -330,7 +355,13 @@ def _aah_sweeps(
     cluster_tol: float | None,
     workers: int,
 ) -> tuple[SweepResult, ...]:
-    """``aah_transition_sweep`` for each of ``states``, one diagonalization per potential."""
+    """``aah_transition_sweep`` for each of ``states``, sharing each potential's quench.
+
+    Each potential is diagonalized once, and its pair table (transitions,
+    Bohr frequencies and everything derived from them alone) built once,
+    for all of the states. A failure names its potential and, for a
+    thermal state, its inverse temperature.
+    """
     _check_direction(direction)
     if not states:
         raise ValidationError("a sweep needs at least one initial state")
@@ -345,20 +376,23 @@ def _aah_sweeps(
     _flat_chain_decomposition(fib_index, j)
 
     def run_point(delta: float) -> list[SweepRow]:
-        params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)
-        hi, hf, initial, final = _aah_quench(params, direction)
-        rows = []
-        for state in states:
-            setup = QuenchSetup(hi=hi, hf=hf, rho=state.build(initial))
-            row = _evaluate(setup, initial, final, delta, cluster_tol)
-            if direction == ZERO_TO_DELTA and state.kind == "ground":
-                if abs(row.mean_direct) > GROUND_MEAN_TOL * j:
-                    raise ValidationError(
-                        f"switch-on ground-state mean work {row.mean_direct!r} "
-                        f"exceeds {GROUND_MEAN_TOL:g} hoppings"
-                    )
-            rows.append(row)
-        return rows
+        with _at_point(delta=float(delta)):
+            params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)
+            hi, hf, initial, final = _aah_quench(params, direction)
+            table = PairTable.of(hi, hf, initial, final)
+            rows = []
+            for state in states:
+                with _at_point(beta=state.beta):
+                    setup = QuenchSetup(hi=hi, hf=hf, rho=state.build(initial))
+                    row = _evaluate(setup, initial, final, delta, cluster_tol, table=table)
+                    if direction == ZERO_TO_DELTA and state.kind == "ground":
+                        if abs(row.mean_direct) > GROUND_MEAN_TOL * j:
+                            raise ValidationError(
+                                f"switch-on ground-state mean work {row.mean_direct!r} "
+                                f"exceeds {GROUND_MEAN_TOL:g} hoppings"
+                            )
+                rows.append(row)
+            return rows
 
     per_point = _fan_out(run_point, list(grid), workers)
     meta = {

@@ -45,7 +45,9 @@ GROUND_PROJECTOR_TOL = 1e-12
 
 def _plogp(p: np.ndarray) -> float:
     live = p[p > 0.0]
-    return float(-np.sum(live * np.log(live)))
+    terms = np.log(live)
+    terms *= live  # in place: inputs can be N^2 long
+    return float(-np.sum(terms))
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
@@ -64,7 +66,8 @@ def shannon_entropy(probabilities: np.ndarray) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > NORMALIZATION_ERROR:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
-    return _plogp(p / total)
+    p /= total
+    return _plogp(p)
 
 
 def entropy_of_work(work: WorkDistribution) -> float:
@@ -188,7 +191,8 @@ def bounds_report(
 
     All terms are evaluated from the populations and transition matrix of
     ``uncollected`` (the scalar route); the density-matrix route through
-    dephasing is equivalent and cross-checked in the test suite.
+    dephasing is equivalent and cross-checked in the test suite. The terms
+    of the transition matrix alone are computed once per pair table.
     """
     if setup.dim != uncollected.dim:
         raise DimensionMismatchError(
@@ -196,14 +200,18 @@ def bounds_report(
         )
     pn = uncollected.pn
     pmn = uncollected.pmn
-    per_level = per_level_coherences(pmn)
+    table = uncollected.table
+    per_level = table.memo("per_level_coherences", lambda: per_level_coherences(pmn))
+    per_level.setflags(write=False)  # one vector shared by the reports of the table's states
+    eff_dim, neg_log_eff_dim = table.memo(
+        "effective_dimension", lambda: effective_dimension(pmn, 0)
+    )
 
     s_diag = shannon_entropy(pn)
     avg_coherence = float(pn @ per_level)
     c_max = float(per_level.max())
     rotated_populations = pmn @ pn
     rec_rho_bar = shannon_entropy(rotated_populations) - s_diag
-    eff_dim, neg_log_eff_dim = effective_dimension(pmn, 0)
 
     report = BoundsReport(
         h_w=entropy_of_work(work),

@@ -47,7 +47,7 @@ PROXIMITY_WARNING_FACTOR = 10.0
 
 # Relative tolerance for distribution-mean vs trace-formula agreement;
 # scaled by the mean absolute work so it stays meaningful at <W> = 0.
-_RELATIVE_MEAN_TOL = 1e-8
+RELATIVE_MEAN_TOL = 1e-8
 
 
 def _population_vector(values) -> np.ndarray:
@@ -91,42 +91,102 @@ class QuenchSetup:
         return self.hi.dim
 
 
-@dataclass(frozen=True, eq=False)
+class PairTable:
+    """The state-independent half of a quench: transitions and Bohr frequencies.
+
+    ``pmn[m, n]`` are the transition probabilities (each column sums to 1)
+    and ``bohr[m, n]`` the energy differences E_m(final) - E_n(initial).
+    One table serves every initial state of its quench, and what derives
+    from the table alone (clusters, per-level coherences, first-moment
+    products) is computed once through ``memo``; racing threads compute
+    equal values. ``quench`` is ``(hi, hf, u, initial)`` when built by ``of``.
+    """
+
+    def __init__(self, pmn, bohr, quench: tuple | None = None):
+        pmn = np.array(pmn, dtype=float, copy=True)
+        bohr = np.array(bohr, dtype=float, copy=True)
+        n = pmn.shape[0] if pmn.ndim == 2 else 0
+        if n < 1 or pmn.shape != (n, n) or bohr.shape != (n, n):
+            raise DimensionMismatchError(
+                f"table shapes {pmn.shape}, {bohr.shape} are not one square shape"
+            )
+        if float(pmn.min()) < -PROBABILITY_TOL or float(pmn.max()) > 1 + PROBABILITY_TOL:
+            raise ValidationError(
+                f"pmn entries outside [0, 1]: pmn in [{pmn.min():g}, {pmn.max():g}]"
+            )
+        worst = float(np.max(np.abs(pmn.sum(axis=0) - 1.0)))
+        if worst > STOCHASTICITY_TOL:
+            raise ValidationError(f"transition columns deviate from 1 by {worst:g}")
+        pmn.setflags(write=False)
+        bohr.setflags(write=False)
+        self.pmn = pmn
+        self.bohr = bohr
+        self.quench = quench
+        # Clustering width from the combined span of both spectra.
+        span = float(bohr.max() - bohr.min())
+        if span <= 0:
+            span = max(1.0, abs(float(bohr.max())))
+        self.default_cluster_tol = DEFAULT_CLUSTER_SCALE * span
+        self._memo: dict = {}
+
+    @classmethod
+    def of(
+        cls,
+        hi: HermitianOperator,
+        hf: HermitianOperator,
+        initial: SpectralDecomposition,
+        final: SpectralDecomposition,
+        u: UnitaryMatrix | None = None,
+    ) -> PairTable:
+        """The table of a quench, from the decompositions of its two Hamiltonians."""
+        pmn = transition_probabilities(initial, final, u)
+        bohr = final.eigenvalues[:, np.newaxis] - initial.eigenvalues[np.newaxis, :]
+        return cls(pmn, bohr, quench=(hi, hf, u, initial))
+
+    def memo(self, key, compute):
+        """``compute()`` on the first request for ``key``, the stored value after."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, compute())
+
+    def uncollected(self, pn) -> UncollectedDistribution:
+        """The joint table of this quench for the initial populations ``pn``."""
+        uncollected = object.__new__(UncollectedDistribution)
+        uncollected._bind(pn, self)
+        return uncollected
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class UncollectedDistribution:
     """Joint table over level pairs before degeneracy collection.
 
-    ``pn`` are initial-basis populations, ``pmn[m, n]`` the transition
-    probabilities (each column sums to 1), and ``bohr[m, n]`` the energy
-    differences E_m(final) - E_n(initial).
+    ``pn`` are initial-basis populations; ``pmn`` and ``bohr`` are those of
+    ``table``, which every state of the same quench shares.
     """
 
     pn: np.ndarray
-    pmn: np.ndarray
-    bohr: np.ndarray
+    table: PairTable
 
-    def __post_init__(self):
-        pn = np.asarray(self.pn, dtype=float)
-        pmn = np.asarray(self.pmn, dtype=float)
-        bohr = np.asarray(self.bohr, dtype=float)
-        n = pn.size
-        if pmn.shape != (n, n) or bohr.shape != (n, n):
+    def __init__(self, pn, pmn, bohr):
+        self._bind(pn, PairTable(pmn, bohr))
+
+    def _bind(self, pn, table: PairTable) -> None:
+        pn = _population_vector(pn)
+        if pn.size != table.pmn.shape[0]:
             raise DimensionMismatchError(
-                f"table shapes {pmn.shape}, {bohr.shape} do not match {n} levels"
+                f"{pn.size} populations do not match {table.pmn.shape[0]} levels"
             )
-        for name, values in (("pn", pn), ("pmn", pmn)):
-            if float(values.min()) < -PROBABILITY_TOL or float(values.max()) > 1 + PROBABILITY_TOL:
-                raise ValidationError(f"{name} entries outside [0, 1]: {name} in "
-                                      f"[{values.min():g}, {values.max():g}]")
-        if abs(float(pn.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(f"initial populations sum to {pn.sum()!r}, not 1")
-        column_sums = pmn.sum(axis=0)
-        worst = float(np.max(np.abs(column_sums - 1.0)))
-        if worst > STOCHASTICITY_TOL:
-            raise ValidationError(f"transition columns deviate from 1 by {worst:g}")
-        for name, arr in (("pn", pn), ("pmn", pmn), ("bohr", bohr)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "pn", pn)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def pmn(self) -> np.ndarray:
+        return self.table.pmn
+
+    @property
+    def bohr(self) -> np.ndarray:
+        return self.table.bohr
 
     @property
     def dim(self) -> int:
@@ -274,44 +334,60 @@ def uncollected_distribution(
     """Assemble populations, transitions, and Bohr frequencies for a setup.
 
     Precomputed decompositions of the two Hamiltonians may be passed to
-    avoid repeating diagonalizations across sweep points.
+    avoid repeating diagonalizations across sweep points; a caller with
+    several states of one quench shares a ``PairTable.of`` instead.
     """
     initial = initial if initial is not None else diagonalize(setup.hi)
     final = final if final is not None else diagonalize(setup.hf)
     pn = initial_populations(setup.rho, initial)
-    pmn = transition_probabilities(initial, final, setup.u)
-    bohr = final.eigenvalues[:, np.newaxis] - initial.eigenvalues[np.newaxis, :]
-    return UncollectedDistribution(pn=pn, pmn=pmn, bohr=bohr)
+    return PairTable.of(setup.hi, setup.hf, initial, final, setup.u).uncollected(pn)
 
 
 def default_cluster_tol(uncollected: UncollectedDistribution) -> float:
     """Clustering width from the combined span of both spectra."""
-    span = float(uncollected.bohr.max() - uncollected.bohr.min())
-    if span <= 0:
-        span = max(1.0, abs(float(uncollected.bohr.max())))
-    return DEFAULT_CLUSTER_SCALE * span
+    return uncollected.table.default_cluster_tol
 
 
-def _cluster(
-    values: np.ndarray,
+def _sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of ``values`` and the values in it, both read-only."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    order.setflags(write=False)
+    v.setflags(write=False)
+    return order, v
+
+
+def _clusters(v: np.ndarray, cluster_tol: float, counts=None) -> tuple[np.ndarray, np.ndarray]:
+    """Single linkage over sorted values: (cluster of each value, pairs per cluster).
+
+    A value starts a new cluster when it lies ``cluster_tol`` or more past
+    the previous one. Each value stands for ``counts`` pairs when given,
+    for one pair otherwise.
+    """
+    starts = np.empty(v.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = np.diff(v) >= cluster_tol
+    ids = np.cumsum(starts)
+    ids -= 1
+    if counts is None:
+        return ids, np.bincount(ids)
+    return ids, np.bincount(ids, weights=counts).astype(np.int64)
+
+
+def _collect(
+    order: np.ndarray,
+    v: np.ndarray,
+    clusters: tuple[np.ndarray, np.ndarray],
     probs: np.ndarray,
-    counts: np.ndarray,
     cluster_tol: float,
     carried_pairs: int,
     carried_mass: float,
 ) -> WorkDistribution:
-    order = np.argsort(values, kind="stable")
-    v = values[order]
+    ids, members = clusters
     q = probs[order]
-    c = counts[order]
-    starts = np.empty(v.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = np.diff(v) >= cluster_tol
-    ids = np.cumsum(starts) - 1
-    n_clusters = int(ids[-1]) + 1
-    cluster_prob = np.bincount(ids, weights=q, minlength=n_clusters)
-    weighted_sum = np.bincount(ids, weights=q * v, minlength=n_clusters)
-    members = np.bincount(ids, weights=c, minlength=n_clusters).astype(np.int64)
+    cluster_prob = np.bincount(ids, weights=q, minlength=members.size)
+    q *= v  # in place, since q can hold N^2 values
+    weighted_sum = np.bincount(ids, weights=q, minlength=members.size)
 
     keep = cluster_prob >= DROP_THRESHOLD
     if not np.any(keep):
@@ -358,21 +434,20 @@ def collect_work_distribution(
 
     Values are sorted and merged by single linkage whenever the gap to the
     previous value is below ``cluster_tol``; each collected value is the
-    probability-weighted mean of its members.
+    probability-weighted mean of its members. The sort and the clusters
+    depend on the Bohr frequencies alone, so the table computes them once
+    per width for all of its states.
     """
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(uncollected)
     if not cluster_tol > 0:
         raise ValidationError(f"cluster_tol must be positive, got {cluster_tol!r}")
-    joint = uncollected.joint()
-    return _cluster(
-        uncollected.bohr.ravel(),
-        joint.ravel(),
-        np.ones(joint.size, dtype=np.int64),
-        float(cluster_tol),
-        carried_pairs=0,
-        carried_mass=0.0,
-    )
+    cluster_tol = float(cluster_tol)
+    table = uncollected.table
+    order, v = table.memo("sorted", lambda: _sorted(table.bohr.ravel()))
+    clusters = table.memo(("clusters", cluster_tol), lambda: _clusters(v, cluster_tol))
+    joint = uncollected.joint().ravel()
+    return _collect(order, v, clusters, joint, cluster_tol, 0, 0.0)
 
 
 def recollect(work: WorkDistribution, cluster_tol: float) -> WorkDistribution:
@@ -383,11 +458,14 @@ def recollect(work: WorkDistribution, cluster_tol: float) -> WorkDistribution:
     """
     if not cluster_tol > 0:
         raise ValidationError(f"cluster_tol must be positive, got {cluster_tol!r}")
-    return _cluster(
-        work.support,
+    cluster_tol = float(cluster_tol)
+    order, v = _sorted(work.support)
+    return _collect(
+        order,
+        v,
+        _clusters(v, cluster_tol, counts=work.multiplicity[order]),
         work.probs,
-        work.multiplicity,
-        float(cluster_tol),
+        cluster_tol,
         carried_pairs=work.diagnostics.dropped_pairs,
         carried_mass=work.diagnostics.dropped_mass,
     )
@@ -443,21 +521,39 @@ def mean_work_direct(setup: QuenchSetup) -> float:
     return measured_mean_work(setup)
 
 
+def _level_work(
+    setup: QuenchSetup, initial: SpectralDecomposition, live: np.ndarray
+) -> np.ndarray:
+    v = initial.eigenvectors[:, live]
+    return np.real(np.sum(v.conj() * (_rotated_difference(setup) @ v), axis=0))
+
+
 def measured_mean_work(
-    setup: QuenchSetup, initial: SpectralDecomposition | None = None
+    setup: QuenchSetup,
+    initial: SpectralDecomposition | None = None,
+    table: PairTable | None = None,
 ) -> float:
     """<W> of the two-point statistics: the trace formula on the dephased state.
 
     The first energy measurement projects the initial state onto the
     initial eigenbasis, so the exact first moment of the work distribution
     is tr[(U^dag Hf U - Hi) rho_bar] = sum_n p_n <n_i|U^dag Hf U - Hi|n_i>,
-    over the levels with p_n > 0: one mat-vec for an eigenstate.
+    over the levels with p_n > 0: one mat-vec for an eigenstate. The pair
+    table of the setup's quench, when given, shares that product between
+    states with the same live levels.
     """
     initial = initial if initial is not None else diagonalize(setup.hi)
     pn = initial_populations(setup.rho, initial)
     live = np.flatnonzero(pn > 0.0)
-    v = initial.eigenvectors[:, live]
-    diagonal = np.real(np.sum(v.conj() * (_rotated_difference(setup) @ v), axis=0))
+    if table is None:
+        diagonal = _level_work(setup, initial, live)
+    elif table.quench is None or any(
+        a is not b for a, b in zip(table.quench, (setup.hi, setup.hf, setup.u, initial))
+    ):
+        raise ValidationError("pair table was built for another quench")
+    else:
+        key = ("level_work", live.tobytes())
+        diagonal = table.memo(key, lambda: _level_work(setup, initial, live))
     return float(diagonal @ pn[live])
 
 
@@ -465,7 +561,8 @@ def check_first_moment(
     work: WorkDistribution,
     setup: QuenchSetup,
     initial: SpectralDecomposition | None = None,
-    rel_tol: float = _RELATIVE_MEAN_TOL,
+    rel_tol: float = RELATIVE_MEAN_TOL,
+    table: PairTable | None = None,
 ) -> float:
     """Raise unless the distribution mean matches the measured trace formula.
 
@@ -474,7 +571,7 @@ def check_first_moment(
     mean, so a caller that reports it need not evaluate it twice.
     """
     from_dist = float(np.sum(work.support * work.probs))
-    from_trace = measured_mean_work(setup, initial)
+    from_trace = measured_mean_work(setup, initial, table)
     scale = max(abs(from_trace), float(np.sum(np.abs(work.support) * work.probs)), 1e-300)
     if abs(from_dist - from_trace) > rel_tol * scale:
         raise ValidationError(

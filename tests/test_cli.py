@@ -3,8 +3,9 @@ import os
 
 import pytest
 
+from qworkstats import infotheory
 from qworkstats.cli import RunConfig, main, parse_config, run
-from qworkstats.errors import ConfigError
+from qworkstats.errors import BoundViolationError, ConfigError
 
 
 def write_config(path, text):
@@ -256,3 +257,48 @@ def test_runconfig_validation():
         RunConfig(subcommand="aah-scaling", fib_min=9, fib_max=8)
     with pytest.raises(ConfigError):
         RunConfig(subcommand="aah-sweep", state_kind="thermal")
+
+
+def test_manifest_records_environment_and_tolerances(tmp_path):
+    out = tmp_path / "run"
+    assert main(["aah-sweep", "--out", str(out), "--fib-index", "7",
+                 "--grid-values", "1.5", "--threads", "2"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    environment = manifest["environment"]
+    assert environment["pool_workers"] == 2
+    assert environment["cpu_count"] == os.cpu_count()
+    assert {"python", "numpy"} <= set(environment)
+    tolerances = manifest["tolerances"]
+    assert tolerances["tpm.DEFAULT_CLUSTER_SCALE"] == 1e-12
+    assert tolerances["tpm.DROP_THRESHOLD"] == 1e-15
+    assert tolerances["infotheory.BOUND_SLACK"] == 1e-10
+    assert tolerances["experiments.GROUND_MEAN_TOL"] == 1e-10
+    assert {"tpm.PROBABILITY_TOL", "tpm.STOCHASTICITY_TOL", "tpm.NORMALIZATION_TOL",
+            "spectral.HERMITICITY_RTOL", "spectral.ORTHONORMALITY_TOL"} <= set(tolerances)
+
+
+@pytest.mark.parametrize(
+    "argv,point",
+    [
+        (["aah-sweep", "--grid-values", "1.5,2.5,3.5"], {"delta": 2.5}),
+        (["thermal-sweep", "--grid-values", "1.5,2.5"], {"delta": 1.5, "beta": 1.0}),
+    ],
+)
+def test_bound_violation_names_its_axis_point(tmp_path, capsys, monkeypatch, argv, point):
+    # one worker, so the second bound check belongs to the second state
+    # evaluated: the second potential of a one-state sweep, or the second
+    # inverse temperature (1.0 by default) at the first potential
+    calls = []
+
+    def failing_second(report):
+        calls.append(report)
+        if len(calls) == 2:
+            raise BoundViolationError("temperature_bound", 1.0, 0.0, 1e-10)
+
+    monkeypatch.setattr(infotheory, "check_bounds", failing_second)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out), "--fib-index", "7", "--threads", "1"]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "bound-violation"
+    assert manifest["error"]["axis_point"] == point
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["axis_point"] == point

@@ -19,7 +19,7 @@ from qworkstats import (
     lz_sweep,
     scaling_derivative,
 )
-from qworkstats import experiments
+from qworkstats import experiments, infotheory, tpm
 from qworkstats.experiments import _aah_sweeps, _flat_chain_decomposition
 from qworkstats.models import predicted_band_edge
 
@@ -293,6 +293,31 @@ def test_each_potential_diagonalized_once_per_sweep(monkeypatch):
     results = _aah_sweeps(8, grid, DELTA_TO_ZERO, states, 1.0, 1.2, None, workers=2)
     assert len(calls) == 1 + len(grid)
     assert len(results) == len(betas)
+
+
+def test_each_potential_builds_one_pair_table_per_sweep(monkeypatch):
+    # the transition matrix and everything derived from it alone depend on
+    # the potential, not on the state, so four inverse temperatures share them
+    transitions, coherences = [], []
+    real_transitions = tpm.transition_probabilities
+    real_coherences = infotheory.per_level_coherences
+
+    def counting_transitions(initial, final, u=None):
+        transitions.append(initial.dim)
+        return real_transitions(initial, final, u)
+
+    def counting_coherences(pmn):
+        coherences.append(pmn.shape)
+        return real_coherences(pmn)
+
+    monkeypatch.setattr(tpm, "transition_probabilities", counting_transitions)
+    monkeypatch.setattr(infotheory, "per_level_coherences", counting_coherences)
+    grid = [1.0, 2.0, 3.0]
+    states = tuple(StateSpec.thermal(beta) for beta in (0.01, 1.0, 100.0, 1e4))
+    results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2)
+    assert len(transitions) == len(grid)
+    assert len(coherences) == len(grid)
+    assert all(len(result.rows) == len(grid) for result in results)
 
 
 def test_shared_sweep_matches_one_sweep_per_state():

@@ -28,7 +28,7 @@ from qworkstats import (
     uncollected_distribution,
     work_moments,
 )
-from qworkstats.tpm import check_first_moment, measured_mean_work
+from qworkstats.tpm import PairTable, check_first_moment, measured_mean_work
 
 
 def lz_setup(omega_i, omega_f, beta=0.1, delta=1.0):
@@ -212,6 +212,85 @@ def test_collect_matches_exact_grouping_oracle():
             assert got_w == pytest.approx(value, abs=1e-12)
             assert got_p == pytest.approx(mass, abs=1e-13)
             assert got_m == count
+
+
+def assert_same_collection(got, expected):
+    assert got.support.tobytes() == expected.support.tobytes()
+    assert got.probs.tobytes() == expected.probs.tobytes()
+    assert np.array_equal(got.multiplicity, expected.multiplicity)
+    assert got.diagnostics == expected.diagnostics
+
+
+def test_shared_table_collects_like_a_fresh_table_per_state():
+    # With width 1e-3: 0, 6e-4 and 1.2e-3 merge by single linkage through
+    # the middle value, whose pair has zero probability (pmn[0, 1] = 0) but
+    # still counts in the multiplicity; 3 and 3.0002 merge too. With width
+    # 1e-4 nothing merges, and at the default width (1.1e-11) neither.
+    # The 1e-16 population puts the column-2 values below the drop floor.
+    bohr = np.array([[0.0, 6e-4, 5.0], [1.2e-3, 7.0, 9.0], [3.0, 3.0002, 11.0]])
+    pmn = np.array([[0.5, 0.0, 0.25], [0.3, 0.5, 0.25], [0.2, 0.5, 0.5]])
+    populations = (
+        np.array([0.2, 0.3, 0.5]),
+        np.array([0.6, 0.4 - 1e-16, 1e-16]),
+        np.array([1.0, 0.0, 0.0]),
+    )
+    table = PairTable(pmn, bohr)
+    for cluster_tol in (1e-3, None, 1e-4, 1e-3):
+        for pn in populations:
+            shared = collect_work_distribution(table.uncollected(pn), cluster_tol)
+            fresh = collect_work_distribution(
+                UncollectedDistribution(pn=pn, pmn=pmn, bohr=bohr), cluster_tol
+            )
+            assert_same_collection(shared, fresh)
+    # one clustering per width, shared by the populations
+    widths = sorted(key[1] for key in table._memo if key[0] == "clusters")
+    assert widths == sorted([table.default_cluster_tol, 1e-4, 1e-3])
+
+    bridged = collect_work_distribution(table.uncollected(populations[0]), 1e-3)
+    assert bridged.multiplicity[0] == 3
+    assert bridged.probs[0] == pytest.approx(0.2 * 0.5 + 0.2 * 0.3, abs=1e-15)
+    assert bridged.support[0] == pytest.approx(1.2e-3 * 0.3 / 0.8, abs=1e-15)
+    # unbridged, the zero-probability pair is a cluster of its own and dropped
+    alone = collect_work_distribution(table.uncollected(populations[0]), 1e-4)
+    assert alone.num_points == 8
+    assert (alone.diagnostics.dropped_pairs, alone.diagnostics.dropped_mass) == (1, 0.0)
+    dropped = collect_work_distribution(table.uncollected(populations[1]), 1e-4)
+    assert dropped.diagnostics.dropped_pairs == 3 + 1  # column 2, and the zero pair
+    assert dropped.diagnostics.dropped_mass > 0.0
+    assert float(dropped.probs.sum()) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_shared_table_matches_fresh_tables_on_random_integer_spectra():
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        dim = int(rng.integers(2, 9))
+        ei = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
+        ef = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
+        pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
+        bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
+        table = PairTable(pmn, bohr)
+        for pn in (rng.dirichlet(np.ones(dim)), np.eye(dim)[0], rng.dirichlet(np.ones(dim))):
+            for cluster_tol in (None, 0.5):
+                assert_same_collection(
+                    collect_work_distribution(table.uncollected(pn), cluster_tol),
+                    collect_work_distribution(UncollectedDistribution(pn, pmn, bohr), cluster_tol),
+                )
+
+
+def test_pair_table_shares_first_moment_products_only_for_its_quench():
+    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-3.0))
+    hf = lz_hamiltonian(LzParams(delta=1.0, omega=2.0))
+    initial, final = diagonalize(hi), diagonalize(hf)
+    table = PairTable.of(hi, hf, initial, final)
+    for rho in ([0.3, 0.7], [1.0, 0.0], [0.6, 0.4]):
+        setup = QuenchSetup(hi=hi, hf=hf, rho=rho)
+        assert measured_mean_work(setup, initial, table) == measured_mean_work(setup, initial)
+    assert len([key for key in table._memo if key[0] == "level_work"]) == 2
+    other = QuenchSetup(hi=hf, hf=hi, rho=[0.5, 0.5])
+    with pytest.raises(ValidationError, match="another quench"):
+        measured_mean_work(other, initial, table)
+    with pytest.raises(ValidationError, match="another quench"):
+        measured_mean_work(setup, initial, PairTable(table.pmn, table.bohr))
 
 
 def test_proximity_warning_for_marginal_gaps():

@@ -22,7 +22,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,14 +30,18 @@ from . import __version__, experiments, infotheory, spectral, tpm
 from .errors import BoundViolationError, ConfigError, ValidationError
 from .experiments import (
     DEFAULT_DERIV_STEP,
+    DEFAULT_ETA_SAMPLES,
     DEFAULT_SEED,
     DIRECTIONS,
+    STATE_KINDS,
     ZERO_TO_DELTA,
     StateSpec,
     _aah_sweeps,
     aah_transition_sweep,
     aah_work_histogram,
     bandwidth_fit,
+    default_aah_grid,
+    default_lz_grid,
     eigenstate_coherence_map,
     lz_sweep,
     scaling_derivative,
@@ -49,17 +53,6 @@ from .tpm import (
     QuenchSetup,
     collect_work_distribution,
     uncollected_distribution,
-)
-
-SUBCOMMANDS = (
-    "lz-sweep",
-    "aah-hist",
-    "aah-sweep",
-    "aah-scaling",
-    "thermal-sweep",
-    "coherence-map",
-    "bandwidth-fit",
-    "single-quench",
 )
 
 LN2 = math.log(2.0)
@@ -74,200 +67,6 @@ _TOLERANCES = (
                   "GROUND_PROJECTOR_TOL")),
     (experiments, ("GROUND_MEAN_TOL",)),
 )
-
-_RUN_KEYS = {"subcommand", "seed", "threads", "cluster_tol", "bits", "out"}
-_MODEL_KEYS = {
-    "delta", "omega_i", "omega_f", "j", "eta", "fib_index", "direction",
-    "fib_min", "fib_max", "eta_samples", "deriv_step",
-}
-_STATE_KEYS = {"kind", "level", "beta", "betas"}
-_GRID_KEYS = {"start", "stop", "points", "values"}
-
-
-@dataclass
-class RunConfig:
-    """Fully validated description of one CLI run."""
-
-    subcommand: str
-    out: str = "results"
-    seed: int = DEFAULT_SEED
-    threads: int = 0  # 0 means all logical cores
-    cluster_tol: float | None = None
-    bits: bool = False
-    # model
-    delta: float = 1.0
-    omega_i: float = -20.0
-    omega_f: float | None = None
-    j: float = 1.0
-    eta: float = 1.2
-    fib_index: int = 16
-    direction: str = ZERO_TO_DELTA
-    fib_min: int = 10
-    fib_max: int = 16
-    eta_samples: int = 50
-    deriv_step: float = DEFAULT_DERIV_STEP
-    # state
-    state_kind: str = "ground"
-    state_level: int = 0
-    state_beta: float | None = None
-    state_betas: tuple[float, ...] = (1e-2, 1.0, 1e2, 1e4)
-    # grid
-    grid_start: float | None = None
-    grid_stop: float | None = None
-    grid_points: int | None = None
-    grid_values: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ConfigError(
-                f"unknown subcommand {self.subcommand!r}; valid: {', '.join(SUBCOMMANDS)}"
-            )
-        if self.direction not in DIRECTIONS:
-            raise ConfigError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        if self.cluster_tol is not None and not self.cluster_tol > 0:
-            raise ConfigError(f"cluster_tol must be positive, got {self.cluster_tol!r}")
-        if self.threads < 0:
-            raise ConfigError(f"threads must be >= 0, got {self.threads}")
-        if not 3 <= self.fib_min <= self.fib_max:
-            raise ConfigError(
-                f"need 3 <= fib_min <= fib_max, got {self.fib_min}..{self.fib_max}"
-            )
-        if self.state_kind not in ("ground", "eigenstate", "thermal"):
-            raise ConfigError(f"unknown state kind {self.state_kind!r}")
-        if self.state_kind == "thermal" and self.state_beta is None:
-            raise ConfigError("state kind 'thermal' requires beta")
-
-    @property
-    def workers(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
-
-    def state_spec(self) -> StateSpec:
-        if self.state_kind == "ground":
-            return StateSpec.ground()
-        if self.state_kind == "eigenstate":
-            return StateSpec.eigenstate(self.state_level)
-        return StateSpec.thermal(self.state_beta)
-
-    def grid(self) -> np.ndarray:
-        """Resolve the sweep grid: explicit values win over start/stop/points."""
-        if self.grid_values is not None:
-            return np.array(self.grid_values, dtype=float)
-        if self.subcommand == "lz-sweep":
-            start = self.grid_start if self.grid_start is not None else -25.0 * self.delta
-            stop = self.grid_stop if self.grid_stop is not None else 25.0 * self.delta
-            points = self.grid_points if self.grid_points is not None else 501
-        elif self.subcommand == "aah-hist":
-            return np.array([1.5, 2.0, 2.5, 3.0]) * self.j
-        else:
-            start = self.grid_start if self.grid_start is not None else 0.05 * self.j
-            stop = self.grid_stop if self.grid_stop is not None else 4.0 * self.j
-            points = self.grid_points if self.grid_points is not None else 80
-        if points < 1:
-            raise ConfigError(f"grid needs at least one point, got {points}")
-        if stop < start:
-            raise ConfigError(f"grid stop {stop} below start {start}")
-        return np.linspace(start, stop, points)
-
-    def echo(self) -> dict:
-        record = {}
-        for field_info in fields(self):
-            value = getattr(self, field_info.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            record[field_info.name] = value
-        return record
-
-
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(text: str, key: str) -> bool:
-    try:
-        return _BOOL_STRINGS[text.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{key} must be a boolean, got {text!r}") from None
-
-
-def _parse_values_list(text: str, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(item) for item in text.replace(";", ",").split(",") if item.strip())
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated list of numbers, got {text!r}") from None
-
-
-def _read_config_file(path: str) -> dict:
-    """Parse the INI file into RunConfig keyword arguments."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
-    known = {"run": _RUN_KEYS, "model": _MODEL_KEYS, "state": _STATE_KEYS, "grid": _GRID_KEYS}
-    for section in parser.sections():
-        if section not in known:
-            raise ConfigError(
-                f"unknown config section [{section}]; valid sections: {', '.join(known)}"
-            )
-        for key in parser[section]:
-            if key not in known[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]; valid keys: "
-                    f"{', '.join(sorted(known[section]))}"
-                )
-    kwargs: dict = {}
-
-    def grab(section, key, cast, target=None):
-        if parser.has_option(section, key):
-            text = parser.get(section, key)
-            try:
-                kwargs[target or key] = cast(text)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"bad value for {section}.{key}: {text!r}") from None
-
-    grab("run", "subcommand", str)
-    grab("run", "out", str)
-    grab("run", "seed", int)
-    grab("run", "threads", int)
-    grab("run", "cluster_tol", float)
-    grab("run", "bits", lambda t: _parse_bool(t, "run.bits"))
-    for key, cast in (
-        ("delta", float), ("omega_i", float), ("omega_f", float), ("j", float),
-        ("eta", float), ("fib_index", int), ("direction", str), ("fib_min", int),
-        ("fib_max", int), ("eta_samples", int), ("deriv_step", float),
-    ):
-        grab("model", key, cast)
-    grab("state", "kind", str, "state_kind")
-    grab("state", "level", int, "state_level")
-    grab("state", "beta", float, "state_beta")
-    grab("state", "betas", lambda t: _parse_values_list(t, "state.betas"), "state_betas")
-    grab("grid", "start", float, "grid_start")
-    grab("grid", "stop", float, "grid_stop")
-    grab("grid", "points", int, "grid_points")
-    grab("grid", "values", lambda t: _parse_values_list(t, "grid.values"), "grid_values")
-    return kwargs
-
-
-def parse_config(
-    path: str | None = None,
-    overrides: dict | None = None,
-    subcommand: str | None = None,
-) -> RunConfig:
-    """Build a RunConfig from an optional file plus flag overrides."""
-    kwargs: dict = {}
-    if path is not None:
-        kwargs.update(_read_config_file(path))
-    if subcommand is not None:
-        kwargs["subcommand"] = subcommand
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            kwargs[key] = value
-    if "subcommand" not in kwargs:
-        raise ConfigError("no subcommand given (flag or [run] subcommand in the config file)")
-    try:
-        return RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _format_cell(value) -> str:
@@ -298,6 +97,10 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_json(path: str, record: dict) -> None:
+    _write_atomic(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _progress(message: str) -> None:
@@ -345,18 +148,21 @@ def _run_lz_sweep(config: RunConfig, out: str):
 def _run_aah_hist(config: RunConfig, out: str):
     paths = []
     entropies: dict = {}
-    for delta in config.grid():
+    grid = config.grid()
+    labels = [f"{delta:g}" for delta in grid]
+    if len(set(labels)) < len(set(grid.tolist())):  # %g would merge distinct values
+        labels = [repr(float(delta)) for delta in grid]
+    for delta, label in zip(grid, labels):
         params = AahParams(
             fib_index=config.fib_index, delta=float(delta), j=config.j, eta=config.eta
         )
         work = aah_work_histogram(
             params, config.direction, cluster_tol=config.cluster_tol
         )
-        tag = f"{delta:g}".replace(".", "p")
-        path = os.path.join(out, f"aah_hist_delta_{tag}.csv")
+        path = os.path.join(out, f"aah_hist_delta_{label.replace('.', 'p')}.csv")
         _write_atomic(path, work.to_csv())
         paths.append(path)
-        entropies[f"h_w_delta_{delta:g}"] = entropy_of_work(work)
+        entropies[f"h_w_delta_{label}"] = entropy_of_work(work)
     return paths, entropies
 
 
@@ -439,23 +245,18 @@ def _run_aah_scaling(config: RunConfig, out: str):
         ),
     )
     fit_path = os.path.join(out, "aah_scaling_fit.json")
-    _write_atomic(
+    _write_json(
         fit_path,
-        json.dumps(
-            {
-                "fit_exponent": result.fit_exponent,
-                "fit_prefactor": result.fit_prefactor,
-                "eta_samples": result.eta_samples,
-                "seed": result.seed,
-                "deriv_step": result.deriv_step,
-                "direction": result.direction,
-                "sizes": [int(n) for n in result.sizes],
-                "slopes": [float(s) for s in result.slopes],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
+        {
+            "fit_exponent": result.fit_exponent,
+            "fit_prefactor": result.fit_prefactor,
+            "eta_samples": result.eta_samples,
+            "seed": result.seed,
+            "deriv_step": result.deriv_step,
+            "direction": result.direction,
+            "sizes": [int(n) for n in result.sizes],
+            "slopes": [float(s) for s in result.slopes],
+        },
     )
     return [slopes_path, fit_path], {"fit_exponent": result.fit_exponent}
 
@@ -497,18 +298,13 @@ def _run_bandwidth_fit(config: RunConfig, out: str):
         ),
     )
     fit_path = os.path.join(out, "bandwidth_fit_result.json")
-    _write_atomic(
+    _write_json(
         fit_path,
-        json.dumps(
-            {
-                "coefficient": result.coefficient,
-                "residual_max": result.residual_max,
-                "delta_grid": [float(d) for d in result.delta_grid],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
+        {
+            "coefficient": result.coefficient,
+            "residual_max": result.residual_max,
+            "delta_grid": [float(d) for d in result.delta_grid],
+        },
     )
     return [edges_path, fit_path], {"coefficient": result.coefficient}
 
@@ -532,7 +328,7 @@ def _run_single_quench(config: RunConfig, out: str):
     csv_path = os.path.join(out, "single_quench_work.csv")
     _write_atomic(csv_path, work.to_csv())
     json_path = os.path.join(out, "single_quench_work.json")
-    _write_atomic(json_path, json.dumps(work.to_json_record(), indent=2, sort_keys=True) + "\n")
+    _write_json(json_path, work.to_json_record())
     return [csv_path, json_path], {"h_w": entropy_of_work(work)}
 
 
@@ -546,6 +342,168 @@ _HANDLERS = {
     "bandwidth-fit": _run_bandwidth_fit,
     "single-quench": _run_single_quench,
 }
+
+
+SUBCOMMANDS = tuple(_HANDLERS)
+
+
+_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOL_STRINGS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _parse_values_list(text: str) -> tuple[float, ...]:
+    return tuple(float(item) for item in text.replace(";", ",").split(",") if item.strip())
+
+
+def _setting(section: str, parse, default=MISSING, *, flag: str | None = "", choices=None,
+             help=None):
+    """A ``RunConfig`` field that reads its value from ``[section]`` with ``parse``.
+
+    Its INI key is the field name without a ``<section>_`` prefix. Its flag
+    is ``--<field-name>`` (underscores as dashes) unless ``flag`` spells it,
+    and ``flag=None`` leaves it file-only. A value outside ``choices`` is
+    rejected.
+    """
+    metadata = {"section": section, "parse": parse, "flag": flag, "choices": choices,
+                "help": help}
+    return field(default=default, metadata=metadata)
+
+
+@dataclass
+class RunConfig:
+    """Fully validated description of one CLI run.
+
+    Each field declares one setting once: the INI sections and keys, the
+    flags and the manifest's config echo are all built from these fields.
+    """
+
+    subcommand: str = _setting("run", str, flag=None, choices=SUBCOMMANDS)
+    out: str = _setting("run", str, "results", help="output directory (default: results)")
+    seed: int = _setting("run", int, DEFAULT_SEED, help="seed for phase sampling")
+    threads: int = _setting("run", int, 0, help="worker threads (0 = logical cores)")
+    cluster_tol: float | None = _setting("run", float, None,
+                                         help="override the degeneracy clustering width")
+    bits: bool = _setting("run", _parse_bool, False,
+                          help="display entropies in bits (files stay in nats)")
+    delta: float = _setting("model", float, 1.0)
+    omega_i: float = _setting("model", float, -20.0)
+    omega_f: float | None = _setting("model", float, None)
+    j: float = _setting("model", float, 1.0)
+    eta: float = _setting("model", float, 1.2)
+    fib_index: int = _setting("model", int, 16)
+    direction: str = _setting("model", str, ZERO_TO_DELTA, choices=DIRECTIONS)
+    fib_min: int = _setting("model", int, 10)
+    fib_max: int = _setting("model", int, 16)
+    eta_samples: int = _setting("model", int, DEFAULT_ETA_SAMPLES)
+    deriv_step: float = _setting("model", float, DEFAULT_DERIV_STEP)
+    state_kind: str = _setting("state", str, "ground", flag="--state", choices=STATE_KINDS)
+    state_level: int = _setting("state", int, 0, flag="--level")
+    state_beta: float | None = _setting("state", float, None, flag="--beta")
+    state_betas: tuple[float, ...] = _setting("state", _parse_values_list,
+                                              (1e-2, 1.0, 1e2, 1e4), flag=None)
+    grid_start: float | None = _setting("grid", float, None)
+    grid_stop: float | None = _setting("grid", float, None)
+    grid_points: int | None = _setting("grid", int, None)
+    grid_values: tuple[float, ...] | None = _setting("grid", _parse_values_list, None)
+
+    def __post_init__(self):
+        for setting in fields(self):
+            choices, value = setting.metadata["choices"], getattr(self, setting.name)
+            if choices is not None and value not in choices:
+                raise ConfigError(
+                    f"{setting.name} must be one of {', '.join(choices)}; got {value!r}"
+                )
+        if self.cluster_tol is not None and not self.cluster_tol > 0:
+            raise ConfigError(f"cluster_tol must be positive, got {self.cluster_tol!r}")
+        if self.threads < 0:
+            raise ConfigError(f"threads must be >= 0, got {self.threads}")
+        if not 3 <= self.fib_min <= self.fib_max:
+            raise ConfigError(
+                f"need 3 <= fib_min <= fib_max, got {self.fib_min}..{self.fib_max}"
+            )
+        if self.state_kind == "thermal" and self.state_beta is None:
+            raise ConfigError("state kind 'thermal' requires beta")
+
+    @property
+    def workers(self) -> int:
+        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+
+    def state_spec(self) -> StateSpec:
+        if self.state_kind == "ground":
+            return StateSpec.ground()
+        if self.state_kind == "eigenstate":
+            return StateSpec.eigenstate(self.state_level)
+        return StateSpec.thermal(self.state_beta)
+
+    def grid(self) -> np.ndarray:
+        """Resolve the sweep grid: explicit values win over start/stop/points."""
+        if self.grid_values is not None:
+            return np.array(self.grid_values, dtype=float)
+        if self.subcommand == "aah-hist":
+            return np.array([1.5, 2.0, 2.5, 3.0]) * self.j
+        if self.subcommand == "lz-sweep":
+            default = default_lz_grid(self.delta)
+        else:
+            default = default_aah_grid(self.j)
+        start = float(default[0]) if self.grid_start is None else self.grid_start
+        stop = float(default[-1]) if self.grid_stop is None else self.grid_stop
+        points = default.size if self.grid_points is None else self.grid_points
+        if points < 1:
+            raise ConfigError(f"grid needs at least one point, got {points}")
+        if stop < start:
+            raise ConfigError(f"grid stop {stop} below start {start}")
+        return np.linspace(start, stop, points)
+
+
+def _read_config_file(path: str) -> dict:
+    """Parse the INI file into RunConfig keyword arguments."""
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise ConfigError(f"config file {path!r} not found or unreadable")
+    known: dict = {}
+    for setting in fields(RunConfig):
+        section = setting.metadata["section"]
+        known.setdefault(section, {})[setting.name.removeprefix(f"{section}_")] = setting
+    kwargs: dict = {}
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError(
+                f"unknown config section [{section}]; valid sections: {', '.join(known)}"
+            )
+        for key, text in parser[section].items():
+            if key not in known[section]:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}]; valid keys: "
+                    f"{', '.join(sorted(known[section]))}"
+                )
+            setting = known[section][key]
+            try:
+                kwargs[setting.name] = setting.metadata["parse"](text)
+            except ValueError:
+                raise ConfigError(f"bad value for {section}.{key}: {text!r}") from None
+    return kwargs
+
+
+def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
+    """Build a RunConfig from an optional file plus flag overrides."""
+    kwargs: dict = {}
+    if path is not None:
+        kwargs.update(_read_config_file(path))
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            kwargs[key] = value
+    if "subcommand" not in kwargs:
+        raise ConfigError("no subcommand given (flag or [run] subcommand in the config file)")
+    try:
+        return RunConfig(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run(config: RunConfig) -> int:
@@ -585,7 +543,7 @@ def run(config: RunConfig) -> int:
         status = 1
     manifest = {
         "version": __version__,
-        "config": config.echo(),
+        "config": asdict(config),
         "seed": config.seed,
         "cluster_tol": config.cluster_tol,
         "environment": {
@@ -603,10 +561,7 @@ def run(config: RunConfig) -> int:
         "wall_time_s": time.time() - started,
         "error": error_record,
     }
-    _write_atomic(
-        os.path.join(out, "manifest.json"),
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(os.path.join(out, "manifest.json"), manifest)
     if error_record is not None:
         print(json.dumps(error_record), file=sys.stderr)
     else:
@@ -632,41 +587,24 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="INI config file; flags override file values")
-        cmd.add_argument("--out", help="output directory (default: results)")
-        cmd.add_argument("--seed", type=int, help="seed for phase sampling")
-        cmd.add_argument("--threads", type=int, help="worker threads (0 = logical cores)")
-        cmd.add_argument("--cluster-tol", dest="cluster_tol", type=float,
-                         help="override the degeneracy clustering width")
-        cmd.add_argument("--bits", action="store_const", const=True,
-                         help="display entropies in bits (files stay in nats)")
-        cmd.add_argument("--delta", type=float)
-        cmd.add_argument("--omega-i", dest="omega_i", type=float)
-        cmd.add_argument("--omega-f", dest="omega_f", type=float)
-        cmd.add_argument("--j", type=float)
-        cmd.add_argument("--eta", type=float)
-        cmd.add_argument("--fib-index", dest="fib_index", type=int)
-        cmd.add_argument("--direction", choices=DIRECTIONS)
-        cmd.add_argument("--fib-min", dest="fib_min", type=int)
-        cmd.add_argument("--fib-max", dest="fib_max", type=int)
-        cmd.add_argument("--eta-samples", dest="eta_samples", type=int)
-        cmd.add_argument("--deriv-step", dest="deriv_step", type=float)
-        cmd.add_argument("--state", dest="state_kind", choices=("ground", "eigenstate", "thermal"))
-        cmd.add_argument("--level", dest="state_level", type=int)
-        cmd.add_argument("--beta", dest="state_beta", type=float)
-        cmd.add_argument("--grid-start", dest="grid_start", type=float)
-        cmd.add_argument("--grid-stop", dest="grid_stop", type=float)
-        cmd.add_argument("--grid-points", dest="grid_points", type=int)
-        cmd.add_argument("--grid-values", dest="grid_values",
-                         type=lambda t: _parse_values_list(t, "--grid-values"))
+        for setting in fields(RunConfig):
+            meta = setting.metadata
+            if meta["flag"] is None:
+                continue
+            if meta["parse"] is _parse_bool:
+                kind = {"action": "store_const", "const": True}
+            else:
+                kind = {"type": meta["parse"], "choices": meta["choices"]}
+            cmd.add_argument(meta["flag"] or "--" + setting.name.replace("_", "-"),
+                             dest=setting.name, help=meta["help"], **kind)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k not in ("config",)}
-    subcommand = overrides.pop("subcommand")
+    overrides = vars(_build_parser().parse_args(argv))
+    path = overrides.pop("config")
     try:
-        config = parse_config(args.config, overrides, subcommand=subcommand)
+        config = parse_config(path, overrides)
         return run(config)
     except (ConfigError, ValidationError) as exc:
         print(json.dumps({"type": "config-error", "message": str(exc)}), file=sys.stderr)

@@ -49,6 +49,7 @@ from .tpm import (
 DELTA_TO_ZERO = "delta-to-zero"
 ZERO_TO_DELTA = "zero-to-delta"
 DIRECTIONS = (DELTA_TO_ZERO, ZERO_TO_DELTA)
+STATE_KINDS = ("ground", "eigenstate", "thermal")
 
 MOMENT_ORDERS = 4
 DEFAULT_SEED = 12345
@@ -80,7 +81,7 @@ class StateSpec:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ground", "eigenstate", "thermal"):
+        if self.kind not in STATE_KINDS:
             raise ValidationError(f"unknown state kind {self.kind!r}")
         if self.kind == "eigenstate" and self.level < 0:
             raise ValidationError(f"eigenstate level must be >= 0, got {self.level}")

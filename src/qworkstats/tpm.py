@@ -100,11 +100,13 @@ class PairTable:
     from the table alone (clusters, per-level coherences, first-moment
     products) is computed once through ``memo``; racing threads compute
     equal values. ``quench`` is ``(hi, hf, u, initial)`` when built by ``of``.
+    The table holds copies of a caller's arrays, and ``of`` the arrays it builds.
     """
 
-    def __init__(self, pmn, bohr, quench: tuple | None = None):
-        pmn = np.array(pmn, dtype=float, copy=True)
-        bohr = np.array(bohr, dtype=float, copy=True)
+    def __init__(self, pmn, bohr):
+        self._own(np.array(pmn, dtype=float), np.array(bohr, dtype=float), None)
+
+    def _own(self, pmn: np.ndarray, bohr: np.ndarray, quench: tuple | None) -> None:
         n = pmn.shape[0] if pmn.ndim == 2 else 0
         if n < 1 or pmn.shape != (n, n) or bohr.shape != (n, n):
             raise DimensionMismatchError(
@@ -141,7 +143,9 @@ class PairTable:
         """The table of a quench, from the decompositions of its two Hamiltonians."""
         pmn = transition_probabilities(initial, final, u)
         bohr = final.eigenvalues[:, np.newaxis] - initial.eigenvalues[np.newaxis, :]
-        return cls(pmn, bohr, quench=(hi, hf, u, initial))
+        table = object.__new__(cls)
+        table._own(pmn, bohr, (hi, hf, u, initial))
+        return table
 
     def memo(self, key, compute):
         """``compute()`` on the first request for ``key``, the stored value after."""

@@ -1,9 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from qworkstats import infotheory
+from qworkstats import cli, infotheory
 from qworkstats.cli import RunConfig, main, parse_config, run
 from qworkstats.errors import BoundViolationError, ConfigError
 
@@ -302,3 +303,114 @@ def test_bound_violation_names_its_axis_point(tmp_path, capsys, monkeypatch, arg
     assert manifest["error"]["type"] == "bound-violation"
     assert manifest["error"]["axis_point"] == point
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["axis_point"] == point
+
+
+def test_aah_hist_gives_values_equal_at_g_precision_their_own_files(tmp_path, capsys):
+    out = tmp_path / "hist"
+    argv = ["aah-hist", "--out", str(out), "--fib-index", "7", "--threads", "1"]
+    assert main([*argv, "--grid-values", "1.0000001,1.0000002"]) == 0
+    names = ["aah_hist_delta_1p0000001.csv", "aah_hist_delta_1p0000002.csv"]
+    assert sorted(os.listdir(out)) == [*names, "manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == names
+    summary = json.loads(capsys.readouterr().out)
+    assert {key for key in summary if key.startswith("h_w_delta_")} == {
+        "h_w_delta_1.0000001", "h_w_delta_1.0000002"
+    }
+
+
+# The command-line schema as first released: every setting with its INI
+# section and key, its flag (None: file only), a non-default value as text,
+# and that value as a RunConfig field.
+SCHEMA = [
+    ("run", "subcommand", None, "lz-sweep", "subcommand", "lz-sweep"),
+    ("run", "out", "--out", "elsewhere", "out", "elsewhere"),
+    ("run", "seed", "--seed", "7", "seed", 7),
+    ("run", "threads", "--threads", "3", "threads", 3),
+    ("run", "cluster_tol", "--cluster-tol", "1e-9", "cluster_tol", 1e-9),
+    ("run", "bits", "--bits", "yes", "bits", True),
+    ("model", "delta", "--delta", "2.5", "delta", 2.5),
+    ("model", "omega_i", "--omega-i", "-3", "omega_i", -3.0),
+    ("model", "omega_f", "--omega-f", "4", "omega_f", 4.0),
+    ("model", "j", "--j", "0.5", "j", 0.5),
+    ("model", "eta", "--eta", "0.3", "eta", 0.3),
+    ("model", "fib_index", "--fib-index", "9", "fib_index", 9),
+    ("model", "direction", "--direction", "delta-to-zero", "direction", "delta-to-zero"),
+    ("model", "fib_min", "--fib-min", "5", "fib_min", 5),
+    ("model", "fib_max", "--fib-max", "12", "fib_max", 12),
+    ("model", "eta_samples", "--eta-samples", "3", "eta_samples", 3),
+    ("model", "deriv_step", "--deriv-step", "0.1", "deriv_step", 0.1),
+    ("state", "kind", "--state", "eigenstate", "state_kind", "eigenstate"),
+    ("state", "level", "--level", "2", "state_level", 2),
+    ("state", "beta", "--beta", "0.5", "state_beta", 0.5),
+    ("state", "betas", None, "0.5,2", "state_betas", (0.5, 2.0)),
+    ("grid", "start", "--grid-start", "0.5", "grid_start", 0.5),
+    ("grid", "stop", "--grid-stop", "3", "grid_stop", 3.0),
+    ("grid", "points", "--grid-points", "7", "grid_points", 7),
+    ("grid", "values", "--grid-values", "1.5,2.5", "grid_values", (1.5, 2.5)),
+]
+SUBCOMMANDS = ["lz-sweep", "aah-hist", "aah-sweep", "aah-scaling", "thermal-sweep",
+               "coherence-map", "bandwidth-fit", "single-quench"]
+DEFAULTS = {
+    "out": "results", "seed": 12345, "threads": 0, "cluster_tol": None, "bits": False,
+    "delta": 1.0, "omega_i": -20.0, "omega_f": None, "j": 1.0, "eta": 1.2, "fib_index": 16,
+    "direction": "zero-to-delta", "fib_min": 10, "fib_max": 16, "eta_samples": 50,
+    "deriv_step": 0.15, "state_kind": "ground", "state_level": 0, "state_beta": None,
+    "state_betas": (1e-2, 1.0, 1e2, 1e4), "grid_start": None, "grid_stop": None,
+    "grid_points": None, "grid_values": None,
+}
+
+
+def _valid_names(tmp_path, section, label):
+    """The names an error for an unknown ``bogus`` key in ``[section]`` lists as valid."""
+    text = "[run]\nsubcommand = aah-sweep\n"
+    text += "bogus = 1\n" if section == "run" else f"[{section}]\nbogus = 1\n"
+    path = write_config(tmp_path / "probe.ini", text)
+    with pytest.raises(ConfigError) as caught:
+        parse_config(path)
+    return set(str(caught.value).split(f"valid {label}: ")[1].split(", "))
+
+
+def test_command_line_schema_is_unchanged(tmp_path, monkeypatch):
+    keys = {}
+    for section, key, *_ in SCHEMA:
+        keys.setdefault(section, set()).add(key)
+    assert _valid_names(tmp_path, "lattice", "sections") == set(keys)
+    for section in keys:
+        assert _valid_names(tmp_path, section, "keys") == keys[section]
+
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == SUBCOMMANDS
+    flags = {row[2] for row in SCHEMA if row[2]} | {"--config", "-h", "--help"}
+    for name, command in commands.choices.items():
+        actions = {flag: action for action in command._actions for flag in action.option_strings}
+        assert set(actions) == flags
+        assert actions["--direction"].choices == ("delta-to-zero", "zero-to-delta")
+        assert actions["--state"].choices == ("ground", "eigenstate", "thermal")
+        with pytest.raises(SystemExit) as caught:
+            main([name, "--help"])
+        assert caught.value.code == 0
+
+    assert {name: value for name, value in vars(RunConfig("aah-sweep")).items()
+            if name != "subcommand"} == DEFAULTS
+
+    captured = []
+    monkeypatch.setattr(cli, "run", lambda config: captured.append(config) or 0)
+    for section, key, flag, text, name, value in SCHEMA:
+        sections = {"run": {"subcommand": "aah-sweep"}}
+        sections.setdefault(section, {})[key] = text
+        path = write_config(tmp_path / "setting.ini", "".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+            for s, entries in sections.items()
+        ))
+        expected = RunConfig(**{"subcommand": "aah-sweep", name: value})
+        assert expected != RunConfig("aah-sweep")
+        assert parse_config(path) == expected, key
+        if key == "subcommand":
+            argv = [text]
+        elif flag is None:
+            continue
+        else:
+            argv = ["aah-sweep", flag] if flag == "--bits" else ["aah-sweep", flag, text]
+        assert main(argv) == 0
+        assert captured.pop() == expected, flag

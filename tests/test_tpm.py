@@ -28,6 +28,7 @@ from qworkstats import (
     uncollected_distribution,
     work_moments,
 )
+from qworkstats import tpm
 from qworkstats.tpm import PairTable, check_first_moment, measured_mean_work
 
 
@@ -291,6 +292,32 @@ def test_pair_table_shares_first_moment_products_only_for_its_quench():
         measured_mean_work(other, initial, table)
     with pytest.raises(ValidationError, match="another quench"):
         measured_mean_work(setup, initial, PairTable(table.pmn, table.bohr))
+
+
+def test_pair_table_copies_caller_arrays_and_keeps_its_own(monkeypatch):
+    pmn = np.array([[0.75, 0.25], [0.25, 0.75]])
+    bohr = np.array([[0.0, 1.0], [2.0, 3.0]])
+    for table in (PairTable(pmn, bohr), UncollectedDistribution([0.5, 0.5], pmn, bohr).table):
+        assert not np.shares_memory(table.pmn, pmn)
+        assert not np.shares_memory(table.bohr, bohr)
+        assert not (table.pmn.flags.writeable or table.bohr.flags.writeable)
+    assert pmn.flags.writeable and bohr.flags.writeable
+    pmn[0, 0] = 0.0
+    assert table.pmn[0, 0] == 0.75
+
+    # a table built by ``of`` holds the transition matrix it computed, uncopied
+    computed = []
+
+    def recording(*args):
+        computed.append(transition_probabilities(*args))
+        return computed[-1]
+
+    monkeypatch.setattr(tpm, "transition_probabilities", recording)
+    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-3.0))
+    hf = lz_hamiltonian(LzParams(delta=1.0, omega=2.0))
+    table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf))
+    assert table.pmn is computed[0]
+    assert not table.pmn.flags.writeable
 
 
 def test_proximity_warning_for_marginal_gaps():

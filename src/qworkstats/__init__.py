@@ -32,13 +32,10 @@ from .spectral import (
 )
 from .models import (
     AahParams,
-    BandEdgePrediction,
-    BandwidthModel,
     LzParams,
     aah_hamiltonian,
     fibonacci_pair,
     lz_hamiltonian,
-    predicted_band_edge,
 )
 from .tpm import (
     MomentSummary,
@@ -50,7 +47,6 @@ from .tpm import (
     max_degeneracy,
     mean_work_direct,
     measured_mean_work,
-    recollect,
     transition_probabilities,
     initial_populations,
     uncollected_distribution,

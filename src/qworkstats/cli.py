@@ -446,8 +446,10 @@ class RunConfig:
         if self.grid_values is not None:
             return np.array(self.grid_values, dtype=float)
         if self.subcommand == "aah-hist":
-            return np.array([1.5, 2.0, 2.5, 3.0]) * self.j
-        if self.subcommand == "lz-sweep":
+            default = np.array([1.5, 2.0, 2.5, 3.0]) * self.j
+            if self.grid_start is None and self.grid_stop is None and self.grid_points is None:
+                return default
+        elif self.subcommand == "lz-sweep":
             default = default_lz_grid(self.delta)
         else:
             default = default_aah_grid(self.j)
@@ -464,19 +466,24 @@ class RunConfig:
 def _read_config_file(path: str) -> dict:
     """Parse the INI file into RunConfig keyword arguments."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+        sections = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
+    if not found:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     known: dict = {}
     for setting in fields(RunConfig):
         section = setting.metadata["section"]
         known.setdefault(section, {})[setting.name.removeprefix(f"{section}_")] = setting
     kwargs: dict = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in known:
             raise ConfigError(
                 f"unknown config section [{section}]; valid sections: {', '.join(known)}"
             )
-        for key, text in parser[section].items():
+        for key, text in items.items():
             if key not in known[section]:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}]; valid keys: "

@@ -42,6 +42,7 @@ from .tpm import (
     collect_work_distribution,
     initial_populations,
     max_degeneracy,
+    transition_probabilities,
     uncollected_distribution,
     work_moments,
 )
@@ -152,7 +153,6 @@ class ScalingResult:
     seed: int
     deriv_step: float
     direction: str
-    richardson_max_change: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,7 +431,6 @@ def scaling_derivative(
     direction: str = ZERO_TO_DELTA,
     j: float = 1.0,
     workers: int = 1,
-    richardson: bool = False,
 ) -> ScalingResult:
     """Phase-averaged transition slope of the work entropy versus size.
 
@@ -439,10 +438,7 @@ def scaling_derivative(
     (two hoppings) is estimated by the centred difference over
     ``+-deriv_step`` and averaged over independent uniform phase draws
     from one seeded generator. A least-squares line through
-    (ln N, ln slope) gives the power-law exponent. With ``richardson``
-    the slopes are re-estimated at half the step and the largest relative
-    change is reported, quantifying how strongly the estimate depends on
-    the window width near the sharpening step.
+    (ln N, ln slope) gives the power-law exponent.
     """
     indices = list(fib_indices)
     if len(indices) < 3:
@@ -458,24 +454,18 @@ def scaling_derivative(
     rng = np.random.default_rng(seed)
     sizes = []
     slopes = []
-    halved = []
     for fib_index in indices:
         sizes.append(fibonacci_pair(fib_index)[1])
         etas = rng.uniform(0.0, 2.0 * math.pi, size=eta_samples)
         _flat_chain_decomposition(fib_index, j)  # filled before the pool threads need it
 
-        def slope_for(eta: float, step: float = deriv_step) -> float:
-            upper = _entropy_at(fib_index, 2.0 * j + step * j, eta, j, direction)
-            lower = _entropy_at(fib_index, 2.0 * j - step * j, eta, j, direction)
-            return (upper - lower) / (2.0 * step)
+        def slope_for(eta: float) -> float:
+            upper = _entropy_at(fib_index, 2.0 * j + deriv_step * j, eta, j, direction)
+            lower = _entropy_at(fib_index, 2.0 * j - deriv_step * j, eta, j, direction)
+            return (upper - lower) / (2.0 * deriv_step)
 
         per_eta = _fan_out(slope_for, list(etas), workers)
         slopes.append(float(np.mean(per_eta)))
-        if richardson:
-            per_eta_half = _fan_out(
-                lambda eta: slope_for(eta, deriv_step / 2.0), list(etas), workers
-            )
-            halved.append(float(np.mean(per_eta_half)))
 
     sizes = np.array(sizes, dtype=int)
     slopes = np.array(slopes, dtype=float)
@@ -486,10 +476,6 @@ def scaling_derivative(
     design = np.vstack([log_n, np.ones_like(log_n)]).T
     coeffs, *_ = np.linalg.lstsq(design, log_s, rcond=None)
     residuals = log_s - design @ coeffs
-    richardson_change = None
-    if richardson:
-        halved = np.array(halved)
-        richardson_change = float(np.max(np.abs(halved - slopes) / np.abs(slopes)))
     return ScalingResult(
         sizes=sizes,
         slopes=slopes,
@@ -500,7 +486,6 @@ def scaling_derivative(
         seed=seed,
         deriv_step=deriv_step,
         direction=direction,
-        richardson_max_change=richardson_change,
     )
 
 
@@ -527,8 +512,7 @@ def eigenstate_coherence_map(
     def column(delta: float) -> np.ndarray:
         params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)
         final = diagonalize(aah_hamiltonian(params))
-        overlap = final.eigenvectors.conj().T @ flat.eigenvectors
-        return per_level_coherences(np.abs(overlap) ** 2)
+        return per_level_coherences(transition_probabilities(flat, final))
 
     columns = _fan_out(column, list(grid), workers)
     return CoherenceMap(delta_grid=grid, coherences=np.column_stack(columns))

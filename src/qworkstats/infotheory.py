@@ -127,7 +127,7 @@ class BoundsReport:
     """All entropy quantities and bound ingredients for one quench.
 
     Scalar fields (in declaration order) form the stable CSV row contract;
-    ``per_level_coherence`` is carried as a vector in the JSON record only.
+    the ``per_level_coherence`` vector is not part of that row.
     """
 
     h_w: float
@@ -157,12 +157,6 @@ class BoundsReport:
 
     def csv_row(self) -> list:
         return [getattr(self, name) for name in self.CSV_FIELDS]
-
-    def to_json_record(self) -> dict:
-        record = {name: getattr(self, name) for name in self.CSV_FIELDS}
-        record["initial_is_ground"] = bool(self.initial_is_ground)
-        record["per_level_coherence"] = [float(c) for c in self.per_level_coherence]
-        return record
 
 
 def _require(name: str, lhs: float, rhs: float, slack: float = BOUND_SLACK) -> None:

@@ -26,7 +26,6 @@ GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 # eigenvalues sit at +-(2 j + coefficient * delta^2 * j) for delta up to
 # about four hoppings.
 BAND_EDGE_COEFFICIENT = 0.146939
-BAND_EDGE_VALIDITY = 4.0
 
 
 @dataclass(frozen=True)
@@ -120,35 +119,3 @@ def aah_hamiltonian(params: AahParams) -> HermitianOperator:
     h[idx, (idx + 1) % n] -= params.j
     h[(idx + 1) % n, idx] -= params.j
     return HermitianOperator(entries=h)
-
-
-@dataclass(frozen=True)
-class BandwidthModel:
-    """Quadratic model for how far the spectrum edge moves past 2 j."""
-
-    coefficient: float = BAND_EDGE_COEFFICIENT
-
-    def __post_init__(self):
-        if not (self.coefficient > 0):
-            raise ValidationError(f"coefficient must be positive, got {self.coefficient!r}")
-
-
-@dataclass(frozen=True)
-class BandEdgePrediction:
-    """Predicted |spectrum| bound, flagged when outside the model's fitted range."""
-
-    value: float
-    extrapolated: bool
-
-
-def predicted_band_edge(
-    params: AahParams, model: BandwidthModel | None = None
-) -> BandEdgePrediction:
-    """Predicted extreme of |E|: (2 + coefficient * delta^2) * j.
-
-    Beyond delta = 4 j the quadratic form is an extrapolation and the
-    result carries a flag instead of failing.
-    """
-    model = model or BandwidthModel()
-    value = (2.0 + model.coefficient * params.delta**2) * params.j
-    return BandEdgePrediction(value=value, extrapolated=params.delta > BAND_EDGE_VALIDITY)

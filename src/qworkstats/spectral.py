@@ -149,9 +149,6 @@ class DensityMatrix:
         if smallest < -PSD_TOL:
             raise ValidationError(f"density matrix has negative eigenvalue {smallest:g}")
 
-    def purity(self) -> float:
-        return float(np.real(np.einsum("ij,ji->", self.entries, self.entries)))
-
 
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:

@@ -15,7 +15,6 @@ depend only on p_n and |<m_f|U|n_i>|^2; any other state is a
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -282,9 +281,6 @@ class WorkDistribution:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_record(), sort_keys=True)
-
 
 def transition_probabilities(
     initial: SpectralDecomposition,
@@ -361,74 +357,18 @@ def _sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, v
 
 
-def _clusters(v: np.ndarray, cluster_tol: float, counts=None) -> tuple[np.ndarray, np.ndarray]:
+def _clusters(v: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Single linkage over sorted values: (cluster of each value, pairs per cluster).
 
     A value starts a new cluster when it lies ``cluster_tol`` or more past
-    the previous one. Each value stands for ``counts`` pairs when given,
-    for one pair otherwise.
+    the previous one.
     """
     starts = np.empty(v.size, dtype=bool)
     starts[0] = True
     starts[1:] = np.diff(v) >= cluster_tol
     ids = np.cumsum(starts)
     ids -= 1
-    if counts is None:
-        return ids, np.bincount(ids)
-    return ids, np.bincount(ids, weights=counts).astype(np.int64)
-
-
-def _collect(
-    order: np.ndarray,
-    v: np.ndarray,
-    clusters: tuple[np.ndarray, np.ndarray],
-    probs: np.ndarray,
-    cluster_tol: float,
-    carried_pairs: int,
-    carried_mass: float,
-) -> WorkDistribution:
-    ids, members = clusters
-    q = probs[order]
-    cluster_prob = np.bincount(ids, weights=q, minlength=members.size)
-    q *= v  # in place, since q can hold N^2 values
-    weighted_sum = np.bincount(ids, weights=q, minlength=members.size)
-
-    keep = cluster_prob >= DROP_THRESHOLD
-    if not np.any(keep):
-        raise ValidationError("all collected work values fell below the probability floor")
-    # Probability-weighted representative keeps the first moment exact.
-    support = weighted_sum[keep] / cluster_prob[keep]
-    kept_probs = cluster_prob[keep]
-    kept_members = members[keep]
-    dropped_pairs = carried_pairs + int(members[~keep].sum())
-    dropped_here = float(cluster_prob[~keep].sum())
-    dropped_mass = carried_mass + dropped_here
-    if dropped_here != 0.0:
-        # With ~N^2 clusters the sub-threshold mass can accumulate to more
-        # than the normalization tolerance (up to N^2 times the floor), so
-        # the kept probabilities absorb it proportionally. The adjustment
-        # is below 1e-8 relative in every reachable case and is auditable
-        # through dropped_mass.
-        kept_probs = kept_probs * (float(cluster_prob.sum()) / float(kept_probs.sum()))
-
-    gaps = np.diff(support)
-    min_gap = float(gaps.min()) if gaps.size else math.inf
-    warnings = []
-    if min_gap < PROXIMITY_WARNING_FACTOR * cluster_tol:
-        warnings.append(
-            f"resolution-marginal spectrum: smallest collected gap {min_gap:g} is "
-            f"within {PROXIMITY_WARNING_FACTOR:g}x the clustering width {cluster_tol:g}"
-        )
-    diagnostics = CollectionDiagnostics(
-        cluster_tol=float(cluster_tol),
-        min_gap=min_gap,
-        warnings=tuple(warnings),
-        dropped_pairs=dropped_pairs,
-        dropped_mass=dropped_mass,
-    )
-    return WorkDistribution(
-        support=support, probs=kept_probs, multiplicity=kept_members, diagnostics=diagnostics
-    )
+    return ids, np.bincount(ids)
 
 
 def collect_work_distribution(
@@ -449,29 +389,44 @@ def collect_work_distribution(
     cluster_tol = float(cluster_tol)
     table = uncollected.table
     order, v = table.memo("sorted", lambda: _sorted(table.bohr.ravel()))
-    clusters = table.memo(("clusters", cluster_tol), lambda: _clusters(v, cluster_tol))
-    joint = uncollected.joint().ravel()
-    return _collect(order, v, clusters, joint, cluster_tol, 0, 0.0)
+    ids, members = table.memo(("clusters", cluster_tol), lambda: _clusters(v, cluster_tol))
+    q = uncollected.joint().ravel()[order]
+    cluster_prob = np.bincount(ids, weights=q, minlength=members.size)
+    q *= v  # in place, since q can hold N^2 values
+    weighted_sum = np.bincount(ids, weights=q, minlength=members.size)
 
+    keep = cluster_prob >= DROP_THRESHOLD
+    if not np.any(keep):
+        raise ValidationError("all collected work values fell below the probability floor")
+    # Probability-weighted representative keeps the first moment exact.
+    support = weighted_sum[keep] / cluster_prob[keep]
+    kept_probs = cluster_prob[keep]
+    dropped_mass = float(cluster_prob[~keep].sum())
+    if dropped_mass != 0.0:
+        # With ~N^2 clusters the sub-threshold mass can accumulate to more
+        # than the normalization tolerance (up to N^2 times the floor), so
+        # the kept probabilities absorb it proportionally. The adjustment
+        # is below 1e-8 relative in every reachable case and is auditable
+        # through dropped_mass.
+        kept_probs = kept_probs * (float(cluster_prob.sum()) / float(kept_probs.sum()))
 
-def recollect(work: WorkDistribution, cluster_tol: float) -> WorkDistribution:
-    """Re-run collection on an already collected distribution.
-
-    With the original tolerance this is the identity, since kept support
-    points are farther apart than the clustering width.
-    """
-    if not cluster_tol > 0:
-        raise ValidationError(f"cluster_tol must be positive, got {cluster_tol!r}")
-    cluster_tol = float(cluster_tol)
-    order, v = _sorted(work.support)
-    return _collect(
-        order,
-        v,
-        _clusters(v, cluster_tol, counts=work.multiplicity[order]),
-        work.probs,
-        cluster_tol,
-        carried_pairs=work.diagnostics.dropped_pairs,
-        carried_mass=work.diagnostics.dropped_mass,
+    gaps = np.diff(support)
+    min_gap = float(gaps.min()) if gaps.size else math.inf
+    warnings = []
+    if min_gap < PROXIMITY_WARNING_FACTOR * cluster_tol:
+        warnings.append(
+            f"resolution-marginal spectrum: smallest collected gap {min_gap:g} is "
+            f"within {PROXIMITY_WARNING_FACTOR:g}x the clustering width {cluster_tol:g}"
+        )
+    diagnostics = CollectionDiagnostics(
+        cluster_tol=cluster_tol,
+        min_gap=min_gap,
+        warnings=tuple(warnings),
+        dropped_pairs=int(members[~keep].sum()),
+        dropped_mass=dropped_mass,
+    )
+    return WorkDistribution(
+        support=support, probs=kept_probs, multiplicity=members[keep], diagnostics=diagnostics
     )
 
 

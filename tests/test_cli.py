@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qworkstats import cli, infotheory
@@ -316,6 +317,31 @@ def test_aah_hist_gives_values_equal_at_g_precision_their_own_files(tmp_path, ca
     assert {key for key in summary if key.startswith("h_w_delta_")} == {
         "h_w_delta_1.0000001", "h_w_delta_1.0000002"
     }
+
+
+def test_aah_hist_takes_the_grid_flags(tmp_path):
+    out = tmp_path / "hist"
+    argv = ["aah-hist", "--out", str(out), "--fib-index", "7", "--threads", "1"]
+    assert main([*argv, "--grid-start", "1", "--grid-stop", "2", "--grid-points", "3"]) == 0
+    names = ["aah_hist_delta_1.csv", "aah_hist_delta_1p5.csv", "aah_hist_delta_2.csv"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == names
+    # without grid settings the four default potentials stay as they were
+    default = parse_config(None, {"subcommand": "aah-hist", "j": 0.7}).grid()
+    assert np.array_equal(default, np.array([1.5, 2.0, 2.5, 3.0]) * 0.7)
+
+
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys):
+    texts = {
+        "repeated.ini": "[run]\nsubcommand = aah-sweep\n[run]\nseed = 1\n",
+        "percent.ini": "[run]\nsubcommand = aah-sweep\nout = x%y\n",
+    }
+    argv = ["aah-sweep", "--out", str(tmp_path / "out"), "--fib-index", "8", "--grid-values", "1"]
+    for name, text in texts.items():
+        path = write_config(tmp_path / name, text)
+        assert main([*argv, "--config", path]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["type"] == "config-error"
+        assert path in record["message"]
 
 
 # The command-line schema as first released: every setting with its INI

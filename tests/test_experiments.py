@@ -21,7 +21,7 @@ from qworkstats import (
 )
 from qworkstats import experiments, infotheory, tpm
 from qworkstats.experiments import _aah_sweeps, _flat_chain_decomposition
-from qworkstats.models import predicted_band_edge
+from qworkstats.models import BAND_EDGE_COEFFICIENT
 
 
 def test_default_grids():
@@ -88,7 +88,7 @@ def test_aah_histogram_sign_structure():
     assert float(off.support.min()) > 0.0
     on = aah_work_histogram(params, ZERO_TO_DELTA)
     assert float(on.support.min()) < 0.0 < float(on.support.max())
-    edge = predicted_band_edge(params).value
+    edge = (2.0 + BAND_EDGE_COEFFICIENT * params.delta**2) * params.j
     assert float(on.support.max()) <= 4.0 + (edge - 2.0) + 0.15 * (edge - 2.0)
     with pytest.raises(ValidationError):
         aah_work_histogram(params, "sideways")
@@ -230,12 +230,6 @@ def test_scaling_derivative_single_phase_deterministic():
     result = scaling_derivative([6, 7, 8], eta_samples=1, seed=99)
     again = scaling_derivative([6, 7, 8], eta_samples=1, seed=99)
     assert np.array_equal(result.slopes, again.slopes)
-
-
-def test_scaling_derivative_richardson_diagnostic():
-    result = scaling_derivative([6, 7, 8], eta_samples=2, seed=5, richardson=True)
-    assert result.richardson_max_change is not None
-    assert result.richardson_max_change >= 0.0
 
 
 def test_bandwidth_fit_small_lattice():

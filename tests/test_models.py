@@ -5,16 +5,14 @@ import pytest
 
 from qworkstats import (
     AahParams,
-    BandwidthModel,
     LzParams,
     ValidationError,
     aah_hamiltonian,
     diagonalize,
     fibonacci_pair,
     lz_hamiltonian,
-    predicted_band_edge,
 )
-from qworkstats.models import GOLDEN_RATIO_CONJUGATE
+from qworkstats.models import BAND_EDGE_COEFFICIENT, GOLDEN_RATIO_CONJUGATE
 
 
 def test_lz_pure_gap():
@@ -125,27 +123,13 @@ def test_aah_spectrum_within_loose_bound():
         assert evals[-1] <= 2.0 + delta + 1e-12
 
 
-def test_predicted_band_edge_values():
-    flat = predicted_band_edge(AahParams(fib_index=10, delta=0.0))
-    assert flat.value == pytest.approx(2.0, abs=0.0)
-    assert not flat.extrapolated
-    at_two = predicted_band_edge(AahParams(fib_index=10, delta=2.0))
-    assert at_two.value == pytest.approx(2.587756, abs=1e-6)
-    beyond = predicted_band_edge(AahParams(fib_index=10, delta=4.5, eta=0.0))
-    assert beyond.extrapolated
-
-
 def test_predicted_band_edge_matches_numerics_at_critical_point():
     # edge of the N = 987 spectrum at twice the hopping, scanned over phases
-    prediction = predicted_band_edge(AahParams(fib_index=16, delta=2.0))
+    params = AahParams(fib_index=16, delta=2.0)
+    prediction = (2.0 + BAND_EDGE_COEFFICIENT * params.delta**2) * params.j
     largest = 0.0
     for eta in np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False):
         params = AahParams(fib_index=16, delta=2.0, eta=float(eta))
         evals = np.linalg.eigvalsh(aah_hamiltonian(params).entries)
         largest = max(largest, float(np.max(np.abs(evals))))
-    assert largest == pytest.approx(prediction.value, rel=0.02)
-
-
-def test_bandwidth_model_validation():
-    with pytest.raises(ValidationError):
-        BandwidthModel(coefficient=0.0)
+    assert largest == pytest.approx(prediction, rel=0.02)

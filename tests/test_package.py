@@ -1,0 +1,76 @@
+import types
+
+import qworkstats
+
+# The library API: every name the package exports, apart from its modules
+# and dunders. Adding or removing one is a change to this list.
+PUBLIC_NAMES = [
+    "AahParams",
+    "BoundViolationError",
+    "BoundsReport",
+    "CoherenceMap",
+    "ConfigError",
+    "DELTA_TO_ZERO",
+    "DegenerateGroundStateError",
+    "DensityMatrix",
+    "DimensionMismatchError",
+    "EigensolverError",
+    "FitResult",
+    "HermitianOperator",
+    "LzParams",
+    "MomentSummary",
+    "QuenchSetup",
+    "ScalingResult",
+    "SpectralDecomposition",
+    "StateSpec",
+    "SweepResult",
+    "SweepRow",
+    "UncollectedDistribution",
+    "UnitaryMatrix",
+    "ValidationError",
+    "WorkDistribution",
+    "ZERO_TO_DELTA",
+    "aah_hamiltonian",
+    "aah_transition_sweep",
+    "aah_work_histogram",
+    "bandwidth_fit",
+    "bounds_report",
+    "collect_work_distribution",
+    "default_aah_grid",
+    "default_cluster_tol",
+    "default_lz_grid",
+    "dephase",
+    "diagonalize",
+    "effective_dimension",
+    "eigenstate_coherence_map",
+    "eigenstate_projector",
+    "entropy_of_work",
+    "fibonacci_pair",
+    "initial_populations",
+    "level_populations",
+    "lz_hamiltonian",
+    "lz_sweep",
+    "max_degeneracy",
+    "mean_work_direct",
+    "measured_mean_work",
+    "per_level_coherences",
+    "relative_entropy_of_coherence",
+    "scaling_derivative",
+    "shannon_entropy",
+    "thermal_populations",
+    "thermal_state",
+    "transition_probabilities",
+    "uncollected_distribution",
+    "uncollected_entropy",
+    "von_neumann_entropy",
+    "work_moments",
+]
+
+
+def test_public_names_are_pinned():
+    exported = sorted(
+        name
+        for name, value in vars(qworkstats).items()
+        if not name.startswith("__") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PUBLIC_NAMES

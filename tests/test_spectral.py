@@ -141,7 +141,9 @@ def test_eigenstate_projector_purity():
     rng = np.random.default_rng(29)
     dec = diagonalize(random_hermitian(rng, 7))
     for k in range(7):
-        assert eigenstate_projector(dec, k).purity() == pytest.approx(1.0, abs=1e-12)
+        rho = eigenstate_projector(dec, k).entries
+        purity = float(np.real(np.einsum("ij,ji->", rho, rho)))
+        assert purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flat_ring_ground_state_uniform():

@@ -22,7 +22,6 @@ from qworkstats import (
     lz_hamiltonian,
     max_degeneracy,
     mean_work_direct,
-    recollect,
     thermal_state,
     transition_probabilities,
     uncollected_distribution,
@@ -169,19 +168,6 @@ def test_collect_multiplicities_count_all_pairs():
         setup = random_setup(rng, dim)
         w = collect_work_distribution(uncollected_distribution(setup))
         assert int(w.multiplicity.sum()) + w.diagnostics.dropped_pairs == dim * dim
-
-
-def test_collection_idempotent():
-    rng = np.random.default_rng(61)
-    for _ in range(5):
-        setup = random_setup(rng, 7)
-        u = uncollected_distribution(setup)
-        tol = default_cluster_tol(u)
-        w = collect_work_distribution(u, tol)
-        again = recollect(w, tol)
-        assert np.array_equal(again.support, w.support)
-        assert np.array_equal(again.probs, w.probs)
-        assert np.array_equal(again.multiplicity, w.multiplicity)
 
 
 def test_collect_matches_exact_grouping_oracle():
@@ -471,20 +457,6 @@ def test_single_level_system_pipeline():
     assert w.num_points == 1
     assert w.support[0] == 0.0
     assert w.probs[0] == 1.0
-
-
-def test_recollect_coarsening_merges_points():
-    u = uncollected_distribution(lz_setup(-4.0, 4.0))
-    w = collect_work_distribution(u)
-    assert w.num_points == 3
-    span = float(w.support[-1] - w.support[0])
-    coarse = recollect(w, cluster_tol=2.0 * span)
-    assert coarse.num_points == 1
-    assert coarse.probs[0] == pytest.approx(1.0, abs=1e-12)
-    assert int(coarse.multiplicity[0]) == int(w.multiplicity.sum())
-    # the merged representative preserves the mean
-    mean_before = float(np.sum(w.support * w.probs))
-    assert coarse.support[0] == pytest.approx(mean_before, abs=1e-12)
 
 
 def test_setup_dimension_mismatch():

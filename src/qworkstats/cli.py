@@ -467,9 +467,9 @@ def _read_config_file(path: str) -> dict:
     """Parse the INI file into RunConfig keyword arguments."""
     parser = configparser.ConfigParser()
     try:
-        found = parser.read(path)
+        found = parser.read(path, encoding="utf-8")
         sections = {section: dict(parser[section]) for section in parser.sections()}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
     if not found:
         raise ConfigError(f"config file {path!r} not found or unreadable")

@@ -203,9 +203,10 @@ def _at_point(**point):
 
 
 @lru_cache(maxsize=8)
-def _flat_chain_decomposition(fib_index: int, j: float) -> SpectralDecomposition:
-    """Decomposition of the zero-potential chain; phase-independent, so cached."""
-    return diagonalize(aah_hamiltonian(AahParams(fib_index=fib_index, delta=0.0, j=j)))
+def _flat_chain(fib_index: int, j: float) -> tuple[HermitianOperator, SpectralDecomposition]:
+    """The zero-potential chain and its decomposition; phase-independent, so cached."""
+    flat = aah_hamiltonian(AahParams(fib_index=fib_index, delta=0.0, j=j))
+    return flat, diagonalize(flat)
 
 
 def _evaluate(
@@ -300,9 +301,8 @@ def _aah_quench(
     params: AahParams, direction: str
 ) -> tuple[HermitianOperator, HermitianOperator, SpectralDecomposition, SpectralDecomposition]:
     """(hi, hf, initial, final) for switching the potential off or on."""
-    flat = _flat_chain_decomposition(params.fib_index, params.j)
+    flat_h, flat = _flat_chain(params.fib_index, params.j)
     modulated_h = aah_hamiltonian(params)
-    flat_h = aah_hamiltonian(AahParams(fib_index=params.fib_index, delta=0.0, j=params.j))
     modulated = diagonalize(modulated_h)
     if direction == DELTA_TO_ZERO:
         return modulated_h, flat_h, modulated, flat
@@ -374,7 +374,7 @@ def _aah_sweeps(
             "potential grid must lie in (0, 4] hoppings; the flat chain is the endpoint"
         )
     # Filled here, so that the pool threads do not all miss the cache at once.
-    _flat_chain_decomposition(fib_index, j)
+    _flat_chain(fib_index, j)
 
     def run_point(delta: float) -> list[SweepRow]:
         with _at_point(delta=float(delta)):
@@ -457,7 +457,7 @@ def scaling_derivative(
     for fib_index in indices:
         sizes.append(fibonacci_pair(fib_index)[1])
         etas = rng.uniform(0.0, 2.0 * math.pi, size=eta_samples)
-        _flat_chain_decomposition(fib_index, j)  # filled before the pool threads need it
+        _flat_chain(fib_index, j)  # filled before the pool threads need it
 
         def slope_for(eta: float) -> float:
             upper = _entropy_at(fib_index, 2.0 * j + deriv_step * j, eta, j, direction)
@@ -507,7 +507,7 @@ def eigenstate_coherence_map(
     grid = np.asarray(delta_grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("empty potential grid")
-    flat = _flat_chain_decomposition(fib_index, j)
+    _, flat = _flat_chain(fib_index, j)
 
     def column(delta: float) -> np.ndarray:
         params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)

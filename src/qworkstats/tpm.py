@@ -16,6 +16,7 @@ depend only on p_n and |<m_f|U|n_i>|^2; any other state is a
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,10 @@ PROBABILITY_TOL = 1e-12
 STOCHASTICITY_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
 
-# Default clustering width as a fraction of the combined spectral span.
-# Exact degeneracies come out of the eigensolver split by ~1e-15 of the
-# span, while physically distinct values in the lattices handled here stay
-# orders of magnitude above 1e-12 of it, so single linkage at this scale
-# merges true degeneracies and nothing else.
+# Default clustering width as a fraction of the combined spectral span. Exact
+# degeneracies come out of the eigensolver split by 1e-16 to 1e-14 of the span,
+# but below the ring's transition physical splittings fill every decade from
+# 1e-14 to 1e-8 too (nearest above the width: 1.1-1.3e-12), so results there depend on it.
 DEFAULT_CLUSTER_SCALE = 1e-12
 # Collected values carrying less than this total probability are dropped
 # from the support; their count and mass go to the diagnostics.
@@ -129,6 +129,7 @@ class PairTable:
             span = max(1.0, abs(float(bohr.max())))
         self.default_cluster_tol = DEFAULT_CLUSTER_SCALE * span
         self._memo: dict = {}
+        self._lock = threading.Lock()  # guards what is filled in place
 
     @classmethod
     def of(
@@ -348,15 +349,6 @@ def default_cluster_tol(uncollected: UncollectedDistribution) -> float:
     return uncollected.table.default_cluster_tol
 
 
-def _sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable sort order of ``values`` and the values in it, both read-only."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    order.setflags(write=False)
-    v.setflags(write=False)
-    return order, v
-
-
 def _clusters(v: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Single linkage over sorted values: (cluster of each value, pairs per cluster).
 
@@ -371,6 +363,28 @@ def _clusters(v: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray
     return ids, np.bincount(ids)
 
 
+def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[np.ndarray, ...]:
+    """(cluster of each pair in ``columns``, row-major; pairs per cluster).
+
+    Missing columns are looked up in the sorted values or, when most are
+    missing, all filled from one argsort: equal values share a cluster.
+    """
+    v = table.memo("values", lambda: np.sort(table.bohr, axis=None))
+    sorted_ids, members = table.memo(("clusters", cluster_tol), lambda: _clusters(v, cluster_tol))
+    with table._lock:  # no column is read half written
+        filled, ids = table.memo(("cluster_ids", cluster_tol), lambda: (
+            np.zeros(table.bohr.shape[1], dtype=bool), np.empty(table.bohr.shape, np.intp)))
+        missing = np.flatnonzero(~filled[columns]) + columns.start
+        if 2 * missing.size > filled.size:
+            ids.ravel()[np.argsort(table.bohr, axis=None)] = sorted_ids
+            filled[:] = True
+        elif missing.size:
+            ids[:, missing] = sorted_ids[np.searchsorted(v, table.bohr[:, missing])]
+            filled[missing] = True
+        # a copy, unless every column is filled and so never written again
+        return ids[:, columns].ravel(), members
+
+
 def collect_work_distribution(
     uncollected: UncollectedDistribution, cluster_tol: float | None = None
 ) -> WorkDistribution:
@@ -380,20 +394,20 @@ def collect_work_distribution(
     previous value is below ``cluster_tol``; each collected value is the
     probability-weighted mean of its members. The sort and the clusters
     depend on the Bohr frequencies alone, so the table computes them once
-    per width for all of its states.
+    per width for all of its states; a state sums over its live columns.
     """
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(uncollected)
     if not cluster_tol > 0:
         raise ValidationError(f"cluster_tol must be positive, got {cluster_tol!r}")
     cluster_tol = float(cluster_tol)
-    table = uncollected.table
-    order, v = table.memo("sorted", lambda: _sorted(table.bohr.ravel()))
-    ids, members = table.memo(("clusters", cluster_tol), lambda: _clusters(v, cluster_tol))
-    q = uncollected.joint().ravel()[order]
-    cluster_prob = np.bincount(ids, weights=q, minlength=members.size)
-    q *= v  # in place, since q can hold N^2 values
-    weighted_sum = np.bincount(ids, weights=q, minlength=members.size)
+    live = np.flatnonzero(uncollected.pn)
+    columns = slice(live[0], live[-1] + 1)
+    ids, members = _cluster_ids(uncollected.table, cluster_tol, columns)
+    q = np.clip(uncollected.pn[columns] * uncollected.pmn[:, columns], 0.0, None)
+    cluster_prob = np.bincount(ids, weights=q.ravel(), minlength=members.size)
+    q *= uncollected.bohr[:, columns]  # in place, since q can hold N^2 values
+    weighted_sum = np.bincount(ids, weights=q.ravel(), minlength=members.size)
 
     keep = cluster_prob >= DROP_THRESHOLD
     if not np.any(keep):

@@ -332,12 +332,16 @@ def test_aah_hist_takes_the_grid_flags(tmp_path):
 
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys):
     texts = {
-        "repeated.ini": "[run]\nsubcommand = aah-sweep\n[run]\nseed = 1\n",
-        "percent.ini": "[run]\nsubcommand = aah-sweep\nout = x%y\n",
+        "repeated.ini": b"[run]\nsubcommand = aah-sweep\n[run]\nseed = 1\n",
+        "percent.ini": b"[run]\nsubcommand = aah-sweep\nout = x%y\n",
+        # not UTF-8, whatever the locale's encoding
+        "bytes.ini": b"[run]\nsubcommand = aah-sweep\nout = \xff\xfe\n",
     }
     argv = ["aah-sweep", "--out", str(tmp_path / "out"), "--fib-index", "8", "--grid-values", "1"]
     for name, text in texts.items():
-        path = write_config(tmp_path / name, text)
+        path = tmp_path / name
+        path.write_bytes(text)
+        path = str(path)
         assert main([*argv, "--config", path]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["type"] == "config-error"

@@ -20,7 +20,7 @@ from qworkstats import (
     scaling_derivative,
 )
 from qworkstats import experiments, infotheory, tpm
-from qworkstats.experiments import _aah_sweeps, _flat_chain_decomposition
+from qworkstats.experiments import _aah_sweeps, _flat_chain
 from qworkstats.models import BAND_EDGE_COEFFICIENT
 
 
@@ -256,9 +256,9 @@ def test_bandwidth_fit_residuals_grow_toward_validity_edge():
 
 
 def test_flat_chain_cache_consistency():
-    dec = _flat_chain_decomposition(9, 1.0)
-    again = _flat_chain_decomposition(9, 1.0)
-    assert dec is again
+    flat, dec = _flat_chain(9, 1.0)
+    again = _flat_chain(9, 1.0)
+    assert again[0] is flat and again[1] is dec
     assert dec.eigenvalues[0] == pytest.approx(-2.0, abs=1e-12)
 
 
@@ -276,12 +276,12 @@ def test_each_potential_diagonalized_once_per_sweep(monkeypatch):
 
     monkeypatch.setattr(experiments, "diagonalize", counting)
     grid = [1.0, 2.0, 3.0]
-    _flat_chain_decomposition.cache_clear()
+    _flat_chain.cache_clear()
     aah_transition_sweep(8, grid, ZERO_TO_DELTA, workers=2)
     assert len(calls) == 1 + len(grid)
 
     calls.clear()
-    _flat_chain_decomposition.cache_clear()
+    _flat_chain.cache_clear()
     betas = (0.01, 1.0, 100.0, 1e4)
     states = tuple(StateSpec.thermal(beta) for beta in betas)
     results = _aah_sweeps(8, grid, DELTA_TO_ZERO, states, 1.0, 1.2, None, workers=2)

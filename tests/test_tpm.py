@@ -1,5 +1,7 @@
 import math
+import sys
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -221,17 +223,20 @@ def test_shared_table_collects_like_a_fresh_table_per_state():
         np.array([0.6, 0.4 - 1e-16, 1e-16]),
         np.array([1.0, 0.0, 0.0]),
     )
-    table = PairTable(pmn, bohr)
-    for cluster_tol in (1e-3, None, 1e-4, 1e-3):
-        for pn in populations:
-            shared = collect_work_distribution(table.uncollected(pn), cluster_tol)
-            fresh = collect_work_distribution(
-                UncollectedDistribution(pn=pn, pmn=pmn, bohr=bohr), cluster_tol
-            )
-            assert_same_collection(shared, fresh)
-    # one clustering per width, shared by the populations
-    widths = sorted(key[1] for key in table._memo if key[0] == "clusters")
-    assert widths == sorted([table.default_cluster_tol, 1e-4, 1e-3])
+    # in reverse, the one-level state fills its column by lookup and the
+    # next state fills the rest from the argsort
+    for ordered in (populations, populations[::-1]):
+        table = PairTable(pmn, bohr)
+        for cluster_tol in (1e-3, None, 1e-4, 1e-3):
+            for pn in ordered:
+                shared = collect_work_distribution(table.uncollected(pn), cluster_tol)
+                fresh = collect_work_distribution(
+                    UncollectedDistribution(pn=pn, pmn=pmn, bohr=bohr), cluster_tol
+                )
+                assert_same_collection(shared, fresh)
+        # one clustering per width, shared by the populations
+        widths = sorted(key[1] for key in table._memo if key[0] == "clusters")
+        assert widths == sorted([table.default_cluster_tol, 1e-4, 1e-3])
 
     bridged = collect_work_distribution(table.uncollected(populations[0]), 1e-3)
     assert bridged.multiplicity[0] == 3
@@ -255,13 +260,73 @@ def test_shared_table_matches_fresh_tables_on_random_integer_spectra():
         ef = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
         pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
         bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
-        table = PairTable(pmn, bohr)
-        for pn in (rng.dirichlet(np.ones(dim)), np.eye(dim)[0], rng.dirichlet(np.ones(dim))):
-            for cluster_tol in (None, 0.5):
-                assert_same_collection(
-                    collect_work_distribution(table.uncollected(pn), cluster_tol),
-                    collect_work_distribution(UncollectedDistribution(pn, pmn, bohr), cluster_tol),
-                )
+        top_pair = np.r_[np.zeros(dim - 2), 0.25, 0.75]
+        populations = (
+            rng.dirichlet(np.ones(dim)), np.eye(dim)[0], rng.dirichlet(np.ones(dim)), top_pair
+        )
+        # sparse states first fill columns by lookup, dense states first by argsort
+        for ordered in (populations, populations[::-1]):
+            table = PairTable(pmn, bohr)
+            for pn in ordered:
+                for cluster_tol in (None, 0.5):
+                    assert_same_collection(
+                        collect_work_distribution(table.uncollected(pn), cluster_tol),
+                        collect_work_distribution(
+                            UncollectedDistribution(pn, pmn, bohr), cluster_tol
+                        ),
+                    )
+
+
+def test_one_level_state_collects_without_an_argsort(monkeypatch):
+    rng = np.random.default_rng(73)
+    dim = 6
+    ei = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
+    ef = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
+    pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
+    bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
+    pn = np.eye(dim)[2]
+    argsorted = PairTable(pmn, bohr)
+    collect_work_distribution(argsorted.uncollected(np.full(dim, 1.0 / dim)))
+    expected = collect_work_distribution(argsorted.uncollected(pn))
+
+    def no_argsort(*args, **kwargs):
+        raise AssertionError("a one-level state sorted the whole table")
+
+    monkeypatch.setattr(np, "argsort", no_argsort)
+    table = PairTable(pmn, bohr)
+    assert_same_collection(collect_work_distribution(table.uncollected(pn)), expected)
+
+
+def test_threads_sharing_a_table_collect_like_fresh_tables():
+    # one-level states fill single columns while dense states fill the rest
+    # from the argsort, on tables shared by more threads than cores
+    rng = np.random.default_rng(83)
+    dim = 24
+    ei = np.sort(rng.integers(-6, 7, size=dim)).astype(float)
+    ef = np.sort(rng.integers(-6, 7, size=dim)).astype(float)
+    pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
+    bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
+    populations = [np.eye(dim)[k] for k in range(dim)]
+    for position in (3, 11, 19):
+        populations.insert(position, rng.dirichlet(np.ones(dim)))
+    expected = [
+        collect_work_distribution(UncollectedDistribution(pn, pmn, bohr)) for pn in populations
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            table = PairTable(pmn, bohr)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(collect_work_distribution, table.uncollected(pn))
+                    for pn in populations
+                ]
+                got = [future.result(timeout=60) for future in futures]
+            for work, reference in zip(got, expected):
+                assert_same_collection(work, reference)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pair_table_shares_first_moment_products_only_for_its_quench():

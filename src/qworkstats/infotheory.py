@@ -76,9 +76,8 @@ def entropy_of_work(work: WorkDistribution) -> float:
 
 
 def uncollected_entropy(uncollected: UncollectedDistribution) -> float:
-    """Shannon entropy of the joint table p_n * p_{m|n}, from its columns with p_n > 0."""
-    live = np.flatnonzero(uncollected.pn)
-    return shannon_entropy(uncollected.pn[live] * uncollected.pmn[:, live])
+    """Shannon entropy of the flattened joint table p_n * p_{m|n}."""
+    return shannon_entropy(uncollected.joint().ravel())
 
 
 def relative_entropy_of_coherence(

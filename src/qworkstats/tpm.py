@@ -16,7 +16,6 @@ depend only on p_n and |<m_f|U|n_i>|^2; any other state is a
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +128,6 @@ class PairTable:
             span = max(1.0, abs(float(bohr.max())))
         self.default_cluster_tol = DEFAULT_CLUSTER_SCALE * span
         self._memo: dict = {}
-        self._lock = threading.Lock()  # guards what is filled in place
 
     @classmethod
     def of(
@@ -366,23 +364,24 @@ def _clusters(v: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray
 def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[np.ndarray, ...]:
     """(cluster of each pair in ``columns``, row-major; pairs per cluster).
 
-    Missing columns are looked up in the sorted values or, when most are
-    missing, all filled from one argsort: equal values share a cluster.
+    A state over more than half of the columns stores the ids of the whole
+    table, scattered through one argsort; a narrower state reads them if
+    stored and otherwise looks its columns up in the sorted values. Equal
+    values share a cluster, so both routes give the same ids.
     """
-    v = table.memo("values", lambda: np.sort(table.bohr, axis=None))
+    bohr, key = table.bohr, ("cluster_ids", cluster_tol)
+    build = key not in table._memo and 2 * (columns.stop - columns.start) > bohr.shape[1]
+    order = np.argsort(bohr, axis=None) if build else None
+    v = table.memo("values", lambda: bohr.ravel()[order] if build else np.sort(bohr, axis=None))
     sorted_ids, members = table.memo(("clusters", cluster_tol), lambda: _clusters(v, cluster_tol))
-    with table._lock:  # no column is read half written
-        filled, ids = table.memo(("cluster_ids", cluster_tol), lambda: (
-            np.zeros(table.bohr.shape[1], dtype=bool), np.empty(table.bohr.shape, np.intp)))
-        missing = np.flatnonzero(~filled[columns]) + columns.start
-        if 2 * missing.size > filled.size:
-            ids.ravel()[np.argsort(table.bohr, axis=None)] = sorted_ids
-            filled[:] = True
-        elif missing.size:
-            ids[:, missing] = sorted_ids[np.searchsorted(v, table.bohr[:, missing])]
-            filled[missing] = True
-        # a copy, unless every column is filled and so never written again
-        return ids[:, columns].ravel(), members
+    if build:
+        ids = np.empty_like(sorted_ids)
+        ids[order] = sorted_ids
+        table.memo(key, lambda: ids.reshape(bohr.shape))
+    ids = table._memo.get(key)
+    if ids is None:
+        return sorted_ids[np.searchsorted(v, bohr[:, columns])].ravel(), members
+    return ids[:, columns].ravel(), members
 
 
 def collect_work_distribution(

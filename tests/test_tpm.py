@@ -1,7 +1,5 @@
 import math
-import sys
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -223,8 +221,8 @@ def test_shared_table_collects_like_a_fresh_table_per_state():
         np.array([0.6, 0.4 - 1e-16, 1e-16]),
         np.array([1.0, 0.0, 0.0]),
     )
-    # in reverse, the one-level state fills its column by lookup and the
-    # next state fills the rest from the argsort
+    # in reverse, the one-level state looks its column up in the sorted
+    # values before the next state builds the whole id table from the argsort
     for ordered in (populations, populations[::-1]):
         table = PairTable(pmn, bohr)
         for cluster_tol in (1e-3, None, 1e-4, 1e-3):
@@ -264,7 +262,7 @@ def test_shared_table_matches_fresh_tables_on_random_integer_spectra():
         populations = (
             rng.dirichlet(np.ones(dim)), np.eye(dim)[0], rng.dirichlet(np.ones(dim)), top_pair
         )
-        # sparse states first fill columns by lookup, dense states first by argsort
+        # narrow states look their columns up until a wide one builds the id table
         for ordered in (populations, populations[::-1]):
             table = PairTable(pmn, bohr)
             for pn in ordered:
@@ -295,38 +293,6 @@ def test_one_level_state_collects_without_an_argsort(monkeypatch):
     monkeypatch.setattr(np, "argsort", no_argsort)
     table = PairTable(pmn, bohr)
     assert_same_collection(collect_work_distribution(table.uncollected(pn)), expected)
-
-
-def test_threads_sharing_a_table_collect_like_fresh_tables():
-    # one-level states fill single columns while dense states fill the rest
-    # from the argsort, on tables shared by more threads than cores
-    rng = np.random.default_rng(83)
-    dim = 24
-    ei = np.sort(rng.integers(-6, 7, size=dim)).astype(float)
-    ef = np.sort(rng.integers(-6, 7, size=dim)).astype(float)
-    pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
-    bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
-    populations = [np.eye(dim)[k] for k in range(dim)]
-    for position in (3, 11, 19):
-        populations.insert(position, rng.dirichlet(np.ones(dim)))
-    expected = [
-        collect_work_distribution(UncollectedDistribution(pn, pmn, bohr)) for pn in populations
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            table = PairTable(pmn, bohr)
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [
-                    pool.submit(collect_work_distribution, table.uncollected(pn))
-                    for pn in populations
-                ]
-                got = [future.result(timeout=60) for future in futures]
-            for work, reference in zip(got, expected):
-                assert_same_collection(work, reference)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_pair_table_shares_first_moment_products_only_for_its_quench():

@@ -43,7 +43,6 @@ from .tpm import (
     UncollectedDistribution,
     WorkDistribution,
     collect_work_distribution,
-    default_cluster_tol,
     max_degeneracy,
     mean_work_direct,
     measured_mean_work,

@@ -152,13 +152,16 @@ def _run_aah_hist(config: RunConfig, out: str):
     labels = [f"{delta:g}" for delta in grid]
     if len(set(labels)) < len(set(grid.tolist())):  # %g would merge distinct values
         labels = [repr(float(delta)) for delta in grid]
-    for delta, label in zip(grid, labels):
+
+    def histogram(delta: float):
         params = AahParams(
             fib_index=config.fib_index, delta=float(delta), j=config.j, eta=config.eta
         )
-        work = aah_work_histogram(
-            params, config.direction, cluster_tol=config.cluster_tol
-        )
+        return aah_work_histogram(params, config.direction, cluster_tol=config.cluster_tol)
+
+    experiments._flat_chain(config.fib_index, config.j)  # filled before the pool starts
+    works = experiments._fan_out(histogram, list(grid), config.workers)
+    for work, label in zip(works, labels):
         path = os.path.join(out, f"aah_hist_delta_{label.replace('.', 'p')}.csv")
         _write_atomic(path, work.to_csv())
         paths.append(path)
@@ -314,10 +317,8 @@ def _run_single_quench(config: RunConfig, out: str):
     if config.omega_f is not None:
         hi = lz_hamiltonian(LzParams(delta=config.delta, omega=config.omega_i))
         hf = lz_hamiltonian(LzParams(delta=config.delta, omega=config.omega_f))
-        initial = diagonalize(hi)
-        setup = QuenchSetup(hi=hi, hf=hf, rho=config.state_spec().build(initial))
-        uncollected = uncollected_distribution(setup, initial)
-        work = collect_work_distribution(uncollected, config.cluster_tol)
+        setup = QuenchSetup(hi=hi, hf=hf, rho=config.state_spec().build(diagonalize(hi)))
+        work = collect_work_distribution(uncollected_distribution(setup), config.cluster_tol)
     else:
         params = AahParams(
             fib_index=config.fib_index, delta=config.delta, j=config.j, eta=config.eta

@@ -37,13 +37,13 @@ from .spectral import (
 from .tpm import (
     PairTable,
     QuenchSetup,
+    UncollectedDistribution,
     WorkDistribution,
     check_first_moment,
     collect_work_distribution,
     initial_populations,
     max_degeneracy,
     transition_probabilities,
-    uncollected_distribution,
     work_moments,
 )
 
@@ -211,22 +211,18 @@ def _flat_chain(fib_index: int, j: float) -> tuple[HermitianOperator, SpectralDe
 
 def _evaluate(
     setup: QuenchSetup,
-    initial: SpectralDecomposition,
-    final: SpectralDecomposition,
+    table: PairTable,
     axis_value: float,
     cluster_tol: float | None,
     normalized_reference: np.ndarray | None = None,
     flags: tuple[str, ...] = (),
-    table: PairTable | None = None,
 ) -> SweepRow:
-    """One sweep row; ``table``, when given, is the quench's ``PairTable.of`` to share."""
-    if table is None:
-        table = PairTable.of(setup.hi, setup.hf, initial, final, setup.u)
-    uncollected = table.uncollected(initial_populations(setup.rho, initial))
+    """One sweep row of ``setup`` on ``table``, the ``PairTable.of`` of its quench."""
+    uncollected = UncollectedDistribution(initial_populations(setup.rho, table.initial), table)
     work = collect_work_distribution(uncollected, cluster_tol)
     # Sweep states carry no coherence in the initial basis, so the measured
     # mean checked here is also the trace-formula mean.
-    mean_direct = check_first_moment(work, setup, initial, table=table)
+    mean_direct = check_first_moment(work, uncollected)
     summary = work_moments(work, MOMENT_ORDERS)
     report = bounds_report(setup, work, uncollected)
     normalized = None
@@ -276,12 +272,11 @@ def lz_sweep(
         with _at_point(omega_f=float(omega_f)):
             hf = lz_hamiltonian(LzParams(delta=delta, omega=omega_f))
             setup = QuenchSetup(hi=hi, hf=hf, rho=rho)
+            table = PairTable.of(hi, hf, initial, diagonalize(hf))
             flags = ()
             if math.isclose(abs(omega_f), abs(omega_i), rel_tol=0.0, abs_tol=1e-12 * delta):
                 flags = ("degenerate-detuning",)
-            return _evaluate(
-                setup, initial, diagonalize(hf), omega_f, cluster_tol, reference, flags
-            )
+            return _evaluate(setup, table, omega_f, cluster_tol, reference, flags)
 
     reference = run_point(delta, None).moments
     rows = _fan_out(lambda wf: run_point(wf, reference), list(grid), workers)
@@ -297,16 +292,14 @@ def lz_sweep(
     return SweepResult(axis=grid, rows=tuple(rows), meta=meta)
 
 
-def _aah_quench(
-    params: AahParams, direction: str
-) -> tuple[HermitianOperator, HermitianOperator, SpectralDecomposition, SpectralDecomposition]:
-    """(hi, hf, initial, final) for switching the potential off or on."""
+def _aah_quench(params: AahParams, direction: str) -> PairTable:
+    """The quench that switches the potential off or on."""
     flat_h, flat = _flat_chain(params.fib_index, params.j)
     modulated_h = aah_hamiltonian(params)
     modulated = diagonalize(modulated_h)
     if direction == DELTA_TO_ZERO:
-        return modulated_h, flat_h, modulated, flat
-    return flat_h, modulated_h, flat, modulated
+        return PairTable.of(modulated_h, flat_h, modulated, flat)
+    return PairTable.of(flat_h, modulated_h, flat, modulated)
 
 
 def aah_work_histogram(
@@ -318,10 +311,10 @@ def aah_work_histogram(
     """Collected work distribution for switching the potential off or on."""
     _check_direction(direction)
     state = state or StateSpec.ground()
-    hi, hf, initial, final = _aah_quench(params, direction)
-    setup = QuenchSetup(hi=hi, hf=hf, rho=state.build(initial))
-    uncollected = uncollected_distribution(setup, initial, final)
-    return collect_work_distribution(uncollected, cluster_tol)
+    with _at_point(delta=params.delta, eta=params.eta):
+        table = _aah_quench(params, direction)
+        uncollected = UncollectedDistribution(state.build(table.initial), table)
+        return collect_work_distribution(uncollected, cluster_tol)
 
 
 def aah_transition_sweep(
@@ -379,13 +372,12 @@ def _aah_sweeps(
     def run_point(delta: float) -> list[SweepRow]:
         with _at_point(delta=float(delta)):
             params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)
-            hi, hf, initial, final = _aah_quench(params, direction)
-            table = PairTable.of(hi, hf, initial, final)
+            table = _aah_quench(params, direction)
             rows = []
             for state in states:
                 with _at_point(beta=state.beta):
-                    setup = QuenchSetup(hi=hi, hf=hf, rho=state.build(initial))
-                    row = _evaluate(setup, initial, final, delta, cluster_tol, table=table)
+                    setup = QuenchSetup(hi=table.hi, hf=table.hf, rho=state.build(table.initial))
+                    row = _evaluate(setup, table, delta, cluster_tol)
                     if direction == ZERO_TO_DELTA and state.kind == "ground":
                         if abs(row.mean_direct) > GROUND_MEAN_TOL * j:
                             raise ValidationError(
@@ -457,14 +449,15 @@ def scaling_derivative(
     for fib_index in indices:
         sizes.append(fibonacci_pair(fib_index)[1])
         etas = rng.uniform(0.0, 2.0 * math.pi, size=eta_samples)
-        _flat_chain(fib_index, j)  # filled before the pool threads need it
 
         def slope_for(eta: float) -> float:
             upper = _entropy_at(fib_index, 2.0 * j + deriv_step * j, eta, j, direction)
             lower = _entropy_at(fib_index, 2.0 * j - deriv_step * j, eta, j, direction)
             return (upper - lower) / (2.0 * deriv_step)
 
-        per_eta = _fan_out(slope_for, list(etas), workers)
+        with _at_point(fib_index=fib_index):
+            _flat_chain(fib_index, j)  # filled before the pool threads need it
+            per_eta = _fan_out(slope_for, list(etas), workers)
         slopes.append(float(np.mean(per_eta)))
 
     sizes = np.array(sizes, dtype=int)
@@ -510,9 +503,10 @@ def eigenstate_coherence_map(
     _, flat = _flat_chain(fib_index, j)
 
     def column(delta: float) -> np.ndarray:
-        params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)
-        final = diagonalize(aah_hamiltonian(params))
-        return per_level_coherences(transition_probabilities(flat, final))
+        with _at_point(delta=float(delta)):
+            params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)
+            final = diagonalize(aah_hamiltonian(params))
+            return per_level_coherences(transition_probabilities(flat, final))
 
     columns = _fan_out(column, list(grid), workers)
     return CoherenceMap(delta_grid=grid, coherences=np.column_stack(columns))
@@ -545,8 +539,9 @@ def bandwidth_fit(
     def edge_for(delta: float) -> float:
         largest = 0.0
         for eta in etas:
-            params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=float(eta))
-            evals = np.linalg.eigvalsh(aah_hamiltonian(params).entries)
+            with _at_point(delta=float(delta), eta=float(eta)):
+                params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=float(eta))
+                evals = np.linalg.eigvalsh(aah_hamiltonian(params).entries)
             largest = max(largest, float(np.max(np.abs(evals))))
         return largest - 2.0 * j
 

@@ -97,14 +97,18 @@ class PairTable:
     One table serves every initial state of its quench, and what derives
     from the table alone (clusters, per-level coherences, first-moment
     products) is computed once through ``memo``; racing threads compute
-    equal values. ``quench`` is ``(hi, hf, u, initial)`` when built by ``of``.
-    The table holds copies of a caller's arrays, and ``of`` the arrays it builds.
+    equal values. A table built by ``of`` is the quench itself: it keeps
+    ``hi``, ``hf``, ``u`` and the ``initial`` decomposition, which
+    ``mean_work`` needs. It holds copies of a caller's arrays, and ``of``
+    the arrays it builds.
     """
 
-    def __init__(self, pmn, bohr):
-        self._own(np.array(pmn, dtype=float), np.array(bohr, dtype=float), None)
+    hi = hf = u = initial = None
 
-    def _own(self, pmn: np.ndarray, bohr: np.ndarray, quench: tuple | None) -> None:
+    def __init__(self, pmn, bohr):
+        self._own(np.array(pmn, dtype=float), np.array(bohr, dtype=float))
+
+    def _own(self, pmn: np.ndarray, bohr: np.ndarray) -> None:
         n = pmn.shape[0] if pmn.ndim == 2 else 0
         if n < 1 or pmn.shape != (n, n) or bohr.shape != (n, n):
             raise DimensionMismatchError(
@@ -121,7 +125,6 @@ class PairTable:
         bohr.setflags(write=False)
         self.pmn = pmn
         self.bohr = bohr
-        self.quench = quench
         # Clustering width from the combined span of both spectra.
         span = float(bohr.max() - bohr.min())
         if span <= 0:
@@ -138,11 +141,13 @@ class PairTable:
         final: SpectralDecomposition,
         u: UnitaryMatrix | None = None,
     ) -> PairTable:
-        """The table of a quench, from the decompositions of its two Hamiltonians."""
-        pmn = transition_probabilities(initial, final, u)
-        bohr = final.eigenvalues[:, np.newaxis] - initial.eigenvalues[np.newaxis, :]
+        """The quench from ``hi`` to ``hf`` under ``u``, given both decompositions."""
         table = object.__new__(cls)
-        table._own(pmn, bohr, (hi, hf, u, initial))
+        table._own(
+            transition_probabilities(initial, final, u),
+            final.eigenvalues[:, np.newaxis] - initial.eigenvalues[np.newaxis, :],
+        )
+        table.hi, table.hf, table.u, table.initial = hi, hf, u, initial
         return table
 
     def memo(self, key, compute):
@@ -152,14 +157,22 @@ class PairTable:
         except KeyError:
             return self._memo.setdefault(key, compute())
 
-    def uncollected(self, pn) -> UncollectedDistribution:
-        """The joint table of this quench for the initial populations ``pn``."""
-        uncollected = object.__new__(UncollectedDistribution)
-        uncollected._bind(pn, self)
-        return uncollected
+    def mean_work(self, pn: np.ndarray) -> float:
+        """<W> = sum_n p_n <n_i|U^dag Hf U - Hi|n_i> for the initial populations ``pn``.
+
+        Evaluated from the matrix entries, not from the Bohr table, so that
+        it checks the collection independently; the products are computed
+        once per set of levels with p_n > 0.
+        """
+        if self.initial is None:
+            raise ValidationError("a table built from arrays has no Hamiltonians")
+        live = np.flatnonzero(pn > 0.0)
+        key = ("level_work", live.tobytes())
+        diagonal = self.memo(key, lambda: _level_work(self, self.initial, live))
+        return float(diagonal @ pn[live])
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class UncollectedDistribution:
     """Joint table over level pairs before degeneracy collection.
 
@@ -170,17 +183,13 @@ class UncollectedDistribution:
     pn: np.ndarray
     table: PairTable
 
-    def __init__(self, pn, pmn, bohr):
-        self._bind(pn, PairTable(pmn, bohr))
-
-    def _bind(self, pn, table: PairTable) -> None:
-        pn = _population_vector(pn)
-        if pn.size != table.pmn.shape[0]:
+    def __post_init__(self):
+        pn = _population_vector(self.pn)
+        if pn.size != self.table.pmn.shape[0]:
             raise DimensionMismatchError(
-                f"{pn.size} populations do not match {table.pmn.shape[0]} levels"
+                f"{pn.size} populations do not match {self.table.pmn.shape[0]} levels"
             )
         object.__setattr__(self, "pn", pn)
-        object.__setattr__(self, "table", table)
 
     @property
     def pmn(self) -> np.ndarray:
@@ -325,26 +334,15 @@ def initial_populations(
     return populations
 
 
-def uncollected_distribution(
-    setup: QuenchSetup,
-    initial: SpectralDecomposition | None = None,
-    final: SpectralDecomposition | None = None,
-) -> UncollectedDistribution:
+def uncollected_distribution(setup: QuenchSetup) -> UncollectedDistribution:
     """Assemble populations, transitions, and Bohr frequencies for a setup.
 
-    Precomputed decompositions of the two Hamiltonians may be passed to
-    avoid repeating diagonalizations across sweep points; a caller with
-    several states of one quench shares a ``PairTable.of`` instead.
+    A caller with several states of one quench shares a ``PairTable.of``
+    instead, and pairs it with each state's populations.
     """
-    initial = initial if initial is not None else diagonalize(setup.hi)
-    final = final if final is not None else diagonalize(setup.hf)
-    pn = initial_populations(setup.rho, initial)
-    return PairTable.of(setup.hi, setup.hf, initial, final, setup.u).uncollected(pn)
-
-
-def default_cluster_tol(uncollected: UncollectedDistribution) -> float:
-    """Clustering width from the combined span of both spectra."""
-    return uncollected.table.default_cluster_tol
+    initial = diagonalize(setup.hi)
+    table = PairTable.of(setup.hi, setup.hf, initial, diagonalize(setup.hf), setup.u)
+    return UncollectedDistribution(initial_populations(setup.rho, initial), table)
 
 
 def _clusters(v: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -396,7 +394,7 @@ def collect_work_distribution(
     per width for all of its states; a state sums over its live columns.
     """
     if cluster_tol is None:
-        cluster_tol = default_cluster_tol(uncollected)
+        cluster_tol = uncollected.table.default_cluster_tol
     if not cluster_tol > 0:
         raise ValidationError(f"cluster_tol must be positive, got {cluster_tol!r}")
     cluster_tol = float(cluster_tol)
@@ -472,12 +470,13 @@ def work_moments(work: WorkDistribution, max_order: int = 4) -> MomentSummary:
     return MomentSummary(moments=moments, variance=variance)
 
 
-def _rotated_difference(setup: QuenchSetup) -> np.ndarray:
-    hf = setup.hf.entries
-    if setup.u is not None:
-        u = setup.u.entries
+def _rotated_difference(quench) -> np.ndarray:
+    """U^dag Hf U - Hi of a ``QuenchSetup`` or a ``PairTable.of``."""
+    hf = quench.hf.entries
+    if quench.u is not None:
+        u = quench.u.entries
         hf = u.conj().T @ hf @ u
-    return hf - setup.hi.entries
+    return hf - quench.hi.entries
 
 
 def mean_work_direct(setup: QuenchSetup) -> float:
@@ -493,61 +492,40 @@ def mean_work_direct(setup: QuenchSetup) -> float:
     return measured_mean_work(setup)
 
 
-def _level_work(
-    setup: QuenchSetup, initial: SpectralDecomposition, live: np.ndarray
-) -> np.ndarray:
+def _level_work(quench, initial: SpectralDecomposition, live: np.ndarray) -> np.ndarray:
     v = initial.eigenvectors[:, live]
-    return np.real(np.sum(v.conj() * (_rotated_difference(setup) @ v), axis=0))
+    return np.real(np.sum(v.conj() * (_rotated_difference(quench) @ v), axis=0))
 
 
-def measured_mean_work(
-    setup: QuenchSetup,
-    initial: SpectralDecomposition | None = None,
-    table: PairTable | None = None,
-) -> float:
+def measured_mean_work(setup: QuenchSetup) -> float:
     """<W> of the two-point statistics: the trace formula on the dephased state.
 
     The first energy measurement projects the initial state onto the
     initial eigenbasis, so the exact first moment of the work distribution
     is tr[(U^dag Hf U - Hi) rho_bar] = sum_n p_n <n_i|U^dag Hf U - Hi|n_i>,
-    over the levels with p_n > 0: one mat-vec for an eigenstate. The pair
-    table of the setup's quench, when given, shares that product between
-    states with the same live levels.
+    over the levels with p_n > 0: one mat-vec for an eigenstate.
+    ``PairTable.mean_work`` shares that product between the states of a quench.
     """
-    initial = initial if initial is not None else diagonalize(setup.hi)
+    initial = diagonalize(setup.hi)
     pn = initial_populations(setup.rho, initial)
     live = np.flatnonzero(pn > 0.0)
-    if table is None:
-        diagonal = _level_work(setup, initial, live)
-    elif table.quench is None or any(
-        a is not b for a, b in zip(table.quench, (setup.hi, setup.hf, setup.u, initial))
-    ):
-        raise ValidationError("pair table was built for another quench")
-    else:
-        key = ("level_work", live.tobytes())
-        diagonal = table.memo(key, lambda: _level_work(setup, initial, live))
-    return float(diagonal @ pn[live])
+    return float(_level_work(setup, initial, live) @ pn[live])
 
 
-def check_first_moment(
-    work: WorkDistribution,
-    setup: QuenchSetup,
-    initial: SpectralDecomposition | None = None,
-    rel_tol: float = RELATIVE_MEAN_TOL,
-    table: PairTable | None = None,
-) -> float:
+def check_first_moment(work: WorkDistribution, uncollected: UncollectedDistribution) -> float:
     """Raise unless the distribution mean matches the measured trace formula.
 
+    The trace mean is ``uncollected.table.mean_work`` of the populations.
     The comparison is relative to max(|trace mean|, sum |W| P(W)) so it
     stays meaningful when the mean is exactly zero. Returns the trace
     mean, so a caller that reports it need not evaluate it twice.
     """
     from_dist = float(np.sum(work.support * work.probs))
-    from_trace = measured_mean_work(setup, initial, table)
+    from_trace = uncollected.table.mean_work(uncollected.pn)
     scale = max(abs(from_trace), float(np.sum(np.abs(work.support) * work.probs)), 1e-300)
-    if abs(from_dist - from_trace) > rel_tol * scale:
+    if abs(from_dist - from_trace) > RELATIVE_MEAN_TOL * scale:
         raise ValidationError(
             f"distribution mean {from_dist!r} and trace formula {from_trace!r} "
-            f"disagree beyond {rel_tol:g} relative"
+            f"disagree beyond {RELATIVE_MEAN_TOL:g} relative"
         )
     return from_trace

@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from qworkstats import cli, infotheory
+from qworkstats import cli, experiments, infotheory, tpm
 from qworkstats.cli import RunConfig, main, parse_config, run
-from qworkstats.errors import BoundViolationError, ConfigError
+from qworkstats.errors import BoundViolationError, ConfigError, ValidationError
 
 
 def write_config(path, text):
@@ -304,6 +304,47 @@ def test_bound_violation_names_its_axis_point(tmp_path, capsys, monkeypatch, arg
     assert manifest["error"]["type"] == "bound-violation"
     assert manifest["error"]["axis_point"] == point
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["axis_point"] == point
+
+
+@pytest.mark.parametrize(
+    "argv,point",
+    [
+        (["aah-hist", "--grid-values", "1.5,2.5,3.5"], {"delta": 2.5, "eta": 1.2}),
+        (["coherence-map", "--grid-values", "1.5,2.5,3.5"], {"delta": 2.5}),
+    ],
+)
+def test_validation_error_names_its_axis_point(tmp_path, capsys, monkeypatch, argv, point):
+    # one worker, so the second transition matrix belongs to the second potential
+    calls = []
+
+    def failing_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValidationError("transition matrix deviates from doubly stochastic")
+        return transition_probabilities(*args)
+
+    transition_probabilities = tpm.transition_probabilities
+    monkeypatch.setattr(tpm, "transition_probabilities", failing_second)
+    monkeypatch.setattr(experiments, "transition_probabilities", failing_second)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out), "--fib-index", "7", "--threads", "1"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "validation"
+    assert manifest["error"]["axis_point"] == point
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["axis_point"] == point
+
+
+def test_aah_hist_threads_write_the_same_files(tmp_path):
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["aah-hist", "--out", str(out), "--fib-index", "8", "--threads", threads,
+                     "--grid-values", "0.5,1.5,2.5,3.5", "--direction", "delta-to-zero"]) == 0
+        written[threads] = {
+            name: (out / name).read_bytes() for name in os.listdir(out) if name != "manifest.json"
+        }
+    assert len(written["1"]) == 4
+    assert written["1"] == written["2"]
 
 
 def test_aah_hist_gives_values_equal_at_g_precision_their_own_files(tmp_path, capsys):

@@ -189,7 +189,7 @@ def test_effective_dimension_lower_bounds_uncollected_entropy():
         hf = random_hermitian(rng, dim)
         di = diagonalize(hi)
         setup = QuenchSetup(hi=hi, hf=hf, rho=eigenstate_projector(di, 0))
-        u = uncollected_distribution(setup, di)
+        u = uncollected_distribution(setup)
         i, neg_log = effective_dimension(u.pmn, 0)
         assert uncollected_entropy(u) >= neg_log - 1e-10
 

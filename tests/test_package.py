@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "bounds_report",
     "collect_work_distribution",
     "default_aah_grid",
-    "default_cluster_tol",
     "default_lz_grid",
     "dephase",
     "diagonalize",

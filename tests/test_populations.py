@@ -31,7 +31,7 @@ from qworkstats import (
     uncollected_distribution,
 )
 from qworkstats.experiments import _evaluate
-from qworkstats.tpm import check_first_moment
+from qworkstats.tpm import PairTable, check_first_moment
 
 BETAS = (0.0, 0.01, 1.0, 100.0, math.inf)
 SPECS = (
@@ -73,14 +73,15 @@ QUENCHES = list(quenches())
 
 @pytest.mark.parametrize("label,hi,hf", QUENCHES, ids=[q[0] for q in QUENCHES])
 def test_populations_route_matches_density_matrix_route(label, hi, hf):
-    initial, final = diagonalize(hi), diagonalize(hf)
+    initial = diagonalize(hi)
+    table = PairTable.of(hi, hf, initial, diagonalize(hf))
     for spec in SPECS:
         if spec.kind == "eigenstate" and spec.level >= initial.dim:
             continue
         populations = QuenchSetup(hi=hi, hf=hf, rho=spec.build(initial))
         dense = QuenchSetup(hi=hi, hf=hf, rho=dense_state(spec, initial))
-        fast = _evaluate(populations, initial, final, 0.0, None)
-        slow = _evaluate(dense, initial, final, 0.0, None)
+        fast = _evaluate(populations, table, 0.0, None)
+        slow = _evaluate(dense, table, 0.0, None)
         where = f"{label} {spec}"
         for name in BoundsReport.CSV_FIELDS:
             assert close(getattr(fast.report, name), getattr(slow.report, name)), (where, name)
@@ -106,11 +107,11 @@ def test_first_moment_check_still_catches_a_shifted_support():
         (modulated, flat, StateSpec.thermal(1.0)),
         (modulated, flat, StateSpec.eigenstate(4)),
     ):
-        initial = diagonalize(hi)
-        setup = QuenchSetup(hi=hi, hf=hf, rho=spec.build(initial))
-        work = collect_work_distribution(uncollected_distribution(setup, initial))
-        mean = check_first_moment(work, setup, initial)
-        assert check_first_moment(work, setup) == pytest.approx(mean, abs=1e-12)
+        setup = QuenchSetup(hi=hi, hf=hf, rho=spec.build(diagonalize(hi)))
+        uncollected = uncollected_distribution(setup)
+        work = collect_work_distribution(uncollected)
+        mean = check_first_moment(work, uncollected)
+        assert mean_work_direct(setup) == pytest.approx(mean, abs=1e-12)
         shifted = WorkDistribution(
             support=work.support + 1e-4,
             probs=work.probs,
@@ -118,7 +119,7 @@ def test_first_moment_check_still_catches_a_shifted_support():
             diagnostics=work.diagnostics,
         )
         with pytest.raises(ValidationError, match="disagree"):
-            check_first_moment(shifted, setup, initial)
+            check_first_moment(shifted, uncollected)
 
 
 def test_population_states_are_validated():

@@ -15,7 +15,6 @@ from qworkstats import (
     ValidationError,
     aah_hamiltonian,
     collect_work_distribution,
-    default_cluster_tol,
     diagonalize,
     eigenstate_projector,
     initial_populations,
@@ -181,7 +180,7 @@ def test_collect_matches_exact_grouping_oracle():
         pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
         pn = rng.dirichlet(np.ones(dim))
         bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
-        u = UncollectedDistribution(pn=pn, pmn=pmn, bohr=bohr)
+        u = UncollectedDistribution(pn, PairTable(pmn, bohr))
 
         groups = defaultdict(lambda: [0.0, 0])
         for m in range(dim):
@@ -227,24 +226,24 @@ def test_shared_table_collects_like_a_fresh_table_per_state():
         table = PairTable(pmn, bohr)
         for cluster_tol in (1e-3, None, 1e-4, 1e-3):
             for pn in ordered:
-                shared = collect_work_distribution(table.uncollected(pn), cluster_tol)
+                shared = collect_work_distribution(UncollectedDistribution(pn, table), cluster_tol)
                 fresh = collect_work_distribution(
-                    UncollectedDistribution(pn=pn, pmn=pmn, bohr=bohr), cluster_tol
+                    UncollectedDistribution(pn, PairTable(pmn, bohr)), cluster_tol
                 )
                 assert_same_collection(shared, fresh)
         # one clustering per width, shared by the populations
         widths = sorted(key[1] for key in table._memo if key[0] == "clusters")
         assert widths == sorted([table.default_cluster_tol, 1e-4, 1e-3])
 
-    bridged = collect_work_distribution(table.uncollected(populations[0]), 1e-3)
+    bridged = collect_work_distribution(UncollectedDistribution(populations[0], table), 1e-3)
     assert bridged.multiplicity[0] == 3
     assert bridged.probs[0] == pytest.approx(0.2 * 0.5 + 0.2 * 0.3, abs=1e-15)
     assert bridged.support[0] == pytest.approx(1.2e-3 * 0.3 / 0.8, abs=1e-15)
     # unbridged, the zero-probability pair is a cluster of its own and dropped
-    alone = collect_work_distribution(table.uncollected(populations[0]), 1e-4)
+    alone = collect_work_distribution(UncollectedDistribution(populations[0], table), 1e-4)
     assert alone.num_points == 8
     assert (alone.diagnostics.dropped_pairs, alone.diagnostics.dropped_mass) == (1, 0.0)
-    dropped = collect_work_distribution(table.uncollected(populations[1]), 1e-4)
+    dropped = collect_work_distribution(UncollectedDistribution(populations[1], table), 1e-4)
     assert dropped.diagnostics.dropped_pairs == 3 + 1  # column 2, and the zero pair
     assert dropped.diagnostics.dropped_mass > 0.0
     assert float(dropped.probs.sum()) == pytest.approx(1.0, abs=1e-15)
@@ -268,9 +267,9 @@ def test_shared_table_matches_fresh_tables_on_random_integer_spectra():
             for pn in ordered:
                 for cluster_tol in (None, 0.5):
                     assert_same_collection(
-                        collect_work_distribution(table.uncollected(pn), cluster_tol),
+                        collect_work_distribution(UncollectedDistribution(pn, table), cluster_tol),
                         collect_work_distribution(
-                            UncollectedDistribution(pn, pmn, bohr), cluster_tol
+                            UncollectedDistribution(pn, PairTable(pmn, bohr)), cluster_tol
                         ),
                     )
 
@@ -284,40 +283,38 @@ def test_one_level_state_collects_without_an_argsort(monkeypatch):
     bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
     pn = np.eye(dim)[2]
     argsorted = PairTable(pmn, bohr)
-    collect_work_distribution(argsorted.uncollected(np.full(dim, 1.0 / dim)))
-    expected = collect_work_distribution(argsorted.uncollected(pn))
+    collect_work_distribution(UncollectedDistribution(np.full(dim, 1.0 / dim), argsorted))
+    expected = collect_work_distribution(UncollectedDistribution(pn, argsorted))
 
     def no_argsort(*args, **kwargs):
         raise AssertionError("a one-level state sorted the whole table")
 
     monkeypatch.setattr(np, "argsort", no_argsort)
     table = PairTable(pmn, bohr)
-    assert_same_collection(collect_work_distribution(table.uncollected(pn)), expected)
+    assert_same_collection(collect_work_distribution(UncollectedDistribution(pn, table)), expected)
 
 
-def test_pair_table_shares_first_moment_products_only_for_its_quench():
+def test_pair_table_mean_work_shares_first_moment_products_per_live_set():
+    rng = np.random.default_rng(83)
     hi = lz_hamiltonian(LzParams(delta=1.0, omega=-3.0))
     hf = lz_hamiltonian(LzParams(delta=1.0, omega=2.0))
-    initial, final = diagonalize(hi), diagonalize(hf)
-    table = PairTable.of(hi, hf, initial, final)
+    u = haar_unitary(rng, 2)
+    table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf), u)
     for rho in ([0.3, 0.7], [1.0, 0.0], [0.6, 0.4]):
-        setup = QuenchSetup(hi=hi, hf=hf, rho=rho)
-        assert measured_mean_work(setup, initial, table) == measured_mean_work(setup, initial)
+        setup = QuenchSetup(hi=hi, hf=hf, rho=rho, u=u)
+        assert table.mean_work(setup.rho) == measured_mean_work(setup)
     assert len([key for key in table._memo if key[0] == "level_work"]) == 2
-    other = QuenchSetup(hi=hf, hf=hi, rho=[0.5, 0.5])
-    with pytest.raises(ValidationError, match="another quench"):
-        measured_mean_work(other, initial, table)
-    with pytest.raises(ValidationError, match="another quench"):
-        measured_mean_work(setup, initial, PairTable(table.pmn, table.bohr))
+    with pytest.raises(ValidationError, match="no Hamiltonians"):
+        PairTable(table.pmn, table.bohr).mean_work(np.array([0.5, 0.5]))
 
 
 def test_pair_table_copies_caller_arrays_and_keeps_its_own(monkeypatch):
     pmn = np.array([[0.75, 0.25], [0.25, 0.75]])
     bohr = np.array([[0.0, 1.0], [2.0, 3.0]])
-    for table in (PairTable(pmn, bohr), UncollectedDistribution([0.5, 0.5], pmn, bohr).table):
-        assert not np.shares_memory(table.pmn, pmn)
-        assert not np.shares_memory(table.bohr, bohr)
-        assert not (table.pmn.flags.writeable or table.bohr.flags.writeable)
+    table = PairTable(pmn, bohr)
+    assert not np.shares_memory(table.pmn, pmn)
+    assert not np.shares_memory(table.bohr, bohr)
+    assert not (table.pmn.flags.writeable or table.bohr.flags.writeable)
     assert pmn.flags.writeable and bohr.flags.writeable
     pmn[0, 0] = 0.0
     assert table.pmn[0, 0] == 0.75
@@ -341,7 +338,7 @@ def test_proximity_warning_for_marginal_gaps():
     pn = np.array([0.5, 0.5])
     pmn = np.array([[0.5, 0.5], [0.5, 0.5]])
     bohr = np.array([[0.0, 5e-9], [1.0, 2.0]])
-    u = UncollectedDistribution(pn=pn, pmn=pmn, bohr=bohr)
+    u = UncollectedDistribution(pn, PairTable(pmn, bohr))
     w = collect_work_distribution(u, cluster_tol=1e-9)
     assert any("resolution-marginal" in message for message in w.diagnostics.warnings)
     clean = collect_work_distribution(u, cluster_tol=1e-12)
@@ -367,7 +364,7 @@ def test_first_moment_matches_trace_formula():
         setup = random_setup(rng, int(rng.integers(2, 13)))
         u = uncollected_distribution(setup)
         w = collect_work_distribution(u)
-        check_first_moment(w, setup)
+        check_first_moment(w, u)
         summary = work_moments(w, 1)
         measured = measured_mean_work(setup)
         scale = max(abs(measured), float(np.sum(np.abs(w.support) * w.probs)))
@@ -383,9 +380,9 @@ def test_first_moment_plain_trace_formula_for_commuting_states():
         setup = QuenchSetup(
             hi=setup.hi, hf=setup.hf, rho=thermal_state(di, 0.8), u=setup.u
         )
-        w = collect_work_distribution(uncollected_distribution(setup, di))
+        w = collect_work_distribution(uncollected_distribution(setup))
         direct = mean_work_direct(setup)
-        assert measured_mean_work(setup, di) == pytest.approx(direct, abs=1e-12)
+        assert measured_mean_work(setup) == pytest.approx(direct, abs=1e-12)
         summary = work_moments(w, 1)
         scale = max(abs(direct), float(np.sum(np.abs(w.support) * w.probs)))
         assert abs(summary[1] - direct) <= 1e-8 * scale
@@ -423,7 +420,7 @@ def test_mean_work_positive_for_switch_off():
     floor = -2.0 - float(di.eigenvalues[0])  # distance below the flat band edge
     assert mean > floor - 1e-12 > 0.0
 
-    u = uncollected_distribution(setup, di)
+    u = uncollected_distribution(setup)
     w = collect_work_distribution(u)
     assert work_moments(w, 1)[1] == pytest.approx(mean, rel=1e-10)
 
@@ -437,11 +434,11 @@ def test_aah_ground_state_quench_support_bounds():
     dm, dflat = diagonalize(modulated), diagonalize(flat)
 
     off = QuenchSetup(hi=modulated, hf=flat, rho=eigenstate_projector(dm, 0))
-    w_off = collect_work_distribution(uncollected_distribution(off, dm, dflat))
+    w_off = collect_work_distribution(uncollected_distribution(off))
     assert float(w_off.support.min()) > 0.0
 
     on = QuenchSetup(hi=flat, hf=modulated, rho=eigenstate_projector(dflat, 0))
-    w_on = collect_work_distribution(uncollected_distribution(on, dflat, dm))
+    w_on = collect_work_distribution(uncollected_distribution(on))
     assert float(w_on.support.min()) < 0.0
     assert float(w_on.support.max()) <= 4.0 + (float(dm.eigenvalues[-1]) - 2.0) + 1e-12
 
@@ -455,11 +452,11 @@ def test_aah_degeneracy_of_collected_values():
     dm, dflat = diagonalize(modulated), diagonalize(flat)
 
     off = QuenchSetup(hi=modulated, hf=flat, rho=eigenstate_projector(dm, 0))
-    w_off = collect_work_distribution(uncollected_distribution(off, dm, dflat))
+    w_off = collect_work_distribution(uncollected_distribution(off))
     assert max_degeneracy(w_off) == 2
 
     on = QuenchSetup(hi=flat, hf=modulated, rho=eigenstate_projector(dflat, 0))
-    w_on = collect_work_distribution(uncollected_distribution(on, dflat, dm))
+    w_on = collect_work_distribution(uncollected_distribution(on))
     assert max_degeneracy(w_on) == 1
 
 
@@ -483,7 +480,7 @@ def test_single_level_system_pipeline():
     rho = DensityMatrix(entries=np.array([[1.0]]))
     setup = QuenchSetup(hi=h, hf=h, rho=rho)
     u = uncollected_distribution(setup)
-    assert default_cluster_tol(u) > 0
+    assert u.table.default_cluster_tol > 0
     w = collect_work_distribution(u)
     assert w.num_points == 1
     assert w.support[0] == 0.0
@@ -505,6 +502,7 @@ def test_random_mixed_state_pipeline():
         setup = random_setup(rng, dim, with_unitary=True)
         rho = random_density(rng, dim, rank=3)
         setup = QuenchSetup(hi=setup.hi, hf=setup.hf, rho=rho, u=setup.u)
-        w = collect_work_distribution(uncollected_distribution(setup))
+        u = uncollected_distribution(setup)
+        w = collect_work_distribution(u)
         assert abs(float(w.probs.sum()) - 1.0) < 1e-12
-        check_first_moment(w, setup)
+        check_first_moment(w, u)

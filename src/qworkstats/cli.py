@@ -108,6 +108,7 @@ def _progress(message: str) -> None:
 
 
 _ENTROPY_HEADER = list(BoundsReport.CSV_FIELDS)
+_WORK_HEADER = ["W", "P", "multiplicity"]
 
 
 def _run_lz_sweep(config: RunConfig, out: str):
@@ -163,7 +164,7 @@ def _run_aah_hist(config: RunConfig, out: str):
     works = experiments._fan_out(histogram, list(grid), config.workers)
     for work, label in zip(works, labels):
         path = os.path.join(out, f"aah_hist_delta_{label.replace('.', 'p')}.csv")
-        _write_atomic(path, work.to_csv())
+        _write_csv(path, _WORK_HEADER, zip(work.support, work.probs, work.multiplicity))
         paths.append(path)
         entropies[f"h_w_delta_{label}"] = entropy_of_work(work)
     return paths, entropies
@@ -253,10 +254,10 @@ def _run_aah_scaling(config: RunConfig, out: str):
         {
             "fit_exponent": result.fit_exponent,
             "fit_prefactor": result.fit_prefactor,
-            "eta_samples": result.eta_samples,
-            "seed": result.seed,
-            "deriv_step": result.deriv_step,
-            "direction": result.direction,
+            "eta_samples": config.eta_samples,
+            "seed": config.seed,
+            "deriv_step": config.deriv_step,
+            "direction": config.direction,
             "sizes": [int(n) for n in result.sizes],
             "slopes": [float(s) for s in result.slopes],
         },
@@ -265,15 +266,16 @@ def _run_aah_scaling(config: RunConfig, out: str):
 
 
 def _run_coherence_map(config: RunConfig, out: str):
+    grid = config.grid()
     result = eigenstate_coherence_map(
         fib_index=config.fib_index,
-        delta_grid=config.grid(),
+        delta_grid=grid,
         j=config.j,
         eta=config.eta,
         workers=config.workers,
     )
     path = os.path.join(out, "coherence_map_levels.csv")
-    header = ["level"] + [f"{d:.17g}" for d in result.delta_grid]
+    header = ["level"] + [f"{d:.17g}" for d in grid]
     _write_csv(
         path,
         header,
@@ -283,9 +285,10 @@ def _run_coherence_map(config: RunConfig, out: str):
 
 
 def _run_bandwidth_fit(config: RunConfig, out: str):
+    grid = config.grid()
     result = bandwidth_fit(
         fib_index=config.fib_index,
-        delta_grid=config.grid(),
+        delta_grid=grid,
         eta_samples=config.eta_samples,
         seed=config.seed,
         j=config.j,
@@ -297,7 +300,7 @@ def _run_bandwidth_fit(config: RunConfig, out: str):
         ["delta", "edge_excess", "fitted"],
         (
             [d, e, result.coefficient * d * d * config.j]
-            for d, e in zip(result.delta_grid, result.band_edges)
+            for d, e in zip(grid, result.band_edges)
         ),
     )
     fit_path = os.path.join(out, "bandwidth_fit_result.json")
@@ -306,7 +309,7 @@ def _run_bandwidth_fit(config: RunConfig, out: str):
         {
             "coefficient": result.coefficient,
             "residual_max": result.residual_max,
-            "delta_grid": [float(d) for d in result.delta_grid],
+            "delta_grid": [float(d) for d in grid],
         },
     )
     return [edges_path, fit_path], {"coefficient": result.coefficient}
@@ -327,7 +330,7 @@ def _run_single_quench(config: RunConfig, out: str):
             params, config.direction, config.state_spec(), config.cluster_tol
         )
     csv_path = os.path.join(out, "single_quench_work.csv")
-    _write_atomic(csv_path, work.to_csv())
+    _write_csv(csv_path, _WORK_HEADER, zip(work.support, work.probs, work.multiplicity))
     json_path = os.path.join(out, "single_quench_work.json")
     _write_json(json_path, work.to_json_record())
     return [csv_path, json_path], {"h_w": entropy_of_work(work)}
@@ -617,9 +620,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(json.dumps({"type": "config-error", "message": str(exc)}), file=sys.stderr)
         return 2
-    except BoundViolationError as exc:
-        print(json.dumps({"type": "bound-violation", "message": str(exc)}), file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

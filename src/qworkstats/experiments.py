@@ -10,7 +10,6 @@ fixed (config, seed) pair always reproduces files byte for byte.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -110,12 +109,11 @@ class StateSpec:
 
 @dataclass(frozen=True, eq=False)
 class SweepRow:
-    """One sweep point: moments, variance, work entropy, full report."""
+    """One sweep point: moments, variance, measured mean, full report (with H_W)."""
 
     axis_value: float
     moments: np.ndarray
     variance: float
-    h_w: float
     mean_direct: float
     report: BoundsReport
     gamma_max: int
@@ -127,7 +125,6 @@ class SweepRow:
 class SweepResult:
     axis: np.ndarray
     rows: tuple[SweepRow, ...]
-    meta: dict
 
     def __post_init__(self):
         if len(self.rows) != np.asarray(self.axis).size:
@@ -149,10 +146,6 @@ class ScalingResult:
     fit_exponent: float
     fit_prefactor: float
     residuals: np.ndarray
-    eta_samples: int
-    seed: int
-    deriv_step: float
-    direction: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +154,6 @@ class FitResult:
 
     coefficient: float
     residual_max: float
-    delta_grid: np.ndarray
     band_edges: np.ndarray
 
 
@@ -169,7 +161,6 @@ class FitResult:
 class CoherenceMap:
     """Per-level coherences, levels down the rows and grid across columns."""
 
-    delta_grid: np.ndarray
     coherences: np.ndarray
 
 
@@ -235,7 +226,6 @@ def _evaluate(
         axis_value=float(axis_value),
         moments=summary.moments,
         variance=summary.variance,
-        h_w=report.h_w,
         mean_direct=mean_direct,
         report=report,
         gamma_max=max_degeneracy(work),
@@ -280,16 +270,7 @@ def lz_sweep(
 
     reference = run_point(delta, None).moments
     rows = _fan_out(lambda wf: run_point(wf, reference), list(grid), workers)
-    meta = {
-        "experiment": "lz_sweep",
-        "delta": float(delta),
-        "omega_i": float(omega_i),
-        "beta": float(beta),
-        "normalization_detuning": float(delta),
-        "cluster_tol": cluster_tol,
-        "timestamp": time.time(),
-    }
-    return SweepResult(axis=grid, rows=tuple(rows), meta=meta)
+    return SweepResult(axis=grid, rows=tuple(rows))
 
 
 def _aah_quench(params: AahParams, direction: str) -> PairTable:
@@ -388,23 +369,9 @@ def _aah_sweeps(
             return rows
 
     per_point = _fan_out(run_point, list(grid), workers)
-    meta = {
-        "experiment": "aah_transition_sweep",
-        "fib_index": fib_index,
-        "size": fibonacci_pair(fib_index)[1],
-        "direction": direction,
-        "j": float(j),
-        "eta": float(eta),
-        "cluster_tol": cluster_tol,
-        "timestamp": time.time(),
-    }
     return tuple(
-        SweepResult(
-            axis=grid,
-            rows=tuple(rows[k] for rows in per_point),
-            meta={**meta, "state": (state.kind, state.level, state.beta)},
-        )
-        for k, state in enumerate(states)
+        SweepResult(axis=grid, rows=tuple(rows[k] for rows in per_point))
+        for k in range(len(states))
     )
 
 
@@ -475,10 +442,6 @@ def scaling_derivative(
         fit_exponent=float(coeffs[0]),
         fit_prefactor=float(math.exp(coeffs[1])),
         residuals=residuals,
-        eta_samples=eta_samples,
-        seed=seed,
-        deriv_step=deriv_step,
-        direction=direction,
     )
 
 
@@ -509,7 +472,7 @@ def eigenstate_coherence_map(
             return per_level_coherences(transition_probabilities(flat, final))
 
     columns = _fan_out(column, list(grid), workers)
-    return CoherenceMap(delta_grid=grid, coherences=np.column_stack(columns))
+    return CoherenceMap(coherences=np.column_stack(columns))
 
 
 def bandwidth_fit(
@@ -549,9 +512,4 @@ def bandwidth_fit(
     regressor = grid**2 * j
     coefficient = float(np.sum(regressor * edges) / np.sum(regressor**2))
     residual_max = float(np.max(np.abs(edges - coefficient * regressor) / np.abs(edges)))
-    return FitResult(
-        coefficient=coefficient,
-        residual_max=residual_max,
-        delta_grid=grid,
-        band_edges=edges,
-    )
+    return FitResult(coefficient=coefficient, residual_max=residual_max, band_edges=edges)

@@ -203,9 +203,19 @@ class UncollectedDistribution:
     def dim(self) -> int:
         return self.pn.size
 
+    @property
+    def columns(self) -> slice:
+        """The live column block: the levels from the first to the last with p_n > 0."""
+        live = np.flatnonzero(self.pn)
+        return slice(live[0], live[-1] + 1)
+
     def joint(self) -> np.ndarray:
-        """The table p_n * p_{m|n}, clipped at zero."""
-        return np.clip(self.pn[np.newaxis, :] * self.pmn, 0.0, None)
+        """The table p_n * p_{m|n} over the live ``columns``, clipped at zero.
+
+        The columns left out carry p_n = 0, so they hold no probability.
+        """
+        columns = self.columns
+        return np.clip(self.pn[columns] * self.pmn[:, columns], 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -267,13 +277,6 @@ class WorkDistribution:
     @property
     def num_points(self) -> int:
         return self.support.size
-
-    def to_csv(self) -> str:
-        """CSV text with columns (W, P, multiplicity), 17 significant digits."""
-        lines = ["W,P,multiplicity"]
-        for w, p, m in zip(self.support, self.probs, self.multiplicity):
-            lines.append(f"{w:.17g},{p:.17g},{int(m)}")
-        return "\n".join(lines) + "\n"
 
     def to_json_record(self) -> dict:
         return {
@@ -398,10 +401,9 @@ def collect_work_distribution(
     if not cluster_tol > 0:
         raise ValidationError(f"cluster_tol must be positive, got {cluster_tol!r}")
     cluster_tol = float(cluster_tol)
-    live = np.flatnonzero(uncollected.pn)
-    columns = slice(live[0], live[-1] + 1)
+    columns = uncollected.columns
     ids, members = _cluster_ids(uncollected.table, cluster_tol, columns)
-    q = np.clip(uncollected.pn[columns] * uncollected.pmn[:, columns], 0.0, None)
+    q = uncollected.joint()
     cluster_prob = np.bincount(ids, weights=q.ravel(), minlength=members.size)
     q *= uncollected.bohr[:, columns]  # in place, since q can hold N^2 values
     weighted_sum = np.bincount(ids, weights=q.ravel(), minlength=members.size)

@@ -8,6 +8,8 @@ import pytest
 from qworkstats import cli, experiments, infotheory, tpm
 from qworkstats.cli import RunConfig, main, parse_config, run
 from qworkstats.errors import BoundViolationError, ConfigError, ValidationError
+from qworkstats.models import LzParams, lz_hamiltonian
+from qworkstats.spectral import diagonalize
 
 
 def write_config(path, text):
@@ -93,6 +95,28 @@ def test_single_quench_identity_two_level(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"] is None
     assert "single_quench_work.csv" in manifest["outputs"]
+
+
+def test_single_quench_work_csv_bytes(tmp_path):
+    # W and P at 17 significant digits, the multiplicity as an integer
+    out = tmp_path / "out"
+    config = RunConfig(
+        subcommand="single-quench", out=str(out), omega_i=-4.0, omega_f=4.0,
+        state_kind="thermal", state_beta=0.1,
+    )
+    assert run(config) == 0
+    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-4.0))
+    hf = lz_hamiltonian(LzParams(delta=1.0, omega=4.0))
+    rho = experiments.StateSpec.thermal(0.1).build(diagonalize(hi))
+    work = tpm.collect_work_distribution(
+        tpm.uncollected_distribution(tpm.QuenchSetup(hi=hi, hf=hf, rho=rho))
+    )
+    assert work.multiplicity.tolist() == [1, 2, 1]  # the two W = 0 pairs share a row
+    expected = "W,P,multiplicity\n" + "".join(
+        f"{w:.17g},{p:.17g},{m}\n"
+        for w, p, m in zip(work.support, work.probs, work.multiplicity)
+    )
+    assert (out / "single_quench_work.csv").read_bytes() == expected.encode()
 
 
 def test_aah_scaling_cli_writes_fit(tmp_path):

@@ -50,7 +50,6 @@ def test_lz_sweep_rows_and_normalization():
     for row in result.rows:
         assert row.moments.shape == (4,)
         assert row.variance >= -1e-12
-        assert row.report.h_w == pytest.approx(row.h_w)
     # the row at final detuning equal to the gap normalizes to exactly 1
     at_gap = result.rows[int(np.argmin(np.abs(grid - 1.0)))]
     assert grid[int(np.argmin(np.abs(grid - 1.0)))] == 1.0
@@ -122,7 +121,7 @@ def test_aah_sweep_switch_off_mean_positive():
 
 def test_aah_sweep_entropy_rises_across_transition():
     result = aah_transition_sweep(10, [1.5, 2.5], ZERO_TO_DELTA)
-    assert result.rows[1].h_w > result.rows[0].h_w
+    assert result.rows[1].report.h_w > result.rows[0].report.h_w
 
 
 def test_aah_sweep_eigenstate_mean_linear_in_potential():
@@ -146,7 +145,7 @@ def test_aah_sweep_zero_temperature_state_matches_ground():
         8, [2.5], DELTA_TO_ZERO, state=StateSpec.thermal(math.inf)
     )
     ground = aah_transition_sweep(8, [2.5], DELTA_TO_ZERO, state=StateSpec.ground())
-    assert cold.rows[0].h_w == pytest.approx(ground.rows[0].h_w, abs=1e-12)
+    assert cold.rows[0].report.h_w == pytest.approx(ground.rows[0].report.h_w, abs=1e-12)
     assert cold.rows[0].report.s_diag == pytest.approx(0.0, abs=1e-12)
 
 
@@ -321,7 +320,6 @@ def test_shared_sweep_matches_one_sweep_per_state():
     results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2)
     for state, result in zip(states, results):
         alone = aah_transition_sweep(8, grid, ZERO_TO_DELTA, state=state)
-        assert result.meta["state"] == alone.meta["state"] == (state.kind, state.level, state.beta)
         for name in ("h_w", "h_u", "s_diag", "avg_coherence", "c_max", "variance", "mean_direct"):
             assert np.array_equal(result.column(name), alone.column(name))
     with pytest.raises(ValidationError):

@@ -5,13 +5,16 @@ import pytest
 
 from conftest import haar_unitary, random_density, random_hermitian, random_setup
 from qworkstats import (
+    AahParams,
     BoundViolationError,
     DensityMatrix,
     HermitianOperator,
     LzParams,
     QuenchSetup,
+    UncollectedDistribution,
     UnitaryMatrix,
     ValidationError,
+    aah_hamiltonian,
     bounds_report,
     collect_work_distribution,
     dephase,
@@ -19,6 +22,7 @@ from qworkstats import (
     effective_dimension,
     eigenstate_projector,
     entropy_of_work,
+    level_populations,
     lz_hamiltonian,
     per_level_coherences,
     relative_entropy_of_coherence,
@@ -29,6 +33,7 @@ from qworkstats import (
     von_neumann_entropy,
 )
 from qworkstats.infotheory import BoundsReport, check_bounds
+from qworkstats.tpm import PairTable
 
 
 def report_for(setup):
@@ -97,6 +102,18 @@ def test_uncollected_entropy_eigenstate_equals_column_coherence():
     u = uncollected_distribution(setup)
     coherences = per_level_coherences(u.pmn)
     assert uncollected_entropy(u) == pytest.approx(coherences[k], abs=1e-10)
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_one_level_state_sums_its_one_live_column(level):
+    flat = aah_hamiltonian(AahParams(fib_index=10, delta=0.0))
+    modulated = aah_hamiltonian(AahParams(fib_index=10, delta=1.5))
+    initial = diagonalize(flat)
+    table = PairTable.of(flat, modulated, initial, diagonalize(modulated))
+    u = UncollectedDistribution(level_populations(initial, level), table)
+    assert u.joint().shape == (55, 1)
+    full_table = np.clip(u.pn[np.newaxis, :] * u.pmn, 0.0, None)
+    assert uncollected_entropy(u) == pytest.approx(shannon_entropy(full_table), abs=1e-14)
 
 
 def test_uncollected_dominates_work_entropy():

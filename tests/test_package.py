@@ -1,4 +1,7 @@
+import dataclasses
 import types
+
+import pytest
 
 import qworkstats
 
@@ -66,6 +69,20 @@ PUBLIC_NAMES = [
 ]
 
 
+# The fields of the experiment results. A result holds only what it
+# computed; the inputs that produced it belong to the caller.
+RESULT_FIELDS = {
+    "SweepRow": [
+        "axis_value", "moments", "variance", "mean_direct", "report", "gamma_max",
+        "normalized_moments", "flags",
+    ],
+    "SweepResult": ["axis", "rows"],
+    "ScalingResult": ["sizes", "slopes", "fit_exponent", "fit_prefactor", "residuals"],
+    "FitResult": ["coefficient", "residual_max", "band_edges"],
+    "CoherenceMap": ["coherences"],
+}
+
+
 def test_public_names_are_pinned():
     exported = sorted(
         name
@@ -73,3 +90,9 @@ def test_public_names_are_pinned():
         if not name.startswith("__") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_FIELDS))
+def test_result_fields_are_pinned(name):
+    cls = getattr(qworkstats, name)
+    assert [field.name for field in dataclasses.fields(cls)] == RESULT_FIELDS[name]

@@ -463,15 +463,10 @@ def test_aah_degeneracy_of_collected_values():
 def test_work_distribution_serialization():
     u = uncollected_distribution(lz_setup(-4.0, 4.0))
     w = collect_work_distribution(u)
-    text = w.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "W,P,multiplicity"
-    assert len(lines) == 1 + w.num_points
     record = w.to_json_record()
     assert record["diagnostics"]["cluster_tol"] == w.diagnostics.cluster_tol
     assert len(record["support"]) == w.num_points
-    parsed = [float(line.split(",")[0]) for line in lines[1:]]
-    assert np.allclose(parsed, w.support, rtol=0, atol=0)
+    assert record["support"] == [float(value) for value in w.support]
 
 
 def test_single_level_system_pipeline():

@@ -64,7 +64,6 @@ from .infotheory import (
 from .experiments import (
     DELTA_TO_ZERO,
     ZERO_TO_DELTA,
-    CoherenceMap,
     FitResult,
     ScalingResult,
     StateSpec,

@@ -115,7 +115,7 @@ def _run_lz_sweep(config: RunConfig, out: str):
     beta = config.state_beta if config.state_beta is not None else 0.1
     result = lz_sweep(
         omega_i=config.omega_i,
-        omega_f_grid=config.grid(),
+        omega_f_grid=config.grid(default_lz_grid(config.delta)),
         delta=config.delta,
         beta=beta,
         cluster_tol=config.cluster_tol,
@@ -129,8 +129,8 @@ def _run_lz_sweep(config: RunConfig, out: str):
         moments_path,
         header,
         (
-            [row.axis_value, *row.moments, row.variance, *row.normalized_moments]
-            for row in result.rows
+            [omega_f, *row.moments, row.variance, *row.normalized_moments]
+            for omega_f, row in zip(result.axis, result.rows)
         ),
     )
     entropy_path = os.path.join(out, "lz_sweep_entropy.csv")
@@ -138,8 +138,8 @@ def _run_lz_sweep(config: RunConfig, out: str):
         entropy_path,
         ["omega_f"] + _ENTROPY_HEADER + ["flags"],
         (
-            [row.axis_value, *row.report.csv_row(), ";".join(row.flags)]
-            for row in result.rows
+            [omega_f, *row.report.csv_row(), ";".join(row.flags)]
+            for omega_f, row in zip(result.axis, result.rows)
         ),
     )
     peak = float(np.max(result.column("h_w")))
@@ -149,7 +149,7 @@ def _run_lz_sweep(config: RunConfig, out: str):
 def _run_aah_hist(config: RunConfig, out: str):
     paths = []
     entropies: dict = {}
-    grid = config.grid()
+    grid = config.grid(np.array([1.5, 2.0, 2.5, 3.0]) * config.j)
     labels = [f"{delta:g}" for delta in grid]
     if len(set(labels)) < len(set(grid.tolist())):  # %g would merge distinct values
         labels = [repr(float(delta)) for delta in grid]
@@ -176,8 +176,8 @@ def _sweep_csvs(result, out: str, prefix: str, axis_name: str) -> list[str]:
         moments_path,
         [axis_name] + [f"m{k}" for k in range(1, 5)] + ["variance", "mean_direct"],
         (
-            [row.axis_value, *row.moments, row.variance, row.mean_direct]
-            for row in result.rows
+            [value, *row.moments, row.variance, row.mean_direct]
+            for value, row in zip(result.axis, result.rows)
         ),
     )
     entropy_path = os.path.join(out, f"{prefix}_entropy.csv")
@@ -185,8 +185,8 @@ def _sweep_csvs(result, out: str, prefix: str, axis_name: str) -> list[str]:
         entropy_path,
         [axis_name] + _ENTROPY_HEADER + ["gamma_max"],
         (
-            [row.axis_value, *row.report.csv_row(), row.gamma_max]
-            for row in result.rows
+            [value, *row.report.csv_row(), row.gamma_max]
+            for value, row in zip(result.axis, result.rows)
         ),
     )
     return [moments_path, entropy_path]
@@ -195,7 +195,7 @@ def _sweep_csvs(result, out: str, prefix: str, axis_name: str) -> list[str]:
 def _run_aah_sweep(config: RunConfig, out: str):
     result = aah_transition_sweep(
         fib_index=config.fib_index,
-        delta_grid=config.grid(),
+        delta_grid=config.grid(default_aah_grid(config.j)),
         direction=config.direction,
         state=config.state_spec(),
         j=config.j,
@@ -211,7 +211,7 @@ def _run_thermal_sweep(config: RunConfig, out: str):
     states = tuple(StateSpec.thermal(beta) for beta in config.state_betas)
     results = _aah_sweeps(
         config.fib_index,
-        config.grid(),
+        config.grid(default_aah_grid(config.j)),
         config.direction,
         states,
         config.j,
@@ -221,9 +221,9 @@ def _run_thermal_sweep(config: RunConfig, out: str):
     )
     path = os.path.join(out, "thermal_sweep_entropy.csv")
     rows = [
-        [beta, row.axis_value, *row.report.csv_row()]
+        [beta, delta, *row.report.csv_row()]
         for beta, result in zip(config.state_betas, results)
-        for row in result.rows
+        for delta, row in zip(result.axis, result.rows)
     ]
     _write_csv(path, ["beta", "delta"] + _ENTROPY_HEADER, rows)
     return [path], {"h_w_max": max(float(r[2]) for r in rows)}
@@ -266,8 +266,8 @@ def _run_aah_scaling(config: RunConfig, out: str):
 
 
 def _run_coherence_map(config: RunConfig, out: str):
-    grid = config.grid()
-    result = eigenstate_coherence_map(
+    grid = config.grid(default_aah_grid(config.j))
+    coherences = eigenstate_coherence_map(
         fib_index=config.fib_index,
         delta_grid=grid,
         j=config.j,
@@ -279,13 +279,13 @@ def _run_coherence_map(config: RunConfig, out: str):
     _write_csv(
         path,
         header,
-        ([level, *result.coherences[level]] for level in range(result.coherences.shape[0])),
+        ([level, *row] for level, row in enumerate(coherences)),
     )
-    return [path], {"c_max": float(result.coherences.max())}
+    return [path], {"c_max": float(coherences.max())}
 
 
 def _run_bandwidth_fit(config: RunConfig, out: str):
-    grid = config.grid()
+    grid = config.grid(default_aah_grid(config.j))
     result = bandwidth_fit(
         fib_index=config.fib_index,
         delta_grid=grid,
@@ -423,8 +423,8 @@ class RunConfig:
                 raise ConfigError(
                     f"{setting.name} must be one of {', '.join(choices)}; got {value!r}"
                 )
-        if self.cluster_tol is not None and not self.cluster_tol > 0:
-            raise ConfigError(f"cluster_tol must be positive, got {self.cluster_tol!r}")
+        if self.cluster_tol is not None and not 0 < self.cluster_tol < math.inf:
+            raise ConfigError(f"cluster_tol must be positive and finite, got {self.cluster_tol!r}")
         if self.threads < 0:
             raise ConfigError(f"threads must be >= 0, got {self.threads}")
         if not 3 <= self.fib_min <= self.fib_max:
@@ -445,26 +445,24 @@ class RunConfig:
             return StateSpec.eigenstate(self.state_level)
         return StateSpec.thermal(self.state_beta)
 
-    def grid(self) -> np.ndarray:
-        """Resolve the sweep grid: explicit values win over start/stop/points."""
+    def grid(self, default: np.ndarray) -> np.ndarray:
+        """The sweep grid: ``grid_values`` if set, else the subcommand's
+        ``default`` with its start, stop and point count taken from any grid
+        keys that are set."""
         if self.grid_values is not None:
-            return np.array(self.grid_values, dtype=float)
-        if self.subcommand == "aah-hist":
-            default = np.array([1.5, 2.0, 2.5, 3.0]) * self.j
-            if self.grid_start is None and self.grid_stop is None and self.grid_points is None:
-                return default
-        elif self.subcommand == "lz-sweep":
-            default = default_lz_grid(self.delta)
+            grid = np.array(self.grid_values, dtype=float)
+        elif self.grid_start is None and self.grid_stop is None and self.grid_points is None:
+            grid = default
         else:
-            default = default_aah_grid(self.j)
-        start = float(default[0]) if self.grid_start is None else self.grid_start
-        stop = float(default[-1]) if self.grid_stop is None else self.grid_stop
-        points = default.size if self.grid_points is None else self.grid_points
-        if points < 1:
-            raise ConfigError(f"grid needs at least one point, got {points}")
-        if stop < start:
-            raise ConfigError(f"grid stop {stop} below start {start}")
-        return np.linspace(start, stop, points)
+            start = float(default[0]) if self.grid_start is None else self.grid_start
+            stop = float(default[-1]) if self.grid_stop is None else self.grid_stop
+            if stop < start:
+                raise ConfigError(f"grid stop {stop} below start {start}")
+            points = default.size if self.grid_points is None else self.grid_points
+            grid = np.linspace(start, stop, max(points, 0))
+        if grid.size < 1:
+            raise ConfigError("grid needs at least one point")
+        return grid
 
 
 def _read_config_file(path: str) -> dict:
@@ -555,8 +553,6 @@ def run(config: RunConfig) -> int:
     manifest = {
         "version": __version__,
         "config": asdict(config),
-        "seed": config.seed,
-        "cluster_tol": config.cluster_tol,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

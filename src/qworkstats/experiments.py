@@ -111,7 +111,6 @@ class StateSpec:
 class SweepRow:
     """One sweep point: moments, variance, measured mean, full report (with H_W)."""
 
-    axis_value: float
     moments: np.ndarray
     variance: float
     mean_direct: float
@@ -157,13 +156,6 @@ class FitResult:
     band_edges: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class CoherenceMap:
-    """Per-level coherences, levels down the rows and grid across columns."""
-
-    coherences: np.ndarray
-
-
 def _fan_out(fn, items, workers: int):
     """Apply fn over items, fanning out across threads; results in item order."""
     if workers is None or workers <= 1 or len(items) <= 1:
@@ -203,7 +195,6 @@ def _flat_chain(fib_index: int, j: float) -> tuple[HermitianOperator, SpectralDe
 def _evaluate(
     setup: QuenchSetup,
     table: PairTable,
-    axis_value: float,
     cluster_tol: float | None,
     normalized_reference: np.ndarray | None = None,
     flags: tuple[str, ...] = (),
@@ -223,7 +214,6 @@ def _evaluate(
                 normalized_reference != 0.0, summary.moments / normalized_reference, np.nan
             )
     return SweepRow(
-        axis_value=float(axis_value),
         moments=summary.moments,
         variance=summary.variance,
         mean_direct=mean_direct,
@@ -266,7 +256,7 @@ def lz_sweep(
             flags = ()
             if math.isclose(abs(omega_f), abs(omega_i), rel_tol=0.0, abs_tol=1e-12 * delta):
                 flags = ("degenerate-detuning",)
-            return _evaluate(setup, table, omega_f, cluster_tol, reference, flags)
+            return _evaluate(setup, table, cluster_tol, reference, flags)
 
     reference = run_point(delta, None).moments
     rows = _fan_out(lambda wf: run_point(wf, reference), list(grid), workers)
@@ -358,7 +348,7 @@ def _aah_sweeps(
             for state in states:
                 with _at_point(beta=state.beta):
                     setup = QuenchSetup(hi=table.hi, hf=table.hf, rho=state.build(table.initial))
-                    row = _evaluate(setup, table, delta, cluster_tol)
+                    row = _evaluate(setup, table, cluster_tol)
                     if direction == ZERO_TO_DELTA and state.kind == "ground":
                         if abs(row.mean_direct) > GROUND_MEAN_TOL * j:
                             raise ValidationError(
@@ -451,8 +441,8 @@ def eigenstate_coherence_map(
     j: float = 1.0,
     eta: float = 1.2,
     workers: int = 1,
-) -> CoherenceMap:
-    """Coherence of every flat-chain eigenstate in the modulated basis.
+) -> np.ndarray:
+    """Coherence of every flat-chain eigenstate in the modulated basis, as (levels, grid).
 
     The quench direction is switch-on: the initial basis is the flat
     chain, and each grid column dephases against the chain at that
@@ -472,7 +462,7 @@ def eigenstate_coherence_map(
             return per_level_coherences(transition_probabilities(flat, final))
 
     columns = _fan_out(column, list(grid), workers)
-    return CoherenceMap(coherences=np.column_stack(columns))
+    return np.column_stack(columns)
 
 
 def bandwidth_fit(

@@ -24,7 +24,7 @@ as a physics result. All entropies are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,7 +47,7 @@ def _plogp(p: np.ndarray) -> float:
     live = p[p > 0.0]
     terms = np.log(live)
     terms *= live  # in place: inputs can be N^2 long
-    return float(-np.sum(terms))
+    return 0.0 - float(np.sum(terms))  # +0.0, not -0.0, when no term is nonzero
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
@@ -142,21 +142,13 @@ class BoundsReport:
     initial_is_ground: bool
     per_level_coherence: np.ndarray
 
-    CSV_FIELDS = (
-        "h_w",
-        "h_u",
-        "ln_gamma_max",
-        "s_diag",
-        "avg_coherence",
-        "rec_rho_bar",
-        "c_max",
-        "eff_dim",
-        "neg_log_eff_dim",
-        "initial_is_ground",
-    )
-
     def csv_row(self) -> list:
         return [getattr(self, name) for name in self.CSV_FIELDS]
+
+
+BoundsReport.CSV_FIELDS = tuple(
+    f.name for f in fields(BoundsReport) if f.name != "per_level_coherence"
+)
 
 
 def _require(name: str, lhs: float, rhs: float, slack: float = BOUND_SLACK) -> None:
@@ -193,8 +185,8 @@ def bounds_report(
             f"setup dimension {setup.dim} does not match table dimension {uncollected.dim}"
         )
     pn = uncollected.pn
-    pmn = uncollected.pmn
     table = uncollected.table
+    pmn = table.pmn
     per_level = table.memo("per_level_coherences", lambda: per_level_coherences(pmn))
     per_level.setflags(write=False)  # one vector shared by the reports of the table's states
     eff_dim, neg_log_eff_dim = table.memo(

@@ -81,9 +81,6 @@ class SpectralDecomposition:
     """Sorted eigenvalues with matching orthonormal eigenvectors.
 
     Column k of ``eigenvectors`` is the eigenvector of ``eigenvalues[k]``.
-    The eigenvector phase is fixed so the entry of largest modulus is real
-    and positive (ties broken by lowest index), which makes serialized
-    output reproducible across runs.
     """
 
     eigenvalues: np.ndarray
@@ -173,18 +170,13 @@ class UnitaryMatrix:
 def diagonalize(operator: HermitianOperator) -> SpectralDecomposition:
     """Full eigendecomposition with ascending eigenvalues.
 
-    The deterministic phase convention (largest-modulus entry made real
-    positive, ties to lowest index) leaves all transition probabilities
-    unchanged while pinning serialized eigenvectors bit-for-bit.
+    Each eigenvector keeps the phase LAPACK gives it: every output depends
+    on the vectors only through the overlaps |<m_f|U|n_i>|^2.
     """
     try:
         evals, vecs = np.linalg.eigh(operator.entries)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    lead_rows = np.argmax(np.abs(vecs), axis=0)
-    lead = vecs[lead_rows, np.arange(vecs.shape[1])]
-    phases = lead / np.abs(lead)
-    vecs = vecs * np.conj(phases)[np.newaxis, :]
     return SpectralDecomposition(eigenvalues=evals, eigenvectors=vecs)
 
 
@@ -259,4 +251,4 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
             f"invalid density matrix: negative eigenvalue {float(evals[0]):g}"
         )
     p = evals[evals > ENTROPY_EIGENVALUE_FLOOR]
-    return float(-np.sum(p * np.log(p)))
+    return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for a pure state

@@ -16,7 +16,7 @@ depend only on p_n and |<m_f|U|n_i>|^2; any other state is a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -176,8 +176,8 @@ class PairTable:
 class UncollectedDistribution:
     """Joint table over level pairs before degeneracy collection.
 
-    ``pn`` are initial-basis populations; ``pmn`` and ``bohr`` are those of
-    ``table``, which every state of the same quench shares.
+    ``pn`` are initial-basis populations; ``table`` holds the transitions
+    and Bohr frequencies, which every state of the same quench shares.
     """
 
     pn: np.ndarray
@@ -190,14 +190,6 @@ class UncollectedDistribution:
                 f"{pn.size} populations do not match {self.table.pmn.shape[0]} levels"
             )
         object.__setattr__(self, "pn", pn)
-
-    @property
-    def pmn(self) -> np.ndarray:
-        return self.table.pmn
-
-    @property
-    def bohr(self) -> np.ndarray:
-        return self.table.bohr
 
     @property
     def dim(self) -> int:
@@ -215,7 +207,7 @@ class UncollectedDistribution:
         The columns left out carry p_n = 0, so they hold no probability.
         """
         columns = self.columns
-        return np.clip(self.pn[columns] * self.pmn[:, columns], 0.0, None)
+        return np.clip(self.pn[columns] * self.table.pmn[:, columns], 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -280,16 +272,10 @@ class WorkDistribution:
 
     def to_json_record(self) -> dict:
         return {
-            "support": [float(w) for w in self.support],
-            "probs": [float(p) for p in self.probs],
-            "multiplicity": [int(m) for m in self.multiplicity],
-            "diagnostics": {
-                "cluster_tol": self.diagnostics.cluster_tol,
-                "min_gap": self.diagnostics.min_gap,
-                "warnings": list(self.diagnostics.warnings),
-                "dropped_pairs": self.diagnostics.dropped_pairs,
-                "dropped_mass": self.diagnostics.dropped_mass,
-            },
+            "support": self.support.tolist(),
+            "probs": self.probs.tolist(),
+            "multiplicity": self.multiplicity.tolist(),
+            "diagnostics": asdict(self.diagnostics),
         }
 
 
@@ -398,14 +384,14 @@ def collect_work_distribution(
     """
     if cluster_tol is None:
         cluster_tol = uncollected.table.default_cluster_tol
-    if not cluster_tol > 0:
-        raise ValidationError(f"cluster_tol must be positive, got {cluster_tol!r}")
+    if not 0 < cluster_tol < math.inf:
+        raise ValidationError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
     cluster_tol = float(cluster_tol)
     columns = uncollected.columns
     ids, members = _cluster_ids(uncollected.table, cluster_tol, columns)
     q = uncollected.joint()
     cluster_prob = np.bincount(ids, weights=q.ravel(), minlength=members.size)
-    q *= uncollected.bohr[:, columns]  # in place, since q can hold N^2 values
+    q *= uncollected.table.bohr[:, columns]  # in place, since q can hold N^2 values
     weighted_sum = np.bincount(ids, weights=q.ravel(), minlength=members.size)
 
     keep = cluster_prob >= DROP_THRESHOLD

@@ -22,7 +22,7 @@ def test_parse_config_defaults_for_aah_sweep(tmp_path):
     config = parse_config(path)
     assert config.fib_index == 16
     assert config.eta == 1.2
-    grid = config.grid()
+    grid = config.grid(experiments.default_aah_grid(config.j))
     assert grid.size == 80
     assert grid[0] == pytest.approx(0.05)
     assert grid[-1] == pytest.approx(4.0)
@@ -55,6 +55,17 @@ def test_parse_config_out_of_range_value(tmp_path):
     )
     with pytest.raises(ConfigError, match="cluster_tol"):
         parse_config(path)
+
+
+def test_infinite_cluster_tol_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(subcommand="aah-hist", cluster_tol=float("inf"))
+    out = tmp_path / "hist"
+    argv = ["aah-hist", "--out", str(out), "--fib-index", "7", "--cluster-tol", "inf"]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["type"] == "config-error" and "finite" in record["message"]
+    assert not out.exists()
 
 
 def test_flag_overrides_file_seed(tmp_path):
@@ -295,6 +306,9 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
     assert environment["cpu_count"] == os.cpu_count()
     assert {"python", "numpy"} <= set(environment)
     tolerances = manifest["tolerances"]
+    # the seed and the width are written once, in the config echo
+    assert "seed" not in manifest and "cluster_tol" not in manifest
+    assert manifest["config"]["seed"] == 12345 and manifest["config"]["cluster_tol"] is None
     assert tolerances["tpm.DEFAULT_CLUSTER_SCALE"] == 1e-12
     assert tolerances["tpm.DROP_THRESHOLD"] == 1e-15
     assert tolerances["infotheory.BOUND_SLACK"] == 1e-10
@@ -384,15 +398,38 @@ def test_aah_hist_gives_values_equal_at_g_precision_their_own_files(tmp_path, ca
     }
 
 
-def test_aah_hist_takes_the_grid_flags(tmp_path):
+def test_aah_hist_takes_the_grid_flags(tmp_path, monkeypatch):
     out = tmp_path / "hist"
     argv = ["aah-hist", "--out", str(out), "--fib-index", "7", "--threads", "1"]
     assert main([*argv, "--grid-start", "1", "--grid-stop", "2", "--grid-points", "3"]) == 0
     names = ["aah_hist_delta_1.csv", "aah_hist_delta_1p5.csv", "aah_hist_delta_2.csv"]
     assert json.loads((out / "manifest.json").read_text())["outputs"] == names
     # without grid settings the four default potentials stay as they were
-    default = parse_config(None, {"subcommand": "aah-hist", "j": 0.7}).grid()
-    assert np.array_equal(default, np.array([1.5, 2.0, 2.5, 3.0]) * 0.7)
+    deltas = []
+    histogram = cli.aah_work_histogram
+
+    def recording(params, *args, **kwargs):
+        deltas.append(params.delta)
+        return histogram(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "aah_work_histogram", recording)
+    assert main([*argv, "--j", "0.7"]) == 0
+    assert np.array_equal(deltas, np.array([1.5, 2.0, 2.5, 3.0]) * 0.7)
+
+
+@pytest.mark.parametrize("source", ["flag", "ini"])
+def test_empty_grid_values_are_a_validation_error(tmp_path, source):
+    out = tmp_path / "hist"
+    argv = ["aah-hist", "--out", str(out), "--fib-index", "7", "--threads", "1"]
+    if source == "flag":
+        argv += ["--grid-values", ","]
+    else:
+        argv += ["--config", write_config(tmp_path / "run.ini", "[grid]\nvalues =\n")]
+    assert main(argv) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "validation"
+    assert "at least one point" in manifest["error"]["message"]
+    assert manifest["outputs"] == []
 
 
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys):

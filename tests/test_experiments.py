@@ -180,11 +180,11 @@ def test_coherence_map_shape_and_limits():
     grid = np.array([1e-4, 1.0, 3.0])
     result = eigenstate_coherence_map(9, grid)
     n = 34
-    assert result.coherences.shape == (n, 3)
+    assert result.shape == (n, 3)
     # the unique ground level loses all coherence as the quench vanishes
-    assert result.coherences[0, 0] < 1e-4
+    assert result[0, 0] < 1e-4
     # past the transition every level carries substantial coherence
-    assert float(result.coherences[:, 2].min()) > 0.5
+    assert float(result[:, 2].min()) > 0.5
 
 
 def test_coherence_map_ground_row_matches_sweep_report():
@@ -192,7 +192,7 @@ def test_coherence_map_ground_row_matches_sweep_report():
     result = eigenstate_coherence_map(9, grid)
     sweep = aah_transition_sweep(9, grid, ZERO_TO_DELTA)
     for idx in range(grid.size):
-        assert result.coherences[0, idx] == pytest.approx(
+        assert result[0, idx] == pytest.approx(
             sweep.rows[idx].report.per_level_coherence[0], abs=1e-12
         )
 
@@ -200,7 +200,7 @@ def test_coherence_map_ground_row_matches_sweep_report():
 def test_coherence_map_levels_jump_together_at_transition():
     grid = np.array([1.5, 2.5])
     result = eigenstate_coherence_map(10, grid)
-    jumps = result.coherences[:, 1] - result.coherences[:, 0]
+    jumps = result[:, 1] - result[:, 0]
     assert float(np.min(jumps)) > 0.0
 
 

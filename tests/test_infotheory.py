@@ -70,6 +70,24 @@ def test_entropy_of_work_deterministic_case():
     assert entropy_of_work(w) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_zero_entropies_are_written_as_positive_zero():
+    # "-0" in an output file would read as a sign
+    from qworkstats.experiments import ZERO_TO_DELTA, aah_transition_sweep
+
+    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-5.0))
+    setup = QuenchSetup(hi=hi, hf=hi, rho=[0.3, 0.7])
+    one_point = collect_work_distribution(uncollected_distribution(setup))
+    assert one_point.num_points == 1
+    ground_row = aah_transition_sweep(8, [1.0], ZERO_TO_DELTA).rows[0]
+    assert ground_row.report.initial_is_ground
+    for value in (
+        entropy_of_work(one_point),
+        ground_row.report.s_diag,
+        von_neumann_entropy(DensityMatrix(entries=np.diag([0.0, 1.0]))),
+    ):
+        assert value == 0.0 and not np.signbit(value)
+
+
 def test_work_entropy_equals_uncollected_for_nondegenerate_lz():
     hi = lz_hamiltonian(LzParams(delta=1.0, omega=-20.0))
     hf = lz_hamiltonian(LzParams(delta=1.0, omega=3.0))
@@ -100,7 +118,7 @@ def test_uncollected_entropy_eigenstate_equals_column_coherence():
     k = 2
     setup = QuenchSetup(hi=hi, hf=hf, rho=eigenstate_projector(di, k))
     u = uncollected_distribution(setup)
-    coherences = per_level_coherences(u.pmn)
+    coherences = per_level_coherences(u.table.pmn)
     assert uncollected_entropy(u) == pytest.approx(coherences[k], abs=1e-10)
 
 
@@ -112,7 +130,7 @@ def test_one_level_state_sums_its_one_live_column(level):
     table = PairTable.of(flat, modulated, initial, diagonalize(modulated))
     u = UncollectedDistribution(level_populations(initial, level), table)
     assert u.joint().shape == (55, 1)
-    full_table = np.clip(u.pn[np.newaxis, :] * u.pmn, 0.0, None)
+    full_table = np.clip(u.pn[np.newaxis, :] * u.table.pmn, 0.0, None)
     assert uncollected_entropy(u) == pytest.approx(shannon_entropy(full_table), abs=1e-14)
 
 
@@ -207,7 +225,7 @@ def test_effective_dimension_lower_bounds_uncollected_entropy():
         di = diagonalize(hi)
         setup = QuenchSetup(hi=hi, hf=hf, rho=eigenstate_projector(di, 0))
         u = uncollected_distribution(setup)
-        i, neg_log = effective_dimension(u.pmn, 0)
+        i, neg_log = effective_dimension(u.table.pmn, 0)
         assert uncollected_entropy(u) >= neg_log - 1e-10
 
 

@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "AahParams",
     "BoundViolationError",
     "BoundsReport",
-    "CoherenceMap",
     "ConfigError",
     "DELTA_TO_ZERO",
     "DegenerateGroundStateError",
@@ -69,17 +68,21 @@ PUBLIC_NAMES = [
 ]
 
 
-# The fields of the experiment results. A result holds only what it
+# The fields of the result types. A result holds only what it
 # computed; the inputs that produced it belong to the caller.
 RESULT_FIELDS = {
     "SweepRow": [
-        "axis_value", "moments", "variance", "mean_direct", "report", "gamma_max",
+        "moments", "variance", "mean_direct", "report", "gamma_max",
         "normalized_moments", "flags",
     ],
     "SweepResult": ["axis", "rows"],
     "ScalingResult": ["sizes", "slopes", "fit_exponent", "fit_prefactor", "residuals"],
     "FitResult": ["coefficient", "residual_max", "band_edges"],
-    "CoherenceMap": ["coherences"],
+    # Its scalar fields, in this order, are the entropy columns of the CSV files.
+    "BoundsReport": [
+        "h_w", "h_u", "ln_gamma_max", "s_diag", "avg_coherence", "rec_rho_bar", "c_max",
+        "eff_dim", "neg_log_eff_dim", "initial_is_ground", "per_level_coherence",
+    ],
 }
 
 
@@ -96,3 +99,7 @@ def test_public_names_are_pinned():
 def test_result_fields_are_pinned(name):
     cls = getattr(qworkstats, name)
     assert [field.name for field in dataclasses.fields(cls)] == RESULT_FIELDS[name]
+
+
+def test_csv_fields_are_the_scalar_report_fields():
+    assert qworkstats.BoundsReport.CSV_FIELDS == tuple(RESULT_FIELDS["BoundsReport"][:-1])

@@ -80,8 +80,8 @@ def test_populations_route_matches_density_matrix_route(label, hi, hf):
             continue
         populations = QuenchSetup(hi=hi, hf=hf, rho=spec.build(initial))
         dense = QuenchSetup(hi=hi, hf=hf, rho=dense_state(spec, initial))
-        fast = _evaluate(populations, table, 0.0, None)
-        slow = _evaluate(dense, table, 0.0, None)
+        fast = _evaluate(populations, table, None)
+        slow = _evaluate(dense, table, None)
         where = f"{label} {spec}"
         for name in BoundsReport.CSV_FIELDS:
             assert close(getattr(fast.report, name), getattr(slow.report, name)), (where, name)

@@ -1,23 +1,30 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_setup
 from qworkstats import (
+    BoundsReport,
     DegenerateGroundStateError,
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
+    UncollectedDistribution,
     UnitaryMatrix,
     ValidationError,
+    bounds_report,
+    collect_work_distribution,
     dephase,
     diagonalize,
     eigenstate_projector,
+    initial_populations,
     thermal_state,
     von_neumann_entropy,
 )
 from qworkstats.models import AahParams, LzParams, aah_hamiltonian, lz_hamiltonian
+from qworkstats.tpm import PairTable
 
 
 def test_hermitian_operator_rejects_non_hermitian():
@@ -71,16 +78,35 @@ def test_diagonalize_random_invariants():
         assert np.all(np.diff(dec.eigenvalues) >= 0)
 
 
-def test_diagonalize_phase_convention_deterministic():
+def test_eigenvector_phases_leave_every_output_unchanged():
     rng = np.random.default_rng(3)
-    h = random_hermitian(rng, 8)
-    first = diagonalize(h)
-    second = diagonalize(HermitianOperator(entries=h.entries.copy()))
-    assert np.array_equal(first.eigenvectors, second.eigenvectors)
-    lead = np.argmax(np.abs(first.eigenvectors), axis=0)
-    picked = first.eigenvectors[lead, np.arange(8)]
-    assert np.all(np.abs(picked.imag) < 1e-14)
-    assert np.all(picked.real > 0)
+    setup = random_setup(rng, 8)
+    initial, final = diagonalize(setup.hi), diagonalize(setup.hf)
+    again = diagonalize(HermitianOperator(entries=setup.hi.entries.copy()))
+    assert np.array_equal(initial.eigenvectors, again.eigenvectors)
+
+    def rephased(dec):
+        phases = np.exp(2j * np.pi * rng.uniform(size=dec.dim))
+        return SpectralDecomposition(dec.eigenvalues, dec.eigenvectors * phases)
+
+    def outputs(initial, final):
+        table = PairTable.of(setup.hi, setup.hf, initial, final, setup.u)
+        uncollected = UncollectedDistribution(initial_populations(setup.rho, initial), table)
+        work = collect_work_distribution(uncollected)
+        return table, work, table.mean_work(uncollected.pn), bounds_report(setup, work, uncollected)
+
+    table, work, mean, report = outputs(initial, final)
+    table2, work2, mean2, report2 = outputs(rephased(initial), rephased(final))
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-14, atol=1e-14)
+
+    assert close(table.pmn, table2.pmn)
+    assert close(work.support, work2.support) and close(work.probs, work2.probs)
+    assert np.array_equal(work.multiplicity, work2.multiplicity)
+    assert close(mean, mean2)
+    for field in dataclasses.fields(BoundsReport):
+        assert close(getattr(report, field.name), getattr(report2, field.name)), field.name
 
 
 def test_thermal_state_infinite_temperature_is_maximally_mixed():

@@ -95,14 +95,14 @@ def test_initial_populations_thermal_and_uniform():
 
 def test_uncollected_two_level_has_four_pairs():
     u = uncollected_distribution(lz_setup(-20.0, 3.0))
-    assert u.bohr.shape == (2, 2)
+    assert u.table.bohr.shape == (2, 2)
     assert u.joint().size == 4
     assert float(u.joint().sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uncollected_lz_four_distinct_bohr_values():
     u = uncollected_distribution(lz_setup(-20.0, 3.0))
-    values = np.sort(u.bohr.ravel())
+    values = np.sort(u.table.bohr.ravel())
     assert np.all(np.diff(values) > 1e-6)
 
 
@@ -146,6 +146,11 @@ def test_collect_rejects_bad_tolerance():
         collect_work_distribution(u, cluster_tol=0.0)
     with pytest.raises(ValidationError):
         collect_work_distribution(u, cluster_tol=-1.0)
+    with pytest.raises(ValidationError):
+        collect_work_distribution(u, cluster_tol=math.nan)
+    # an infinite width would merge the whole spectrum into one work value
+    with pytest.raises(ValidationError, match="finite"):
+        collect_work_distribution(u, cluster_tol=math.inf)
 
 
 def test_collect_normalization_and_conservation():
@@ -467,6 +472,10 @@ def test_work_distribution_serialization():
     assert record["diagnostics"]["cluster_tol"] == w.diagnostics.cluster_tol
     assert len(record["support"]) == w.num_points
     assert record["support"] == [float(value) for value in w.support]
+    assert all(type(m) is int for m in record["multiplicity"])
+    assert sorted(record["diagnostics"]) == [
+        "cluster_tol", "dropped_mass", "dropped_pairs", "min_gap", "warnings"
+    ]
 
 
 def test_single_level_system_pipeline():

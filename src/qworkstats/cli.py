@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
+import functools
+import glob
 import json
 import math
 import os
@@ -67,6 +70,36 @@ _TOLERANCES = (
                   "GROUND_PROJECTOR_TOL")),
     (experiments, ("GROUND_MEAN_TOL",)),
 )
+
+
+@functools.cache
+def blas_threads() -> int | None:
+    """Threads of numpy's bundled OpenBLAS, read once on first use.
+
+    ``None`` when numpy bundles no OpenBLAS with a thread-count getter:
+    the pool then sizes itself by cores alone.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            library = ctypes.CDLL(path)  # numpy has it loaded: this reuses its handle
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(library, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+def _blas_record() -> dict:
+    try:
+        build = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        build = {}
+    return {"name": build.get("name"), "version": build.get("version"),
+            "threads": blas_threads()}
 
 
 def _format_cell(value) -> str:
@@ -390,7 +423,8 @@ class RunConfig:
     subcommand: str = _setting("run", str, flag=None, choices=SUBCOMMANDS)
     out: str = _setting("run", str, "results", help="output directory (default: results)")
     seed: int = _setting("run", int, DEFAULT_SEED, help="seed for phase sampling")
-    threads: int = _setting("run", int, 0, help="worker threads (0 = logical cores)")
+    threads: int = _setting("run", int, 0,
+                            help="worker threads (0 = logical cores divided by BLAS threads)")
     cluster_tol: float | None = _setting("run", float, None,
                                          help="override the degeneracy clustering width")
     bits: bool = _setting("run", _parse_bool, False,
@@ -436,7 +470,12 @@ class RunConfig:
 
     @property
     def workers(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+        """``threads``, or for 0 the cores left after each ``eigh`` takes its
+        BLAS threads: more workers only make the BLAS threads share cores."""
+        if self.threads > 0:
+            return self.threads
+        cores, per_call = os.cpu_count() or 1, blas_threads()
+        return max(1, cores // per_call) if per_call else cores
 
     def state_spec(self) -> StateSpec:
         if self.state_kind == "ground":
@@ -557,6 +596,7 @@ def run(config: RunConfig) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "blas": _blas_record(),
             "pool_workers": config.workers,
         },
         "tolerances": {

@@ -198,6 +198,8 @@ def bounds_report(
     c_max = float(per_level.max())
     rotated_populations = pmn @ pn
     rec_rho_bar = shannon_entropy(rotated_populations) - s_diag
+    _require("coherence_nonnegative", -rec_rho_bar, 0.0)  # C(rho_bar) >= 0
+    rec_rho_bar = max(rec_rho_bar, 0.0)  # cancellation noise below 0 is written as 0
 
     report = BoundsReport(
         h_w=entropy_of_work(work),

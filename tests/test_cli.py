@@ -1,6 +1,9 @@
 import argparse
+import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -305,6 +308,9 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
     assert environment["pool_workers"] == 2
     assert environment["cpu_count"] == os.cpu_count()
     assert {"python", "numpy"} <= set(environment)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment["blas"] == {"name": blas.get("name"), "version": blas.get("version"),
+                                   "threads": cli.blas_threads()}
     tolerances = manifest["tolerances"]
     # the seed and the width are written once, in the config echo
     assert "seed" not in manifest and "cluster_tol" not in manifest
@@ -315,6 +321,75 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
     assert tolerances["experiments.GROUND_MEAN_TOL"] == 1e-10
     assert {"tpm.PROBABILITY_TOL", "tpm.STOCHASTICITY_TOL", "tpm.NORMALIZATION_TOL",
             "spectral.HERMITICITY_RTOL", "spectral.ORTHONORMALITY_TOL"} <= set(tolerances)
+
+
+@pytest.mark.parametrize(
+    "cores,blas,workers", [(2, 2, 1), (8, 2, 4), (3, 2, 1), (2, 8, 1), (2, None, 2)]
+)
+def test_default_pool_divides_cores_by_blas_threads(monkeypatch, cores, blas, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(cli, "blas_threads", lambda: blas)
+    assert RunConfig(subcommand="aah-sweep").workers == workers
+    assert RunConfig(subcommand="aah-sweep", threads=3).workers == 3
+
+
+BLAS_THREADS_CHILD = r"""
+import json
+import sys
+
+from qworkstats import cli
+
+status = cli.main(["aah-sweep", "--out", sys.argv[1], "--fib-index", "7", "--grid-values", "1.5"])
+print(json.dumps({"status": status, "threads": cli.blas_threads()}))
+"""
+
+
+def test_blas_reader_sees_the_environment_and_sizes_the_pool(tmp_path):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")}
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS_CHILD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout.splitlines()[-1])
+    assert child["status"] == 0
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    bundled = glob.glob(os.path.join(libs, "*openblas*"))
+    assert child["threads"] == (1 if bundled else None)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["environment"]["blas"]["threads"] == child["threads"]
+    assert manifest["environment"]["pool_workers"] == os.cpu_count()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aah-sweep", "--grid-values", "0.5,1.5,2.5,3.5"],
+        ["thermal-sweep", "--grid-values", "1.5,2.5"],
+    ],
+)
+def test_pool_size_changes_no_byte_where_blas_threads_its_calls(tmp_path, argv):
+    # at N = 377, unlike N = 21, OpenBLAS splits eigh over its threads, so its
+    # bits move with the BLAS thread count: the pool size must still move none
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main([*argv, "--out", str(out), "--fib-index", "14", "--threads", threads]) == 0
+        written[threads] = {
+            name: (out / name).read_bytes() for name in os.listdir(out) if name.endswith(".csv")
+        }
+    assert written["1"] and written["1"] == written["2"]
+
+
+def test_equal_rotated_populations_write_zero_rec_rho_bar(tmp_path):
+    # omega_f = omega_i: the quench changes nothing, and C(rho_bar) cancels to
+    # -9.7e-17 before it is floored at 0
+    out = tmp_path / "lz"
+    assert main(["lz-sweep", "--out", str(out), "--grid-values=-20,3", "--threads", "1"]) == 0
+    lines = (out / "lz_sweep_entropy.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = {row[0]: dict(zip(header, row)) for row in (line.split(",") for line in lines[1:])}
+    assert rows["-20"]["rec_rho_bar"] == "0"
+    assert float(rows["3"]["rec_rho_bar"]) > 0.0
 
 
 @pytest.mark.parametrize(

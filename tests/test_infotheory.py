@@ -32,6 +32,7 @@ from qworkstats import (
     uncollected_entropy,
     von_neumann_entropy,
 )
+from qworkstats import infotheory
 from qworkstats.infotheory import BoundsReport, check_bounds
 from qworkstats.tpm import PairTable
 
@@ -309,6 +310,19 @@ def test_check_bounds_raises_on_corrupt_report():
     with pytest.raises(BoundViolationError) as caught:
         check_bounds(broken)
     assert caught.value.excess > 0
+
+
+def test_negative_rec_rho_bar_beyond_the_slack_is_a_bound_violation(monkeypatch):
+    h = lz_hamiltonian(LzParams(delta=1.0, omega=-20.0))
+    setup = QuenchSetup(hi=h, hf=h, rho=np.array([0.7, 0.3]))
+    u = uncollected_distribution(setup)
+    work = collect_work_distribution(u)
+    entropy = infotheory.shannon_entropy
+    # S(rho_bar) 1e-9 below S(diag rho): C(rho_bar) = -1e-9, ten times the slack
+    monkeypatch.setattr(infotheory, "shannon_entropy",
+                        lambda p: entropy(p) - (0.0 if p is u.pn else 1e-9))
+    with pytest.raises(BoundViolationError, match="coherence_nonnegative"):
+        bounds_report(setup, work, u)
 
 
 def test_bounds_report_serialization_contract():

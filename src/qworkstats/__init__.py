@@ -45,7 +45,6 @@ from .tpm import (
     collect_work_distribution,
     max_degeneracy,
     mean_work_direct,
-    measured_mean_work,
     transition_probabilities,
     initial_populations,
     uncollected_distribution,

@@ -109,10 +109,13 @@ class StateSpec:
 
 @dataclass(frozen=True, eq=False)
 class SweepRow:
-    """One sweep point: moments, variance, measured mean, full report (with H_W)."""
+    """One sweep point: moments, variance, measured mean, full report (with H_W).
 
-    moments: np.ndarray
-    variance: float
+    ``moments`` and ``variance`` are None in a row computed without them.
+    """
+
+    moments: np.ndarray | None
+    variance: float | None
     mean_direct: float
     report: BoundsReport
     gamma_max: int
@@ -198,14 +201,18 @@ def _evaluate(
     cluster_tol: float | None,
     normalized_reference: np.ndarray | None = None,
     flags: tuple[str, ...] = (),
+    moments: bool = True,
 ) -> SweepRow:
-    """One sweep row of ``setup`` on ``table``, the ``PairTable.of`` of its quench."""
+    """One sweep row of ``setup`` on ``table``, the ``PairTable.of`` of its quench.
+
+    With ``moments`` false the row skips the work moments and leaves them None.
+    """
     uncollected = UncollectedDistribution(initial_populations(setup.rho, table.initial), table)
     work = collect_work_distribution(uncollected, cluster_tol)
     # Sweep states carry no coherence in the initial basis, so the measured
     # mean checked here is also the trace-formula mean.
     mean_direct = check_first_moment(work, uncollected)
-    summary = work_moments(work, MOMENT_ORDERS)
+    summary = work_moments(work, MOMENT_ORDERS) if moments else None
     report = bounds_report(setup, work, uncollected)
     normalized = None
     if normalized_reference is not None:
@@ -214,8 +221,8 @@ def _evaluate(
                 normalized_reference != 0.0, summary.moments / normalized_reference, np.nan
             )
     return SweepRow(
-        moments=summary.moments,
-        variance=summary.variance,
+        moments=summary.moments if summary else None,
+        variance=summary.variance if summary else None,
         mean_direct=mean_direct,
         report=report,
         gamma_max=max_degeneracy(work),
@@ -319,13 +326,16 @@ def _aah_sweeps(
     eta: float,
     cluster_tol: float | None,
     workers: int,
+    *,
+    moments: bool = True,
 ) -> tuple[SweepResult, ...]:
     """``aah_transition_sweep`` for each of ``states``, sharing each potential's quench.
 
     Each potential is diagonalized once, and its pair table (transitions,
     Bohr frequencies and everything derived from them alone) built once,
     for all of the states. A failure names its potential and, for a
-    thermal state, its inverse temperature.
+    thermal state, its inverse temperature. A caller that writes no
+    moments passes ``moments=False``, and its rows skip them.
     """
     _check_direction(direction)
     if not states:
@@ -348,7 +358,7 @@ def _aah_sweeps(
             for state in states:
                 with _at_point(beta=state.beta):
                     setup = QuenchSetup(hi=table.hi, hf=table.hf, rho=state.build(table.initial))
-                    row = _evaluate(setup, table, cluster_tol)
+                    row = _evaluate(setup, table, cluster_tol, moments=moments)
                     if direction == ZERO_TO_DELTA and state.kind == "ground":
                         if abs(row.mean_direct) > GROUND_MEAN_TOL * j:
                             raise ValidationError(

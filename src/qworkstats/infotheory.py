@@ -152,7 +152,7 @@ BoundsReport.CSV_FIELDS = tuple(
 
 
 def _require(name: str, lhs: float, rhs: float, slack: float = BOUND_SLACK) -> None:
-    if lhs > rhs + slack:
+    if not lhs <= rhs + slack:  # a NaN fails
         raise BoundViolationError(name, lhs, rhs, slack)
 
 

@@ -106,21 +106,24 @@ class PairTable:
     hi = hf = u = initial = None
 
     def __init__(self, pmn, bohr):
-        self._own(np.array(pmn, dtype=float), np.array(bohr, dtype=float))
-
-    def _own(self, pmn: np.ndarray, bohr: np.ndarray) -> None:
+        pmn, bohr = np.array(pmn, dtype=float), np.array(bohr, dtype=float)
         n = pmn.shape[0] if pmn.ndim == 2 else 0
         if n < 1 or pmn.shape != (n, n) or bohr.shape != (n, n):
             raise DimensionMismatchError(
                 f"table shapes {pmn.shape}, {bohr.shape} are not one square shape"
             )
-        if float(pmn.min()) < -PROBABILITY_TOL or float(pmn.max()) > 1 + PROBABILITY_TOL:
+        if not (pmn.min() >= -PROBABILITY_TOL and pmn.max() <= 1 + PROBABILITY_TOL):
             raise ValidationError(
                 f"pmn entries outside [0, 1]: pmn in [{pmn.min():g}, {pmn.max():g}]"
             )
         worst = float(np.max(np.abs(pmn.sum(axis=0) - 1.0)))
-        if worst > STOCHASTICITY_TOL:
+        if not worst <= STOCHASTICITY_TOL:
             raise ValidationError(f"transition columns deviate from 1 by {worst:g}")
+        if not np.isfinite(bohr).all():
+            raise ValidationError("Bohr frequencies must be finite")
+        self._own(pmn, bohr)
+
+    def _own(self, pmn: np.ndarray, bohr: np.ndarray) -> None:
         pmn.setflags(write=False)
         bohr.setflags(write=False)
         self.pmn = pmn
@@ -141,7 +144,11 @@ class PairTable:
         final: SpectralDecomposition,
         u: UnitaryMatrix | None = None,
     ) -> PairTable:
-        """The quench from ``hi`` to ``hf`` under ``u``, given both decompositions."""
+        """The quench from ``hi`` to ``hf`` under ``u``, given both decompositions.
+
+        ``transition_probabilities`` has checked that the table is doubly
+        stochastic, and its entries are squared moduli, so they lie in [0, 1].
+        """
         table = object.__new__(cls)
         table._own(
             transition_probabilities(initial, final, u),
@@ -295,7 +302,7 @@ def transition_probabilities(
         float(np.max(np.abs(pmn.sum(axis=0) - 1.0))),
         float(np.max(np.abs(pmn.sum(axis=1) - 1.0))),
     )
-    if worst > STOCHASTICITY_TOL:
+    if not worst <= STOCHASTICITY_TOL:
         raise ValidationError(f"transition matrix deviates from doubly stochastic by {worst:g}")
     return pmn
 
@@ -470,34 +477,22 @@ def _rotated_difference(quench) -> np.ndarray:
 def mean_work_direct(setup: QuenchSetup) -> float:
     """<W> from the trace formula tr[(U^dag Hf U - Hi) rho].
 
-    Evaluated without diagonalizing anything for a density matrix; a
-    population state has no coherence in the initial energy basis, so
-    there it is ``measured_mean_work``. For a coherent state the first
-    projective measurement removes the coherences, and the two differ.
+    Evaluated without diagonalizing anything for a density matrix. A
+    population state has no coherence in the initial energy basis, so there
+    it is sum_n p_n <n_i|U^dag Hf U - Hi|n_i> over the levels with p_n > 0:
+    one mat-vec for an eigenstate. That is also the mean of the two-point
+    statistics of any state, whose first measurement removes the
+    coherences; ``PairTable.mean_work`` evaluates it for those.
     """
     if isinstance(setup.rho, DensityMatrix):
         return float(np.real(np.einsum("ij,ji->", _rotated_difference(setup), setup.rho.entries)))
-    return measured_mean_work(setup)
+    live = np.flatnonzero(setup.rho > 0.0)
+    return float(_level_work(setup, diagonalize(setup.hi), live) @ setup.rho[live])
 
 
 def _level_work(quench, initial: SpectralDecomposition, live: np.ndarray) -> np.ndarray:
     v = initial.eigenvectors[:, live]
     return np.real(np.sum(v.conj() * (_rotated_difference(quench) @ v), axis=0))
-
-
-def measured_mean_work(setup: QuenchSetup) -> float:
-    """<W> of the two-point statistics: the trace formula on the dephased state.
-
-    The first energy measurement projects the initial state onto the
-    initial eigenbasis, so the exact first moment of the work distribution
-    is tr[(U^dag Hf U - Hi) rho_bar] = sum_n p_n <n_i|U^dag Hf U - Hi|n_i>,
-    over the levels with p_n > 0: one mat-vec for an eigenstate.
-    ``PairTable.mean_work`` shares that product between the states of a quench.
-    """
-    initial = diagonalize(setup.hi)
-    pn = initial_populations(setup.rho, initial)
-    live = np.flatnonzero(pn > 0.0)
-    return float(_level_work(setup, initial, live) @ pn[live])
 
 
 def check_first_moment(work: WorkDistribution, uncollected: UncollectedDistribution) -> float:
@@ -511,7 +506,7 @@ def check_first_moment(work: WorkDistribution, uncollected: UncollectedDistribut
     from_dist = float(np.sum(work.support * work.probs))
     from_trace = uncollected.table.mean_work(uncollected.pn)
     scale = max(abs(from_trace), float(np.sum(np.abs(work.support) * work.probs)), 1e-300)
-    if abs(from_dist - from_trace) > RELATIVE_MEAN_TOL * scale:
+    if not abs(from_dist - from_trace) <= RELATIVE_MEAN_TOL * scale:
         raise ValidationError(
             f"distribution mean {from_dist!r} and trace formula {from_trace!r} "
             f"disagree beyond {RELATIVE_MEAN_TOL:g} relative"

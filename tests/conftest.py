@@ -8,6 +8,7 @@ from qworkstats import (
     DensityMatrix,
     HermitianOperator,
     QuenchSetup,
+    SpectralDecomposition,
     UnitaryMatrix,
 )
 
@@ -43,3 +44,20 @@ def random_setup(rng: np.random.Generator, dim: int, with_unitary: bool = True) 
         rho=random_density(rng, dim, rank=rng.integers(1, dim + 1)),
         u=u,
     )
+
+
+def assert_decomposes(dec: SpectralDecomposition, source: HermitianOperator,
+                      tol: float = 1e-10) -> None:
+    """Orthonormal eigenvectors that rebuild ``source`` to ``tol`` of the spectral span."""
+    v = dec.eigenvectors
+    residual = float(np.max(np.abs(v.conj().T @ v - np.eye(dec.dim))))
+    assert residual <= tol, f"eigenvectors not orthonormal: residual {residual:g}"
+    rebuilt = (v * dec.eigenvalues) @ v.conj().T
+    residual = float(np.max(np.abs(rebuilt - source.entries)))
+    assert residual <= tol * dec.spectral_span, f"reconstruction residual {residual:g}"
+
+
+def assert_positive(rho: DensityMatrix, tol: float = 1e-10) -> None:
+    """No eigenvalue of ``rho`` below ``-tol``."""
+    smallest = float(np.linalg.eigvalsh(rho.entries)[0])
+    assert smallest >= -tol, f"density matrix has negative eigenvalue {smallest:g}"

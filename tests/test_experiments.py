@@ -19,8 +19,9 @@ from qworkstats import (
     lz_sweep,
     scaling_derivative,
 )
-from qworkstats import experiments, infotheory, tpm
+from qworkstats import cli, experiments, infotheory, tpm
 from qworkstats.experiments import _aah_sweeps, _flat_chain
+from qworkstats.infotheory import BoundsReport
 from qworkstats.models import BAND_EDGE_COEFFICIENT
 
 
@@ -311,6 +312,35 @@ def test_each_potential_builds_one_pair_table_per_sweep(monkeypatch):
     assert len(transitions) == len(grid)
     assert len(coherences) == len(grid)
     assert all(len(result.rows) == len(grid) for result in results)
+
+
+def test_thermal_sweep_computes_no_moments_and_the_same_reports(monkeypatch, tmp_path):
+    # thermal-sweep writes entropies only, so its rows skip the work moments
+    calls = []
+    real_moments = tpm.work_moments
+
+    def counting_moments(work, max_order):
+        calls.append(work.num_points)
+        return real_moments(work, max_order)
+
+    grid = [1.5, 2.5]
+    states = tuple(StateSpec.thermal(beta) for beta in (0.01, 1.0, 100.0, 1e4))
+    monkeypatch.setattr(experiments, "work_moments", counting_moments)
+    full = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2)
+    assert len(calls) == len(grid) * len(states)
+
+    calls.clear()
+    lean = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2, moments=False)
+    argv = ["thermal-sweep", "--out", str(tmp_path), "--fib-index", "8", "--grid-values",
+            "1.5,2.5", "--threads", "2"]
+    assert cli.main(argv) == 0
+    assert calls == []
+    for with_moments, without in zip(full, lean):
+        assert all(row.moments is None and row.variance is None for row in without.rows)
+        for name in (*BoundsReport.CSV_FIELDS, "mean_direct", "gamma_max"):
+            assert np.array_equal(without.column(name), with_moments.column(name)), name
+        for a, b in zip(without.rows, with_moments.rows):
+            assert np.array_equal(a.report.per_level_coherence, b.report.per_level_coherence)
 
 
 def test_shared_sweep_matches_one_sweep_per_state():

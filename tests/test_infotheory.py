@@ -1,9 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density, random_hermitian, random_setup
+from conftest import (
+    assert_positive,
+    haar_unitary,
+    random_density,
+    random_hermitian,
+    random_setup,
+)
 from qworkstats import (
     AahParams,
     BoundViolationError,
@@ -312,6 +319,16 @@ def test_check_bounds_raises_on_corrupt_report():
     assert caught.value.excess > 0
 
 
+@pytest.mark.parametrize(
+    "name", ["h_w", "h_u", "ln_gamma_max", "s_diag", "avg_coherence", "rec_rho_bar", "c_max"]
+)
+def test_nan_entropy_fails_the_bound_chain(name):
+    report, _, _ = report_for(random_setup(np.random.default_rng(141), 3))
+    check_bounds(report)
+    with pytest.raises(BoundViolationError, match="nan"):
+        check_bounds(dataclasses.replace(report, **{name: math.nan}))
+
+
 def test_negative_rec_rho_bar_beyond_the_slack_is_a_bound_violation(monkeypatch):
     h = lz_hamiltonian(LzParams(delta=1.0, omega=-20.0))
     setup = QuenchSetup(hi=h, hf=h, rho=np.array([0.7, 0.3]))
@@ -337,8 +354,8 @@ def test_von_neumann_entropy_rejects_negative_state():
     bad = DensityMatrix(entries=np.diag([1.1, -0.1]))
     with pytest.raises(ValidationError, match="negative eigenvalue"):
         von_neumann_entropy(bad)
-    with pytest.raises(ValidationError):
-        bad.validate()
+    with pytest.raises(AssertionError, match="negative eigenvalue"):
+        assert_positive(bad)
 
 
 def test_bounds_report_cross_route_on_lattice():

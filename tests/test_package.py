@@ -53,7 +53,6 @@ PUBLIC_NAMES = [
     "lz_sweep",
     "max_degeneracy",
     "mean_work_direct",
-    "measured_mean_work",
     "per_level_coherences",
     "relative_entropy_of_coherence",
     "scaling_derivative",

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian, random_setup
+from conftest import (
+    assert_decomposes,
+    assert_positive,
+    random_density,
+    random_hermitian,
+    random_setup,
+)
 from qworkstats import (
     BoundsReport,
     DegenerateGroundStateError,
@@ -24,12 +30,42 @@ from qworkstats import (
     von_neumann_entropy,
 )
 from qworkstats.models import AahParams, LzParams, aah_hamiltonian, lz_hamiltonian
+from qworkstats.spectral import HERMITICITY_RTOL
 from qworkstats.tpm import PairTable
 
 
 def test_hermitian_operator_rejects_non_hermitian():
     with pytest.raises(ValidationError, match=r"\(0,1\)"):
         HermitianOperator(entries=np.array([[1.0, 2.0], [3.0, 1.0]]))
+
+
+@pytest.mark.parametrize("kind", [HermitianOperator, DensityMatrix])
+def test_hermiticity_tolerance_branch_keeps_its_bound_and_message(kind):
+    # exactly Hermitian input takes the exact branch; the tolerance test
+    # still accepts a matrix off by less than HERMITICITY_RTOL of its scale
+    base = np.array([[0.25, 0.5], [0.5, 0.75]])
+    near = base.copy()
+    near[0, 1] += 0.5 * HERMITICITY_RTOL * 0.75
+    assert not (near == near.T).all()
+    kind(entries=near)
+    far = base.copy()
+    far[0, 1] += 4.0 * HERMITICITY_RTOL * 0.75
+    message = r"not Hermitian: entry \(0,1\) = .* but conj\(\(1,0\)\)"
+    with pytest.raises(ValidationError, match=message):
+        kind(entries=far)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_matrix_types_reject_non_finite_entries(bad):
+    # symmetric: an infinite entry equals its mirror, so the exact
+    # Hermiticity test alone would pass it
+    symmetric = np.array([[0.5, bad], [bad, 0.5]])
+    on_diagonal = np.array([[bad, 0.0], [0.0, 1.0]])
+    imaginary = np.array([[0.5, complex(0.0, bad)], [complex(0.0, -bad), 0.5]])
+    for entries in (symmetric, on_diagonal, imaginary):
+        for kind in (HermitianOperator, DensityMatrix, UnitaryMatrix):
+            with pytest.raises(ValidationError, match="non-finite"):
+                kind(entries=entries)
 
 
 def test_hermitian_operator_rejects_non_square():
@@ -74,7 +110,7 @@ def test_diagonalize_random_invariants():
         dim = int(rng.integers(2, 65))
         h = random_hermitian(rng, dim, complex_entries=bool(rng.integers(2)))
         dec = diagonalize(h)
-        dec.validate(source=h)
+        assert_decomposes(dec, h)
         assert np.all(np.diff(dec.eigenvalues) >= 0)
 
 
@@ -202,6 +238,7 @@ def test_dephase_idempotent_and_entropy_non_decreasing():
         basis = diagonalize(random_hermitian(rng, dim))
         once = dephase(rho, basis)
         twice = dephase(once, basis)
+        assert_positive(once)
         assert np.max(np.abs(twice.entries - once.entries)) < 1e-12
         assert von_neumann_entropy(once) >= von_neumann_entropy(rho) - 1e-10
 

@@ -11,10 +11,12 @@ from qworkstats import (
     HermitianOperator,
     LzParams,
     QuenchSetup,
+    SpectralDecomposition,
     UncollectedDistribution,
     ValidationError,
     aah_hamiltonian,
     collect_work_distribution,
+    dephase,
     diagonalize,
     eigenstate_projector,
     initial_populations,
@@ -27,7 +29,7 @@ from qworkstats import (
     work_moments,
 )
 from qworkstats import tpm
-from qworkstats.tpm import PairTable, check_first_moment, measured_mean_work
+from qworkstats.tpm import PairTable, check_first_moment
 
 
 def lz_setup(omega_i, omega_f, beta=0.1, delta=1.0):
@@ -35,6 +37,14 @@ def lz_setup(omega_i, omega_f, beta=0.1, delta=1.0):
     hf = lz_hamiltonian(LzParams(delta=delta, omega=omega_f))
     rho = thermal_state(diagonalize(hi), beta)
     return QuenchSetup(hi=hi, hf=hf, rho=rho)
+
+
+def dephased(setup):
+    """The setup with its state dephased in the initial eigenbasis: the first
+    energy measurement's state, whose plain trace-formula mean is the mean
+    of the two-point statistics."""
+    rho = dephase(setup.rho, diagonalize(setup.hi))
+    return QuenchSetup(hi=setup.hi, hf=setup.hf, rho=rho, u=setup.u)
 
 
 def test_transition_probabilities_identity_case():
@@ -307,7 +317,7 @@ def test_pair_table_mean_work_shares_first_moment_products_per_live_set():
     table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf), u)
     for rho in ([0.3, 0.7], [1.0, 0.0], [0.6, 0.4]):
         setup = QuenchSetup(hi=hi, hf=hf, rho=rho, u=u)
-        assert table.mean_work(setup.rho) == measured_mean_work(setup)
+        assert table.mean_work(setup.rho) == mean_work_direct(setup)
     assert len([key for key in table._memo if key[0] == "level_work"]) == 2
     with pytest.raises(ValidationError, match="no Hamiltonians"):
         PairTable(table.pmn, table.bohr).mean_work(np.array([0.5, 0.5]))
@@ -337,6 +347,32 @@ def test_pair_table_copies_caller_arrays_and_keeps_its_own(monkeypatch):
     table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf))
     assert table.pmn is computed[0]
     assert not table.pmn.flags.writeable
+
+
+def test_nan_fails_the_stochasticity_and_first_moment_checks(monkeypatch):
+    pmn = np.array([[0.75, math.nan], [0.25, 0.5]])
+    bohr = np.array([[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(ValidationError, match="outside"):
+        PairTable(pmn, bohr)
+    with pytest.raises(ValidationError, match="deviate"):
+        PairTable(np.array([[0.75, 0.5], [0.5, 0.5]]), bohr)
+    with pytest.raises(ValidationError, match="Bohr"):
+        PairTable(np.full((2, 2), 0.5), np.array([[0.0, math.nan], [2.0, 3.0]]))
+
+    # eigenvectors are not validated, so a NaN one reaches the transitions
+    finite = diagonalize(lz_hamiltonian(LzParams(delta=1.0, omega=2.0)))
+    vectors = finite.eigenvectors.copy()
+    vectors[0, 0] = math.nan
+    broken = SpectralDecomposition(finite.eigenvalues, vectors)
+    with pytest.raises(ValidationError, match="doubly stochastic by nan"):
+        transition_probabilities(broken, finite)
+
+    u = uncollected_distribution(lz_setup(-3.0, 2.0))
+    w = collect_work_distribution(u)
+    check_first_moment(w, u)
+    monkeypatch.setattr(u.table, "mean_work", lambda pn: math.nan)
+    with pytest.raises(ValidationError, match="disagree"):
+        check_first_moment(w, u)
 
 
 def test_proximity_warning_for_marginal_gaps():
@@ -371,7 +407,7 @@ def test_first_moment_matches_trace_formula():
         w = collect_work_distribution(u)
         check_first_moment(w, u)
         summary = work_moments(w, 1)
-        measured = measured_mean_work(setup)
+        measured = mean_work_direct(dephased(setup))
         scale = max(abs(measured), float(np.sum(np.abs(w.support) * w.probs)))
         assert abs(summary[1] - measured) <= 1e-8 * scale
 
@@ -387,7 +423,7 @@ def test_first_moment_plain_trace_formula_for_commuting_states():
         )
         w = collect_work_distribution(uncollected_distribution(setup))
         direct = mean_work_direct(setup)
-        assert measured_mean_work(setup) == pytest.approx(direct, abs=1e-12)
+        assert mean_work_direct(dephased(setup)) == pytest.approx(direct, abs=1e-12)
         summary = work_moments(w, 1)
         scale = max(abs(direct), float(np.sum(np.abs(w.support) * w.probs)))
         assert abs(summary[1] - direct) <= 1e-8 * scale

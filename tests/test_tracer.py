@@ -64,7 +64,9 @@ def test_traced_runs_leave_no_unwrapped_layer_function(tmp_path):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["statuses"] == [0, 0]
     assert result["stray"] == []
+    # aah-sweep writes moments, so the moments layer fires (thermal-sweep skips it)
     assert {"tpm.collect", "tpm.check_first_moment", "tpm.transition_probabilities",
-            "infotheory.bounds_report", "experiments.point"} <= set(result["fired"])
+            "tpm.work_moments", "infotheory.bounds_report",
+            "experiments.point"} <= set(result["fired"])
     # basis_populations is named by the tracer but no longer defined in spectral
     assert set(result["absent"]) <= {"qworkstats.spectral.basis_populations"}

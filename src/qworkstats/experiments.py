@@ -216,10 +216,9 @@ def _evaluate(
     report = bounds_report(setup, work, uncollected)
     normalized = None
     if normalized_reference is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            normalized = np.where(
-                normalized_reference != 0.0, summary.moments / normalized_reference, np.nan
-            )
+        normalized = np.full(MOMENT_ORDERS, np.nan)
+        nonzero = normalized_reference != 0.0
+        np.divide(summary.moments, normalized_reference, out=normalized, where=nonzero)
     return SweepRow(
         moments=summary.moments if summary else None,
         variance=summary.variance if summary else None,

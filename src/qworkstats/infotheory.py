@@ -43,11 +43,13 @@ BOUND_SLACK = 1e-10
 GROUND_PROJECTOR_TOL = 1e-12
 
 
-def _plogp(p: np.ndarray) -> float:
-    live = p[p > 0.0]
+def _entropy(p: np.ndarray) -> float:
+    """-sum q ln q of q = p / sum(p) for a nonnegative ``p``, with 0 ln 0 = 0."""
+    q = p / p.sum()
+    live = q[q > 0.0]
     terms = np.log(live)
     terms *= live  # in place: inputs can be N^2 long
-    return 0.0 - float(np.sum(terms))  # +0.0, not -0.0, when no term is nonzero
+    return 0.0 - float(terms.sum())  # +0.0, not -0.0, when no term is nonzero
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
@@ -62,32 +64,28 @@ def shannon_entropy(probabilities: np.ndarray) -> float:
     smallest = float(p.min())
     if smallest < -NEGATIVE_PROB_TOL:
         raise ValidationError(f"probability {smallest:g} below tolerated negative noise")
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     total = float(p.sum())
     if abs(total - 1.0) > NORMALIZATION_ERROR:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
-    p /= total
-    return _plogp(p)
+    return _entropy(p)
 
 
 def entropy_of_work(work: WorkDistribution) -> float:
-    """Shannon entropy of the collected work distribution."""
-    return shannon_entropy(work.probs)
+    """Shannon entropy of the collected work distribution, which its type checks."""
+    return _entropy(work.probs)
 
 
 def uncollected_entropy(uncollected: UncollectedDistribution) -> float:
-    """Shannon entropy of the flattened joint table p_n * p_{m|n}."""
-    return shannon_entropy(uncollected.joint().ravel())
+    """Shannon entropy of the joint table p_n * p_{m|n}, shared with collection. It is
+    nonnegative, and its factors were checked, so it is only renormalized."""
+    return _entropy(uncollected.joint().ravel())
 
 
 def relative_entropy_of_coherence(
     sigma: DensityMatrix, basis: SpectralDecomposition
 ) -> float:
     """S(dephased sigma) - S(sigma) in the given basis, always >= 0."""
-    if sigma.dim != basis.dim:
-        raise DimensionMismatchError(
-            f"state dimension {sigma.dim} does not match basis dimension {basis.dim}"
-        )
     return von_neumann_entropy(dephase(sigma, basis)) - von_neumann_entropy(sigma)
 
 
@@ -99,12 +97,17 @@ def per_level_coherences(pmn: np.ndarray) -> np.ndarray:
     here directly from the transition probabilities.
     """
     p = np.asarray(pmn, dtype=float)
-    worst = float(np.max(np.abs(p.sum(axis=0) - 1.0)))
-    if worst > NORMALIZATION_ERROR:
+    worst = float(np.abs(p.sum(axis=0) - 1.0).max())
+    if not worst <= NORMALIZATION_ERROR:  # a NaN fails
         raise ValidationError(f"transition columns deviate from 1 by {worst:g}")
-    p = np.clip(p, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    return _column_entropies(p)
+
+
+def _column_entropies(pmn: np.ndarray) -> np.ndarray:
+    """-sum_m p ln p down each column, with 0 ln 0 = 0, after clipping at zero."""
+    p = np.maximum(pmn, 0.0)
+    terms = np.log(p, out=np.zeros(p.shape), where=p > 0.0)
+    terms *= p
     return -terms.sum(axis=0)
 
 
@@ -118,7 +121,7 @@ def effective_dimension(pmn: np.ndarray, level: int) -> tuple[float, float]:
     p = np.asarray(pmn, dtype=float)
     if not 0 <= level < p.shape[1]:
         raise ValidationError(f"level index {level} out of range for {p.shape[1]} columns")
-    inverse_participation = float(np.sum(p[:, level] ** 2))
+    inverse_participation = float((p[:, level] ** 2).sum())
     return inverse_participation, -math.log(inverse_participation)
 
 
@@ -178,7 +181,8 @@ def bounds_report(
     All terms are evaluated from the populations and transition matrix of
     ``uncollected`` (the scalar route); the density-matrix route through
     dephasing is equivalent and cross-checked in the test suite. The terms
-    of the transition matrix alone are computed once per pair table.
+    of the transition matrix alone are computed once per pair table, whose
+    columns were checked when it was built.
     """
     if setup.dim != uncollected.dim:
         raise DimensionMismatchError(
@@ -187,13 +191,13 @@ def bounds_report(
     pn = uncollected.pn
     table = uncollected.table
     pmn = table.pmn
-    per_level = table.memo("per_level_coherences", lambda: per_level_coherences(pmn))
+    per_level = table.memo("per_level_coherences", lambda: _column_entropies(pmn))
     per_level.setflags(write=False)  # one vector shared by the reports of the table's states
     eff_dim, neg_log_eff_dim = table.memo(
         "effective_dimension", lambda: effective_dimension(pmn, 0)
     )
 
-    s_diag = shannon_entropy(pn)
+    s_diag = _entropy(pn)  # the populations were checked at construction
     avg_coherence = float(pn @ per_level)
     c_max = float(per_level.max())
     rotated_populations = pmn @ pn

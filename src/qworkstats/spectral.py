@@ -33,8 +33,8 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-14
 GROUND_DEGENERACY_RTOL = 1e-12
 
 
-def _frozen_array(values, dtype=None) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -54,8 +54,8 @@ def _check_hermitian(entries: np.ndarray, what: str) -> None:
     if (entries == entries.conj().T).all():
         return
     deviation = np.abs(entries - entries.conj().T)
-    scale = float(np.max(np.abs(entries)))
-    worst = float(np.max(deviation))
+    scale = float(np.abs(entries).max())
+    worst = float(deviation.max())
     if worst > HERMITICITY_RTOL * max(scale, 1e-300):
         i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
         raise ValidationError(
@@ -86,22 +86,26 @@ class SpectralDecomposition:
     """Sorted eigenvalues with matching orthonormal eigenvectors.
 
     Column k of ``eigenvectors`` is the eigenvector of ``eigenvalues[k]``.
+    It keeps read-only copies of a caller's arrays, and ``eigh``'s own from ``diagonalize``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        evals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors)
+        self._own(np.array(self.eigenvalues, dtype=float), np.array(self.eigenvectors))
+
+    def _own(self, evals: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
         if evals.ndim != 1 or vecs.shape != (evals.size, evals.size):
-            raise ValidationError(
-                f"decomposition shapes mismatch: {evals.shape} vs {vecs.shape}"
-            )
-        if np.any(np.diff(evals) < 0):
+            raise ValidationError(f"decomposition shapes mismatch: {evals.shape} vs {vecs.shape}")
+        if not (np.isfinite(evals).all() and np.isfinite(vecs).all()):
+            raise ValidationError("decomposition has non-finite entries")
+        if not (evals[1:] >= evals[:-1]).all():
             raise ValidationError("eigenvalues must be non-decreasing")
-        object.__setattr__(self, "eigenvalues", _frozen_array(evals))
-        object.__setattr__(self, "eigenvectors", _frozen_array(vecs))
+        for name, arr in (("eigenvalues", evals), ("eigenvectors", vecs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        return self
 
     @property
     def dim(self) -> int:
@@ -124,7 +128,7 @@ class DensityMatrix:
         entries = np.asarray(self.entries)
         _check_square(entries, "density matrix")
         _check_hermitian(entries, "density matrix")
-        trace = complex(np.trace(entries)).real
+        trace = complex(entries.trace()).real
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace {trace!r} differs from 1")
         object.__setattr__(self, "entries", _frozen_array(entries))
@@ -144,7 +148,7 @@ class UnitaryMatrix:
         entries = np.asarray(self.entries)
         _check_square(entries, "unitary")
         gram = entries.conj().T @ entries
-        worst = float(np.max(np.abs(gram - np.eye(entries.shape[0]))))
+        worst = float(np.abs(gram - np.eye(entries.shape[0])).max())
         if worst > ORTHONORMALITY_TOL:
             raise ValidationError(f"matrix is not unitary: |U^dag U - I| = {worst:g}")
         object.__setattr__(self, "entries", _frozen_array(entries))
@@ -164,7 +168,7 @@ def diagonalize(operator: HermitianOperator) -> SpectralDecomposition:
         evals, vecs = np.linalg.eigh(operator.entries)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    return SpectralDecomposition(eigenvalues=evals, eigenvectors=vecs)
+    return object.__new__(SpectralDecomposition)._own(evals, vecs)
 
 
 def thermal_populations(decomposition: SpectralDecomposition, beta: float) -> np.ndarray:
@@ -222,7 +226,7 @@ def dephase(rho: DensityMatrix, basis: SpectralDecomposition) -> DensityMatrix:
             f"state dimension {rho.dim} does not match basis dimension {basis.dim}"
         )
     v = basis.eigenvectors
-    populations = np.real(np.sum(v.conj() * (rho.entries @ v), axis=0))
+    populations = (v.conj() * (rho.entries @ v)).sum(axis=0).real
     out = (v * populations) @ v.conj().T
     return DensityMatrix(entries=0.5 * (out + out.conj().T))
 
@@ -238,4 +242,4 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
             f"invalid density matrix: negative eigenvalue {float(evals[0]):g}"
         )
     p = evals[evals > ENTROPY_EIGENVALUE_FLOOR]
-    return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for a pure state
+    return 0.0 - float((p * np.log(p)).sum())  # +0.0, not -0.0, for a pure state

@@ -52,10 +52,11 @@ def _population_vector(values) -> np.ndarray:
     populations = np.array(values, dtype=float, copy=True)
     if populations.ndim != 1 or populations.size < 1:
         raise ValidationError(f"populations must be a nonempty vector, not {populations.shape}")
-    if not np.all(np.isfinite(populations)) or float(populations.min()) < 0.0:
-        raise ValidationError(f"populations must be finite and nonnegative: {populations.min()!r}")
-    if abs(float(populations.sum()) - 1.0) > NORMALIZATION_TOL:
-        raise ValidationError(f"populations sum to {populations.sum()!r}, not 1")
+    smallest, total = float(populations.min()), float(populations.sum())
+    if not smallest >= 0.0:  # a NaN fails here, and an infinite entry the sum below
+        raise ValidationError(f"populations must be finite and nonnegative: {smallest!r}")
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
+        raise ValidationError(f"populations sum to {total!r}, not 1")
     populations.setflags(write=False)
     return populations
 
@@ -116,7 +117,7 @@ class PairTable:
             raise ValidationError(
                 f"pmn entries outside [0, 1]: pmn in [{pmn.min():g}, {pmn.max():g}]"
             )
-        worst = float(np.max(np.abs(pmn.sum(axis=0) - 1.0)))
+        worst = float(np.abs(pmn.sum(axis=0) - 1.0).max())
         if not worst <= STOCHASTICITY_TOL:
             raise ValidationError(f"transition columns deviate from 1 by {worst:g}")
         if not np.isfinite(bohr).all():
@@ -183,8 +184,9 @@ class PairTable:
 class UncollectedDistribution:
     """Joint table over level pairs before degeneracy collection.
 
-    ``pn`` are initial-basis populations; ``table`` holds the transitions
-    and Bohr frequencies, which every state of the same quench shares.
+    ``pn`` are initial-basis populations, checked here, and ``columns`` spans
+    their first to last p_n > 0. ``table`` holds the transitions and Bohr
+    frequencies, which every state of the same quench shares.
     """
 
     pn: np.ndarray
@@ -196,25 +198,26 @@ class UncollectedDistribution:
             raise DimensionMismatchError(
                 f"{pn.size} populations do not match {self.table.pmn.shape[0]} levels"
             )
+        live = np.flatnonzero(pn)
         object.__setattr__(self, "pn", pn)
+        object.__setattr__(self, "columns", slice(live[0], live[-1] + 1))
 
     @property
     def dim(self) -> int:
         return self.pn.size
 
-    @property
-    def columns(self) -> slice:
-        """The live column block: the levels from the first to the last with p_n > 0."""
-        live = np.flatnonzero(self.pn)
-        return slice(live[0], live[-1] + 1)
-
     def joint(self) -> np.ndarray:
         """The table p_n * p_{m|n} over the live ``columns``, clipped at zero.
 
         The columns left out carry p_n = 0, so they hold no probability.
+        Built on the first call; every call returns the same read-only array.
         """
-        columns = self.columns
-        return np.clip(self.pn[columns] * self.table.pmn[:, columns], 0.0, None)
+        try:
+            return self.__dict__["_joint"]
+        except KeyError:
+            joint = np.maximum(self.pn[self.columns] * self.table.pmn[:, self.columns], 0.0)
+            joint.setflags(write=False)
+            return self.__dict__.setdefault("_joint", joint)
 
 
 @dataclass(frozen=True)
@@ -244,24 +247,22 @@ class WorkDistribution:
     diagnostics: CollectionDiagnostics
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        multiplicity = np.asarray(self.multiplicity, dtype=np.int64)
+        support = np.array(self.support, dtype=float)
+        probs = np.array(self.probs, dtype=float)
+        multiplicity = np.array(self.multiplicity, dtype=np.int64)
         if not (support.shape == probs.shape == multiplicity.shape) or support.ndim != 1:
             raise DimensionMismatchError("support, probs, multiplicity must be equal-length vectors")
-        if support.size == 0:
-            raise ValidationError("work distribution must have at least one point")
-        gaps = np.diff(support)
-        if np.any(gaps <= 0):
-            raise ValidationError("support must be strictly increasing")
+        gaps = support[1:] - support[:-1]
+        if not (np.isfinite(support).all() and (gaps > 0).all()):
+            raise ValidationError("support must be finite and strictly increasing")
         if gaps.size and float(gaps.min()) < self.diagnostics.cluster_tol:
             raise ValidationError(
                 f"support gap {float(gaps.min()):g} below clustering width "
                 f"{self.diagnostics.cluster_tol:g}"
             )
-        if abs(float(probs.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(f"probabilities sum to {probs.sum()!r}, not 1")
-        if np.any(multiplicity < 1):
+        if not (abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL and probs.min() >= 0.0):
+            raise ValidationError(f"probs must be >= 0 and sum to 1, not {float(probs.sum())!r}")
+        if (multiplicity < 1).any():
             raise ValidationError("multiplicities must be >= 1")
         total_pairs = int(multiplicity.sum()) + self.diagnostics.dropped_pairs
         if math.isqrt(total_pairs) ** 2 != total_pairs:
@@ -269,7 +270,6 @@ class WorkDistribution:
                 f"kept plus dropped pair count {total_pairs} is not a level count squared"
             )
         for name, arr in (("support", support), ("probs", probs), ("multiplicity", multiplicity)):
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -298,10 +298,7 @@ def transition_probabilities(
     vf = final.eigenvectors
     overlap = vf.conj().T @ (u.entries @ vi if u is not None else vi)
     pmn = np.abs(overlap) ** 2
-    worst = max(
-        float(np.max(np.abs(pmn.sum(axis=0) - 1.0))),
-        float(np.max(np.abs(pmn.sum(axis=1) - 1.0))),
-    )
+    worst = max(np.abs(pmn.sum(axis=0) - 1.0).max(), np.abs(pmn.sum(axis=1) - 1.0).max())
     if not worst <= STOCHASTICITY_TOL:
         raise ValidationError(f"transition matrix deviates from doubly stochastic by {worst:g}")
     return pmn
@@ -310,10 +307,11 @@ def transition_probabilities(
 def initial_populations(
     rho: DensityMatrix | np.ndarray, initial: SpectralDecomposition
 ) -> np.ndarray:
-    """<n_i| rho |n_i>, nonnegative and summing to one.
+    """<n_i| rho |n_i>, clipped at zero.
 
     A population vector, as validated by ``QuenchSetup``, is its own
     answer; a density matrix is projected onto the initial eigenvectors.
+    ``UncollectedDistribution`` checks that the projection sums to one.
     """
     dim = rho.dim if isinstance(rho, DensityMatrix) else len(rho)
     if dim != initial.dim:
@@ -323,11 +321,7 @@ def initial_populations(
     if not isinstance(rho, DensityMatrix):
         return rho
     v = initial.eigenvectors
-    populations = np.clip(np.real(np.sum(v.conj() * (rho.entries @ v), axis=0)), 0.0, None)
-    total = float(populations.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValidationError(f"populations sum to {total!r}, not 1")
-    return populations
+    return np.maximum((v.conj() * (rho.entries @ v)).sum(axis=0).real, 0.0)
 
 
 def uncollected_distribution(setup: QuenchSetup) -> UncollectedDistribution:
@@ -347,11 +341,9 @@ def _clusters(v: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray
     A value starts a new cluster when it lies ``cluster_tol`` or more past
     the previous one.
     """
-    starts = np.empty(v.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = np.diff(v) >= cluster_tol
-    ids = np.cumsum(starts)
-    ids -= 1
+    ids = np.empty(v.size, dtype=np.intp)
+    ids[0] = 0
+    np.cumsum(v[1:] - v[:-1] >= cluster_tol, out=ids[1:])
     return ids, np.bincount(ids)
 
 
@@ -398,11 +390,12 @@ def collect_work_distribution(
     ids, members = _cluster_ids(uncollected.table, cluster_tol, columns)
     q = uncollected.joint()
     cluster_prob = np.bincount(ids, weights=q.ravel(), minlength=members.size)
-    q *= uncollected.table.bohr[:, columns]  # in place, since q can hold N^2 values
-    weighted_sum = np.bincount(ids, weights=q.ravel(), minlength=members.size)
+    weighted = q * uncollected.table.bohr[:, columns]  # q is shared, so not scaled in place
+    weighted_sum = np.bincount(ids, weights=weighted.ravel(), minlength=members.size)
+    del weighted  # up to N^2 values: freed before the rest of the collection allocates
 
     keep = cluster_prob >= DROP_THRESHOLD
-    if not np.any(keep):
+    if not keep.any():
         raise ValidationError("all collected work values fell below the probability floor")
     # Probability-weighted representative keeps the first moment exact.
     support = weighted_sum[keep] / cluster_prob[keep]
@@ -416,7 +409,7 @@ def collect_work_distribution(
         # through dropped_mass.
         kept_probs = kept_probs * (float(cluster_prob.sum()) / float(kept_probs.sum()))
 
-    gaps = np.diff(support)
+    gaps = support[1:] - support[:-1]
     min_gap = float(gaps.min()) if gaps.size else math.inf
     warnings = []
     if min_gap < PROXIMITY_WARNING_FACTOR * cluster_tol:
@@ -460,7 +453,7 @@ def work_moments(work: WorkDistribution, max_order: int = 4) -> MomentSummary:
         raise ValidationError(f"max_order must be >= 1, got {max_order}")
     powers = work.support[np.newaxis, :] ** np.arange(1, max_order + 1)[:, np.newaxis]
     moments = powers @ work.probs
-    second = float(np.sum(work.support**2 * work.probs))
+    second = float((work.support**2 * work.probs).sum())
     variance = second - float(moments[0]) ** 2
     return MomentSummary(moments=moments, variance=variance)
 
@@ -492,7 +485,7 @@ def mean_work_direct(setup: QuenchSetup) -> float:
 
 def _level_work(quench, initial: SpectralDecomposition, live: np.ndarray) -> np.ndarray:
     v = initial.eigenvectors[:, live]
-    return np.real(np.sum(v.conj() * (_rotated_difference(quench) @ v), axis=0))
+    return (v.conj() * (_rotated_difference(quench) @ v)).sum(axis=0).real
 
 
 def check_first_moment(work: WorkDistribution, uncollected: UncollectedDistribution) -> float:
@@ -503,9 +496,9 @@ def check_first_moment(work: WorkDistribution, uncollected: UncollectedDistribut
     stays meaningful when the mean is exactly zero. Returns the trace
     mean, so a caller that reports it need not evaluate it twice.
     """
-    from_dist = float(np.sum(work.support * work.probs))
+    from_dist = float((work.support * work.probs).sum())
     from_trace = uncollected.table.mean_work(uncollected.pn)
-    scale = max(abs(from_trace), float(np.sum(np.abs(work.support) * work.probs)), 1e-300)
+    scale = max(abs(from_trace), float((np.abs(work.support) * work.probs).sum()), 1e-300)
     if not abs(from_dist - from_trace) <= RELATIVE_MEAN_TOL * scale:
         raise ValidationError(
             f"distribution mean {from_dist!r} and trace formula {from_trace!r} "

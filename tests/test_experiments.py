@@ -294,7 +294,7 @@ def test_each_potential_builds_one_pair_table_per_sweep(monkeypatch):
     # the potential, not on the state, so four inverse temperatures share them
     transitions, coherences = [], []
     real_transitions = tpm.transition_probabilities
-    real_coherences = infotheory.per_level_coherences
+    real_coherences = infotheory._column_entropies
 
     def counting_transitions(initial, final, u=None):
         transitions.append(initial.dim)
@@ -305,7 +305,7 @@ def test_each_potential_builds_one_pair_table_per_sweep(monkeypatch):
         return real_coherences(pmn)
 
     monkeypatch.setattr(tpm, "transition_probabilities", counting_transitions)
-    monkeypatch.setattr(infotheory, "per_level_coherences", counting_coherences)
+    monkeypatch.setattr(infotheory, "_column_entropies", counting_coherences)
     grid = [1.0, 2.0, 3.0]
     states = tuple(StateSpec.thermal(beta) for beta in (0.01, 1.0, 100.0, 1e4))
     results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2)

@@ -186,6 +186,38 @@ def test_per_level_coherences_identity_and_lz():
     assert coherences[0] == pytest.approx(coherences[1], rel=1e-12)
 
 
+def test_per_level_coherences_equal_the_where_formula_bit_for_bit():
+    tiny = 1e-13
+    edge_cases = np.array([
+        [1.0, 0.0, 0.5, 0.25 + tiny],
+        [0.0, 0.5, 0.5, -tiny],
+        [0.0, 0.5, 0.0, 0.75],
+    ])
+    haar = np.abs(haar_unitary(np.random.default_rng(17), 7).entries) ** 2
+    for pmn in (edge_cases, haar, np.eye(5)):
+        p = np.clip(pmn, 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=0)
+        assert np.array_equal(per_level_coherences(pmn), expected)
+    with pytest.raises(ValidationError, match="deviate"):
+        per_level_coherences(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_bounds_report_does_not_recheck_the_table_columns(monkeypatch):
+    # the table checked its columns when it was built
+    setup = random_setup(np.random.default_rng(19), 5)
+    uncollected = uncollected_distribution(setup)
+    work = collect_work_distribution(uncollected)
+
+    def unexpected(pmn):
+        raise AssertionError("per_level_coherences re-checks a table's columns")
+
+    monkeypatch.setattr(infotheory, "per_level_coherences", unexpected)
+    report = bounds_report(setup, work, uncollected)
+    monkeypatch.undo()
+    assert np.array_equal(report.per_level_coherence, per_level_coherences(uncollected.table.pmn))
+
+
 def test_per_level_coherences_match_density_matrix_route():
     # scalar route (column entropies) against the dephasing route
     rng = np.random.default_rng(103)

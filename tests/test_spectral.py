@@ -68,6 +68,39 @@ def test_matrix_types_reject_non_finite_entries(bad):
                 kind(entries=entries)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_decomposition_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        SpectralDecomposition(np.array([bad, 1.0]), np.eye(2))
+    vectors = np.eye(2)
+    vectors[1, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        SpectralDecomposition(np.array([0.0, 1.0]), vectors)
+    with pytest.raises(ValidationError, match="non-decreasing"):
+        SpectralDecomposition(np.array([1.0, 0.0]), np.eye(2))
+
+
+def test_diagonalize_keeps_the_arrays_of_eigh_read_only(monkeypatch):
+    returned = []
+    eigh = np.linalg.eigh
+
+    def recording(entries):
+        returned.append(eigh(entries))
+        return returned[-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    dec = diagonalize(HermitianOperator(entries=np.diag([0.0, 1.0])))
+    assert dec.eigenvalues is returned[0][0] and dec.eigenvectors is returned[0][1]
+    assert not (dec.eigenvalues.flags.writeable or dec.eigenvectors.flags.writeable)
+    # a caller's arrays are copied, and stay writable
+    values, vectors = np.array([0.0, 1.0]), np.eye(2)
+    own = SpectralDecomposition(values, vectors)
+    assert not np.shares_memory(own.eigenvalues, values)
+    assert not np.shares_memory(own.eigenvectors, vectors)
+    assert not (own.eigenvalues.flags.writeable or own.eigenvectors.flags.writeable)
+    assert values.flags.writeable and vectors.flags.writeable
+
+
 def test_hermitian_operator_rejects_non_square():
     with pytest.raises(ValidationError):
         HermitianOperator(entries=np.zeros((2, 3)))

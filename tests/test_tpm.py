@@ -29,7 +29,7 @@ from qworkstats import (
     work_moments,
 )
 from qworkstats import tpm
-from qworkstats.tpm import PairTable, check_first_moment
+from qworkstats.tpm import CollectionDiagnostics, PairTable, WorkDistribution, check_first_moment
 
 
 def lz_setup(omega_i, omega_f, beta=0.1, delta=1.0):
@@ -359,11 +359,16 @@ def test_nan_fails_the_stochasticity_and_first_moment_checks(monkeypatch):
     with pytest.raises(ValidationError, match="Bohr"):
         PairTable(np.full((2, 2), 0.5), np.array([[0.0, math.nan], [2.0, 3.0]]))
 
-    # eigenvectors are not validated, so a NaN one reaches the transitions
+    # the decomposition rejects a NaN eigenvector; one that got past it
+    # would still fail the stochasticity check of the transitions
     finite = diagonalize(lz_hamiltonian(LzParams(delta=1.0, omega=2.0)))
     vectors = finite.eigenvectors.copy()
     vectors[0, 0] = math.nan
-    broken = SpectralDecomposition(finite.eigenvalues, vectors)
+    with pytest.raises(ValidationError, match="non-finite"):
+        SpectralDecomposition(finite.eigenvalues, vectors)
+    broken = object.__new__(SpectralDecomposition)
+    object.__setattr__(broken, "eigenvalues", finite.eigenvalues)
+    object.__setattr__(broken, "eigenvectors", vectors)
     with pytest.raises(ValidationError, match="doubly stochastic by nan"):
         transition_probabilities(broken, finite)
 
@@ -373,6 +378,53 @@ def test_nan_fails_the_stochasticity_and_first_moment_checks(monkeypatch):
     monkeypatch.setattr(u.table, "mean_work", lambda pn: math.nan)
     with pytest.raises(ValidationError, match="disagree"):
         check_first_moment(w, u)
+
+
+def test_work_distribution_rejects_non_finite_and_negative_values():
+    diagnostics = CollectionDiagnostics(
+        cluster_tol=1e-12, min_gap=1.0, warnings=(), dropped_pairs=0, dropped_mass=0.0
+    )
+    WorkDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]), np.array([1, 3]), diagnostics)
+    for support, probs, match in (
+        ([0.0, math.nan], [0.5, 0.5], "support must be finite"),
+        ([math.nan, 0.0], [0.5, 0.5], "support must be finite"),
+        ([0.0, math.inf], [0.5, 0.5], "support must be finite"),
+        ([0.0, 1.0], [0.5, math.nan], "probs must be"),
+        ([0.0, 1.0], [math.inf, 0.5], "probs must be"),
+        ([0.0, 1.0], [1.5, -0.5], "probs must be"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            WorkDistribution(np.array(support), np.array(probs), np.array([1, 3]), diagnostics)
+    with pytest.raises(ValidationError, match="support must be finite"):
+        WorkDistribution(np.array([math.nan]), np.array([1.0]), np.array([4]), diagnostics)
+    with pytest.raises(ValidationError, match="sum to 1, not 0.0"):  # no point at all
+        WorkDistribution(np.array([]), np.array([]), np.array([], dtype=int), diagnostics)
+
+
+def test_joint_is_built_once_read_only_and_left_intact_by_collection():
+    setup = random_setup(np.random.default_rng(5), 6)
+    u = uncollected_distribution(setup)
+    joint = u.joint()
+    assert u.joint() is joint and not joint.flags.writeable
+    collect_work_distribution(u)
+    collect_work_distribution(u, 1e-3)
+    columns = u.columns
+    assert np.array_equal(joint, np.clip(u.pn[columns] * u.table.pmn[:, columns], 0.0, None))
+    # a state over part of the levels holds its live column block only
+    pn = np.array([0.0, 0.25, 0.0, 0.75, 0.0, 0.0])
+    narrow = UncollectedDistribution(pn, u.table)
+    assert narrow.columns == slice(1, 4)
+    collect_work_distribution(narrow)
+    assert np.array_equal(narrow.joint(), np.clip(pn[1:4] * u.table.pmn[:, 1:4], 0.0, None))
+
+
+def test_density_matrix_populations_are_checked_by_the_uncollected_table():
+    # trace one but not positive: the clipped populations sum to 1.5
+    hi = HermitianOperator(entries=np.diag([0.0, 1.0]))
+    rho = DensityMatrix(entries=np.diag([1.5, -0.5]))
+    assert np.array_equal(initial_populations(rho, diagonalize(hi)), [1.5, 0.0])
+    with pytest.raises(ValidationError, match="sum to 1.5"):
+        uncollected_distribution(QuenchSetup(hi=hi, hf=hi, rho=rho))
 
 
 def test_proximity_warning_for_marginal_gaps():

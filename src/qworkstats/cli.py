@@ -142,6 +142,7 @@ def _progress(message: str) -> None:
 
 _ENTROPY_HEADER = list(BoundsReport.CSV_FIELDS)
 _WORK_HEADER = ["W", "P", "multiplicity"]
+_MOMENT_HEADER = [f"m{k}" for k in range(1, experiments.MOMENT_ORDERS + 1)]
 
 
 def _run_lz_sweep(config: RunConfig, out: str):
@@ -155,12 +156,10 @@ def _run_lz_sweep(config: RunConfig, out: str):
         workers=config.workers,
     )
     moments_path = os.path.join(out, "lz_sweep_moments.csv")
-    header = ["omega_f"] + [f"m{k}" for k in range(1, 5)] + ["variance"] + [
-        f"m{k}_normalized" for k in range(1, 5)
-    ]
+    normalized = [f"{name}_normalized" for name in _MOMENT_HEADER]
     _write_csv(
         moments_path,
-        header,
+        ["omega_f"] + _MOMENT_HEADER + ["variance"] + normalized,
         (
             [omega_f, *row.moments, row.variance, *row.normalized_moments]
             for omega_f, row in zip(result.axis, result.rows)
@@ -207,7 +206,7 @@ def _sweep_csvs(result, out: str, prefix: str, axis_name: str) -> list[str]:
     moments_path = os.path.join(out, f"{prefix}_moments.csv")
     _write_csv(
         moments_path,
-        [axis_name] + [f"m{k}" for k in range(1, 5)] + ["variance", "mean_direct"],
+        [axis_name] + _MOMENT_HEADER + ["variance", "mean_direct"],
         (
             [value, *row.moments, row.variance, row.mean_direct]
             for value, row in zip(result.axis, result.rows)
@@ -260,7 +259,7 @@ def _run_thermal_sweep(config: RunConfig, out: str):
         for delta, row in zip(result.axis, result.rows)
     ]
     _write_csv(path, ["beta", "delta"] + _ENTROPY_HEADER, rows)
-    return [path], {"h_w_max": max(float(r[2]) for r in rows)}
+    return [path], {"h_w_max": max(row.report.h_w for result in results for row in result.rows)}
 
 
 def _run_aah_scaling(config: RunConfig, out: str):
@@ -425,7 +424,7 @@ class RunConfig:
     out: str = _setting("run", str, "results", help="output directory (default: results)")
     seed: int = _setting("run", int, DEFAULT_SEED, help="seed for phase sampling")
     threads: int = _setting("run", int, 0,
-                            help="worker threads (0 = logical cores divided by BLAS threads)")
+                            help="worker threads (0 = usable cores divided by BLAS threads)")
     cluster_tol: float | None = _setting("run", float, None,
                                          help="override the degeneracy clustering width")
     bits: bool = _setting("run", _parse_bool, False,
@@ -471,12 +470,14 @@ class RunConfig:
 
     @property
     def workers(self) -> int:
-        """``threads``, or for 0 the cores left after each ``eigh`` takes its
-        BLAS threads: more workers only make the BLAS threads share cores."""
+        """``threads``, or for 0 the usable cores (the affinity mask, by which
+        OpenBLAS sizes itself) left after each ``eigh`` takes its BLAS threads:
+        more workers only make the BLAS threads share cores."""
         if self.threads > 0:
             return self.threads
-        cores, per_call = os.cpu_count() or 1, blas_threads()
-        return max(1, cores // per_call) if per_call else cores
+        affinity = getattr(os, "sched_getaffinity", None)
+        cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+        return max(1, cores // (blas_threads() or 1))
 
     def state_spec(self) -> StateSpec:
         if self.state_kind == "ground":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -196,12 +196,7 @@ def _flat_chain(fib_index: int, j: float) -> tuple[HermitianOperator, SpectralDe
 
 
 def _evaluate(
-    setup: QuenchSetup,
-    table: PairTable,
-    cluster_tol: float | None,
-    normalized_reference: np.ndarray | None = None,
-    flags: tuple[str, ...] = (),
-    moments: bool = True,
+    setup: QuenchSetup, table: PairTable, cluster_tol: float | None, moments: bool = True
 ) -> SweepRow:
     """One sweep row of ``setup`` on ``table``, the ``PairTable.of`` of its quench.
 
@@ -214,19 +209,12 @@ def _evaluate(
     mean_direct = check_first_moment(work, uncollected)
     summary = work_moments(work, MOMENT_ORDERS) if moments else None
     report = bounds_report(setup, work, uncollected)
-    normalized = None
-    if normalized_reference is not None:
-        normalized = np.full(MOMENT_ORDERS, np.nan)
-        nonzero = normalized_reference != 0.0
-        np.divide(summary.moments, normalized_reference, out=normalized, where=nonzero)
     return SweepRow(
         moments=summary.moments if summary else None,
         variance=summary.variance if summary else None,
         mean_direct=mean_direct,
         report=report,
         gamma_max=max_degeneracy(work),
-        normalized_moments=normalized,
-        flags=flags,
     )
 
 
@@ -254,19 +242,31 @@ def lz_sweep(
     initial = diagonalize(hi)
     rho = thermal_populations(initial, beta)
 
-    def run_point(omega_f: float, reference: np.ndarray | None) -> SweepRow:
+    def run_point(omega_f: float) -> SweepRow:
         with _at_point(omega_f=float(omega_f)):
             hf = lz_hamiltonian(LzParams(delta=delta, omega=omega_f))
-            setup = QuenchSetup(hi=hi, hf=hf, rho=rho)
             table = PairTable.of(hi, hf, initial, diagonalize(hf))
-            flags = ()
-            if math.isclose(abs(omega_f), abs(omega_i), rel_tol=0.0, abs_tol=1e-12 * delta):
-                flags = ("degenerate-detuning",)
-            return _evaluate(setup, table, cluster_tol, reference, flags)
+            return _evaluate(QuenchSetup(hi=hi, hf=hf, rho=rho), table, cluster_tol)
 
-    reference = run_point(delta, None).moments
-    rows = _fan_out(lambda wf: run_point(wf, reference), list(grid), workers)
+    reference = run_point(delta).moments
+    rows = []
+    for omega_f, row in zip(grid, _fan_out(run_point, list(grid), workers)):
+        normalized = np.full(MOMENT_ORDERS, np.nan)
+        np.divide(row.moments, reference, out=normalized, where=reference != 0.0)
+        degenerate = math.isclose(abs(omega_f), abs(omega_i), rel_tol=0.0, abs_tol=1e-12 * delta)
+        flags = ("degenerate-detuning",) if degenerate else ()
+        rows.append(replace(row, normalized_moments=normalized, flags=flags))
     return SweepResult(axis=grid, rows=tuple(rows))
+
+
+def _potential_grid(delta_grid: np.ndarray) -> np.ndarray:
+    """``delta_grid`` as floats, refused unless non-empty and inside (0, 4] hoppings."""
+    grid = np.asarray(delta_grid, dtype=float)
+    if grid.size == 0:
+        raise ValidationError("empty potential grid")
+    if np.any(grid <= 0) or np.any(grid > 4.0):
+        raise ValidationError("potential grid must lie in (0, 4] hoppings")
+    return grid
 
 
 def _aah_quench(params: AahParams, direction: str) -> PairTable:
@@ -339,13 +339,7 @@ def _aah_sweeps(
     _check_direction(direction)
     if not states:
         raise ValidationError("a sweep needs at least one initial state")
-    grid = np.asarray(delta_grid, dtype=float)
-    if grid.size == 0:
-        raise ValidationError("empty potential grid")
-    if np.any(grid <= 0) or np.any(grid > 4.0):
-        raise ValidationError(
-            "potential grid must lie in (0, 4] hoppings; the flat chain is the endpoint"
-        )
+    grid = _potential_grid(delta_grid)
     # Filled here, so that the pool threads do not all miss the cache at once.
     _flat_chain(fib_index, j)
 
@@ -372,13 +366,6 @@ def _aah_sweeps(
         SweepResult(axis=grid, rows=tuple(rows[k] for rows in per_point))
         for k in range(len(states))
     )
-
-
-def _entropy_at(
-    fib_index: int, delta: float, eta: float, j: float, direction: str
-) -> float:
-    params = AahParams(fib_index=fib_index, delta=delta, j=j, eta=eta)
-    return entropy_of_work(aah_work_histogram(params, direction))
 
 
 def scaling_derivative(
@@ -417,9 +404,12 @@ def scaling_derivative(
         etas = rng.uniform(0.0, 2.0 * math.pi, size=eta_samples)
 
         def slope_for(eta: float) -> float:
-            upper = _entropy_at(fib_index, 2.0 * j + deriv_step * j, eta, j, direction)
-            lower = _entropy_at(fib_index, 2.0 * j - deriv_step * j, eta, j, direction)
-            return (upper - lower) / (2.0 * deriv_step)
+            upper = AahParams(fib_index=fib_index, delta=2.0 * j + deriv_step * j, j=j, eta=eta)
+            lower = AahParams(fib_index=fib_index, delta=2.0 * j - deriv_step * j, j=j, eta=eta)
+            return (
+                entropy_of_work(aah_work_histogram(upper, direction))
+                - entropy_of_work(aah_work_histogram(lower, direction))
+            ) / (2.0 * deriv_step)
 
         with _at_point(fib_index=fib_index):
             _flat_chain(fib_index, j)  # filled before the pool threads need it
@@ -488,11 +478,7 @@ def bandwidth_fit(
     samples, minus 2 j; the through-origin least squares of edge against
     potential^2 gives the curvature coefficient.
     """
-    grid = np.asarray(delta_grid, dtype=float)
-    if grid.size == 0:
-        raise ValidationError("empty potential grid")
-    if np.any(grid <= 0) or np.any(grid > 4.0):
-        raise ValidationError("potential grid must lie in (0, 4] hoppings")
+    grid = _potential_grid(delta_grid)
     if eta_samples < 1:
         raise ValidationError(f"eta_samples must be >= 1, got {eta_samples}")
     rng = np.random.default_rng(seed)

@@ -59,8 +59,8 @@ def _check_hermitian(entries: np.ndarray, what: str) -> None:
     if worst > HERMITICITY_RTOL * max(scale, 1e-300):
         i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
         raise ValidationError(
-            f"{what} is not Hermitian: entry ({i},{j}) = {entries[i, j]!r} "
-            f"but conj(({j},{i})) = {np.conj(entries[j, i])!r}"
+            f"{what} is not Hermitian: entry ({i},{j}) = {entries[i, j].item()!r} "
+            f"but conj(({j},{i})) = {np.conj(entries[j, i]).item()!r}"
         )
 
 

@@ -324,11 +324,16 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cores,blas,workers", [(2, 2, 1), (8, 2, 4), (3, 2, 1), (2, 8, 1), (2, None, 2)]
+    "cores,blas,workers", [(2, 2, 1), (8, 2, 4), (3, 2, 1), (2, 8, 1), (2, None, 2), (1, 1, 1)]
 )
 def test_default_pool_divides_cores_by_blas_threads(monkeypatch, cores, blas, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    # the usable cores are the affinity mask; cpu_count only stands in without one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2 * cores)
     monkeypatch.setattr(cli, "blas_threads", lambda: blas)
+    assert RunConfig(subcommand="aah-sweep").workers == workers
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
     assert RunConfig(subcommand="aah-sweep").workers == workers
     assert RunConfig(subcommand="aah-sweep", threads=3).workers == 3
 
@@ -357,7 +362,8 @@ def test_blas_reader_sees_the_environment_and_sizes_the_pool(tmp_path):
     assert child["threads"] == (1 if bundled else None)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["environment"]["blas"]["threads"] == child["threads"]
-    assert manifest["environment"]["pool_workers"] == os.cpu_count()
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    assert manifest["environment"]["pool_workers"] == (len(usable) if usable else os.cpu_count())
 
 
 @pytest.mark.parametrize(
@@ -365,6 +371,10 @@ def test_blas_reader_sees_the_environment_and_sizes_the_pool(tmp_path):
     [
         ["aah-sweep", "--grid-values", "0.5,1.5,2.5,3.5"],
         ["thermal-sweep", "--grid-values", "1.5,2.5"],
+        ["lz-sweep", "--grid-points", "41"],
+        ["coherence-map", "--grid-points", "4"],
+        ["bandwidth-fit", "--grid-points", "4", "--eta-samples", "3"],
+        ["aah-scaling", "--fib-min", "6", "--fib-max", "8", "--eta-samples", "3"],
     ],
 )
 def test_pool_size_changes_no_byte_where_blas_threads_its_calls(tmp_path, argv):

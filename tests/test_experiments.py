@@ -160,12 +160,12 @@ def test_aah_sweep_thermal_rows_have_reports():
 
 
 def test_aah_sweep_rejects_bad_grids():
-    with pytest.raises(ValidationError):
-        aah_transition_sweep(8, [], ZERO_TO_DELTA)
-    with pytest.raises(ValidationError):
-        aah_transition_sweep(8, [0.0, 1.0], ZERO_TO_DELTA)
-    with pytest.raises(ValidationError):
-        aah_transition_sweep(8, [1.0, 4.5], ZERO_TO_DELTA)
+    for bad in ([], [0.0, 1.0], [1.0, 4.5]):
+        with pytest.raises(ValidationError) as sweep:
+            aah_transition_sweep(8, bad, ZERO_TO_DELTA)
+        with pytest.raises(ValidationError) as fit:  # one gate serves both drivers
+            bandwidth_fit(8, bad, eta_samples=1)
+        assert str(sweep.value) == str(fit.value)
     with pytest.raises(ValidationError):
         aah_transition_sweep(8, [1.0], "up")
 
@@ -354,3 +354,28 @@ def test_shared_sweep_matches_one_sweep_per_state():
             assert np.array_equal(result.column(name), alone.column(name))
     with pytest.raises(ValidationError):
         _aah_sweeps(8, grid, ZERO_TO_DELTA, (), 1.0, 1.2, None, 1)
+
+
+def test_ring_translation_moves_no_basis_free_column():
+    # eta -> eta + 2 pi gamma (mod 2 pi) relabels the ring's sites cyclically
+    # (gamma N is an integer), so both phases quench the same physics. h_u,
+    # avg_coherence, rec_rho_bar, c_max, eff_dim and neg_log_eff_dim are not
+    # asserted: they depend on the basis LAPACK picks inside degenerate
+    # levels, which moves with the ring's seam.
+    eta = 1.2
+    shifted = (eta + 2.0 * math.pi * AahParams(fib_index=14, delta=1.0).gamma) % (2.0 * math.pi)
+    grid = [0.5, 1.0, 1.5, 2.5]
+    states = (StateSpec.ground(), StateSpec.thermal(1.0))
+    names = ("h_w", "s_diag", "ln_gamma_max", "gamma_max", "variance", "mean_direct")
+    for direction in (ZERO_TO_DELTA, DELTA_TO_ZERO):
+        here, there = (
+            _aah_sweeps(14, grid, direction, states, 1.0, phase, None, workers=2)
+            for phase in (eta, shifted)
+        )
+        for a, b in zip(here, there):
+            pairs = [(a.column(name), b.column(name)) for name in names]
+            pairs.append((np.array([r.moments for r in a.rows]),
+                          np.array([r.moments for r in b.rows])))
+            for x, y in pairs:
+                scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
+                assert (np.abs(x - y) <= 1e-9 * scale).all(), (direction, x, y)

@@ -35,8 +35,14 @@ from qworkstats.tpm import PairTable
 
 
 def test_hermitian_operator_rejects_non_hermitian():
-    with pytest.raises(ValidationError, match=r"\(0,1\)"):
-        HermitianOperator(entries=np.array([[1.0, 2.0], [3.0, 1.0]]))
+    # the entries read as Python numbers, not as numpy scalar reprs
+    for entries, message in [
+        ([[1.0, 2.0], [3.0, 1.0]], "entry (0,1) = 2.0 but conj((1,0)) = 3.0"),
+        ([[1.0, 2 + 1j], [3 - 2j, 1.0]], "entry (0,1) = (2+1j) but conj((1,0)) = (3+2j)"),
+    ]:
+        with pytest.raises(ValidationError) as raised:
+            HermitianOperator(entries=np.array(entries))
+        assert str(raised.value) == f"operator is not Hermitian: {message}"
 
 
 @pytest.mark.parametrize("kind", [HermitianOperator, DensityMatrix])

@@ -181,18 +181,16 @@ def _run_lz_sweep(config: RunConfig, out: str):
 def _run_aah_hist(config: RunConfig, out: str):
     paths = []
     entropies: dict = {}
-    grid = config.grid(np.array([1.5, 2.0, 2.5, 3.0]) * config.j)
+    grid = config.grid(np.array([1.5, 2.0, 2.5, 3.0]))
     labels = [f"{delta:g}" for delta in grid]
     if len(set(labels)) < len(set(grid.tolist())):  # %g would merge distinct values
         labels = [repr(float(delta)) for delta in grid]
 
     def histogram(delta: float):
-        params = AahParams(
-            fib_index=config.fib_index, delta=float(delta), j=config.j, eta=config.eta
-        )
-        return aah_work_histogram(params, config.direction, cluster_tol=config.cluster_tol)
+        params = AahParams(fib_index=config.fib_index, delta=float(delta), eta=config.eta)
+        return aah_work_histogram(params, config.direction, config.state_spec(), config.cluster_tol)
 
-    experiments._flat_chain(config.fib_index, config.j)  # filled before the pool starts
+    experiments._flat_chain(config.fib_index)  # filled before the pool starts
     works = experiments._fan_out(histogram, list(grid), config.workers)
     for work, label in zip(works, labels):
         path = os.path.join(out, f"aah_hist_delta_{label.replace('.', 'p')}.csv")
@@ -227,10 +225,9 @@ def _sweep_csvs(result, out: str, prefix: str, axis_name: str) -> list[str]:
 def _run_aah_sweep(config: RunConfig, out: str):
     result = aah_transition_sweep(
         fib_index=config.fib_index,
-        delta_grid=config.grid(default_aah_grid(config.j)),
+        delta_grid=config.grid(default_aah_grid()),
         direction=config.direction,
         state=config.state_spec(),
-        j=config.j,
         eta=config.eta,
         cluster_tol=config.cluster_tol,
         workers=config.workers,
@@ -243,10 +240,9 @@ def _run_thermal_sweep(config: RunConfig, out: str):
     states = tuple(StateSpec.thermal(beta) for beta in config.state_betas)
     results = _aah_sweeps(
         config.fib_index,
-        config.grid(default_aah_grid(config.j)),
+        config.grid(default_aah_grid()),
         config.direction,
         states,
-        config.j,
         config.eta,
         config.cluster_tol,
         config.workers,
@@ -269,7 +265,7 @@ def _run_aah_scaling(config: RunConfig, out: str):
         seed=config.seed,
         deriv_step=config.deriv_step,
         direction=config.direction,
-        j=config.j,
+        cluster_tol=config.cluster_tol,
         workers=config.workers,
     )
     slopes_path = os.path.join(out, "aah_scaling_slopes.csv")
@@ -299,11 +295,10 @@ def _run_aah_scaling(config: RunConfig, out: str):
 
 
 def _run_coherence_map(config: RunConfig, out: str):
-    grid = config.grid(default_aah_grid(config.j))
+    grid = config.grid(default_aah_grid())
     coherences = eigenstate_coherence_map(
         fib_index=config.fib_index,
         delta_grid=grid,
-        j=config.j,
         eta=config.eta,
         workers=config.workers,
     )
@@ -318,13 +313,12 @@ def _run_coherence_map(config: RunConfig, out: str):
 
 
 def _run_bandwidth_fit(config: RunConfig, out: str):
-    grid = config.grid(default_aah_grid(config.j))
+    grid = config.grid(default_aah_grid())
     result = bandwidth_fit(
         fib_index=config.fib_index,
         delta_grid=grid,
         eta_samples=config.eta_samples,
         seed=config.seed,
-        j=config.j,
         workers=config.workers,
     )
     edges_path = os.path.join(out, "bandwidth_fit_edges.csv")
@@ -332,7 +326,7 @@ def _run_bandwidth_fit(config: RunConfig, out: str):
         edges_path,
         ["delta", "edge_excess", "fitted"],
         (
-            [d, e, result.coefficient * d * d * config.j]
+            [d, e, result.coefficient * d * d]
             for d, e in zip(grid, result.band_edges)
         ),
     )
@@ -356,9 +350,7 @@ def _run_single_quench(config: RunConfig, out: str):
         setup = QuenchSetup(hi=hi, hf=hf, rho=config.state_spec().build(diagonalize(hi)))
         work = collect_work_distribution(uncollected_distribution(setup), config.cluster_tol)
     else:
-        params = AahParams(
-            fib_index=config.fib_index, delta=config.delta, j=config.j, eta=config.eta
-        )
+        params = AahParams(fib_index=config.fib_index, delta=config.delta, eta=config.eta)
         work = aah_work_histogram(
             params, config.direction, config.state_spec(), config.cluster_tol
         )
@@ -432,7 +424,6 @@ class RunConfig:
     delta: float = _setting("model", float, 1.0)
     omega_i: float = _setting("model", float, -20.0)
     omega_f: float | None = _setting("model", float, None)
-    j: float = _setting("model", float, 1.0)
     eta: float = _setting("model", float, 1.2)
     fib_index: int = _setting("model", int, 16)
     direction: str = _setting("model", str, ZERO_TO_DELTA, choices=DIRECTIONS)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundViolationError, ValidationError
-from .infotheory import BoundsReport, bounds_report, entropy_of_work, per_level_coherences
+from .infotheory import BoundsReport, _column_entropies, bounds_report, entropy_of_work
 from .models import (
     AahParams,
     LzParams,
@@ -62,14 +62,14 @@ DEFAULT_DERIV_STEP = 0.15
 GROUND_MEAN_TOL = 1e-10
 
 
-def default_lz_grid(delta: float = 1.0, points: int = 501) -> np.ndarray:
+def default_lz_grid(delta: float = 1.0) -> np.ndarray:
     """Final-detuning grid spanning [-25, 25] gaps."""
-    return np.linspace(-25.0 * delta, 25.0 * delta, points)
+    return np.linspace(-25.0 * delta, 25.0 * delta, 501)
 
 
-def default_aah_grid(j: float = 1.0, points: int = 80) -> np.ndarray:
+def default_aah_grid() -> np.ndarray:
     """Potential grid spanning (0, 4] hoppings."""
-    return np.linspace(0.05 * j, 4.0 * j, points)
+    return np.linspace(0.05, 4.0, 80)
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,9 @@ def _at_point(**point):
 
 
 @lru_cache(maxsize=8)
-def _flat_chain(fib_index: int, j: float) -> tuple[HermitianOperator, SpectralDecomposition]:
+def _flat_chain(fib_index: int) -> tuple[HermitianOperator, SpectralDecomposition]:
     """The zero-potential chain and its decomposition; phase-independent, so cached."""
-    flat = aah_hamiltonian(AahParams(fib_index=fib_index, delta=0.0, j=j))
+    flat = aah_hamiltonian(AahParams(fib_index=fib_index, delta=0.0))
     return flat, diagonalize(flat)
 
 
@@ -271,7 +271,7 @@ def _potential_grid(delta_grid: np.ndarray) -> np.ndarray:
 
 def _aah_quench(params: AahParams, direction: str) -> PairTable:
     """The quench that switches the potential off or on."""
-    flat_h, flat = _flat_chain(params.fib_index, params.j)
+    flat_h, flat = _flat_chain(params.fib_index)
     modulated_h = aah_hamiltonian(params)
     modulated = diagonalize(modulated_h)
     if direction == DELTA_TO_ZERO:
@@ -299,7 +299,6 @@ def aah_transition_sweep(
     delta_grid: np.ndarray,
     direction: str,
     state: StateSpec | None = None,
-    j: float = 1.0,
     eta: float = 1.2,
     cluster_tol: float | None = None,
     workers: int = 1,
@@ -312,7 +311,7 @@ def aah_transition_sweep(
     asserted here to one part in 1e10 of the hopping.
     """
     states = (state or StateSpec.ground(),)
-    (result,) = _aah_sweeps(fib_index, delta_grid, direction, states, j, eta, cluster_tol, workers)
+    (result,) = _aah_sweeps(fib_index, delta_grid, direction, states, eta, cluster_tol, workers)
     return result
 
 
@@ -321,7 +320,6 @@ def _aah_sweeps(
     delta_grid: np.ndarray,
     direction: str,
     states: tuple[StateSpec, ...],
-    j: float,
     eta: float,
     cluster_tol: float | None,
     workers: int,
@@ -341,11 +339,11 @@ def _aah_sweeps(
         raise ValidationError("a sweep needs at least one initial state")
     grid = _potential_grid(delta_grid)
     # Filled here, so that the pool threads do not all miss the cache at once.
-    _flat_chain(fib_index, j)
+    _flat_chain(fib_index)
 
     def run_point(delta: float) -> list[SweepRow]:
         with _at_point(delta=float(delta)):
-            params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)
+            params = AahParams(fib_index=fib_index, delta=float(delta), eta=eta)
             table = _aah_quench(params, direction)
             rows = []
             for state in states:
@@ -353,7 +351,7 @@ def _aah_sweeps(
                     setup = QuenchSetup(hi=table.hi, hf=table.hf, rho=state.build(table.initial))
                     row = _evaluate(setup, table, cluster_tol, moments=moments)
                     if direction == ZERO_TO_DELTA and state.kind == "ground":
-                        if abs(row.mean_direct) > GROUND_MEAN_TOL * j:
+                        if abs(row.mean_direct) > GROUND_MEAN_TOL:
                             raise ValidationError(
                                 f"switch-on ground-state mean work {row.mean_direct!r} "
                                 f"exceeds {GROUND_MEAN_TOL:g} hoppings"
@@ -374,7 +372,7 @@ def scaling_derivative(
     seed: int = DEFAULT_SEED,
     deriv_step: float = DEFAULT_DERIV_STEP,
     direction: str = ZERO_TO_DELTA,
-    j: float = 1.0,
+    cluster_tol: float | None = None,
     workers: int = 1,
 ) -> ScalingResult:
     """Phase-averaged transition slope of the work entropy versus size.
@@ -382,8 +380,9 @@ def scaling_derivative(
     For each lattice size the slope of H_W at the critical potential
     (two hoppings) is estimated by the centred difference over
     ``+-deriv_step`` and averaged over independent uniform phase draws
-    from one seeded generator. A least-squares line through
-    (ln N, ln slope) gives the power-law exponent.
+    from one seeded generator; every histogram is collected at
+    ``cluster_tol``. A least-squares line through (ln N, ln slope) gives
+    the power-law exponent.
     """
     indices = list(fib_indices)
     if len(indices) < 3:
@@ -404,15 +403,15 @@ def scaling_derivative(
         etas = rng.uniform(0.0, 2.0 * math.pi, size=eta_samples)
 
         def slope_for(eta: float) -> float:
-            upper = AahParams(fib_index=fib_index, delta=2.0 * j + deriv_step * j, j=j, eta=eta)
-            lower = AahParams(fib_index=fib_index, delta=2.0 * j - deriv_step * j, j=j, eta=eta)
+            upper = AahParams(fib_index=fib_index, delta=2.0 + deriv_step, eta=eta)
+            lower = AahParams(fib_index=fib_index, delta=2.0 - deriv_step, eta=eta)
             return (
-                entropy_of_work(aah_work_histogram(upper, direction))
-                - entropy_of_work(aah_work_histogram(lower, direction))
+                entropy_of_work(aah_work_histogram(upper, direction, cluster_tol=cluster_tol))
+                - entropy_of_work(aah_work_histogram(lower, direction, cluster_tol=cluster_tol))
             ) / (2.0 * deriv_step)
 
         with _at_point(fib_index=fib_index):
-            _flat_chain(fib_index, j)  # filled before the pool threads need it
+            _flat_chain(fib_index)  # filled before the pool threads need it
             per_eta = _fan_out(slope_for, list(etas), workers)
         slopes.append(float(np.mean(per_eta)))
 
@@ -437,7 +436,6 @@ def scaling_derivative(
 def eigenstate_coherence_map(
     fib_index: int,
     delta_grid: np.ndarray,
-    j: float = 1.0,
     eta: float = 1.2,
     workers: int = 1,
 ) -> np.ndarray:
@@ -452,13 +450,14 @@ def eigenstate_coherence_map(
     grid = np.asarray(delta_grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("empty potential grid")
-    _, flat = _flat_chain(fib_index, j)
+    _, flat = _flat_chain(fib_index)
 
     def column(delta: float) -> np.ndarray:
         with _at_point(delta=float(delta)):
-            params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=eta)
+            params = AahParams(fib_index=fib_index, delta=float(delta), eta=eta)
             final = diagonalize(aah_hamiltonian(params))
-            return per_level_coherences(transition_probabilities(flat, final))
+            # transition_probabilities has checked the columns at 1e-10
+            return _column_entropies(transition_probabilities(flat, final))
 
     columns = _fan_out(column, list(grid), workers)
     return np.column_stack(columns)
@@ -469,14 +468,13 @@ def bandwidth_fit(
     delta_grid: np.ndarray,
     eta_samples: int = 10,
     seed: int = DEFAULT_SEED,
-    j: float = 1.0,
     workers: int = 1,
 ) -> FitResult:
     """Fit the quadratic growth of the spectrum edge beyond two hoppings.
 
     For each potential the edge is the largest |eigenvalue| over the phase
-    samples, minus 2 j; the through-origin least squares of edge against
-    potential^2 gives the curvature coefficient.
+    samples, minus two hoppings; the through-origin least squares of edge
+    against potential^2 gives the curvature coefficient.
     """
     grid = _potential_grid(delta_grid)
     if eta_samples < 1:
@@ -488,13 +486,13 @@ def bandwidth_fit(
         largest = 0.0
         for eta in etas:
             with _at_point(delta=float(delta), eta=float(eta)):
-                params = AahParams(fib_index=fib_index, delta=float(delta), j=j, eta=float(eta))
+                params = AahParams(fib_index=fib_index, delta=float(delta), eta=float(eta))
                 evals = np.linalg.eigvalsh(aah_hamiltonian(params).entries)
             largest = max(largest, float(np.max(np.abs(evals))))
-        return largest - 2.0 * j
+        return largest - 2.0
 
     edges = np.array(_fan_out(edge_for, list(grid), workers), dtype=float)
-    regressor = grid**2 * j
+    regressor = grid**2
     coefficient = float(np.sum(regressor * edges) / np.sum(regressor**2))
     residual_max = float(np.max(np.abs(edges - coefficient * regressor) / np.abs(edges)))
     return FitResult(coefficient=coefficient, residual_max=residual_max, band_edges=edges)

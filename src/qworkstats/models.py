@@ -5,9 +5,9 @@ Two-level model: H = delta * sigma_x + omega * sigma_z, energies in units
 of hbar * delta (the minimal gap, at detuning omega = 0).
 
 AAH chain: N = F_n sites on a ring, on-site potential
-delta * cos(2 pi gamma i + eta) with gamma = F_{n-1}/F_n, hopping -j on the
-cyclic nearest-neighbour bonds. Energies in units of hbar * j; ``delta`` is
-the dimensionless ratio potential/hopping.
+delta * cos(2 pi gamma i + eta) with gamma = F_{n-1}/F_n, hopping -1 on the
+cyclic nearest-neighbour bonds. Energies are in units of the hopping J, so
+``delta`` is the ratio V/J of potential to hopping.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .spectral import HermitianOperator
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Numerically fitted curvature of the chain's spectrum edge: the extreme
-# eigenvalues sit at +-(2 j + coefficient * delta^2 * j) for delta up to
-# about four hoppings.
+# eigenvalues sit at +-(2 + coefficient * delta^2) hoppings for delta up to
+# about four.
 BAND_EDGE_COEFFICIENT = 0.146939
 
 
@@ -71,21 +71,18 @@ class AahParams:
 
     ``fib_index`` fixes the ring size N = F_n and the rational modulation
     gamma = F_{n-1}/F_n, a best approximant of the inverse golden ratio.
-    ``delta`` is the potential amplitude in units of the hopping ``j``;
+    ``delta`` is the potential amplitude in hoppings;
     ``eta`` is the potential phase in [0, 2 pi).
     """
 
     fib_index: int
     delta: float
-    j: float = 1.0
     eta: float = 1.2
 
     def __post_init__(self):
         prev, cur = fibonacci_pair(self.fib_index)
         if not (self.delta >= 0 and math.isfinite(self.delta)):
             raise ValidationError(f"potential ratio must be >= 0, got {self.delta!r}")
-        if not (self.j > 0 and math.isfinite(self.j)):
-            raise ValidationError(f"hopping must be positive, got {self.j!r}")
         if not (0.0 <= self.eta < 2.0 * math.pi):
             raise ValidationError(f"phase must lie in [0, 2 pi), got {self.eta!r}")
         object.__setattr__(self, "_fib_pair", (prev, cur))
@@ -99,11 +96,6 @@ class AahParams:
         prev, cur = self._fib_pair
         return prev / cur
 
-    @property
-    def amplitude(self) -> float:
-        """Absolute potential amplitude delta * j."""
-        return self.delta * self.j
-
 
 def aah_hamiltonian(params: AahParams) -> HermitianOperator:
     """Real symmetric N x N ring Hamiltonian with quasiperiodic on-site terms.
@@ -114,8 +106,8 @@ def aah_hamiltonian(params: AahParams) -> HermitianOperator:
     """
     n = params.size
     sites = np.arange(1, n + 1, dtype=float)
-    h = np.diag(params.amplitude * np.cos(2.0 * np.pi * params.gamma * sites + params.eta))
+    h = np.diag(params.delta * np.cos(2.0 * np.pi * params.gamma * sites + params.eta))
     idx = np.arange(n)
-    h[idx, (idx + 1) % n] -= params.j
-    h[(idx + 1) % n, idx] -= params.j
+    h[idx, (idx + 1) % n] -= 1.0
+    h[(idx + 1) % n, idx] -= 1.0
     return HermitianOperator(entries=h)

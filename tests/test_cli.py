@@ -11,7 +11,7 @@ import pytest
 from qworkstats import cli, experiments, infotheory, tpm
 from qworkstats.cli import RunConfig, main, parse_config, run
 from qworkstats.errors import BoundViolationError, ConfigError, ValidationError
-from qworkstats.models import LzParams, lz_hamiltonian
+from qworkstats.models import AahParams, LzParams, lz_hamiltonian
 from qworkstats.spectral import diagonalize
 
 
@@ -25,7 +25,7 @@ def test_parse_config_defaults_for_aah_sweep(tmp_path):
     config = parse_config(path)
     assert config.fib_index == 16
     assert config.eta == 1.2
-    grid = config.grid(experiments.default_aah_grid(config.j))
+    grid = config.grid(experiments.default_aah_grid())
     assert grid.size == 80
     assert grid[0] == pytest.approx(0.05)
     assert grid[-1] == pytest.approx(4.0)
@@ -150,6 +150,41 @@ def test_aah_scaling_cli_writes_fit(tmp_path):
     slopes_lines = (out / "aah_scaling_slopes.csv").read_text().strip().split("\n")
     assert slopes_lines[0] == "size,slope,fit_residual"
     assert len(slopes_lines) == 4
+
+
+def test_aah_scaling_collects_at_the_cluster_tol_it_records(tmp_path):
+    argv = ["aah-scaling", "--fib-min", "6", "--fib-max", "8", "--eta-samples", "3",
+            "--threads", "1"]
+    slopes = {}
+    for width in (None, 0.05):
+        out = tmp_path / f"width-{width}"
+        flags = [] if width is None else ["--cluster-tol", repr(width)]
+        assert main([*argv, "--out", str(out), *flags]) == 0
+        lines = (out / "aah_scaling_slopes.csv").read_text().splitlines()[1:]
+        slopes[width] = [float(line.split(",")[1]) for line in lines]
+        assert json.loads((out / "manifest.json").read_text())["config"]["cluster_tol"] == width
+        expected = experiments.scaling_derivative(range(6, 9), eta_samples=3, cluster_tol=width)
+        assert slopes[width] == expected.slopes.tolist()
+    assert slopes[None] != slopes[0.05]
+
+
+def test_aah_hist_builds_the_configured_state(tmp_path):
+    argv = ["aah-hist", "--fib-index", "9", "--grid-values", "2", "--threads", "1"]
+    written = {}
+    for name, extra in (("ground", []), ("thermal", ["--state", "thermal", "--beta", "1.0"])):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out), *extra]) == 0
+        written[name] = (out / "aah_hist_delta_2.csv").read_bytes()
+    assert written["ground"] != written["thermal"]
+    work = experiments.aah_work_histogram(
+        AahParams(fib_index=9, delta=2.0), experiments.ZERO_TO_DELTA,
+        experiments.StateSpec.thermal(1.0),
+    )
+    expected = "W,P,multiplicity\n" + "".join(
+        f"{w:.17g},{p:.17g},{m}\n"
+        for w, p, m in zip(work.support, work.probs, work.multiplicity)
+    )
+    assert written["thermal"] == expected.encode()
 
 
 def test_cli_main_end_to_end_deterministic(tmp_path):
@@ -375,6 +410,9 @@ def test_blas_reader_sees_the_environment_and_sizes_the_pool(tmp_path):
         ["coherence-map", "--grid-points", "4"],
         ["bandwidth-fit", "--grid-points", "4", "--eta-samples", "3"],
         ["aah-scaling", "--fib-min", "6", "--fib-max", "8", "--eta-samples", "3"],
+        ["aah-hist", "--state", "thermal", "--beta", "1.0"],
+        ["aah-scaling", "--fib-min", "6", "--fib-max", "8", "--eta-samples", "3",
+         "--cluster-tol", "0.05"],
     ],
 )
 def test_pool_size_changes_no_byte_where_blas_threads_its_calls(tmp_path, argv):
@@ -498,8 +536,8 @@ def test_aah_hist_takes_the_grid_flags(tmp_path, monkeypatch):
         return histogram(params, *args, **kwargs)
 
     monkeypatch.setattr(cli, "aah_work_histogram", recording)
-    assert main([*argv, "--j", "0.7"]) == 0
-    assert np.array_equal(deltas, np.array([1.5, 2.0, 2.5, 3.0]) * 0.7)
+    assert main(argv) == 0
+    assert deltas == [1.5, 2.0, 2.5, 3.0]
 
 
 @pytest.mark.parametrize("source", ["flag", "ini"])
@@ -548,7 +586,6 @@ SCHEMA = [
     ("model", "delta", "--delta", "2.5", "delta", 2.5),
     ("model", "omega_i", "--omega-i", "-3", "omega_i", -3.0),
     ("model", "omega_f", "--omega-f", "4", "omega_f", 4.0),
-    ("model", "j", "--j", "0.5", "j", 0.5),
     ("model", "eta", "--eta", "0.3", "eta", 0.3),
     ("model", "fib_index", "--fib-index", "9", "fib_index", 9),
     ("model", "direction", "--direction", "delta-to-zero", "direction", "delta-to-zero"),
@@ -569,7 +606,7 @@ SUBCOMMANDS = ["lz-sweep", "aah-hist", "aah-sweep", "aah-scaling", "thermal-swee
                "coherence-map", "bandwidth-fit", "single-quench"]
 DEFAULTS = {
     "out": "results", "seed": 12345, "threads": 0, "cluster_tol": None, "bits": False,
-    "delta": 1.0, "omega_i": -20.0, "omega_f": None, "j": 1.0, "eta": 1.2, "fib_index": 16,
+    "delta": 1.0, "omega_i": -20.0, "omega_f": None, "eta": 1.2, "fib_index": 16,
     "direction": "zero-to-delta", "fib_min": 10, "fib_max": 16, "eta_samples": 50,
     "deriv_step": 0.15, "state_kind": "ground", "state_level": 0, "state_beta": None,
     "state_betas": (1e-2, 1.0, 1e2, 1e4), "grid_start": None, "grid_stop": None,
@@ -631,3 +668,11 @@ def test_command_line_schema_is_unchanged(tmp_path, monkeypatch):
             argv = ["aah-sweep", flag] if flag == "--bits" else ["aah-sweep", flag, text]
         assert main(argv) == 0
         assert captured.pop() == expected, flag
+
+    # the hopping is the unit of energy, not a setting
+    with pytest.raises(SystemExit) as caught:
+        main(["aah-sweep", "--j", "0.5"])
+    assert caught.value.code == 2
+    path = write_config(tmp_path / "hopping.ini", "[run]\nsubcommand = aah-sweep\n[model]\nj = 1\n")
+    assert main(["aah-sweep", "--config", path]) == 2
+    assert captured == []

@@ -88,7 +88,7 @@ def test_aah_histogram_sign_structure():
     assert float(off.support.min()) > 0.0
     on = aah_work_histogram(params, ZERO_TO_DELTA)
     assert float(on.support.min()) < 0.0 < float(on.support.max())
-    edge = (2.0 + BAND_EDGE_COEFFICIENT * params.delta**2) * params.j
+    edge = 2.0 + BAND_EDGE_COEFFICIENT * params.delta**2
     assert float(on.support.max()) <= 4.0 + (edge - 2.0) + 0.15 * (edge - 2.0)
     with pytest.raises(ValidationError):
         aah_work_histogram(params, "sideways")
@@ -226,6 +226,23 @@ def test_scaling_derivative_deterministic_and_increasing():
     assert first.sizes.tolist() == [8, 13, 21, 34]
 
 
+def test_scaling_slope_is_taken_at_the_critical_point(monkeypatch):
+    # delta is V/J, so the centred difference straddles delta = 2 exactly
+    deltas = []
+    histogram = experiments.aah_work_histogram
+
+    def recording(params, *args, **kwargs):
+        deltas.append(params.delta)
+        return histogram(params, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "aah_work_histogram", recording)
+    for step in (experiments.DEFAULT_DERIV_STEP, 0.1):
+        deltas.clear()
+        scaling_derivative([5, 6, 7], eta_samples=2, seed=1, deriv_step=step)
+        assert len(deltas) == 3 * 2 * 2
+        assert set(deltas) == {2.0 + step, 2.0 - step}
+
+
 def test_scaling_derivative_single_phase_deterministic():
     result = scaling_derivative([6, 7, 8], eta_samples=1, seed=99)
     again = scaling_derivative([6, 7, 8], eta_samples=1, seed=99)
@@ -256,8 +273,8 @@ def test_bandwidth_fit_residuals_grow_toward_validity_edge():
 
 
 def test_flat_chain_cache_consistency():
-    flat, dec = _flat_chain(9, 1.0)
-    again = _flat_chain(9, 1.0)
+    flat, dec = _flat_chain(9)
+    again = _flat_chain(9)
     assert again[0] is flat and again[1] is dec
     assert dec.eigenvalues[0] == pytest.approx(-2.0, abs=1e-12)
 
@@ -284,7 +301,7 @@ def test_each_potential_diagonalized_once_per_sweep(monkeypatch):
     _flat_chain.cache_clear()
     betas = (0.01, 1.0, 100.0, 1e4)
     states = tuple(StateSpec.thermal(beta) for beta in betas)
-    results = _aah_sweeps(8, grid, DELTA_TO_ZERO, states, 1.0, 1.2, None, workers=2)
+    results = _aah_sweeps(8, grid, DELTA_TO_ZERO, states, 1.2, None, workers=2)
     assert len(calls) == 1 + len(grid)
     assert len(results) == len(betas)
 
@@ -308,7 +325,7 @@ def test_each_potential_builds_one_pair_table_per_sweep(monkeypatch):
     monkeypatch.setattr(infotheory, "_column_entropies", counting_coherences)
     grid = [1.0, 2.0, 3.0]
     states = tuple(StateSpec.thermal(beta) for beta in (0.01, 1.0, 100.0, 1e4))
-    results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2)
+    results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2)
     assert len(transitions) == len(grid)
     assert len(coherences) == len(grid)
     assert all(len(result.rows) == len(grid) for result in results)
@@ -326,11 +343,11 @@ def test_thermal_sweep_computes_no_moments_and_the_same_reports(monkeypatch, tmp
     grid = [1.5, 2.5]
     states = tuple(StateSpec.thermal(beta) for beta in (0.01, 1.0, 100.0, 1e4))
     monkeypatch.setattr(experiments, "work_moments", counting_moments)
-    full = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2)
+    full = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2)
     assert len(calls) == len(grid) * len(states)
 
     calls.clear()
-    lean = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2, moments=False)
+    lean = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2, moments=False)
     argv = ["thermal-sweep", "--out", str(tmp_path), "--fib-index", "8", "--grid-values",
             "1.5,2.5", "--threads", "2"]
     assert cli.main(argv) == 0
@@ -347,13 +364,13 @@ def test_shared_sweep_matches_one_sweep_per_state():
     grid = [1.5, 2.5]
     betas = (0.01, 1.0, math.inf)
     states = (StateSpec.ground(), StateSpec.eigenstate(2), *map(StateSpec.thermal, betas))
-    results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.0, 1.2, None, workers=2)
+    results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2)
     for state, result in zip(states, results):
         alone = aah_transition_sweep(8, grid, ZERO_TO_DELTA, state=state)
         for name in ("h_w", "h_u", "s_diag", "avg_coherence", "c_max", "variance", "mean_direct"):
             assert np.array_equal(result.column(name), alone.column(name))
     with pytest.raises(ValidationError):
-        _aah_sweeps(8, grid, ZERO_TO_DELTA, (), 1.0, 1.2, None, 1)
+        _aah_sweeps(8, grid, ZERO_TO_DELTA, (), 1.2, None, 1)
 
 
 def test_ring_translation_moves_no_basis_free_column():
@@ -369,7 +386,7 @@ def test_ring_translation_moves_no_basis_free_column():
     names = ("h_w", "s_diag", "ln_gamma_max", "gamma_max", "variance", "mean_direct")
     for direction in (ZERO_TO_DELTA, DELTA_TO_ZERO):
         here, there = (
-            _aah_sweeps(14, grid, direction, states, 1.0, phase, None, workers=2)
+            _aah_sweeps(14, grid, direction, states, phase, None, workers=2)
             for phase in (eta, shifted)
         )
         for a, b in zip(here, there):

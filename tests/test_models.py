@@ -75,13 +75,11 @@ def test_aah_params_validation():
     with pytest.raises(ValidationError):
         AahParams(fib_index=8, delta=-0.5)
     with pytest.raises(ValidationError):
-        AahParams(fib_index=8, delta=1.0, j=0.0)
-    with pytest.raises(ValidationError):
         AahParams(fib_index=8, delta=1.0, eta=7.0)
 
 
 def test_aah_hamiltonian_structure():
-    params = AahParams(fib_index=7, delta=1.3, j=1.0, eta=1.2)
+    params = AahParams(fib_index=7, delta=1.3, eta=1.2)
     h = aah_hamiltonian(params).entries
     n = params.size
     assert h.shape == (n, n)
@@ -126,7 +124,7 @@ def test_aah_spectrum_within_loose_bound():
 def test_predicted_band_edge_matches_numerics_at_critical_point():
     # edge of the N = 987 spectrum at twice the hopping, scanned over phases
     params = AahParams(fib_index=16, delta=2.0)
-    prediction = (2.0 + BAND_EDGE_COEFFICIENT * params.delta**2) * params.j
+    prediction = 2.0 + BAND_EDGE_COEFFICIENT * params.delta**2
     largest = 0.0
     for eta in np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False):
         params = AahParams(fib_index=16, delta=2.0, eta=float(eta))

@@ -138,7 +138,7 @@ def test_diagonalize_lz_closed_form():
 
 def test_diagonalize_flat_ring_matches_circulant_formula():
     n = 5
-    dec = diagonalize(aah_hamiltonian(AahParams(fib_index=5, delta=0.0, j=1.0)))
+    dec = diagonalize(aah_hamiltonian(AahParams(fib_index=5, delta=0.0)))
     expected = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
     assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
 

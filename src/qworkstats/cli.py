@@ -458,6 +458,17 @@ class RunConfig:
             )
         if self.state_kind == "thermal" and self.state_beta is None:
             raise ConfigError("state kind 'thermal' requires beta")
+        # Each of these drivers fixes its own state, so a state flag would be ignored.
+        if self.subcommand in ("thermal-sweep", "aah-scaling") and (
+            self.state_kind != "ground" or self.state_level != 0 or self.state_beta is not None
+        ):
+            raise ConfigError(
+                f"{self.subcommand} sets its own initial states: it takes no state, level or beta"
+            )
+        if self.subcommand == "lz-sweep" and (
+            self.state_kind == "eigenstate" or self.state_level != 0
+        ):
+            raise ConfigError("lz-sweep starts from the thermal state at beta: it takes no level")
 
     @property
     def workers(self) -> int:

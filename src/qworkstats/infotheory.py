@@ -47,6 +47,7 @@ def _entropy(p: np.ndarray) -> float:
     """-sum q ln q of q = p / sum(p) for a nonnegative ``p``, with 0 ln 0 = 0."""
     q = p / p.sum()
     live = q[q > 0.0]
+    del q  # up to N^2 values: freed before the log allocates
     terms = np.log(live)
     terms *= live  # in place: inputs can be N^2 long
     return 0.0 - float(terms.sum())  # +0.0, not -0.0, when no term is nonzero
@@ -104,10 +105,13 @@ def per_level_coherences(pmn: np.ndarray) -> np.ndarray:
 
 
 def _column_entropies(pmn: np.ndarray) -> np.ndarray:
-    """-sum_m p ln p down each column, with 0 ln 0 = 0, after clipping at zero."""
-    p = np.maximum(pmn, 0.0)
-    terms = np.log(p, out=np.zeros(p.shape), where=p > 0.0)
-    terms *= p
+    """-sum_m p ln p down each column, with 0 ln 0 = 0.
+
+    An entry at or below zero gives a zero term (-0.0 for a tiny negative
+    one), which leaves every column sum as clipping would.
+    """
+    terms = np.log(pmn, out=np.zeros(pmn.shape), where=pmn > 0.0)
+    terms *= pmn
     return -terms.sum(axis=0)
 
 

@@ -215,7 +215,8 @@ class UncollectedDistribution:
         try:
             return self.__dict__["_joint"]
         except KeyError:
-            joint = np.maximum(self.pn[self.columns] * self.table.pmn[:, self.columns], 0.0)
+            joint = self.pn[self.columns] * self.table.pmn[:, self.columns]
+            np.maximum(joint, 0.0, out=joint)
             joint.setflags(write=False)
             return self.__dict__.setdefault("_joint", joint)
 
@@ -247,24 +248,31 @@ class WorkDistribution:
     diagnostics: CollectionDiagnostics
 
     def __post_init__(self):
-        support = np.array(self.support, dtype=float)
-        probs = np.array(self.probs, dtype=float)
-        multiplicity = np.array(self.multiplicity, dtype=np.int64)
+        self._own(
+            np.array(self.support, dtype=float),
+            np.array(self.probs, dtype=float),
+            np.array(self.multiplicity, dtype=np.int64),
+            self.diagnostics,
+        )
+
+    def _own(self, support, probs, multiplicity, diagnostics) -> WorkDistribution:
+        """Check and keep the arrays themselves, read-only; the caller gives them up."""
+        object.__setattr__(self, "diagnostics", diagnostics)
         if not (support.shape == probs.shape == multiplicity.shape) or support.ndim != 1:
             raise DimensionMismatchError("support, probs, multiplicity must be equal-length vectors")
         gaps = support[1:] - support[:-1]
         if not (np.isfinite(support).all() and (gaps > 0).all()):
             raise ValidationError("support must be finite and strictly increasing")
-        if gaps.size and float(gaps.min()) < self.diagnostics.cluster_tol:
+        if gaps.size and float(gaps.min()) < diagnostics.cluster_tol:
             raise ValidationError(
                 f"support gap {float(gaps.min()):g} below clustering width "
-                f"{self.diagnostics.cluster_tol:g}"
+                f"{diagnostics.cluster_tol:g}"
             )
         if not (abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL and probs.min() >= 0.0):
             raise ValidationError(f"probs must be >= 0 and sum to 1, not {float(probs.sum())!r}")
         if (multiplicity < 1).any():
             raise ValidationError("multiplicities must be >= 1")
-        total_pairs = int(multiplicity.sum()) + self.diagnostics.dropped_pairs
+        total_pairs = int(multiplicity.sum()) + diagnostics.dropped_pairs
         if math.isqrt(total_pairs) ** 2 != total_pairs:
             raise ValidationError(
                 f"kept plus dropped pair count {total_pairs} is not a level count squared"
@@ -272,6 +280,7 @@ class WorkDistribution:
         for name, arr in (("support", support), ("probs", probs), ("multiplicity", multiplicity)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        return self
 
     @property
     def num_points(self) -> int:
@@ -351,22 +360,26 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
     """(cluster of each pair in ``columns``, row-major; pairs per cluster).
 
     A state over more than half of the columns stores the ids of the whole
-    table, scattered through one argsort; a narrower state reads them if
-    stored and otherwise looks its columns up in the sorted values. Equal
-    values share a cluster, so both routes give the same ids.
+    table and the member counts, scattered through one argsort; a narrower
+    state reads them if stored and otherwise looks its columns up in the
+    sorted values, storing nothing. Equal values share a cluster, so both
+    routes give the same ids. The sorted values never outlive the call.
     """
     bohr, key = table.bohr, ("cluster_ids", cluster_tol)
-    build = key not in table._memo and 2 * (columns.stop - columns.start) > bohr.shape[1]
-    order = np.argsort(bohr, axis=None) if build else None
-    v = table.memo("values", lambda: bohr.ravel()[order] if build else np.sort(bohr, axis=None))
-    sorted_ids, members = table.memo(("clusters", cluster_tol), lambda: _clusters(v, cluster_tol))
-    if build:
+    stored = table._memo.get(key)
+    if stored is None and 2 * (columns.stop - columns.start) > bohr.shape[1]:
+        order = np.argsort(bohr, axis=None)
+        v = bohr.ravel()[order]
+        sorted_ids, members = _clusters(v, cluster_tol)
         ids = np.empty_like(sorted_ids)
         ids[order] = sorted_ids
-        table.memo(key, lambda: ids.reshape(bohr.shape))
-    ids = table._memo.get(key)
-    if ids is None:
+        del order, v, sorted_ids  # N^2 each: freed before a partial block is copied below
+        stored = table.memo(key, lambda: (ids.reshape(bohr.shape), members))
+    if stored is None:
+        v = np.sort(bohr, axis=None)
+        sorted_ids, members = _clusters(v, cluster_tol)
         return sorted_ids[np.searchsorted(v, bohr[:, columns])].ravel(), members
+    ids, members = stored
     return ids[:, columns].ravel(), members
 
 
@@ -392,13 +405,14 @@ def collect_work_distribution(
     cluster_prob = np.bincount(ids, weights=q.ravel(), minlength=members.size)
     weighted = q * uncollected.table.bohr[:, columns]  # q is shared, so not scaled in place
     weighted_sum = np.bincount(ids, weights=weighted.ravel(), minlength=members.size)
-    del weighted  # up to N^2 values: freed before the rest of the collection allocates
+    del weighted, ids  # up to N^2 values each: freed before the rest allocates
 
     keep = cluster_prob >= DROP_THRESHOLD
     if not keep.any():
         raise ValidationError("all collected work values fell below the probability floor")
     # Probability-weighted representative keeps the first moment exact.
     support = weighted_sum[keep] / cluster_prob[keep]
+    del weighted_sum
     kept_probs = cluster_prob[keep]
     dropped_mass = float(cluster_prob[~keep].sum())
     if dropped_mass != 0.0:
@@ -424,9 +438,8 @@ def collect_work_distribution(
         dropped_pairs=int(members[~keep].sum()),
         dropped_mass=dropped_mass,
     )
-    return WorkDistribution(
-        support=support, probs=kept_probs, multiplicity=members[keep], diagnostics=diagnostics
-    )
+    # built here, so kept without a copy
+    return object.__new__(WorkDistribution)._own(support, kept_probs, members[keep], diagnostics)
 
 
 def max_degeneracy(work: WorkDistribution) -> int:
@@ -484,8 +497,23 @@ def mean_work_direct(setup: QuenchSetup) -> float:
 
 
 def _level_work(quench, initial: SpectralDecomposition, live: np.ndarray) -> np.ndarray:
+    """<n_i|U^dag Hf U - Hi|n_i> for the ``live`` levels n.
+
+    A sudden quench that changes only the diagonal scales the rows of the
+    eigenvectors; the N^3 product with the difference adds only exact
+    zeros to those terms. Both sum a C-order array (numpy lays some
+    products with the Fortran-order eigenvectors out in Fortran order,
+    which sums in another order), so the two routes give the same bits.
+    """
     v = initial.eigenvectors[:, live]
-    return (v.conj() * (_rotated_difference(quench) @ v)).sum(axis=0).real
+    hf, hi = quench.hf.entries, quench.hi.entries
+    d = hf.diagonal() - hi.diagonal()
+    if quench.u is None and np.count_nonzero(hf != hi) == np.count_nonzero(d):
+        product = np.multiply(d[:, np.newaxis], v, order="C")
+    else:
+        product = _rotated_difference(quench) @ v
+    np.multiply(v.conj(), product, out=product)
+    return product.sum(axis=0).real
 
 
 def check_first_moment(work: WorkDistribution, uncollected: UncollectedDistribution) -> float:

@@ -334,6 +334,48 @@ def test_runconfig_validation():
         RunConfig(subcommand="aah-sweep", state_kind="thermal")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thermal-sweep", "--fib-index", "8", "--grid-values", "1.5",
+         "--state", "thermal", "--beta", "0.5"],
+        ["lz-sweep", "--grid-points", "11", "--state", "eigenstate", "--level", "1"],
+        ["aah-scaling", "--fib-min", "5", "--fib-max", "7", "--eta-samples", "2",
+         "--state", "thermal", "--beta", "0.5"],
+    ],
+)
+def test_drivers_that_fix_their_state_refuse_the_state_flags(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out), "--threads", "1"]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["type"] == "config-error" and argv[0] in record["message"]
+    assert not out.exists()
+
+
+def test_each_state_setting_a_driver_ignores_is_refused_alone(tmp_path):
+    for subcommand in ("thermal-sweep", "aah-scaling"):
+        for setting in ({"state_kind": "eigenstate"}, {"state_level": 2}, {"state_beta": 0.5},
+                        {"state_kind": "thermal", "state_beta": 0.5}):
+            with pytest.raises(ConfigError, match="no state, level or beta"):
+                RunConfig(subcommand=subcommand, **setting)
+    for setting in ({"state_kind": "eigenstate"}, {"state_level": 2}):
+        with pytest.raises(ConfigError, match="no level"):
+            RunConfig(subcommand="lz-sweep", **setting)
+
+    # lz-sweep's state is the thermal state at --beta (0.1 by default), which
+    # stays in force: naming the default changes no byte, another beta does
+    argv = ["lz-sweep", "--grid-points", "11", "--threads", "1"]
+    written = {}
+    for name, extra in (("default", []), ("named", ["--state", "thermal", "--beta", "0.1"]),
+                        ("hotter", ["--beta", "0.05"])):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out), *extra]) == 0
+        written[name] = [
+            (out / f).read_bytes() for f in sorted(os.listdir(out)) if f != "manifest.json"
+        ]
+    assert written["default"] == written["named"] != written["hotter"]
+
+
 def test_manifest_records_environment_and_tolerances(tmp_path):
     out = tmp_path / "run"
     assert main(["aah-sweep", "--out", str(out), "--fib-index", "7",

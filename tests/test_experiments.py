@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,30 @@ def test_thermal_sweep_computes_no_moments_and_the_same_reports(monkeypatch, tmp
             assert np.array_equal(without.column(name), with_moments.column(name)), name
         for a, b in zip(without.rows, with_moments.rows):
             assert np.array_equal(a.report.per_level_coherence, b.report.per_level_coherence)
+
+
+def test_a_sweep_row_holds_few_n_squared_arrays():
+    # The traced peak of two sweep rows at N = 377, with the flat chain cached,
+    # counted in N^2 float arrays: the thermal row (the CLI's four betas, no
+    # moments) read 12.7 and the ground row 7.6 while the pair table kept its
+    # sort leftovers and collection copied what it built.
+    fib_index = 14
+    flat_h, _ = _flat_chain(fib_index)
+    n_squared = flat_h.dim**2 * 8
+    betas = cli.RunConfig("thermal-sweep").state_betas
+    budgets = (
+        (tuple(StateSpec.thermal(beta) for beta in betas), {"moments": False}, 10.0),
+        ((StateSpec.ground(),), {}, 7.0),
+    )
+    for states, options, budget in budgets:
+        tracemalloc.start()
+        try:
+            _aah_sweeps(fib_index, np.array([1.5, 2.5]), ZERO_TO_DELTA, states, 1.2, None, 1,
+                        **options)
+            peak = tracemalloc.get_traced_memory()[1] / n_squared
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (len(states), peak)
 
 
 def test_shared_sweep_matches_one_sweep_per_state():

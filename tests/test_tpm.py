@@ -246,8 +246,8 @@ def test_shared_table_collects_like_a_fresh_table_per_state():
                     UncollectedDistribution(pn, PairTable(pmn, bohr)), cluster_tol
                 )
                 assert_same_collection(shared, fresh)
-        # one clustering per width, shared by the populations
-        widths = sorted(key[1] for key in table._memo if key[0] == "clusters")
+        # one id table per width, shared by the populations
+        widths = sorted(key[1] for key in table._memo if key[0] == "cluster_ids")
         assert widths == sorted([table.default_cluster_tol, 1e-4, 1e-3])
 
     bridged = collect_work_distribution(UncollectedDistribution(populations[0], table), 1e-3)
@@ -307,6 +307,127 @@ def test_one_level_state_collects_without_an_argsort(monkeypatch):
     monkeypatch.setattr(np, "argsort", no_argsort)
     table = PairTable(pmn, bohr)
     assert_same_collection(collect_work_distribution(UncollectedDistribution(pn, table)), expected)
+
+
+def _n_squared_arrays(value, n):
+    """The arrays of at least n^2 entries inside a memo value."""
+    if isinstance(value, tuple):
+        return [arr for item in value for arr in _n_squared_arrays(item, n)]
+    return [value] if isinstance(value, np.ndarray) and value.size >= n * n else []
+
+
+def test_pair_table_memo_keeps_only_the_id_table_and_member_counts(monkeypatch):
+    rng = np.random.default_rng(79)
+    dim = 7
+    ei = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
+    ef = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
+    pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
+    bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
+
+    # a narrow state on a fresh table sorts into locals and stores nothing
+    table = PairTable(pmn, bohr)
+    narrow = collect_work_distribution(UncollectedDistribution(np.eye(dim)[3], table))
+    assert not any(_n_squared_arrays(value, dim) for value in table._memo.values())
+
+    # a wide state stores, per width, the id table and the member counts only
+    for cluster_tol in (None, 1e-3, None):
+        uniform = UncollectedDistribution(np.full(dim, 1.0 / dim), table)
+        collect_work_distribution(uniform, cluster_tol)
+    widths = (table.default_cluster_tol, 1e-3)
+    assert set(table._memo) == {("cluster_ids", width) for width in widths}
+    for ids, members in table._memo.values():
+        assert ids.shape == (dim, dim) and ids.dtype.kind == "i"
+        assert members.ndim == 1 and int(members.sum()) == dim * dim
+        assert ids.max() == members.size - 1
+    # ... which a later narrow state reads instead of sorting
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a narrow state sorted although the ids were stored")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    assert_same_collection(
+        collect_work_distribution(UncollectedDistribution(np.eye(dim)[3], table)), narrow
+    )
+
+
+def test_collected_distribution_keeps_its_arrays_and_copies_a_callers(monkeypatch):
+    owned = []
+    own = WorkDistribution._own
+
+    def recording(self, *arrays):
+        owned.append(arrays)
+        return own(self, *arrays)
+
+    def copying(self):
+        raise AssertionError("collection copied the arrays it built")
+
+    monkeypatch.setattr(WorkDistribution, "_own", recording)
+    monkeypatch.setattr(WorkDistribution, "__post_init__", copying)
+    setup = random_setup(np.random.default_rng(7), 5)
+    work = collect_work_distribution(uncollected_distribution(setup))
+    (arrays,) = owned
+    kept_arrays = (work.support, work.probs, work.multiplicity)
+    assert all(kept is given for kept, given in zip(kept_arrays, arrays))
+    assert not any(arr.flags.writeable for arr in kept_arrays)
+    monkeypatch.undo()
+
+    support, probs, multiplicity = np.array([0.0, 1.0]), np.array([0.5, 0.5]), np.array([1, 3])
+    built = WorkDistribution(support, probs, multiplicity, work.diagnostics)
+    kept_arrays = (built.support, built.probs, built.multiplicity)
+    for mine, kept in zip((support, probs, multiplicity), kept_arrays):
+        assert mine.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(mine, kept)
+        mine[0] = 7
+    assert built.support[0] == 0.0 and built.probs[0] == 0.5 and built.multiplicity[0] == 1
+
+
+def _changed_diagonal(rng, dim, dtype):
+    """A random Hermitian hi, and hf = hi with its diagonal redrawn."""
+    entries = rng.normal(size=(dim, dim))
+    if dtype is complex:
+        entries = entries + 1j * rng.normal(size=(dim, dim))
+    hi = (entries + entries.conj().T) / 2
+    hf = hi.copy()
+    np.fill_diagonal(hf, rng.normal(size=dim))
+    return HermitianOperator(entries=hi), HermitianOperator(entries=hf)
+
+
+def test_diagonal_first_moment_route_matches_the_dense_product_bit_for_bit(monkeypatch):
+    dense = []
+    rotated_difference = tpm._rotated_difference
+
+    def recording(quench):
+        dense.append(quench)
+        return rotated_difference(quench)
+
+    monkeypatch.setattr(tpm, "_rotated_difference", recording)
+    rng = np.random.default_rng(89)
+    for dim in (2, 3, 8, 33, 200):
+        for dtype in (float, complex):
+            hi, hf = _changed_diagonal(rng, dim, dtype)
+            quench = QuenchSetup(hi=hi, hf=hf, rho=np.full(dim, 1.0 / dim))
+            initial = diagonalize(hi)
+            for live in (np.arange(dim), np.arange(dim // 2 + 1), np.array([dim - 1]),
+                         np.arange(0, dim, 3)):
+                v = initial.eigenvectors[:, live]
+                product = (hf.entries - hi.entries) @ v
+                expected = np.multiply(v.conj(), product, order="C").sum(axis=0).real
+                assert np.array_equal(tpm._level_work(quench, initial, live), expected)
+                if dtype is float:  # numpy lays these products out in C order itself
+                    assert np.array_equal((v.conj() * product).sum(axis=0).real, expected)
+    assert dense == []
+
+    # one changed off-diagonal pair, or a protocol, takes the dense product
+    hi, hf = _changed_diagonal(rng, 6, complex)
+    entries = hf.entries.copy()
+    entries[1, 4] += 0.5j
+    entries[4, 1] -= 0.5j
+    initial, live = diagonalize(hi), np.arange(6)
+    for quench in (
+        QuenchSetup(hi=hi, hf=HermitianOperator(entries=entries), rho=np.eye(6)[0]),
+        QuenchSetup(hi=hi, hf=hf, rho=np.eye(6)[0], u=haar_unitary(rng, 6)),
+    ):
+        tpm._level_work(quench, initial, live)
+        assert dense.pop() is quench
 
 
 def test_pair_table_mean_work_shares_first_moment_products_per_live_set():

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands cover the full set of drivers; every run writes one CSV per
-output panel plus a JSON manifest echoing the complete configuration, the
+output panel plus a JSON manifest echoing the settings in force, the
 seed, and the tolerances, which is enough to reproduce any output file
 byte for byte. Output files are written atomically (temp file + rename),
 progress goes to stderr, and stdout carries an optional machine-readable
@@ -25,7 +25,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -361,15 +361,23 @@ def _run_single_quench(config: RunConfig, out: str):
     return [csv_path, json_path], {"h_w": entropy_of_work(work)}
 
 
+_COMMON = ("subcommand", "out", "seed", "threads", "bits")
+_CHAIN = ("fib_index", "eta", "direction", "cluster_tol")
+_STATE = ("state_kind", "state_level", "state_beta")
+_GRID = ("grid_start", "grid_stop", "grid_points", "grid_values")
+
+# Each subcommand's handler and the settings it reads besides _COMMON: its
+# flags, the settings it refuses and its manifest's config echo follow.
 _HANDLERS = {
-    "lz-sweep": _run_lz_sweep,
-    "aah-hist": _run_aah_hist,
-    "aah-sweep": _run_aah_sweep,
-    "aah-scaling": _run_aah_scaling,
-    "thermal-sweep": _run_thermal_sweep,
-    "coherence-map": _run_coherence_map,
-    "bandwidth-fit": _run_bandwidth_fit,
-    "single-quench": _run_single_quench,
+    "lz-sweep": (_run_lz_sweep, ("omega_i", "delta", "state_beta", "cluster_tol", *_GRID)),
+    "aah-hist": (_run_aah_hist, (*_CHAIN, *_STATE, *_GRID)),
+    "aah-sweep": (_run_aah_sweep, (*_CHAIN, *_STATE, *_GRID)),
+    "aah-scaling": (_run_aah_scaling, ("fib_min", "fib_max", "eta_samples", "deriv_step",
+                                       "direction", "cluster_tol")),
+    "thermal-sweep": (_run_thermal_sweep, (*_CHAIN, "state_betas", *_GRID)),
+    "coherence-map": (_run_coherence_map, ("fib_index", "eta", *_GRID)),
+    "bandwidth-fit": (_run_bandwidth_fit, ("fib_index", "eta_samples", *_GRID)),
+    "single-quench": (_run_single_quench, (*_CHAIN, *_STATE, "omega_i", "omega_f", "delta")),
 }
 
 
@@ -408,8 +416,8 @@ def _setting(section: str, parse, default=MISSING, *, flag: str | None = "", cho
 class RunConfig:
     """Fully validated description of one CLI run.
 
-    Each field declares one setting once: the INI sections and keys, the
-    flags and the manifest's config echo are all built from these fields.
+    Each field declares one setting once, and ``_HANDLERS`` the subcommands
+    that read it: the INI keys, the flags and the config echo follow.
     """
 
     subcommand: str = _setting("run", str, flag=None, choices=SUBCOMMANDS)
@@ -458,17 +466,24 @@ class RunConfig:
             )
         if self.state_kind == "thermal" and self.state_beta is None:
             raise ConfigError("state kind 'thermal' requires beta")
-        # Each of these drivers fixes its own state, so a state flag would be ignored.
-        if self.subcommand in ("thermal-sweep", "aah-scaling") and (
-            self.state_kind != "ground" or self.state_level != 0 or self.state_beta is not None
-        ):
-            raise ConfigError(
-                f"{self.subcommand} sets its own initial states: it takes no state, level or beta"
-            )
-        if self.subcommand == "lz-sweep" and (
-            self.state_kind == "eigenstate" or self.state_level != 0
-        ):
-            raise ConfigError("lz-sweep starts from the thermal state at beta: it takes no level")
+        read = self.in_force()
+        for setting in fields(self):
+            if setting.name not in read and getattr(self, setting.name) != setting.default:
+                raise ConfigError(f"{self.subcommand} does not read {setting.name} in this run")
+
+    def in_force(self) -> tuple[str, ...]:
+        """The settings this run reads: its subcommand's, less a level outside
+        an eigenstate, a beta outside a thermal state, the grid's bounds beside
+        its values and the model a single quench does not build."""
+        takes = _COMMON + _HANDLERS[self.subcommand][1]
+        unread = set() if self.state_kind == "eigenstate" else {"state_level"}
+        if self.grid_values is not None:
+            unread |= {"grid_start", "grid_stop", "grid_points"}
+        if self.state_kind != "thermal" and "state_kind" in takes:
+            unread.add("state_beta")  # lz-sweep's state is always thermal
+        if self.subcommand == "single-quench":
+            unread |= {"omega_i"} if self.omega_f is None else {"fib_index", "eta", "direction"}
+        return tuple(name for name in takes if name not in unread)
 
     @property
     def workers(self) -> int:
@@ -580,7 +595,7 @@ def run(config: RunConfig) -> int:
     status = 0
     try:
         _progress(f"running {config.subcommand} (seed={config.seed})")
-        outputs, extras = _HANDLERS[config.subcommand](config, out)
+        outputs, extras = _HANDLERS[config.subcommand][0](config, out)
         _progress(f"wrote {len(outputs)} file(s) in {time.time() - started:.1f}s")
     except BoundViolationError as exc:
         error_record = {"type": "bound-violation", "message": str(exc),
@@ -595,7 +610,7 @@ def run(config: RunConfig) -> int:
         status = 1
     manifest = {
         "version": __version__,
-        "config": asdict(config),
+        "config": {name: getattr(config, name) for name in config.in_force()},
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -640,7 +655,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="INI config file; flags override file values")
         for setting in fields(RunConfig):
             meta = setting.metadata
-            if meta["flag"] is None:
+            if meta["flag"] is None or setting.name not in _COMMON + _HANDLERS[name][1]:
                 continue
             if meta["parse"] is _parse_bool:
                 kind = {"action": "store_const", "const": True}

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -337,43 +338,61 @@ def test_runconfig_validation():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["thermal-sweep", "--fib-index", "8", "--grid-values", "1.5",
-         "--state", "thermal", "--beta", "0.5"],
-        ["lz-sweep", "--grid-points", "11", "--state", "eigenstate", "--level", "1"],
-        ["aah-scaling", "--fib-min", "5", "--fib-max", "7", "--eta-samples", "2",
-         "--state", "thermal", "--beta", "0.5"],
+        # a level outside an eigenstate and a beta outside a thermal state
+        ["aah-sweep", "--fib-index", "8", "--grid-points", "3", "--level", "3", "--beta", "0.5"],
+        ["aah-hist", "--fib-index", "8", "--state", "thermal", "--beta", "0.5", "--level", "2"],
+        ["single-quench", "--state", "eigenstate", "--level", "1", "--beta", "0.5"],
+        # the chain settings beside a two-level quench, omega_i beside a chain
+        ["single-quench", "--omega-f", "3", "--fib-index", "5", "--direction", "delta-to-zero",
+         "--eta", "0.3"],
+        ["single-quench", "--omega-i=-3", "--fib-index", "5"],
+        # grid bounds beside the grid's values
+        ["aah-hist", "--fib-index", "8", "--grid-values", "1.5", "--grid-points", "3"],
     ],
 )
-def test_drivers_that_fix_their_state_refuse_the_state_flags(tmp_path, capsys, argv):
+def test_a_setting_the_run_does_not_read_is_refused(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out), "--threads", "1"]) == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["type"] == "config-error" and argv[0] in record["message"]
+    assert record["type"] == "config-error" and "does not read" in record["message"]
     assert not out.exists()
 
 
-def test_each_state_setting_a_driver_ignores_is_refused_alone(tmp_path):
-    for subcommand in ("thermal-sweep", "aah-scaling"):
-        for setting in ({"state_kind": "eigenstate"}, {"state_level": 2}, {"state_beta": 0.5},
-                        {"state_kind": "thermal", "state_beta": 0.5}):
-            with pytest.raises(ConfigError, match="no state, level or beta"):
-                RunConfig(subcommand=subcommand, **setting)
-    for setting in ({"state_kind": "eigenstate"}, {"state_level": 2}):
-        with pytest.raises(ConfigError, match="no level"):
-            RunConfig(subcommand="lz-sweep", **setting)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lz-sweep", "--state", "ground"],  # its state is always thermal, at --beta
+        ["lz-sweep", "--level", "1"],
+        ["thermal-sweep", "--state", "thermal", "--beta", "0.5"],
+        ["aah-scaling", "--beta", "0.5"],
+        ["coherence-map", "--state", "thermal", "--beta", "0.5"],
+        ["coherence-map", "--cluster-tol", "0.1"],
+        ["bandwidth-fit", "--direction", "delta-to-zero"],
+        ["aah-sweep", "--omega-f", "3"],
+    ],
+)
+def test_a_flag_the_subcommand_does_not_take_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "--out", str(out)])
+    assert caught.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not out.exists()
 
-    # lz-sweep's state is the thermal state at --beta (0.1 by default), which
-    # stays in force: naming the default changes no byte, another beta does
-    argv = ["lz-sweep", "--grid-points", "11", "--threads", "1"]
-    written = {}
-    for name, extra in (("default", []), ("named", ["--state", "thermal", "--beta", "0.1"]),
-                        ("hotter", ["--beta", "0.05"])):
-        out = tmp_path / name
-        assert main([*argv, "--out", str(out), *extra]) == 0
-        written[name] = [
-            (out / f).read_bytes() for f in sorted(os.listdir(out)) if f != "manifest.json"
-        ]
-    assert written["default"] == written["named"] != written["hotter"]
+
+def test_an_ini_setting_the_subcommand_does_not_take_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    for subcommand, section, key in (("aah-scaling", "state", "level = 2"),
+                                     ("lz-sweep", "state", "kind = eigenstate"),
+                                     ("coherence-map", "run", "cluster_tol = 0.1"),
+                                     ("aah-sweep", "state", "betas = 0.5")):
+        text = f"[run]\nsubcommand = {subcommand}\n"
+        text += f"{key}\n" if section == "run" else f"[{section}]\n{key}\n"
+        path = write_config(tmp_path / "run.ini", text)
+        assert main([subcommand, "--config", path, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["type"] == "config-error" and "does not read" in record["message"]
+    assert not out.exists()
 
 
 def test_manifest_records_environment_and_tolerances(tmp_path):
@@ -446,13 +465,13 @@ def test_blas_reader_sees_the_environment_and_sizes_the_pool(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["aah-sweep", "--grid-values", "0.5,1.5,2.5,3.5"],
-        ["thermal-sweep", "--grid-values", "1.5,2.5"],
+        ["aah-sweep", "--fib-index", "14", "--grid-values", "0.5,1.5,2.5,3.5"],
+        ["thermal-sweep", "--fib-index", "14", "--grid-values", "1.5,2.5"],
         ["lz-sweep", "--grid-points", "41"],
-        ["coherence-map", "--grid-points", "4"],
-        ["bandwidth-fit", "--grid-points", "4", "--eta-samples", "3"],
+        ["coherence-map", "--fib-index", "14", "--grid-points", "4"],
+        ["bandwidth-fit", "--fib-index", "14", "--grid-points", "4", "--eta-samples", "3"],
         ["aah-scaling", "--fib-min", "6", "--fib-max", "8", "--eta-samples", "3"],
-        ["aah-hist", "--state", "thermal", "--beta", "1.0"],
+        ["aah-hist", "--fib-index", "14", "--state", "thermal", "--beta", "1.0"],
         ["aah-scaling", "--fib-min", "6", "--fib-max", "8", "--eta-samples", "3",
          "--cluster-tol", "0.05"],
     ],
@@ -463,7 +482,7 @@ def test_pool_size_changes_no_byte_where_blas_threads_its_calls(tmp_path, argv):
     written = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
-        assert main([*argv, "--out", str(out), "--fib-index", "14", "--threads", threads]) == 0
+        assert main([*argv, "--out", str(out), "--threads", threads]) == 0
         written[threads] = {
             name: (out / name).read_bytes() for name in os.listdir(out) if name.endswith(".csv")
         }
@@ -654,6 +673,29 @@ DEFAULTS = {
     "state_betas": (1e-2, 1.0, 1e2, 1e4), "grid_start": None, "grid_stop": None,
     "grid_points": None, "grid_values": None,
 }
+# The settings each subcommand takes besides COMMON, by RunConfig field.
+COMMON = ["out", "seed", "threads", "bits"]
+GRID = ["grid_start", "grid_stop", "grid_points", "grid_values"]
+STATE = ["state_kind", "state_level", "state_beta"]
+CHAIN = ["fib_index", "eta", "direction", "cluster_tol"]
+TAKES = {
+    "lz-sweep": ["omega_i", "delta", "state_beta", "cluster_tol", *GRID],
+    "aah-hist": [*CHAIN, *STATE, *GRID],
+    "aah-sweep": [*CHAIN, *STATE, *GRID],
+    "aah-scaling": ["fib_min", "fib_max", "eta_samples", "deriv_step", "direction", "cluster_tol"],
+    "thermal-sweep": [*CHAIN, "state_betas", *GRID],
+    "coherence-map": ["fib_index", "eta", *GRID],
+    "bandwidth-fit": ["fib_index", "eta_samples", *GRID],
+    "single-quench": [*CHAIN, *STATE, "omega_i", "omega_f", "delta"],
+}
+# What a setting is read with: a level in an eigenstate, a beta in a
+# thermal state (where the subcommand takes a state kind), omega_i in a
+# two-level quench (where the subcommand takes omega_f).
+COMPANIONS = {
+    "state_level": ("state", "kind", "--state", "eigenstate", "state_kind", "eigenstate"),
+    "state_beta": ("state", "kind", "--state", "thermal", "state_kind", "thermal"),
+    "omega_i": ("model", "omega_f", "--omega-f", "4", "omega_f", 4.0),
+}
 
 
 def _valid_names(tmp_path, section, label):
@@ -677,12 +719,17 @@ def test_command_line_schema_is_unchanged(tmp_path, monkeypatch):
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(commands.choices) == SUBCOMMANDS
-    flags = {row[2] for row in SCHEMA if row[2]} | {"--config", "-h", "--help"}
+    flags = {row[4]: row[2] for row in SCHEMA}
+    # 99 of the 8 x 23 (subcommand, setting) pairs
+    assert sum(len(COMMON + TAKES[name]) for name in SUBCOMMANDS) == 99
     for name, command in commands.choices.items():
         actions = {flag: action for action in command._actions for flag in action.option_strings}
-        assert set(actions) == flags
-        assert actions["--direction"].choices == ("delta-to-zero", "zero-to-delta")
-        assert actions["--state"].choices == ("ground", "eigenstate", "thermal")
+        taken = {flags[setting] for setting in COMMON + TAKES[name]} - {None}
+        assert set(actions) == taken | {"--config", "-h", "--help"}, name
+        if "--direction" in actions:
+            assert actions["--direction"].choices == ("delta-to-zero", "zero-to-delta")
+        if "--state" in actions:
+            assert actions["--state"].choices == ("ground", "eigenstate", "thermal")
         with pytest.raises(SystemExit) as caught:
             main([name, "--help"])
         assert caught.value.code == 0
@@ -693,23 +740,40 @@ def test_command_line_schema_is_unchanged(tmp_path, monkeypatch):
     captured = []
     monkeypatch.setattr(cli, "run", lambda config: captured.append(config) or 0)
     for section, key, flag, text, name, value in SCHEMA:
-        sections = {"run": {"subcommand": "aah-sweep"}}
-        sections.setdefault(section, {})[key] = text
-        path = write_config(tmp_path / "setting.ini", "".join(
-            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
-            for s, entries in sections.items()
-        ))
-        expected = RunConfig(**{"subcommand": "aah-sweep", name: value})
-        assert expected != RunConfig("aah-sweep")
-        assert parse_config(path) == expected, key
         if key == "subcommand":
-            argv = [text]
-        elif flag is None:
+            assert main([text]) == 0
+            assert captured.pop() == RunConfig(text)
             continue
-        else:
-            argv = ["aah-sweep", flag] if flag == "--bits" else ["aah-sweep", flag, text]
-        assert main(argv) == 0
-        assert captured.pop() == expected, flag
+        for subcommand in SUBCOMMANDS:
+            rows = [(section, key, flag, text, name, value)]
+            takes = COMMON + TAKES[subcommand]
+            companion = COMPANIONS.get(name)
+            if companion is not None and companion[4] in takes:
+                rows.append(companion)
+            sections = {"run": {"subcommand": subcommand}}
+            for row in rows:
+                sections.setdefault(row[0], {})[row[1]] = row[3]
+            path = write_config(tmp_path / "setting.ini", "".join(
+                f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+                for s, entries in sections.items()
+            ))
+            argv = [subcommand]
+            for row in rows:
+                argv += [row[2]] if row[2] == "--bits" else [row[2], row[3]]
+            if name not in takes:
+                with pytest.raises(ConfigError, match=f"{subcommand} does not read {name}"):
+                    parse_config(path)
+                if flag is not None:
+                    with pytest.raises(SystemExit) as caught:
+                        main(argv)
+                    assert caught.value.code == 2
+                continue
+            expected = RunConfig(subcommand, **{row[4]: row[5] for row in rows})
+            assert expected != RunConfig(subcommand)
+            assert parse_config(path) == expected, (subcommand, key)
+            if flag is not None:
+                assert main(argv) == 0
+                assert captured.pop() == expected, (subcommand, flag)
 
     # the hopping is the unit of energy, not a setting
     with pytest.raises(SystemExit) as caught:
@@ -718,3 +782,107 @@ def test_command_line_schema_is_unchanged(tmp_path, monkeypatch):
     path = write_config(tmp_path / "hopping.ini", "[run]\nsubcommand = aah-sweep\n[model]\nj = 1\n")
     assert main(["aah-sweep", "--config", path]) == 2
     assert captured == []
+
+
+# Small runs of each subcommand, one per model it builds.
+SMALL = {
+    "lz-sweep": [{"grid_points": 11}],
+    "aah-hist": [{"fib_index": 8, "grid_values": (1.5, 2.5)}],
+    "aah-sweep": [{"fib_index": 8, "grid_points": 3}],
+    "aah-scaling": [{"fib_min": 5, "fib_max": 7, "eta_samples": 2}],
+    "thermal-sweep": [{"fib_index": 8, "grid_points": 3, "state_betas": (0.5, 2.0)}],
+    "coherence-map": [{"fib_index": 8, "grid_points": 3}],
+    "bandwidth-fit": [{"fib_index": 8, "grid_points": 3, "eta_samples": 2}],
+    "single-quench": [{"fib_index": 8, "delta": 2.5}, {"omega_f": 3.0}],
+}
+STATES = [{}, {"state_kind": "eigenstate", "state_level": 1},
+          {"state_kind": "thermal", "state_beta": 0.5}]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_every_setting_a_run_reads_is_in_force(tmp_path, monkeypatch, subcommand):
+    # a read spy on RunConfig, active only while the subcommand's handler runs
+    names = {setting.name for setting in dataclasses.fields(RunConfig)}
+    reads, active = set(), []
+    attribute = RunConfig.__getattribute__
+
+    def spying(config, name):
+        if active and name in names:
+            reads.add(name)
+        return attribute(config, name)
+
+    handler, takes = cli._HANDLERS[subcommand]
+
+    def spied(config, out):
+        active.append(True)
+        try:
+            return handler(config, out)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(RunConfig, "__getattribute__", spying)
+    monkeypatch.setitem(cli._HANDLERS, subcommand, (spied, takes))
+    states = STATES if "state_kind" in TAKES[subcommand] else [{}]
+    for index, (small, state) in enumerate(
+        (small, state) for small in SMALL[subcommand] for state in states
+    ):
+        config = RunConfig(subcommand, out=str(tmp_path / str(index)), threads=1,
+                           **small, **state)
+        reads.clear()
+        assert run(config) == 0
+        assert reads and reads <= set(config.in_force()), (small, state, reads)
+
+
+# For each setting, out, seed, threads and bits aside: the settings of a
+# reference run and of a run that changes only that one, on top of the
+# subcommand's first small run. A None leaves a setting of the small run at
+# its default. Each value matters at that size.
+EFFECTIVE = {
+    "fib_index": ({}, {"fib_index": 7}),
+    "eta": ({}, {"eta": 0.3}),
+    "direction": ({}, {"direction": "delta-to-zero"}),
+    "cluster_tol": ({}, {"cluster_tol": 0.05}),
+    "delta": ({}, {"delta": 1.5}),
+    "omega_i": ({}, {"omega_i": -5.0}),
+    "fib_min": ({}, {"fib_min": 4}),
+    "fib_max": ({}, {"fib_max": 8}),
+    "eta_samples": ({}, {"eta_samples": 1}),  # a third phase raises no band edge at fib 8
+    "deriv_step": ({}, {"deriv_step": 0.1}),
+    "state_betas": ({}, {"state_betas": (0.5, 3.0)}),
+    "state_kind": ({}, {"state_kind": "thermal", "state_beta": 1.0}),
+    "state_level": ({"state_kind": "eigenstate"}, {"state_kind": "eigenstate", "state_level": 1}),
+    "state_beta": ({"state_kind": "thermal", "state_beta": 1.0},
+                   {"state_kind": "thermal", "state_beta": 0.3}),
+    "grid_start": ({"grid_values": None}, {"grid_values": None, "grid_start": 1.0}),
+    "grid_stop": ({"grid_values": None}, {"grid_values": None, "grid_stop": 3.5}),
+    "grid_points": ({"grid_values": None}, {"grid_values": None, "grid_points": 5}),
+    "grid_values": ({"grid_points": None}, {"grid_points": None, "grid_values": (1.0, 3.0)}),
+}
+EFFECTIVE_IN = {
+    ("lz-sweep", "state_beta"): ({}, {"state_beta": 0.05}),  # always thermal, at 0.1 by default
+    ("lz-sweep", "cluster_tol"): ({}, {"cluster_tol": 5.0}),  # 0.05 merges no two-level pair
+    ("single-quench", "omega_i"): ({"fib_index": None, "omega_f": 3.0},
+                                   {"fib_index": None, "omega_f": 3.0, "omega_i": -5.0}),
+    ("single-quench", "omega_f"): ({}, {"fib_index": None, "omega_f": 3.0}),
+}
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_every_setting_in_force_changes_an_output(tmp_path, capsys, subcommand):
+    runs = {}
+
+    def written(settings: dict):
+        settings = {**SMALL[subcommand][0], "threads": 1, **settings}
+        settings = {name: value for name, value in settings.items() if value is not None}
+        key = repr(sorted(settings.items()))
+        if key not in runs:
+            out = tmp_path / str(len(runs))
+            capsys.readouterr()
+            assert run(RunConfig(subcommand, out=str(out), **settings)) == 0
+            files = {f: (out / f).read_bytes() for f in os.listdir(out) if f != "manifest.json"}
+            runs[key] = files, capsys.readouterr().out
+        return runs[key]
+
+    for name in cli._HANDLERS[subcommand][1]:
+        reference, changed = EFFECTIVE_IN.get((subcommand, name)) or EFFECTIVE[name]
+        assert written(reference) != written(changed), name

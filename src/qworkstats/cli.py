@@ -34,6 +34,7 @@ from .errors import BoundViolationError, ConfigError, ValidationError
 from .experiments import (
     DEFAULT_DERIV_STEP,
     DEFAULT_ETA_SAMPLES,
+    DEFAULT_LZ_BETA,
     DEFAULT_SEED,
     DIRECTIONS,
     STATE_KINDS,
@@ -146,36 +147,19 @@ _MOMENT_HEADER = [f"m{k}" for k in range(1, experiments.MOMENT_ORDERS + 1)]
 
 
 def _run_lz_sweep(config: RunConfig, out: str):
-    beta = config.state_beta if config.state_beta is not None else 0.1
     result = lz_sweep(
         omega_i=config.omega_i,
         omega_f_grid=config.grid(default_lz_grid(config.delta)),
         delta=config.delta,
-        beta=beta,
+        beta=config.state_beta,
         cluster_tol=config.cluster_tol,
         workers=config.workers,
     )
-    moments_path = os.path.join(out, "lz_sweep_moments.csv")
     normalized = [f"{name}_normalized" for name in _MOMENT_HEADER]
-    _write_csv(
-        moments_path,
-        ["omega_f"] + _MOMENT_HEADER + ["variance"] + normalized,
-        (
-            [omega_f, *row.moments, row.variance, *row.normalized_moments]
-            for omega_f, row in zip(result.axis, result.rows)
-        ),
-    )
-    entropy_path = os.path.join(out, "lz_sweep_entropy.csv")
-    _write_csv(
-        entropy_path,
-        ["omega_f"] + _ENTROPY_HEADER + ["flags"],
-        (
-            [omega_f, *row.report.csv_row(), ";".join(row.flags)]
-            for omega_f, row in zip(result.axis, result.rows)
-        ),
-    )
-    peak = float(np.max(result.column("h_w")))
-    return [moments_path, entropy_path], {"h_w_peak": peak}
+    paths = _sweep_csvs(result, out, "lz_sweep", "omega_f",
+                        (normalized, lambda row: row.normalized_moments),
+                        (["flags"], lambda row: [";".join(row.flags)]))
+    return paths, {"h_w_peak": float(np.max(result.column("h_w")))}
 
 
 def _run_aah_hist(config: RunConfig, out: str):
@@ -200,26 +184,20 @@ def _run_aah_hist(config: RunConfig, out: str):
     return paths, entropies
 
 
-def _sweep_csvs(result, out: str, prefix: str, axis_name: str) -> list[str]:
-    moments_path = os.path.join(out, f"{prefix}_moments.csv")
-    _write_csv(
-        moments_path,
-        [axis_name] + _MOMENT_HEADER + ["variance", "mean_direct"],
-        (
-            [value, *row.moments, row.variance, row.mean_direct]
-            for value, row in zip(result.axis, result.rows)
-        ),
-    )
-    entropy_path = os.path.join(out, f"{prefix}_entropy.csv")
-    _write_csv(
-        entropy_path,
-        [axis_name] + _ENTROPY_HEADER + ["gamma_max"],
-        (
-            [value, *row.report.csv_row(), row.gamma_max]
-            for value, row in zip(result.axis, result.rows)
-        ),
-    )
-    return [moments_path, entropy_path]
+def _sweep_csvs(result, out: str, prefix: str, axis_name: str, moments_extra, entropy_extra):
+    """Write ``<prefix>_moments.csv`` (moments, variance) and ``<prefix>_entropy.csv`` (the
+    report), a line per axis value, each widened by its extra: (header, cells of a row)."""
+    paths = []
+    for name, header, cells, (extra_header, extra) in (
+        ("moments", _MOMENT_HEADER + ["variance"], lambda row: [*row.moments, row.variance],
+         moments_extra),
+        ("entropy", _ENTROPY_HEADER, lambda row: row.report.csv_row(), entropy_extra),
+    ):
+        paths.append(os.path.join(out, f"{prefix}_{name}.csv"))
+        _write_csv(paths[-1], [axis_name, *header, *extra_header], (
+            [value, *cells(row), *extra(row)] for value, row in zip(result.axis, result.rows)
+        ))
+    return paths
 
 
 def _run_aah_sweep(config: RunConfig, out: str):
@@ -232,7 +210,9 @@ def _run_aah_sweep(config: RunConfig, out: str):
         cluster_tol=config.cluster_tol,
         workers=config.workers,
     )
-    paths = _sweep_csvs(result, out, "aah_sweep", "delta")
+    paths = _sweep_csvs(result, out, "aah_sweep", "delta",
+                        (["mean_direct"], lambda row: [row.mean_direct]),
+                        (["gamma_max"], lambda row: [row.gamma_max]))
     return paths, {"h_w_max": float(np.max(result.column("h_w")))}
 
 
@@ -464,6 +444,8 @@ class RunConfig:
             raise ConfigError(
                 f"need 3 <= fib_min <= fib_max, got {self.fib_min}..{self.fib_max}"
             )
+        if self.subcommand == "lz-sweep" and self.state_beta is None:
+            self.state_beta = DEFAULT_LZ_BETA  # its state is always thermal
         if self.state_kind == "thermal" and self.state_beta is None:
             raise ConfigError("state kind 'thermal' requires beta")
         read = self.in_force()

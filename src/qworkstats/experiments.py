@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundViolationError, ValidationError
-from .infotheory import BoundsReport, _column_entropies, bounds_report, entropy_of_work
+from .infotheory import BoundsReport, _bounds_report, _column_entropies, entropy_of_work
 from .models import (
     AahParams,
     LzParams,
@@ -35,12 +35,10 @@ from .spectral import (
 )
 from .tpm import (
     PairTable,
-    QuenchSetup,
     UncollectedDistribution,
     WorkDistribution,
     check_first_moment,
     collect_work_distribution,
-    initial_populations,
     max_degeneracy,
     transition_probabilities,
     work_moments,
@@ -60,6 +58,8 @@ DEFAULT_ETA_SAMPLES = 50
 # has no size-stable estimator and the slope is defined at this scale.
 DEFAULT_DERIV_STEP = 0.15
 GROUND_MEAN_TOL = 1e-10
+# Inverse temperature of the two-level sweep's initial thermal state.
+DEFAULT_LZ_BETA = 0.1
 
 
 def default_lz_grid(delta: float = 1.0) -> np.ndarray:
@@ -196,19 +196,19 @@ def _flat_chain(fib_index: int) -> tuple[HermitianOperator, SpectralDecompositio
 
 
 def _evaluate(
-    setup: QuenchSetup, table: PairTable, cluster_tol: float | None, moments: bool = True
+    pn: np.ndarray, table: PairTable, cluster_tol: float | None, moments: bool = True
 ) -> SweepRow:
-    """One sweep row of ``setup`` on ``table``, the ``PairTable.of`` of its quench.
+    """One sweep row of the populations ``pn`` on ``table``, a ``PairTable.of``.
 
     With ``moments`` false the row skips the work moments and leaves them None.
     """
-    uncollected = UncollectedDistribution(initial_populations(setup.rho, table.initial), table)
+    uncollected = UncollectedDistribution(pn, table)
     work = collect_work_distribution(uncollected, cluster_tol)
     # Sweep states carry no coherence in the initial basis, so the measured
     # mean checked here is also the trace-formula mean.
     mean_direct = check_first_moment(work, uncollected)
     summary = work_moments(work, MOMENT_ORDERS) if moments else None
-    report = bounds_report(setup, work, uncollected)
+    report = _bounds_report(work, uncollected)
     return SweepRow(
         moments=summary.moments if summary else None,
         variance=summary.variance if summary else None,
@@ -222,7 +222,7 @@ def lz_sweep(
     omega_i: float,
     omega_f_grid: np.ndarray,
     delta: float = 1.0,
-    beta: float = 0.1,
+    beta: float = DEFAULT_LZ_BETA,
     cluster_tol: float | None = None,
     workers: int = 1,
 ) -> SweepResult:
@@ -245,8 +245,7 @@ def lz_sweep(
     def run_point(omega_f: float) -> SweepRow:
         with _at_point(omega_f=float(omega_f)):
             hf = lz_hamiltonian(LzParams(delta=delta, omega=omega_f))
-            table = PairTable.of(hi, hf, initial, diagonalize(hf))
-            return _evaluate(QuenchSetup(hi=hi, hf=hf, rho=rho), table, cluster_tol)
+            return _evaluate(rho, PairTable.of(hi, hf, initial, diagonalize(hf)), cluster_tol)
 
     reference = run_point(delta).moments
     rows = []
@@ -348,8 +347,7 @@ def _aah_sweeps(
             rows = []
             for state in states:
                 with _at_point(beta=state.beta):
-                    setup = QuenchSetup(hi=table.hi, hf=table.hf, rho=state.build(table.initial))
-                    row = _evaluate(setup, table, cluster_tol, moments=moments)
+                    row = _evaluate(state.build(table.initial), table, cluster_tol, moments)
                     if direction == ZERO_TO_DELTA and state.kind == "ground":
                         if abs(row.mean_direct) > GROUND_MEAN_TOL:
                             raise ValidationError(

@@ -176,10 +176,17 @@ def check_bounds(report: BoundsReport) -> None:
 
 
 def bounds_report(
-    setup: QuenchSetup,
-    work: WorkDistribution,
-    uncollected: UncollectedDistribution,
+    setup: QuenchSetup, work: WorkDistribution, uncollected: UncollectedDistribution
 ) -> BoundsReport:
+    """``_bounds_report`` of a ``setup``, whose dimension alone it reads."""
+    if setup.dim != uncollected.dim:
+        raise DimensionMismatchError(
+            f"setup dimension {setup.dim} does not match table dimension {uncollected.dim}"
+        )
+    return _bounds_report(work, uncollected)
+
+
+def _bounds_report(work: WorkDistribution, uncollected: UncollectedDistribution) -> BoundsReport:
     """Assemble every bound ingredient and verify the chain.
 
     All terms are evaluated from the populations and transition matrix of
@@ -188,10 +195,6 @@ def bounds_report(
     of the transition matrix alone are computed once per pair table, whose
     columns were checked when it was built.
     """
-    if setup.dim != uncollected.dim:
-        raise DimensionMismatchError(
-            f"setup dimension {setup.dim} does not match table dimension {uncollected.dim}"
-        )
     pn = uncollected.pn
     table = uncollected.table
     pmn = table.pmn

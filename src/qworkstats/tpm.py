@@ -91,27 +91,28 @@ class QuenchSetup:
 
 
 class PairTable:
-    """The state-independent half of a quench: transitions and Bohr frequencies.
+    """The state-independent half of a quench: transitions and both spectra.
 
-    ``pmn[m, n]`` are the transition probabilities (each column sums to 1)
-    and ``bohr[m, n]`` the energy differences E_m(final) - E_n(initial).
-    One table serves every initial state of its quench, and what derives
-    from the table alone (clusters, per-level coherences, first-moment
-    products) is computed once through ``memo``; racing threads compute
-    equal values. A table built by ``of`` is the quench itself: it keeps
-    ``hi``, ``hf``, ``u`` and the ``initial`` decomposition, which
-    ``mean_work`` needs. It holds copies of a caller's arrays, and ``of``
-    the arrays it builds.
+    ``pmn[m, n]`` are the transition probabilities (each column sums to 1);
+    ``bohr`` builds the Bohr frequencies E_m(final) - E_n(initial) from the
+    ascending ``final_energies`` and ``initial_energies``. One table serves
+    every initial state of its quench, and what derives from the table
+    alone (clusters, per-level coherences, first-moment products) is
+    computed once through ``memo``; racing threads compute equal values.
+    ``mean_work`` needs a table built by ``of``: it keeps the ``initial``
+    decomposition, and the ``diagonal_change`` of a sudden quench that
+    changes only the diagonal, or else ``hi``, ``hf`` and ``u``. A table
+    holds copies of a caller's arrays, and ``of`` the arrays it builds.
     """
 
-    hi = hf = u = initial = None
+    hi = hf = u = initial = diagonal_change = None
 
-    def __init__(self, pmn, bohr):
-        pmn, bohr = np.array(pmn, dtype=float), np.array(bohr, dtype=float)
+    def __init__(self, pmn, final_energies, initial_energies):
+        pmn, ef, ei = (np.array(a, dtype=float) for a in (pmn, final_energies, initial_energies))
         n = pmn.shape[0] if pmn.ndim == 2 else 0
-        if n < 1 or pmn.shape != (n, n) or bohr.shape != (n, n):
+        if n < 1 or not (pmn.shape == (n, n) and ef.shape == ei.shape == (n,)):
             raise DimensionMismatchError(
-                f"table shapes {pmn.shape}, {bohr.shape} are not one square shape"
+                f"table shapes {pmn.shape}, {ef.shape}, {ei.shape} are not n x n, n and n"
             )
         if not (pmn.min() >= -PROBABILITY_TOL and pmn.max() <= 1 + PROBABILITY_TOL):
             raise ValidationError(
@@ -120,19 +121,19 @@ class PairTable:
         worst = float(np.abs(pmn.sum(axis=0) - 1.0).max())
         if not worst <= STOCHASTICITY_TOL:
             raise ValidationError(f"transition columns deviate from 1 by {worst:g}")
-        if not np.isfinite(bohr).all():
-            raise ValidationError("Bohr frequencies must be finite")
-        self._own(pmn, bohr)
+        ascending = (ef[1:] >= ef[:-1]).all() and (ei[1:] >= ei[:-1]).all()  # a NaN fails
+        if not (ascending and np.isfinite([ef[-1] - ei[0], ef[0] - ei[-1]]).all()):
+            raise ValidationError("spectra must be ascending, with finite Bohr frequencies")
+        self._own(pmn, ef, ei)
 
-    def _own(self, pmn: np.ndarray, bohr: np.ndarray) -> None:
-        pmn.setflags(write=False)
-        bohr.setflags(write=False)
-        self.pmn = pmn
-        self.bohr = bohr
-        # Clustering width from the combined span of both spectra.
-        span = float(bohr.max() - bohr.min())
+    def _own(self, pmn: np.ndarray, ef: np.ndarray, ei: np.ndarray) -> None:
+        for arr in (pmn, ef, ei):
+            arr.setflags(write=False)
+        self.pmn, self.final_energies, self.initial_energies = pmn, ef, ei
+        # The Bohr frequencies' max - min, exactly: rounding is monotone in each level.
+        span = float((ef[-1] - ei[0]) - (ef[0] - ei[-1]))
         if span <= 0:
-            span = max(1.0, abs(float(bohr.max())))
+            span = max(1.0, abs(float(ef[-1] - ei[0])))
         self.default_cluster_tol = DEFAULT_CLUSTER_SCALE * span
         self._memo: dict = {}
 
@@ -151,12 +152,17 @@ class PairTable:
         stochastic, and its entries are squared moduli, so they lie in [0, 1].
         """
         table = object.__new__(cls)
-        table._own(
-            transition_probabilities(initial, final, u),
-            final.eigenvalues[:, np.newaxis] - initial.eigenvalues[np.newaxis, :],
-        )
+        pmn = transition_probabilities(initial, final, u)
+        table._own(pmn, final.eigenvalues, initial.eigenvalues)
         table.hi, table.hf, table.u, table.initial = hi, hf, u, initial
+        table.diagonal_change = _diagonal_change(table)
+        if table.diagonal_change is not None:  # all that the first moment reads of hi and hf
+            table.hi = table.hf = None
         return table
+
+    def bohr(self, columns: slice = slice(None)) -> np.ndarray:
+        """A new [m, n] array of the Bohr frequencies E_m(final) - E_n(initial) over ``columns``."""
+        return np.subtract.outer(self.final_energies, self.initial_energies[columns])
 
     def memo(self, key, compute):
         """``compute()`` on the first request for ``key``, the stored value after."""
@@ -168,9 +174,9 @@ class PairTable:
     def mean_work(self, pn: np.ndarray) -> float:
         """<W> = sum_n p_n <n_i|U^dag Hf U - Hi|n_i> for the initial populations ``pn``.
 
-        Evaluated from the matrix entries, not from the Bohr table, so that
-        it checks the collection independently; the products are computed
-        once per set of levels with p_n > 0.
+        Evaluated from the matrix entries, not from the Bohr frequencies, so
+        that it checks the collection independently; the products are
+        computed once per set of levels with p_n > 0.
         """
         if self.initial is None:
             raise ValidationError("a table built from arrays has no Hamiltonians")
@@ -363,22 +369,23 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
     table and the member counts, scattered through one argsort; a narrower
     state reads them if stored and otherwise looks its columns up in the
     sorted values, storing nothing. Equal values share a cluster, so both
-    routes give the same ids. The sorted values never outlive the call.
+    routes give the same ids. No Bohr or sorted values outlive the call.
     """
-    bohr, key = table.bohr, ("cluster_ids", cluster_tol)
+    key, shape = ("cluster_ids", cluster_tol), table.pmn.shape
     stored = table._memo.get(key)
-    if stored is None and 2 * (columns.stop - columns.start) > bohr.shape[1]:
-        order = np.argsort(bohr, axis=None)
-        v = bohr.ravel()[order]
+    if stored is None and 2 * (columns.stop - columns.start) > shape[1]:
+        v = table.bohr().ravel()
+        order = np.argsort(v)
+        v = v[order]
         sorted_ids, members = _clusters(v, cluster_tol)
         ids = np.empty_like(sorted_ids)
         ids[order] = sorted_ids
         del order, v, sorted_ids  # N^2 each: freed before a partial block is copied below
-        stored = table.memo(key, lambda: (ids.reshape(bohr.shape), members))
+        stored = table.memo(key, lambda: (ids.reshape(shape), members))
     if stored is None:
-        v = np.sort(bohr, axis=None)
+        v = np.sort(table.bohr(), axis=None)
         sorted_ids, members = _clusters(v, cluster_tol)
-        return sorted_ids[np.searchsorted(v, bohr[:, columns])].ravel(), members
+        return sorted_ids[np.searchsorted(v, table.bohr(columns))].ravel(), members
     ids, members = stored
     return ids[:, columns].ravel(), members
 
@@ -403,7 +410,8 @@ def collect_work_distribution(
     ids, members = _cluster_ids(uncollected.table, cluster_tol, columns)
     q = uncollected.joint()
     cluster_prob = np.bincount(ids, weights=q.ravel(), minlength=members.size)
-    weighted = q * uncollected.table.bohr[:, columns]  # q is shared, so not scaled in place
+    weighted = uncollected.table.bohr(columns)
+    weighted *= q
     weighted_sum = np.bincount(ids, weights=weighted.ravel(), minlength=members.size)
     del weighted, ids  # up to N^2 values each: freed before the rest allocates
 
@@ -496,8 +504,17 @@ def mean_work_direct(setup: QuenchSetup) -> float:
     return float(_level_work(setup, diagonalize(setup.hi), live) @ setup.rho[live])
 
 
+def _diagonal_change(quench) -> np.ndarray | None:
+    """diag(Hf) - diag(Hi) if ``quench`` is sudden and changes only the diagonal, else None."""
+    if quench.u is not None:
+        return None
+    hf, hi = quench.hf.entries, quench.hi.entries
+    d = hf.diagonal() - hi.diagonal()
+    return d if np.count_nonzero(hf != hi) == np.count_nonzero(d) else None
+
+
 def _level_work(quench, initial: SpectralDecomposition, live: np.ndarray) -> np.ndarray:
-    """<n_i|U^dag Hf U - Hi|n_i> for the ``live`` levels n.
+    """<n_i|U^dag Hf U - Hi|n_i> for the ``live`` levels n of a quench or a ``PairTable.of``.
 
     A sudden quench that changes only the diagonal scales the rows of the
     eigenvectors; the N^3 product with the difference adds only exact
@@ -505,10 +522,10 @@ def _level_work(quench, initial: SpectralDecomposition, live: np.ndarray) -> np.
     products with the Fortran-order eigenvectors out in Fortran order,
     which sums in another order), so the two routes give the same bits.
     """
-    v = initial.eigenvectors[:, live]
-    hf, hi = quench.hf.entries, quench.hi.entries
-    d = hf.diagonal() - hi.diagonal()
-    if quench.u is None and np.count_nonzero(hf != hi) == np.count_nonzero(d):
+    v = initial.eigenvectors
+    v = v[:, live[0] : live[-1] + 1] if live[-1] - live[0] + 1 == live.size else v[:, live]
+    d = quench.diagonal_change if isinstance(quench, PairTable) else _diagonal_change(quench)
+    if d is not None:
         product = np.multiply(d[:, np.newaxis], v, order="C")
     else:
         product = _rotated_difference(quench) @ v

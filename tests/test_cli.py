@@ -220,6 +220,19 @@ def test_cli_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert taken.read_text() == "not a directory\n"
 
 
+def test_lz_sweep_echoes_the_beta_it_runs(tmp_path):
+    # the default beta is filled in where the config echo reads it
+    assert RunConfig("lz-sweep").state_beta == experiments.DEFAULT_LZ_BETA == 0.1
+    written = []
+    for flags in ([], ["--beta", "0.1"]):
+        out = tmp_path / str(len(written))
+        assert main(["lz-sweep", "--out", str(out), "--grid-points", "11", *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["state_beta"] == 0.1
+        written.append({f: (out / f).read_bytes() for f in manifest["outputs"]})
+    assert written[0] == written[1]
+
+
 def test_cli_manifest_written_on_failure(tmp_path):
     out = tmp_path / "failing"
     config = RunConfig(

@@ -365,24 +365,29 @@ def test_a_sweep_row_holds_few_n_squared_arrays():
     # The traced peak of two sweep rows at N = 377, with the flat chain cached,
     # counted in N^2 float arrays: the thermal row (the CLI's four betas, no
     # moments) read 12.7 and the ground row 7.6 while the pair table kept its
-    # sort leftovers and collection copied what it built.
+    # sort leftovers and collection copied what it built, and 9.2 and 6.1
+    # (10.2 and 7.1 switching off) while it kept the Bohr table and the
+    # modulated Hamiltonian. Now they read 7.2 and 4.1 (8.2 and 5.1).
     fib_index = 14
     flat_h, _ = _flat_chain(fib_index)
     n_squared = flat_h.dim**2 * 8
     betas = cli.RunConfig("thermal-sweep").state_betas
+    thermal = tuple(StateSpec.thermal(beta) for beta in betas)
     budgets = (
-        (tuple(StateSpec.thermal(beta) for beta in betas), {"moments": False}, 10.0),
-        ((StateSpec.ground(),), {}, 7.0),
+        (ZERO_TO_DELTA, thermal, {"moments": False}, 8.0),
+        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 5.0),
+        (DELTA_TO_ZERO, thermal, {"moments": False}, 9.0),
+        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 6.0),
     )
-    for states, options, budget in budgets:
+    for direction, states, options, budget in budgets:
         tracemalloc.start()
         try:
-            _aah_sweeps(fib_index, np.array([1.5, 2.5]), ZERO_TO_DELTA, states, 1.2, None, 1,
+            _aah_sweeps(fib_index, np.array([1.5, 2.5]), direction, states, 1.2, None, 1,
                         **options)
             peak = tracemalloc.get_traced_memory()[1] / n_squared
         finally:
             tracemalloc.stop()
-        assert peak <= budget, (len(states), peak)
+        assert peak <= budget, (direction, len(states), peak)
 
 
 def test_shared_sweep_matches_one_sweep_per_state():

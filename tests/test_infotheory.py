@@ -15,6 +15,7 @@ from qworkstats import (
     AahParams,
     BoundViolationError,
     DensityMatrix,
+    DimensionMismatchError,
     HermitianOperator,
     LzParams,
     QuenchSetup,
@@ -372,6 +373,15 @@ def test_negative_rec_rho_bar_beyond_the_slack_is_a_bound_violation(monkeypatch)
                         lambda p: entropy(p) - (0.0 if p is u.pn else 1e-9))
     with pytest.raises(BoundViolationError, match="coherence_nonnegative"):
         bounds_report(setup, work, u)
+
+
+def test_bounds_report_refuses_a_setup_of_another_dimension():
+    rng = np.random.default_rng(151)
+    setup = random_setup(rng, 3)
+    report, work, u = report_for(setup)
+    assert bounds_report(setup, work, u).csv_row() == report.csv_row()
+    with pytest.raises(DimensionMismatchError, match="setup dimension 4 does not match .* 3"):
+        bounds_report(random_setup(rng, 4), work, u)
 
 
 def test_bounds_report_serialization_contract():

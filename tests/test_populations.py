@@ -25,6 +25,7 @@ from qworkstats import (
     collect_work_distribution,
     diagonalize,
     eigenstate_projector,
+    initial_populations,
     lz_hamiltonian,
     mean_work_direct,
     thermal_state,
@@ -80,8 +81,8 @@ def test_populations_route_matches_density_matrix_route(label, hi, hf):
             continue
         populations = QuenchSetup(hi=hi, hf=hf, rho=spec.build(initial))
         dense = QuenchSetup(hi=hi, hf=hf, rho=dense_state(spec, initial))
-        fast = _evaluate(populations, table, None)
-        slow = _evaluate(dense, table, None)
+        fast = _evaluate(populations.rho, table, None)
+        slow = _evaluate(initial_populations(dense.rho, initial), table, None)
         where = f"{label} {spec}"
         for name in BoundsReport.CSV_FIELDS:
             assert close(getattr(fast.report, name), getattr(slow.report, name)), (where, name)

@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import haar_unitary, random_density, random_setup
 from qworkstats import (
     AahParams,
     DensityMatrix,
+    DimensionMismatchError,
     HermitianOperator,
     LzParams,
     QuenchSetup,
@@ -105,14 +107,14 @@ def test_initial_populations_thermal_and_uniform():
 
 def test_uncollected_two_level_has_four_pairs():
     u = uncollected_distribution(lz_setup(-20.0, 3.0))
-    assert u.table.bohr.shape == (2, 2)
+    assert u.table.bohr().shape == (2, 2)
     assert u.joint().size == 4
     assert float(u.joint().sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uncollected_lz_four_distinct_bohr_values():
     u = uncollected_distribution(lz_setup(-20.0, 3.0))
-    values = np.sort(u.table.bohr.ravel())
+    values = np.sort(u.table.bohr().ravel())
     assert np.all(np.diff(values) > 1e-6)
 
 
@@ -195,7 +197,7 @@ def test_collect_matches_exact_grouping_oracle():
         pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
         pn = rng.dirichlet(np.ones(dim))
         bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
-        u = UncollectedDistribution(pn, PairTable(pmn, bohr))
+        u = UncollectedDistribution(pn, PairTable(pmn, ef, ei))
 
         groups = defaultdict(lambda: [0.0, 0])
         for m in range(dim):
@@ -223,13 +225,18 @@ def assert_same_collection(got, expected):
 
 
 def test_shared_table_collects_like_a_fresh_table_per_state():
-    # With width 1e-3: 0, 6e-4 and 1.2e-3 merge by single linkage through
-    # the middle value, whose pair has zero probability (pmn[0, 1] = 0) but
-    # still counts in the multiplicity; 3 and 3.0002 merge too. With width
-    # 1e-4 nothing merges, and at the default width (1.1e-11) neither.
-    # The 1e-16 population puts the column-2 values below the drop floor.
-    bohr = np.array([[0.0, 6e-4, 5.0], [1.2e-3, 7.0, 9.0], [3.0, 3.0002, 11.0]])
-    pmn = np.array([[0.5, 0.0, 0.25], [0.3, 0.5, 0.25], [0.2, 0.5, 0.5]])
+    # The Bohr frequencies, exact in binary, sorted: -16 - 3 s, -8 - s, -8,
+    # then 0, 2 s and 4 s on the diagonal, then 8 + 2 s, 8 + 7 s, 16 + 7 s,
+    # with s = 2^-12 = 2.4e-4. With width 1e-3: 0, 2 s and 4 s merge by
+    # single linkage through the middle value, whose pair has zero
+    # probability (pmn[1, 1] = 0) but still counts in the multiplicity;
+    # -8 - s and -8 merge too. With width 1e-4 nothing merges, and at the
+    # default width (4e-11) neither. The 1e-16 population puts the
+    # column-2 values below the drop floor.
+    s = 2.0**-12
+    ei = np.array([0.0, 8.0, 16.0 + 3 * s])
+    ef = np.array([0.0, 8.0 + 2 * s, 16.0 + 7 * s])
+    pmn = np.array([[0.5, 0.5, 0.25], [0.3, 0.0, 0.25], [0.2, 0.5, 0.5]])
     populations = (
         np.array([0.2, 0.3, 0.5]),
         np.array([0.6, 0.4 - 1e-16, 1e-16]),
@@ -238,12 +245,12 @@ def test_shared_table_collects_like_a_fresh_table_per_state():
     # in reverse, the one-level state looks its column up in the sorted
     # values before the next state builds the whole id table from the argsort
     for ordered in (populations, populations[::-1]):
-        table = PairTable(pmn, bohr)
+        table = PairTable(pmn, ef, ei)
         for cluster_tol in (1e-3, None, 1e-4, 1e-3):
             for pn in ordered:
                 shared = collect_work_distribution(UncollectedDistribution(pn, table), cluster_tol)
                 fresh = collect_work_distribution(
-                    UncollectedDistribution(pn, PairTable(pmn, bohr)), cluster_tol
+                    UncollectedDistribution(pn, PairTable(pmn, ef, ei)), cluster_tol
                 )
                 assert_same_collection(shared, fresh)
         # one id table per width, shared by the populations
@@ -251,9 +258,9 @@ def test_shared_table_collects_like_a_fresh_table_per_state():
         assert widths == sorted([table.default_cluster_tol, 1e-4, 1e-3])
 
     bridged = collect_work_distribution(UncollectedDistribution(populations[0], table), 1e-3)
-    assert bridged.multiplicity[0] == 3
-    assert bridged.probs[0] == pytest.approx(0.2 * 0.5 + 0.2 * 0.3, abs=1e-15)
-    assert bridged.support[0] == pytest.approx(1.2e-3 * 0.3 / 0.8, abs=1e-15)
+    assert bridged.multiplicity.tolist() == [1, 2, 3, 1, 1, 1]
+    assert bridged.probs[2] == pytest.approx(0.2 * 0.5 + 0.5 * 0.5, abs=1e-15)
+    assert bridged.support[2] == pytest.approx(4 * s * 0.25 / 0.35, abs=1e-15)
     # unbridged, the zero-probability pair is a cluster of its own and dropped
     alone = collect_work_distribution(UncollectedDistribution(populations[0], table), 1e-4)
     assert alone.num_points == 8
@@ -271,20 +278,19 @@ def test_shared_table_matches_fresh_tables_on_random_integer_spectra():
         ei = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
         ef = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
         pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
-        bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
         top_pair = np.r_[np.zeros(dim - 2), 0.25, 0.75]
         populations = (
             rng.dirichlet(np.ones(dim)), np.eye(dim)[0], rng.dirichlet(np.ones(dim)), top_pair
         )
         # narrow states look their columns up until a wide one builds the id table
         for ordered in (populations, populations[::-1]):
-            table = PairTable(pmn, bohr)
+            table = PairTable(pmn, ef, ei)
             for pn in ordered:
                 for cluster_tol in (None, 0.5):
                     assert_same_collection(
                         collect_work_distribution(UncollectedDistribution(pn, table), cluster_tol),
                         collect_work_distribution(
-                            UncollectedDistribution(pn, PairTable(pmn, bohr)), cluster_tol
+                            UncollectedDistribution(pn, PairTable(pmn, ef, ei)), cluster_tol
                         ),
                     )
 
@@ -295,9 +301,8 @@ def test_one_level_state_collects_without_an_argsort(monkeypatch):
     ei = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
     ef = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
     pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
-    bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
     pn = np.eye(dim)[2]
-    argsorted = PairTable(pmn, bohr)
+    argsorted = PairTable(pmn, ef, ei)
     collect_work_distribution(UncollectedDistribution(np.full(dim, 1.0 / dim), argsorted))
     expected = collect_work_distribution(UncollectedDistribution(pn, argsorted))
 
@@ -305,8 +310,67 @@ def test_one_level_state_collects_without_an_argsort(monkeypatch):
         raise AssertionError("a one-level state sorted the whole table")
 
     monkeypatch.setattr(np, "argsort", no_argsort)
-    table = PairTable(pmn, bohr)
+    table = PairTable(pmn, ef, ei)
     assert_same_collection(collect_work_distribution(UncollectedDistribution(pn, table)), expected)
+
+
+def _spectrum(rng, dim):
+    """Ascending levels of either sign at a random scale, a third of them tied."""
+    levels = rng.normal(scale=10.0 ** int(rng.integers(-6, 4)), size=dim)
+    levels[rng.integers(dim, size=dim // 3)] = levels[rng.integers(dim)]
+    return np.sort(levels)
+
+
+def test_bohr_frequencies_and_default_width_come_from_the_spectra_bit_for_bit():
+    rng = np.random.default_rng(97)
+    for dim in (1, 2, 3, 8, 33, 120, 200):
+        for ef, ei in ((_spectrum(rng, dim), _spectrum(rng, dim)) for _ in range(4)):
+            table = PairTable(np.full((dim, dim), 1.0 / dim), ef, ei)
+            dense = ef[:, np.newaxis] - ei[np.newaxis, :]
+            assert table.bohr().tobytes() == dense.tobytes()
+            for columns in (slice(0, 1), slice(dim // 3, dim), slice(dim - 1, dim)):
+                assert table.bohr(columns).tobytes() == dense[:, columns].tobytes()
+            span = float(dense.max() - dense.min())
+            assert span > 0 or dim == 1
+            assert table.default_cluster_tol == tpm.DEFAULT_CLUSTER_SCALE * span or dim == 1
+    # one level, or equal Bohr frequencies: the width falls back to the value or to 1
+    for level, width in ((-3.0, 3.0), (0.25, 1.0)):
+        flat = PairTable(np.eye(2), [level, level], [0.0, 0.0])
+        assert flat.default_cluster_tol == tpm.DEFAULT_CLUSTER_SCALE * width
+
+
+def test_a_diagonal_sudden_quench_table_keeps_no_hamiltonian():
+    flat = aah_hamiltonian(AahParams(fib_index=8, delta=0.0))
+    n = flat.dim
+    for delta in (0.5, 2.5):
+        modulated = aah_hamiltonian(AahParams(fib_index=8, delta=delta))
+        for hi, hf in ((flat, modulated), (modulated, flat)):
+            table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf))
+            assert table.hi is None and table.hf is None and table.u is None
+            change = hf.entries.diagonal() - hi.entries.diagonal()
+            assert np.array_equal(table.diagonal_change, change)
+            pn = np.full(n, 1.0 / n)
+            setup = QuenchSetup(hi=hi, hf=hf, rho=pn)
+            assert table.mean_work(pn) == mean_work_direct(setup)
+            collect_work_distribution(UncollectedDistribution(pn, table))
+            # the table's own N^2 arrays: pmn, and in its memo the cluster ids
+            held = [value for value in vars(table).values()
+                    if isinstance(value, np.ndarray) and value.size >= n * n]
+            assert len(held) == 1 and held[0] is table.pmn
+            (ids,) = [arr for value in table._memo.values() for arr in _n_squared_arrays(value, n)]
+            assert ids.dtype.kind == "i"
+        # ... so the modulated Hamiltonian goes once the caller drops it
+        gone = weakref.ref(modulated)
+        del modulated, hi, hf, setup
+        assert gone() is None
+
+    # a protocol, or a changed hopping, keeps the Hamiltonians for the dense product
+    rng = np.random.default_rng(101)
+    hopping = flat.entries.copy()
+    hopping[0, 1] = hopping[1, 0] = -0.5
+    for hf, u in ((flat, haar_unitary(rng, n)), (HermitianOperator(entries=hopping), None)):
+        table = PairTable.of(flat, hf, diagonalize(flat), diagonalize(hf), u)
+        assert (table.hi, table.hf, table.u, table.diagonal_change) == (flat, hf, u, None)
 
 
 def _n_squared_arrays(value, n):
@@ -322,10 +386,9 @@ def test_pair_table_memo_keeps_only_the_id_table_and_member_counts(monkeypatch):
     ei = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
     ef = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
     pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
-    bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
 
     # a narrow state on a fresh table sorts into locals and stores nothing
-    table = PairTable(pmn, bohr)
+    table = PairTable(pmn, ef, ei)
     narrow = collect_work_distribution(UncollectedDistribution(np.eye(dim)[3], table))
     assert not any(_n_squared_arrays(value, dim) for value in table._memo.values())
 
@@ -441,19 +504,23 @@ def test_pair_table_mean_work_shares_first_moment_products_per_live_set():
         assert table.mean_work(setup.rho) == mean_work_direct(setup)
     assert len([key for key in table._memo if key[0] == "level_work"]) == 2
     with pytest.raises(ValidationError, match="no Hamiltonians"):
-        PairTable(table.pmn, table.bohr).mean_work(np.array([0.5, 0.5]))
+        PairTable(table.pmn, table.final_energies, table.initial_energies).mean_work(
+            np.array([0.5, 0.5])
+        )
 
 
 def test_pair_table_copies_caller_arrays_and_keeps_its_own(monkeypatch):
     pmn = np.array([[0.75, 0.25], [0.25, 0.75]])
-    bohr = np.array([[0.0, 1.0], [2.0, 3.0]])
-    table = PairTable(pmn, bohr)
-    assert not np.shares_memory(table.pmn, pmn)
-    assert not np.shares_memory(table.bohr, bohr)
-    assert not (table.pmn.flags.writeable or table.bohr.flags.writeable)
-    assert pmn.flags.writeable and bohr.flags.writeable
-    pmn[0, 0] = 0.0
-    assert table.pmn[0, 0] == 0.75
+    ef, ei = np.array([0.0, 2.0]), np.array([-1.0, 0.0])
+    table = PairTable(pmn, ef, ei)
+    kept = (table.pmn, table.final_energies, table.initial_energies)
+    for mine, held in zip((pmn, ef, ei), kept):
+        assert not np.shares_memory(held, mine)
+        assert mine.flags.writeable and not held.flags.writeable
+    pmn[0, 0] = ef[0] = 7.0
+    assert table.pmn[0, 0] == 0.75 and table.final_energies[0] == 0.0
+    assert np.array_equal(table.bohr(), [[1.0, 0.0], [3.0, 2.0]])
+    assert table.default_cluster_tol == 3.0 * tpm.DEFAULT_CLUSTER_SCALE  # 3 - 0
 
     # a table built by ``of`` holds the transition matrix it computed, uncopied
     computed = []
@@ -472,13 +539,23 @@ def test_pair_table_copies_caller_arrays_and_keeps_its_own(monkeypatch):
 
 def test_nan_fails_the_stochasticity_and_first_moment_checks(monkeypatch):
     pmn = np.array([[0.75, math.nan], [0.25, 0.5]])
-    bohr = np.array([[0.0, 1.0], [2.0, 3.0]])
+    ef, ei = np.array([0.0, 2.0]), np.array([-1.0, 0.0])
     with pytest.raises(ValidationError, match="outside"):
-        PairTable(pmn, bohr)
+        PairTable(pmn, ef, ei)
     with pytest.raises(ValidationError, match="deviate"):
-        PairTable(np.array([[0.75, 0.5], [0.5, 0.5]]), bohr)
-    with pytest.raises(ValidationError, match="Bohr"):
-        PairTable(np.full((2, 2), 0.5), np.array([[0.0, math.nan], [2.0, 3.0]]))
+        PairTable(np.array([[0.75, 0.5], [0.5, 0.5]]), ef, ei)
+    half = np.full((2, 2), 0.5)
+    for bad in ([0.0, math.nan], [math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0], [2.0, 0.0]):
+        for spectra in ((ef, bad), (bad, ei)):
+            with pytest.raises(ValidationError, match="spectra must be ascending"):
+                PairTable(half, *spectra)
+    # a NaN level alone, and finite spectra whose Bohr frequencies overflow
+    for spectra in (([math.nan], [0.0]), ([0.0, 1.7e308], [-1.7e308, 0.0])):
+        with pytest.raises(ValidationError, match="finite Bohr frequencies"):
+            with np.errstate(over="ignore"):
+                PairTable(np.eye(len(spectra[0])), *spectra)
+    with pytest.raises(DimensionMismatchError):
+        PairTable(half, ef, [0.0, 1.0, 2.0])
 
     # the decomposition rejects a NaN eigenvector; one that got past it
     # would still fail the stochasticity check of the transitions
@@ -551,8 +628,8 @@ def test_density_matrix_populations_are_checked_by_the_uncollected_table():
 def test_proximity_warning_for_marginal_gaps():
     pn = np.array([0.5, 0.5])
     pmn = np.array([[0.5, 0.5], [0.5, 0.5]])
-    bohr = np.array([[0.0, 5e-9], [1.0, 2.0]])
-    u = UncollectedDistribution(pn, PairTable(pmn, bohr))
+    # Bohr frequencies 0, -1, 1 + 5e-9 and 5e-9: the last lies 5e-9 from 0
+    u = UncollectedDistribution(pn, PairTable(pmn, [0.0, 1.0 + 5e-9], [0.0, 1.0]))
     w = collect_work_distribution(u, cluster_tol=1e-9)
     assert any("resolution-marginal" in message for message in w.diagnostics.warnings)
     clean = collect_work_distribution(u, cluster_tol=1e-12)

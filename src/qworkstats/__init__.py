@@ -30,13 +30,7 @@ from .spectral import (
     thermal_state,
     von_neumann_entropy,
 )
-from .models import (
-    AahParams,
-    LzParams,
-    aah_hamiltonian,
-    fibonacci_pair,
-    lz_hamiltonian,
-)
+from .models import AahParams, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
 from .tpm import (
     MomentSummary,
     QuenchSetup,

@@ -51,13 +51,9 @@ from .experiments import (
     scaling_derivative,
 )
 from .infotheory import BoundsReport, entropy_of_work
-from .models import AahParams, LzParams, lz_hamiltonian
+from .models import AahParams, lz_hamiltonian
 from .spectral import diagonalize
-from .tpm import (
-    QuenchSetup,
-    collect_work_distribution,
-    uncollected_distribution,
-)
+from .tpm import PairTable, UncollectedDistribution, collect_work_distribution
 
 LN2 = math.log(2.0)
 
@@ -149,8 +145,7 @@ _MOMENT_HEADER = [f"m{k}" for k in range(1, experiments.MOMENT_ORDERS + 1)]
 def _run_lz_sweep(config: RunConfig, out: str):
     result = lz_sweep(
         omega_i=config.omega_i,
-        omega_f_grid=config.grid(default_lz_grid(config.delta)),
-        delta=config.delta,
+        omega_f_grid=config.grid(default_lz_grid()),
         beta=config.state_beta,
         cluster_tol=config.cluster_tol,
         workers=config.workers,
@@ -325,10 +320,11 @@ def _run_bandwidth_fit(config: RunConfig, out: str):
 def _run_single_quench(config: RunConfig, out: str):
     """Two-level quench when omega_f is given, chain quench otherwise."""
     if config.omega_f is not None:
-        hi = lz_hamiltonian(LzParams(delta=config.delta, omega=config.omega_i))
-        hf = lz_hamiltonian(LzParams(delta=config.delta, omega=config.omega_f))
-        setup = QuenchSetup(hi=hi, hf=hf, rho=config.state_spec().build(diagonalize(hi)))
-        work = collect_work_distribution(uncollected_distribution(setup), config.cluster_tol)
+        hi, hf = lz_hamiltonian(config.omega_i), lz_hamiltonian(config.omega_f)
+        initial = diagonalize(hi)
+        table = PairTable.of(hi, hf, initial, diagonalize(hf))
+        uncollected = UncollectedDistribution(config.state_spec().build(initial), table)
+        work = collect_work_distribution(uncollected, config.cluster_tol)
     else:
         params = AahParams(fib_index=config.fib_index, delta=config.delta, eta=config.eta)
         work = aah_work_histogram(
@@ -349,7 +345,7 @@ _GRID = ("grid_start", "grid_stop", "grid_points", "grid_values")
 # Each subcommand's handler and the settings it reads besides _COMMON: its
 # flags, the settings it refuses and its manifest's config echo follow.
 _HANDLERS = {
-    "lz-sweep": (_run_lz_sweep, ("omega_i", "delta", "state_beta", "cluster_tol", *_GRID)),
+    "lz-sweep": (_run_lz_sweep, ("omega_i", "state_beta", "cluster_tol", *_GRID)),
     "aah-hist": (_run_aah_hist, (*_CHAIN, *_STATE, *_GRID)),
     "aah-sweep": (_run_aah_sweep, (*_CHAIN, *_STATE, *_GRID)),
     "aah-scaling": (_run_aah_scaling, ("fib_min", "fib_max", "eta_samples", "deriv_step",
@@ -412,7 +408,7 @@ class RunConfig:
     delta: float = _setting("model", float, 1.0)
     omega_i: float = _setting("model", float, -20.0)
     omega_f: float | None = _setting("model", float, None)
-    eta: float = _setting("model", float, 1.2)
+    eta: float = _setting("model", float, AahParams.eta)
     fib_index: int = _setting("model", int, 16)
     direction: str = _setting("model", str, ZERO_TO_DELTA, choices=DIRECTIONS)
     fib_min: int = _setting("model", int, 10)
@@ -464,7 +460,8 @@ class RunConfig:
         if self.state_kind != "thermal" and "state_kind" in takes:
             unread.add("state_beta")  # lz-sweep's state is always thermal
         if self.subcommand == "single-quench":
-            unread |= {"omega_i"} if self.omega_f is None else {"fib_index", "eta", "direction"}
+            chain = {"fib_index", "eta", "direction", "delta"}
+            unread |= {"omega_i"} if self.omega_f is None else chain
         return tuple(name for name in takes if name not in unread)
 
     @property
@@ -479,11 +476,9 @@ class RunConfig:
         return max(1, cores // (blas_threads() or 1))
 
     def state_spec(self) -> StateSpec:
-        if self.state_kind == "ground":
-            return StateSpec.ground()
-        if self.state_kind == "eigenstate":
-            return StateSpec.eigenstate(self.state_level)
-        return StateSpec.thermal(self.state_beta)
+        kind = self.state_kind  # a level or beta outside its kind is not read
+        return StateSpec(kind, self.state_level if kind == "eigenstate" else 0,
+                         self.state_beta if kind == "thermal" else None)
 
     def grid(self, default: np.ndarray) -> np.ndarray:
         """The sweep grid: ``grid_values`` if set, else the subcommand's

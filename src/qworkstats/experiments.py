@@ -19,13 +19,7 @@ import numpy as np
 
 from .errors import BoundViolationError, ValidationError
 from .infotheory import BoundsReport, _bounds_report, _column_entropies, entropy_of_work
-from .models import (
-    AahParams,
-    LzParams,
-    aah_hamiltonian,
-    fibonacci_pair,
-    lz_hamiltonian,
-)
+from .models import AahParams, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
 from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
@@ -62,9 +56,9 @@ GROUND_MEAN_TOL = 1e-10
 DEFAULT_LZ_BETA = 0.1
 
 
-def default_lz_grid(delta: float = 1.0) -> np.ndarray:
+def default_lz_grid() -> np.ndarray:
     """Final-detuning grid spanning [-25, 25] gaps."""
-    return np.linspace(-25.0 * delta, 25.0 * delta, 501)
+    return np.linspace(-25.0, 25.0, 501)
 
 
 def default_aah_grid() -> np.ndarray:
@@ -221,7 +215,6 @@ def _evaluate(
 def lz_sweep(
     omega_i: float,
     omega_f_grid: np.ndarray,
-    delta: float = 1.0,
     beta: float = DEFAULT_LZ_BETA,
     cluster_tol: float | None = None,
     workers: int = 1,
@@ -231,28 +224,28 @@ def lz_sweep(
     The initial state is thermal at inverse temperature ``beta`` in the
     Hamiltonian at detuning ``omega_i``; each grid point quenches to the
     final detuning and records the full report. Moments are additionally
-    emitted normalized by their value at final detuning equal to the gap.
+    emitted normalized by their value at final detuning 1.
     Rows whose final detuning equals +-omega_i are flagged, since the work
     values degenerate there.
     """
     grid = np.asarray(omega_f_grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("empty detuning grid")
-    hi = lz_hamiltonian(LzParams(delta=delta, omega=omega_i))
+    hi = lz_hamiltonian(omega_i)
     initial = diagonalize(hi)
     rho = thermal_populations(initial, beta)
 
     def run_point(omega_f: float) -> SweepRow:
         with _at_point(omega_f=float(omega_f)):
-            hf = lz_hamiltonian(LzParams(delta=delta, omega=omega_f))
+            hf = lz_hamiltonian(omega_f)
             return _evaluate(rho, PairTable.of(hi, hf, initial, diagonalize(hf)), cluster_tol)
 
-    reference = run_point(delta).moments
+    reference = run_point(1.0).moments
     rows = []
     for omega_f, row in zip(grid, _fan_out(run_point, list(grid), workers)):
         normalized = np.full(MOMENT_ORDERS, np.nan)
         np.divide(row.moments, reference, out=normalized, where=reference != 0.0)
-        degenerate = math.isclose(abs(omega_f), abs(omega_i), rel_tol=0.0, abs_tol=1e-12 * delta)
+        degenerate = math.isclose(abs(omega_f), abs(omega_i), rel_tol=0.0, abs_tol=1e-12)
         flags = ("degenerate-detuning",) if degenerate else ()
         rows.append(replace(row, normalized_moments=normalized, flags=flags))
     return SweepResult(axis=grid, rows=tuple(rows))
@@ -298,7 +291,7 @@ def aah_transition_sweep(
     delta_grid: np.ndarray,
     direction: str,
     state: StateSpec | None = None,
-    eta: float = 1.2,
+    eta: float = AahParams.eta,
     cluster_tol: float | None = None,
     workers: int = 1,
 ) -> SweepResult:
@@ -434,7 +427,7 @@ def scaling_derivative(
 def eigenstate_coherence_map(
     fib_index: int,
     delta_grid: np.ndarray,
-    eta: float = 1.2,
+    eta: float = AahParams.eta,
     workers: int = 1,
 ) -> np.ndarray:
     """Coherence of every flat-chain eigenstate in the modulated basis, as (levels, grid).

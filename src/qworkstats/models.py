@@ -1,8 +1,8 @@
 """Model Hamiltonians: the two-level avoided crossing and the
 Aubry-Andre-Harper (AAH) quasiperiodic chain.
 
-Two-level model: H = delta * sigma_x + omega * sigma_z, energies in units
-of hbar * delta (the minimal gap, at detuning omega = 0).
+Two-level model: H = sigma_x + omega * sigma_z at detuning omega, energies
+in units of hbar * Delta, the coupling Delta * sigma_x that opens the gap.
 
 AAH chain: N = F_n sites on a ring, on-site potential
 delta * cos(2 pi gamma i + eta) with gamma = F_{n-1}/F_n, hopping -1 on the
@@ -28,27 +28,11 @@ GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 BAND_EDGE_COEFFICIENT = 0.146939
 
 
-@dataclass(frozen=True)
-class LzParams:
-    """Two-level crossing parameters: gap ``delta`` > 0 and detuning ``omega``."""
-
-    delta: float
-    omega: float
-
-    def __post_init__(self):
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValidationError(f"gap must be positive and finite, got {self.delta!r}")
-        if not math.isfinite(self.omega):
-            raise ValidationError(f"detuning must be finite, got {self.omega!r}")
-
-
-def lz_hamiltonian(params: LzParams) -> HermitianOperator:
-    """2x2 matrix delta*sigma_x + omega*sigma_z; eigenvalues -+sqrt(omega^2+delta^2)."""
-    return HermitianOperator(
-        entries=np.array(
-            [[params.omega, params.delta], [params.delta, -params.omega]], dtype=float
-        )
-    )
+def lz_hamiltonian(omega: float) -> HermitianOperator:
+    """2x2 matrix sigma_x + omega*sigma_z; eigenvalues -+sqrt(omega^2+1)."""
+    if not math.isfinite(omega):
+        raise ValidationError(f"detuning must be finite, got {omega!r}")
+    return HermitianOperator(entries=np.array([[omega, 1.0], [1.0, -omega]], dtype=float))
 
 
 def fibonacci_pair(n: int) -> tuple[int, int]:

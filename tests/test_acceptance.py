@@ -107,7 +107,7 @@ def test_criterion_03_lz_reproduction():
     started = time.perf_counter()
     grid = default_lz_grid()
     step = float(grid[1] - grid[0])
-    result = lz_sweep(omega_i=-20.0, omega_f_grid=grid, delta=1.0, beta=0.1)
+    result = lz_sweep(omega_i=-20.0, omega_f_grid=grid, beta=0.1)
     elapsed = time.perf_counter() - started
 
     window = np.abs(grid) < 5.0

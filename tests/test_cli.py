@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import glob
 import json
@@ -12,7 +13,7 @@ import pytest
 from qworkstats import cli, experiments, infotheory, tpm
 from qworkstats.cli import RunConfig, main, parse_config, run
 from qworkstats.errors import BoundViolationError, ConfigError, ValidationError
-from qworkstats.models import AahParams, LzParams, lz_hamiltonian
+from qworkstats.models import AahParams, lz_hamiltonian
 from qworkstats.spectral import diagonalize
 
 
@@ -95,7 +96,6 @@ def test_single_quench_identity_two_level(tmp_path):
         out=str(out),
         omega_i=-20.0,
         omega_f=-20.0,
-        delta=1.0,
         state_kind="thermal",
         state_beta=0.1,
     )
@@ -120,8 +120,8 @@ def test_single_quench_work_csv_bytes(tmp_path):
         state_kind="thermal", state_beta=0.1,
     )
     assert run(config) == 0
-    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-4.0))
-    hf = lz_hamiltonian(LzParams(delta=1.0, omega=4.0))
+    hi = lz_hamiltonian(-4.0)
+    hf = lz_hamiltonian(4.0)
     rho = experiments.StateSpec.thermal(0.1).build(diagonalize(hi))
     work = tpm.collect_work_distribution(
         tpm.uncollected_distribution(tpm.QuenchSetup(hi=hi, hf=hf, rho=rho))
@@ -359,6 +359,8 @@ def test_runconfig_validation():
         ["single-quench", "--omega-f", "3", "--fib-index", "5", "--direction", "delta-to-zero",
          "--eta", "0.3"],
         ["single-quench", "--omega-i=-3", "--fib-index", "5"],
+        # delta is the chain's potential; the two-level gap is the unit of energy
+        ["single-quench", "--omega-f", "3", "--delta", "2"],
         # grid bounds beside the grid's values
         ["aah-hist", "--fib-index", "8", "--grid-values", "1.5", "--grid-points", "3"],
     ],
@@ -382,6 +384,7 @@ def test_a_setting_the_run_does_not_read_is_refused(tmp_path, capsys, argv):
         ["coherence-map", "--cluster-tol", "0.1"],
         ["bandwidth-fit", "--direction", "delta-to-zero"],
         ["aah-sweep", "--omega-f", "3"],
+        ["lz-sweep", "--delta", "2"],
     ],
 )
 def test_a_flag_the_subcommand_does_not_take_exits_2(tmp_path, capsys, argv):
@@ -398,7 +401,9 @@ def test_an_ini_setting_the_subcommand_does_not_take_is_a_config_error(tmp_path,
     for subcommand, section, key in (("aah-scaling", "state", "level = 2"),
                                      ("lz-sweep", "state", "kind = eigenstate"),
                                      ("coherence-map", "run", "cluster_tol = 0.1"),
-                                     ("aah-sweep", "state", "betas = 0.5")):
+                                     ("aah-sweep", "state", "betas = 0.5"),
+                                     ("lz-sweep", "model", "delta = 2"),
+                                     ("single-quench", "model", "omega_f = 3\ndelta = 2")):
         text = f"[run]\nsubcommand = {subcommand}\n"
         text += f"{key}\n" if section == "run" else f"[{section}]\n{key}\n"
         path = write_config(tmp_path / "run.ini", text)
@@ -692,7 +697,7 @@ GRID = ["grid_start", "grid_stop", "grid_points", "grid_values"]
 STATE = ["state_kind", "state_level", "state_beta"]
 CHAIN = ["fib_index", "eta", "direction", "cluster_tol"]
 TAKES = {
-    "lz-sweep": ["omega_i", "delta", "state_beta", "cluster_tol", *GRID],
+    "lz-sweep": ["omega_i", "state_beta", "cluster_tol", *GRID],
     "aah-hist": [*CHAIN, *STATE, *GRID],
     "aah-sweep": [*CHAIN, *STATE, *GRID],
     "aah-scaling": ["fib_min", "fib_max", "eta_samples", "deriv_step", "direction", "cluster_tol"],
@@ -733,8 +738,8 @@ def test_command_line_schema_is_unchanged(tmp_path, monkeypatch):
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(commands.choices) == SUBCOMMANDS
     flags = {row[4]: row[2] for row in SCHEMA}
-    # 99 of the 8 x 23 (subcommand, setting) pairs
-    assert sum(len(COMMON + TAKES[name]) for name in SUBCOMMANDS) == 99
+    # 98 of the 8 x 23 (subcommand, setting) pairs
+    assert sum(len(COMMON + TAKES[name]) for name in SUBCOMMANDS) == 98
     for name, command in commands.choices.items():
         actions = {flag: action for action in command._actions for flag in action.option_strings}
         taken = {flags[setting] for setting in COMMON + TAKES[name]} - {None}
@@ -795,6 +800,19 @@ def test_command_line_schema_is_unchanged(tmp_path, monkeypatch):
     path = write_config(tmp_path / "hopping.ini", "[run]\nsubcommand = aah-sweep\n[model]\nj = 1\n")
     assert main(["aah-sweep", "--config", path]) == 2
     assert captured == []
+
+
+def test_a_two_level_quench_is_one_lz_sweep_row(tmp_path, capsys):
+    summaries = []
+    for argv in (["single-quench", "--omega-i=-4", "--omega-f", "4", "--state", "thermal",
+                  "--beta", "0.5"],
+                 ["lz-sweep", "--omega-i=-4", "--grid-values", "4", "--beta", "0.5"]):
+        assert main([*argv, "--out", str(tmp_path / argv[0]), "--threads", "1"]) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+    single, sweep = summaries
+    with open(tmp_path / "lz-sweep" / "lz_sweep_entropy.csv") as stream:
+        (row,) = csv.DictReader(stream)
+    assert single["h_w"] == sweep["h_w_peak"] == float(row["h_w"])
 
 
 # Small runs of each subcommand, one per model it builds.
@@ -874,9 +892,10 @@ EFFECTIVE = {
 EFFECTIVE_IN = {
     ("lz-sweep", "state_beta"): ({}, {"state_beta": 0.05}),  # always thermal, at 0.1 by default
     ("lz-sweep", "cluster_tol"): ({}, {"cluster_tol": 5.0}),  # 0.05 merges no two-level pair
-    ("single-quench", "omega_i"): ({"fib_index": None, "omega_f": 3.0},
-                                   {"fib_index": None, "omega_f": 3.0, "omega_i": -5.0}),
-    ("single-quench", "omega_f"): ({}, {"fib_index": None, "omega_f": 3.0}),
+    ("single-quench", "omega_i"): ({"fib_index": None, "delta": None, "omega_f": 3.0},
+                                   {"fib_index": None, "delta": None, "omega_f": 3.0,
+                                    "omega_i": -5.0}),
+    ("single-quench", "omega_f"): ({}, {"fib_index": None, "delta": None, "omega_f": 3.0}),
 }
 
 

@@ -47,7 +47,7 @@ def test_state_spec_validation():
 
 def test_lz_sweep_rows_and_normalization():
     grid = np.linspace(-25.0, 25.0, 51)
-    result = lz_sweep(omega_i=-20.0, omega_f_grid=grid, delta=1.0, beta=0.1)
+    result = lz_sweep(omega_i=-20.0, omega_f_grid=grid, beta=0.1)
     assert len(result.rows) == 51
     for row in result.rows:
         assert row.moments.shape == (4,)
@@ -60,7 +60,7 @@ def test_lz_sweep_rows_and_normalization():
 
 def test_lz_sweep_flags_degenerate_detunings():
     grid = np.array([-20.0, -1.0, 20.0])
-    result = lz_sweep(omega_i=-20.0, omega_f_grid=grid, delta=1.0, beta=0.1)
+    result = lz_sweep(omega_i=-20.0, omega_f_grid=grid, beta=0.1)
     assert result.rows[0].flags == ("degenerate-detuning",)
     assert result.rows[1].flags == ()
     assert result.rows[2].flags == ("degenerate-detuning",)
@@ -72,7 +72,7 @@ def test_lz_sweep_flags_degenerate_detunings():
 
 def test_lz_sweep_entropy_peaks_at_crossing():
     grid = np.linspace(-25.0, 25.0, 501)
-    result = lz_sweep(omega_i=-20.0, omega_f_grid=grid, delta=1.0, beta=0.1)
+    result = lz_sweep(omega_i=-20.0, omega_f_grid=grid, beta=0.1)
     h_w = result.column("h_w")
     peak = grid[int(np.argmax(h_w))]
     assert abs(peak) <= grid[1] - grid[0] + 1e-12
@@ -80,7 +80,7 @@ def test_lz_sweep_entropy_peaks_at_crossing():
 
 def test_lz_sweep_rejects_empty_grid():
     with pytest.raises(ValidationError):
-        lz_sweep(omega_i=-20.0, omega_f_grid=np.array([]), delta=1.0, beta=0.1)
+        lz_sweep(omega_i=-20.0, omega_f_grid=np.array([]), beta=0.1)
 
 
 def test_aah_histogram_sign_structure():

@@ -17,7 +17,6 @@ from qworkstats import (
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
-    LzParams,
     QuenchSetup,
     UncollectedDistribution,
     UnitaryMatrix,
@@ -72,7 +71,7 @@ def test_shannon_entropy_rejects_bad_input():
 
 
 def test_entropy_of_work_deterministic_case():
-    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-5.0))
+    hi = lz_hamiltonian(-5.0)
     rho = thermal_state(diagonalize(hi), 0.2)
     setup = QuenchSetup(hi=hi, hf=hi, rho=rho)
     w = collect_work_distribution(uncollected_distribution(setup))
@@ -83,7 +82,7 @@ def test_zero_entropies_are_written_as_positive_zero():
     # "-0" in an output file would read as a sign
     from qworkstats.experiments import ZERO_TO_DELTA, aah_transition_sweep
 
-    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-5.0))
+    hi = lz_hamiltonian(-5.0)
     setup = QuenchSetup(hi=hi, hf=hi, rho=[0.3, 0.7])
     one_point = collect_work_distribution(uncollected_distribution(setup))
     assert one_point.num_points == 1
@@ -98,8 +97,8 @@ def test_zero_entropies_are_written_as_positive_zero():
 
 
 def test_work_entropy_equals_uncollected_for_nondegenerate_lz():
-    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-20.0))
-    hf = lz_hamiltonian(LzParams(delta=1.0, omega=3.0))
+    hi = lz_hamiltonian(-20.0)
+    hf = lz_hamiltonian(3.0)
     rho = thermal_state(diagonalize(hi), 0.1)
     setup = QuenchSetup(hi=hi, hf=hf, rho=rho)
     u = uncollected_distribution(setup)
@@ -177,8 +176,8 @@ def test_rec_nonnegative_random():
 
 def test_per_level_coherences_identity_and_lz():
     assert np.allclose(per_level_coherences(np.eye(4)), 0.0, atol=1e-14)
-    di = diagonalize(lz_hamiltonian(LzParams(delta=1.0, omega=-20.0)))
-    df = diagonalize(lz_hamiltonian(LzParams(delta=1.0, omega=2.0)))
+    di = diagonalize(lz_hamiltonian(-20.0))
+    df = diagonalize(lz_hamiltonian(2.0))
     pmn = np.abs(df.eigenvectors.conj().T @ di.eigenvectors) ** 2
     coherences = per_level_coherences(pmn)
     p = pmn[0, 0]
@@ -363,7 +362,7 @@ def test_nan_entropy_fails_the_bound_chain(name):
 
 
 def test_negative_rec_rho_bar_beyond_the_slack_is_a_bound_violation(monkeypatch):
-    h = lz_hamiltonian(LzParams(delta=1.0, omega=-20.0))
+    h = lz_hamiltonian(-20.0)
     setup = QuenchSetup(hi=h, hf=h, rho=np.array([0.7, 0.3]))
     u = uncollected_distribution(setup)
     work = collect_work_distribution(u)

@@ -5,7 +5,7 @@ import pytest
 
 from qworkstats import (
     AahParams,
-    LzParams,
+    HermitianOperator,
     ValidationError,
     aah_hamiltonian,
     diagonalize,
@@ -16,7 +16,7 @@ from qworkstats.models import BAND_EDGE_COEFFICIENT, GOLDEN_RATIO_CONJUGATE
 
 
 def test_lz_pure_gap():
-    h = lz_hamiltonian(LzParams(delta=1.0, omega=0.0))
+    h = lz_hamiltonian(0.0)
     assert np.allclose(h.entries, np.array([[0.0, 1.0], [1.0, 0.0]]))
     evals = np.linalg.eigvalsh(h.entries)
     assert np.allclose(evals, [-1.0, 1.0])
@@ -26,31 +26,31 @@ def test_lz_spectrum_symmetric_exactly():
     # traceless 2x2: the solver returns an exactly negated pair
     rng = np.random.default_rng(5)
     for _ in range(200):
-        p = LzParams(delta=float(rng.uniform(0.1, 5.0)), omega=float(rng.uniform(-30, 30)))
-        evals = diagonalize(lz_hamiltonian(p)).eigenvalues
+        # a coupling other than 1 scales the unit-coupling matrix
+        scale, omega = rng.uniform(0.1, 5.0), float(rng.uniform(-30, 30))
+        entries = scale * lz_hamiltonian(omega).entries
+        evals = diagonalize(HermitianOperator(entries=entries)).eigenvalues
         assert evals[0] == -evals[1]
 
 
 def test_lz_eigenvalues_closed_form():
-    p = LzParams(delta=1.0, omega=-20.0)
-    evals = diagonalize(lz_hamiltonian(p)).eigenvalues
+    evals = diagonalize(lz_hamiltonian(-20.0)).eigenvalues
     gap = math.sqrt(401.0)
     assert evals[0] == pytest.approx(-gap, rel=1e-14)
     assert evals[1] == pytest.approx(gap, rel=1e-14)
 
 
 def test_lz_strong_detuning_polarizes_ground_state():
-    dec = diagonalize(lz_hamiltonian(LzParams(delta=1.0, omega=-20.0)))
+    dec = diagonalize(lz_hamiltonian(-20.0))
     ground = dec.eigenvectors[:, 0]
     # overwhelmingly the spin-up computational state for omega = -20
     assert abs(ground[0]) ** 2 > 0.99
 
 
-def test_lz_params_validation():
-    with pytest.raises(ValidationError):
-        LzParams(delta=0.0, omega=1.0)
-    with pytest.raises(ValidationError):
-        LzParams(delta=-1.0, omega=1.0)
+def test_lz_hamiltonian_rejects_a_detuning_that_is_not_finite():
+    for omega in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="detuning"):
+            lz_hamiltonian(omega)
 
 
 def test_fibonacci_pair_values():

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "EigensolverError",
     "FitResult",
     "HermitianOperator",
-    "LzParams",
     "MomentSummary",
     "QuenchSetup",
     "ScalingResult",

@@ -16,7 +16,6 @@ from qworkstats import (
     AahParams,
     BoundsReport,
     DimensionMismatchError,
-    LzParams,
     QuenchSetup,
     StateSpec,
     ValidationError,
@@ -60,8 +59,8 @@ def quenches():
     for omega_f in (-0.5, 3.0):
         yield (
             f"lz-{omega_f}",
-            lz_hamiltonian(LzParams(delta=1.0, omega=-3.0)),
-            lz_hamiltonian(LzParams(delta=1.0, omega=omega_f)),
+            lz_hamiltonian(-3.0),
+            lz_hamiltonian(omega_f),
         )
 
 
@@ -123,8 +122,8 @@ def test_first_moment_check_still_catches_a_shifted_support():
 
 
 def test_population_states_are_validated():
-    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-3.0))
-    hf = lz_hamiltonian(LzParams(delta=1.0, omega=2.0))
+    hi = lz_hamiltonian(-3.0)
+    hf = lz_hamiltonian(2.0)
     setup = QuenchSetup(hi=hi, hf=hf, rho=[0.25, 0.75])
     assert not setup.rho.flags.writeable
     with pytest.raises(ValidationError, match="sum"):

@@ -29,7 +29,7 @@ from qworkstats import (
     thermal_state,
     von_neumann_entropy,
 )
-from qworkstats.models import AahParams, LzParams, aah_hamiltonian, lz_hamiltonian
+from qworkstats.models import AahParams, aah_hamiltonian, lz_hamiltonian
 from qworkstats.spectral import HERMITICITY_RTOL
 from qworkstats.tpm import PairTable
 
@@ -129,9 +129,10 @@ def test_diagonalize_already_diagonal():
 
 
 def test_diagonalize_lz_closed_form():
-    for delta, omega in [(1.0, 0.0), (1.0, -20.0), (2.5, 3.0)]:
-        dec = diagonalize(lz_hamiltonian(LzParams(delta=delta, omega=omega)))
-        gap = math.sqrt(omega**2 + delta**2)
+    # a coupling other than 1 scales the unit-coupling matrix
+    for scale, omega in [(1.0, 0.0), (1.0, -20.0), (2.5, 1.25)]:
+        dec = diagonalize(HermitianOperator(entries=scale * lz_hamiltonian(omega).entries))
+        gap = scale * math.sqrt(omega**2 + 1.0)
         assert dec.eigenvalues[0] == pytest.approx(-gap, rel=1e-14)
         assert dec.eigenvalues[1] == pytest.approx(gap, rel=1e-14)
 
@@ -205,10 +206,10 @@ def test_thermal_state_zero_temperature_degenerate_raises():
 
 def test_thermal_state_two_level_gibbs_weight():
     # closed-form ground population of the biased two-level system
-    delta, omega, beta = 1.0, -20.0, 0.1
-    dec = diagonalize(lz_hamiltonian(LzParams(delta=delta, omega=omega)))
+    omega, beta = -20.0, 0.1
+    dec = diagonalize(lz_hamiltonian(omega))
     rho = thermal_state(dec, beta)
-    gap = math.sqrt(omega**2 + delta**2)
+    gap = math.sqrt(omega**2 + 1.0)
     expected = 1.0 / (1.0 + math.exp(-2.0 * beta * gap))
     ground = dec.eigenvectors[:, 0]
     population = float(np.real(ground.conj() @ rho.entries @ ground))

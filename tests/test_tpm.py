@@ -11,7 +11,6 @@ from qworkstats import (
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
-    LzParams,
     QuenchSetup,
     SpectralDecomposition,
     UncollectedDistribution,
@@ -34,9 +33,9 @@ from qworkstats import tpm
 from qworkstats.tpm import CollectionDiagnostics, PairTable, WorkDistribution, check_first_moment
 
 
-def lz_setup(omega_i, omega_f, beta=0.1, delta=1.0):
-    hi = lz_hamiltonian(LzParams(delta=delta, omega=omega_i))
-    hf = lz_hamiltonian(LzParams(delta=delta, omega=omega_f))
+def lz_setup(omega_i, omega_f, beta=0.1):
+    hi = lz_hamiltonian(omega_i)
+    hf = lz_hamiltonian(omega_f)
     rho = thermal_state(diagonalize(hi), beta)
     return QuenchSetup(hi=hi, hf=hf, rho=rho)
 
@@ -50,20 +49,19 @@ def dephased(setup):
 
 
 def test_transition_probabilities_identity_case():
-    dec = diagonalize(lz_hamiltonian(LzParams(delta=1.0, omega=0.3)))
+    dec = diagonalize(lz_hamiltonian(0.3))
     pmn = transition_probabilities(dec, dec)
     assert np.allclose(pmn, np.eye(2), atol=1e-24)
 
 
 def test_transition_probabilities_lz_overlap_formula():
-    # independent oracle: mixing angle theta = atan2(delta, omega)
-    delta = 1.0
+    # independent oracle: mixing angle theta = atan2(1, omega)
     for omega_i, omega_f in [(-20.0, 0.0), (-20.0, 5.0), (-3.0, -1.0), (2.0, 7.0)]:
-        di = diagonalize(lz_hamiltonian(LzParams(delta=delta, omega=omega_i)))
-        df = diagonalize(lz_hamiltonian(LzParams(delta=delta, omega=omega_f)))
+        di = diagonalize(lz_hamiltonian(omega_i))
+        df = diagonalize(lz_hamiltonian(omega_f))
         pmn = transition_probabilities(di, df)
-        theta_i = math.atan2(delta, omega_i)
-        theta_f = math.atan2(delta, omega_f)
+        theta_i = math.atan2(1.0, omega_i)
+        theta_f = math.atan2(1.0, omega_f)
         expected = math.cos((theta_f - theta_i) / 2.0) ** 2
         assert pmn[0, 0] == pytest.approx(expected, abs=1e-12)
         assert pmn[1, 1] == pytest.approx(expected, abs=1e-12)
@@ -82,7 +80,7 @@ def test_transition_probabilities_doubly_stochastic():
 
 
 def test_initial_populations_eigenstate_indicator():
-    dec = diagonalize(lz_hamiltonian(LzParams(delta=1.0, omega=2.0)))
+    dec = diagonalize(lz_hamiltonian(2.0))
     rho = eigenstate_projector(dec, 1)
     pn = initial_populations(rho, dec)
     assert pn == pytest.approx([0.0, 1.0], abs=1e-12)
@@ -495,8 +493,8 @@ def test_diagonal_first_moment_route_matches_the_dense_product_bit_for_bit(monke
 
 def test_pair_table_mean_work_shares_first_moment_products_per_live_set():
     rng = np.random.default_rng(83)
-    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-3.0))
-    hf = lz_hamiltonian(LzParams(delta=1.0, omega=2.0))
+    hi = lz_hamiltonian(-3.0)
+    hf = lz_hamiltonian(2.0)
     u = haar_unitary(rng, 2)
     table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf), u)
     for rho in ([0.3, 0.7], [1.0, 0.0], [0.6, 0.4]):
@@ -530,8 +528,8 @@ def test_pair_table_copies_caller_arrays_and_keeps_its_own(monkeypatch):
         return computed[-1]
 
     monkeypatch.setattr(tpm, "transition_probabilities", recording)
-    hi = lz_hamiltonian(LzParams(delta=1.0, omega=-3.0))
-    hf = lz_hamiltonian(LzParams(delta=1.0, omega=2.0))
+    hi = lz_hamiltonian(-3.0)
+    hf = lz_hamiltonian(2.0)
     table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf))
     assert table.pmn is computed[0]
     assert not table.pmn.flags.writeable
@@ -559,7 +557,7 @@ def test_nan_fails_the_stochasticity_and_first_moment_checks(monkeypatch):
 
     # the decomposition rejects a NaN eigenvector; one that got past it
     # would still fail the stochasticity check of the transitions
-    finite = diagonalize(lz_hamiltonian(LzParams(delta=1.0, omega=2.0)))
+    finite = diagonalize(lz_hamiltonian(2.0))
     vectors = finite.eigenvectors.copy()
     vectors[0, 0] = math.nan
     with pytest.raises(ValidationError, match="non-finite"):
@@ -778,7 +776,7 @@ def test_single_level_system_pipeline():
 
 
 def test_setup_dimension_mismatch():
-    hi = lz_hamiltonian(LzParams(delta=1.0, omega=0.0))
+    hi = lz_hamiltonian(0.0)
     flat = aah_hamiltonian(AahParams(fib_index=5, delta=0.0))
     rho = thermal_state(diagonalize(hi), 1.0)
     with pytest.raises(ValidationError):

@@ -444,10 +444,6 @@ class RunConfig:
             self.state_beta = DEFAULT_LZ_BETA  # its state is always thermal
         if self.state_kind == "thermal" and self.state_beta is None:
             raise ConfigError("state kind 'thermal' requires beta")
-        read = self.in_force()
-        for setting in fields(self):
-            if setting.name not in read and getattr(self, setting.name) != setting.default:
-                raise ConfigError(f"{self.subcommand} does not read {setting.name} in this run")
 
     def in_force(self) -> tuple[str, ...]:
         """The settings this run reads: its subcommand's, less a level outside
@@ -535,7 +531,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus flag overrides."""
+    """A RunConfig from an optional file plus flag overrides, each one read by the run."""
     kwargs: dict = {}
     if path is not None:
         kwargs.update(_read_config_file(path))
@@ -545,9 +541,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if "subcommand" not in kwargs:
         raise ConfigError("no subcommand given (flag or [run] subcommand in the config file)")
     try:
-        return RunConfig(**kwargs)
+        config = RunConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
+    unread = [name for name in kwargs if name not in config.in_force()]
+    if unread:
+        raise ConfigError(f"{config.subcommand} does not read {unread[0]} in this run")
+    return config
 
 
 def run(config: RunConfig) -> int:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundViolationError, ValidationError
-from .infotheory import BoundsReport, _bounds_report, _column_entropies, entropy_of_work
+from .infotheory import BoundsReport, _column_entropies, bounds_report, entropy_of_work
 from .models import AahParams, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
 from .spectral import (
     HermitianOperator,
@@ -202,7 +202,7 @@ def _evaluate(
     # mean checked here is also the trace-formula mean.
     mean_direct = check_first_moment(work, uncollected)
     summary = work_moments(work, MOMENT_ORDERS) if moments else None
-    report = _bounds_report(work, uncollected)
+    report = bounds_report(table, work, uncollected)
     return SweepRow(
         moments=summary.moments if summary else None,
         variance=summary.variance if summary else None,

@@ -32,10 +32,11 @@ from .errors import BoundViolationError, DimensionMismatchError, ValidationError
 from .spectral import (
     DensityMatrix,
     SpectralDecomposition,
+    _frozen_array,
     dephase,
     von_neumann_entropy,
 )
-from .tpm import QuenchSetup, UncollectedDistribution, WorkDistribution, max_degeneracy
+from .tpm import PairTable, QuenchSetup, UncollectedDistribution, WorkDistribution, max_degeneracy
 
 NEGATIVE_PROB_TOL = 1e-12
 NORMALIZATION_ERROR = 1e-6
@@ -176,30 +177,24 @@ def check_bounds(report: BoundsReport) -> None:
 
 
 def bounds_report(
-    setup: QuenchSetup, work: WorkDistribution, uncollected: UncollectedDistribution
+    quench: QuenchSetup | PairTable, work: WorkDistribution, uncollected: UncollectedDistribution
 ) -> BoundsReport:
-    """``_bounds_report`` of a ``setup``, whose dimension alone it reads."""
-    if setup.dim != uncollected.dim:
-        raise DimensionMismatchError(
-            f"setup dimension {setup.dim} does not match table dimension {uncollected.dim}"
-        )
-    return _bounds_report(work, uncollected)
+    """Assemble every bound ingredient of ``uncollected`` and verify the chain.
 
-
-def _bounds_report(work: WorkDistribution, uncollected: UncollectedDistribution) -> BoundsReport:
-    """Assemble every bound ingredient and verify the chain.
-
-    All terms are evaluated from the populations and transition matrix of
-    ``uncollected`` (the scalar route); the density-matrix route through
-    dephasing is equivalent and cross-checked in the test suite. The terms
-    of the transition matrix alone are computed once per pair table, whose
-    columns were checked when it was built.
+    ``quench`` is the setup or pair table it was built from; only its
+    dimension is read. The terms come from the populations and transition
+    matrix (the scalar route, which the tests cross-check against dephasing),
+    and those of the table alone once per table, whose columns it checked.
     """
+    if quench.dim != uncollected.dim:
+        raise DimensionMismatchError(
+            f"setup dimension {quench.dim} does not match table dimension {uncollected.dim}"
+        )
     pn = uncollected.pn
     table = uncollected.table
     pmn = table.pmn
-    per_level = table.memo("per_level_coherences", lambda: _column_entropies(pmn))
-    per_level.setflags(write=False)  # one vector shared by the reports of the table's states
+    # one read-only vector shared by the reports of the table's states
+    per_level = table.memo("per_level_coherences", lambda: _frozen_array(_column_entropies(pmn)))
     eff_dim, neg_log_eff_dim = table.memo(
         "effective_dimension", lambda: effective_dimension(pmn, 0)
     )

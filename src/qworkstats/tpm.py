@@ -171,6 +171,10 @@ class PairTable:
         except KeyError:
             return self._memo.setdefault(key, compute())
 
+    @property
+    def dim(self) -> int:
+        return self.pmn.shape[0]
+
     def mean_work(self, pn: np.ndarray) -> float:
         """<W> = sum_n p_n <n_i|U^dag Hf U - Hi|n_i> for the initial populations ``pn``.
 
@@ -200,9 +204,9 @@ class UncollectedDistribution:
 
     def __post_init__(self):
         pn = _population_vector(self.pn)
-        if pn.size != self.table.pmn.shape[0]:
+        if pn.size != self.table.dim:
             raise DimensionMismatchError(
-                f"{pn.size} populations do not match {self.table.pmn.shape[0]} levels"
+                f"{pn.size} populations do not match {self.table.dim} levels"
             )
         live = np.flatnonzero(pn)
         object.__setattr__(self, "pn", pn)

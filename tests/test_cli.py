@@ -363,6 +363,10 @@ def test_runconfig_validation():
         ["single-quench", "--omega-f", "3", "--delta", "2"],
         # grid bounds beside the grid's values
         ["aah-hist", "--fib-index", "8", "--grid-values", "1.5", "--grid-points", "3"],
+        # an unread setting given at its default value
+        ["single-quench", "--omega-f", "3", "--delta", "1.0"],
+        ["single-quench", "--omega-f", "3", "--eta", "1.2"],
+        ["aah-sweep", "--fib-index", "8", "--grid-points", "3", "--level", "0"],
     ],
 )
 def test_a_setting_the_run_does_not_read_is_refused(tmp_path, capsys, argv):
@@ -403,7 +407,8 @@ def test_an_ini_setting_the_subcommand_does_not_take_is_a_config_error(tmp_path,
                                      ("coherence-map", "run", "cluster_tol = 0.1"),
                                      ("aah-sweep", "state", "betas = 0.5"),
                                      ("lz-sweep", "model", "delta = 2"),
-                                     ("single-quench", "model", "omega_f = 3\ndelta = 2")):
+                                     ("single-quench", "model", "omega_f = 3\ndelta = 2"),
+                                     ("single-quench", "model", "omega_f = 3\ndelta = 1.0")):
         text = f"[run]\nsubcommand = {subcommand}\n"
         text += f"{key}\n" if section == "run" else f"[{section}]\n{key}\n"
         path = write_config(tmp_path / "run.ini", text)

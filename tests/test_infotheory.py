@@ -381,6 +381,11 @@ def test_bounds_report_refuses_a_setup_of_another_dimension():
     assert bounds_report(setup, work, u).csv_row() == report.csv_row()
     with pytest.raises(DimensionMismatchError, match="setup dimension 4 does not match .* 3"):
         bounds_report(random_setup(rng, 4), work, u)
+    # the pair table the distribution was built from stands in for its setup
+    assert bounds_report(u.table, work, u).csv_row() == report.csv_row()
+    other = uncollected_distribution(random_setup(rng, 4)).table
+    with pytest.raises(DimensionMismatchError, match="setup dimension 4 does not match .* 3"):
+        bounds_report(other, work, u)
 
 
 def test_bounds_report_serialization_contract():

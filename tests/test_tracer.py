@@ -32,6 +32,7 @@ statuses = [
     cli.main(["thermal-sweep", "--out", sys.argv[1] + "/thermal", "--grid-values", "1.5,2.5",
               *common]),
 ]
+cli_fired = sorted({span[1] for span in tracer.spans})
 rng = np.random.default_rng(11)
 for dim in (2, 3, 5):
     hi, hf, rho = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))
@@ -48,6 +49,7 @@ print(json.dumps({
     "statuses": statuses,
     "stray": tracer.stray_references(),
     "fired": sorted({span[1] for span in tracer.spans}),
+    "cli_fired": cli_fired,
     "absent": tracer.absent,
 }))
 """
@@ -68,5 +70,7 @@ def test_traced_runs_leave_no_unwrapped_layer_function(tmp_path):
     assert {"tpm.collect", "tpm.check_first_moment", "tpm.transition_probabilities",
             "tpm.work_moments", "infotheory.bounds_report",
             "experiments.point"} <= set(result["fired"])
+    # the sweeps' bound chains are timed as such, not only the library setups' below
+    assert "infotheory.bounds_report" in result["cli_fired"]
     # basis_populations is named by the tracer but no longer defined in spectral
     assert set(result["absent"]) <= {"qworkstats.spectral.basis_populations"}

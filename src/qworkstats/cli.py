@@ -29,6 +29,11 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # as on Windows: the manifest's peak_rss_mb is then null
+    resource = None
+
 from . import __version__, experiments, infotheory, spectral, tpm
 from .errors import BoundViolationError, ConfigError, ValidationError
 from .experiments import (
@@ -556,7 +561,7 @@ def run(config: RunConfig) -> int:
     The manifest is written even when the computation fails, with an error
     record, so a partial run is always auditable. An output directory that
     cannot be created raises ``ConfigError`` first, as there is then no
-    place for a manifest.
+    place for a manifest. An unwritable output or manifest is an ``io`` error, status 4.
     """
     started = time.time()
     out = config.out
@@ -582,6 +587,8 @@ def run(config: RunConfig) -> int:
         error_record = {"type": "validation", "message": str(exc),
                         "axis_point": getattr(exc, "axis_point", None)}
         status = 2
+    except OSError as exc:
+        error_record, status = {"type": "io", "message": f"{type(exc).__name__}: {exc}"}, 4
     except Exception as exc:  # manifest must record even unexpected failures
         error_record = {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}
         status = 1
@@ -602,12 +609,19 @@ def run(config: RunConfig) -> int:
         },
         "outputs": [os.path.basename(path) for path in outputs],
         "wall_time_s": time.time() - started,
+        "peak_rss_mb": resource and resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / (1024.0**2 if sys.platform == "darwin" else 1024.0),  # bytes on macOS, KiB elsewhere
         "error": error_record,
     }
-    _write_json(os.path.join(out, "manifest.json"), manifest)
     if error_record is not None:
         print(json.dumps(error_record), file=sys.stderr)
-    else:
+    try:
+        _write_json(os.path.join(out, "manifest.json"), manifest)
+    except OSError as exc:
+        error_record = {"type": "io", "message": f"manifest.json: {type(exc).__name__}: {exc}"}
+        print(json.dumps(error_record), file=sys.stderr)
+        status = 4
+    if error_record is None:
         summary = {"subcommand": config.subcommand, "outputs": manifest["outputs"]}
         # entropies are stored in nats everywhere; conversion is display-only
         unit = "bits" if config.bits else "nats"

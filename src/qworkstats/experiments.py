@@ -18,15 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundViolationError, ValidationError
-from .infotheory import BoundsReport, _column_entropies, bounds_report, entropy_of_work
-from .models import AahParams, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
-from .spectral import (
-    HermitianOperator,
-    SpectralDecomposition,
-    diagonalize,
-    level_populations,
-    thermal_populations,
+from .infotheory import (
+    BoundsReport, _column_entropies, bounds_report, entropy_of_work, uncollected_entropy
 )
+from .models import AahParams, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
+from .spectral import SpectralDecomposition, diagonalize, level_populations, thermal_populations
 from .tpm import (
     PairTable,
     UncollectedDistribution,
@@ -183,10 +179,9 @@ def _at_point(**point):
 
 
 @lru_cache(maxsize=8)
-def _flat_chain(fib_index: int) -> tuple[HermitianOperator, SpectralDecomposition]:
-    """The zero-potential chain and its decomposition; phase-independent, so cached."""
-    flat = aah_hamiltonian(AahParams(fib_index=fib_index, delta=0.0))
-    return flat, diagonalize(flat)
+def _flat_chain(fib_index: int) -> SpectralDecomposition:
+    """The zero-potential chain's decomposition, which no phase changes; not its Hamiltonian."""
+    return diagonalize(aah_hamiltonian(AahParams(fib_index=fib_index, delta=0.0)))
 
 
 def _evaluate(
@@ -197,6 +192,7 @@ def _evaluate(
     With ``moments`` false the row skips the work moments and leaves them None.
     """
     uncollected = UncollectedDistribution(pn, table)
+    uncollected_entropy(uncollected)  # stored for the report, before collection's arrays live
     work = collect_work_distribution(uncollected, cluster_tol)
     # Sweep states carry no coherence in the initial basis, so the measured
     # mean checked here is also the trace-formula mean.
@@ -263,9 +259,11 @@ def _potential_grid(delta_grid: np.ndarray) -> np.ndarray:
 
 def _aah_quench(params: AahParams, direction: str) -> PairTable:
     """The quench that switches the potential off or on."""
-    flat_h, flat = _flat_chain(params.fib_index)
+    flat = _flat_chain(params.fib_index)
     modulated_h = aah_hamiltonian(params)
     modulated = diagonalize(modulated_h)
+    # built after that eigh, whose peak it would raise; the table drops both Hamiltonians
+    flat_h = aah_hamiltonian(AahParams(fib_index=params.fib_index, delta=0.0))
     if direction == DELTA_TO_ZERO:
         return PairTable.of(modulated_h, flat_h, modulated, flat)
     return PairTable.of(flat_h, modulated_h, flat, modulated)
@@ -441,7 +439,7 @@ def eigenstate_coherence_map(
     grid = np.asarray(delta_grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("empty potential grid")
-    _, flat = _flat_chain(fib_index)
+    flat = _flat_chain(fib_index)
 
     def column(delta: float) -> np.ndarray:
         with _at_point(delta=float(delta)):

@@ -46,12 +46,10 @@ GROUND_PROJECTOR_TOL = 1e-12
 
 def _entropy(p: np.ndarray) -> float:
     """-sum q ln q of q = p / sum(p) for a nonnegative ``p``, with 0 ln 0 = 0."""
-    q = p / p.sum()
-    live = q[q > 0.0]
-    del q  # up to N^2 values: freed before the log allocates
-    terms = np.log(live)
-    terms *= live  # in place: inputs can be N^2 long
-    return 0.0 - float(terms.sum())  # +0.0, not -0.0, when no term is nonzero
+    live = p[p > 0.0]
+    live /= p.sum()  # in place, as is the product: inputs can be N^2 long
+    live *= np.log(live)
+    return 0.0 - float(live.sum())  # +0.0, not -0.0, when no term is nonzero
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
@@ -79,9 +77,11 @@ def entropy_of_work(work: WorkDistribution) -> float:
 
 
 def uncollected_entropy(uncollected: UncollectedDistribution) -> float:
-    """Shannon entropy of the joint table p_n * p_{m|n}, shared with collection. It is
-    nonnegative, and its factors were checked, so it is only renormalized."""
-    return _entropy(uncollected.joint().ravel())
+    """Shannon entropy of the joint table p_n * p_{m|n}, stored on ``uncollected`` beside
+    it. It is nonnegative, and its factors were checked, so it is only renormalized."""
+    if "_h_u" not in uncollected.__dict__:
+        uncollected.__dict__["_h_u"] = _entropy(uncollected.joint().ravel())
+    return uncollected.__dict__["_h_u"]
 
 
 def relative_entropy_of_coherence(

@@ -220,15 +220,15 @@ class UncollectedDistribution:
         """The table p_n * p_{m|n} over the live ``columns``, clipped at zero.
 
         The columns left out carry p_n = 0, so they hold no probability.
-        Built on the first call; every call returns the same read-only array.
+        Built on the first call; every call returns the same read-only view of it.
         """
         try:
             return self.__dict__["_joint"]
         except KeyError:
             joint = self.pn[self.columns] * self.table.pmn[:, self.columns]
-            np.maximum(joint, 0.0, out=joint)
-            joint.setflags(write=False)
-            return self.__dict__.setdefault("_joint", joint)
+            view = np.maximum(joint, 0.0, out=joint).view()
+            view.setflags(write=False)
+            return self.__dict__.setdefault("_joint", view)
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,8 @@ def transition_probabilities(
     vi = initial.eigenvectors
     vf = final.eigenvectors
     overlap = vf.conj().T @ (u.entries @ vi if u is not None else vi)
-    pmn = np.abs(overlap) ** 2
+    pmn = np.abs(overlap, out=None if overlap.dtype.kind == "c" else overlap)
+    pmn *= pmn  # in place: a real overlap is squared in its own N^2 buffer
     worst = max(np.abs(pmn.sum(axis=0) - 1.0).max(), np.abs(pmn.sum(axis=1) - 1.0).max())
     if not worst <= STOCHASTICITY_TOL:
         raise ValidationError(f"transition matrix deviates from doubly stochastic by {worst:g}")
@@ -362,7 +363,8 @@ def _clusters(v: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray
     """
     ids = np.empty(v.size, dtype=np.intp)
     ids[0] = 0
-    np.cumsum(v[1:] - v[:-1] >= cluster_tol, out=ids[1:])
+    gaps = np.subtract(v[1:], v[:-1], out=ids[1:].view(float))  # in the ids: no N^2 temporary
+    np.cumsum(gaps >= cluster_tol, out=ids[1:])
     return ids, np.bincount(ids)
 
 
@@ -382,9 +384,10 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
         order = np.argsort(v)
         v = v[order]
         sorted_ids, members = _clusters(v, cluster_tol)
+        del v  # the sorted values, freed before the scatter allocates
         ids = np.empty_like(sorted_ids)
         ids[order] = sorted_ids
-        del order, v, sorted_ids  # N^2 each: freed before a partial block is copied below
+        del order, sorted_ids  # N^2 each: freed before a partial block is copied below
         stored = table.memo(key, lambda: (ids.reshape(shape), members))
     if stored is None:
         v = np.sort(table.bohr(), axis=None)
@@ -412,7 +415,7 @@ def collect_work_distribution(
     cluster_tol = float(cluster_tol)
     columns = uncollected.columns
     ids, members = _cluster_ids(uncollected.table, cluster_tol, columns)
-    q = uncollected.joint()
+    q = uncollected.joint().base  # writeable: bincount copies a read-only array
     cluster_prob = np.bincount(ids, weights=q.ravel(), minlength=members.size)
     weighted = uncollected.table.bohr(columns)
     weighted *= q
@@ -423,9 +426,10 @@ def collect_work_distribution(
     if not keep.any():
         raise ValidationError("all collected work values fell below the probability floor")
     # Probability-weighted representative keeps the first moment exact.
-    support = weighted_sum[keep] / cluster_prob[keep]
-    del weighted_sum
     kept_probs = cluster_prob[keep]
+    support = weighted_sum[keep]
+    del weighted_sum
+    support /= kept_probs
     dropped_mass = float(cluster_prob[~keep].sum())
     if dropped_mass != 0.0:
         # With ~N^2 clusters the sub-threshold mass can accumulate to more
@@ -433,7 +437,8 @@ def collect_work_distribution(
         # the kept probabilities absorb it proportionally. The adjustment
         # is below 1e-8 relative in every reachable case and is auditable
         # through dropped_mass.
-        kept_probs = kept_probs * (float(cluster_prob.sum()) / float(kept_probs.sum()))
+        kept_probs *= float(cluster_prob.sum()) / float(kept_probs.sum())
+    del cluster_prob  # up to N^2 values: freed before the distribution is built
 
     gaps = support[1:] - support[:-1]
     min_gap = float(gaps.min()) if gaps.size else math.inf

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import glob
 import json
 import os
@@ -430,6 +431,7 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert environment["blas"] == {"name": blas.get("name"), "version": blas.get("version"),
                                    "threads": cli.blas_threads()}
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
     tolerances = manifest["tolerances"]
     # the seed and the width are written once, in the config echo
     assert "seed" not in manifest and "cluster_tol" not in manifest
@@ -577,6 +579,31 @@ def test_validation_error_names_its_axis_point(tmp_path, capsys, monkeypatch, ar
     assert manifest["error"]["type"] == "validation"
     assert manifest["error"]["axis_point"] == point
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["axis_point"] == point
+
+
+@pytest.mark.parametrize("name", ["lz_sweep_entropy.csv", "manifest.json"])
+def test_a_file_that_cannot_be_written_exits_4_with_an_io_record(tmp_path, capsys, monkeypatch,
+                                                                 name):
+    write_atomic = cli._write_atomic
+
+    def full_disk(path, text):
+        if os.path.basename(path) == name:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_atomic(path, text)
+
+    monkeypatch.setattr(cli, "_write_atomic", full_disk)
+    out = tmp_path / "run"
+    assert main(["lz-sweep", "--grid-points", "3", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["type"] == "io" and os.strerror(errno.ENOSPC) in record["message"]
+    assert captured.out == ""
+    written = sorted(os.listdir(out))
+    if name == "manifest.json":
+        assert "manifest.json" in record["message"] and "manifest.json" not in written
+    else:  # the manifest holds the record
+        assert json.loads((out / "manifest.json").read_text())["error"] == record
+        assert written == ["lz_sweep_moments.csv", "manifest.json"]
 
 
 def test_aah_hist_threads_write_the_same_files(tmp_path):

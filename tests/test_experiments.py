@@ -9,6 +9,7 @@ from qworkstats import (
     AahParams,
     DELTA_TO_ZERO,
     ZERO_TO_DELTA,
+    SpectralDecomposition,
     StateSpec,
     ValidationError,
     aah_transition_sweep,
@@ -274,9 +275,8 @@ def test_bandwidth_fit_residuals_grow_toward_validity_edge():
 
 
 def test_flat_chain_cache_consistency():
-    flat, dec = _flat_chain(9)
-    again = _flat_chain(9)
-    assert again[0] is flat and again[1] is dec
+    dec = _flat_chain(9)
+    assert _flat_chain(9) is dec
     assert dec.eigenvalues[0] == pytest.approx(-2.0, abs=1e-12)
 
 
@@ -367,17 +367,23 @@ def test_a_sweep_row_holds_few_n_squared_arrays():
     # moments) read 12.7 and the ground row 7.6 while the pair table kept its
     # sort leftovers and collection copied what it built, and 9.2 and 6.1
     # (10.2 and 7.1 switching off) while it kept the Bohr table and the
-    # modulated Hamiltonian. Now they read 7.2 and 4.1 (8.2 and 5.1).
+    # modulated Hamiltonian, and 7.2 and 4.1 (8.2 and 5.1) while the entropy
+    # of the joint table was taken after collection, beside the collected
+    # distribution. Now they read 6.2 and 4.1 (7.2 and 5.1). The flat chain
+    # keeps one N^2 array between rows, its eigenvectors, and no Hamiltonian.
     fib_index = 14
-    flat_h, _ = _flat_chain(fib_index)
-    n_squared = flat_h.dim**2 * 8
+    flat = _flat_chain(fib_index)
+    n_squared = flat.dim**2 * 8
+    held = [a for a in vars(flat).values() if isinstance(a, np.ndarray) and a.size == flat.dim**2]
+    assert isinstance(flat, SpectralDecomposition) and len(held) == 1
+    assert held[0] is flat.eigenvectors
     betas = cli.RunConfig("thermal-sweep").state_betas
     thermal = tuple(StateSpec.thermal(beta) for beta in betas)
     budgets = (
-        (ZERO_TO_DELTA, thermal, {"moments": False}, 8.0),
-        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 5.0),
-        (DELTA_TO_ZERO, thermal, {"moments": False}, 9.0),
-        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 6.0),
+        (ZERO_TO_DELTA, thermal, {"moments": False}, 6.5),
+        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 4.5),
+        (DELTA_TO_ZERO, thermal, {"moments": False}, 7.5),
+        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 5.5),
     )
     for direction, states, options, budget in budgets:
         tracemalloc.start()

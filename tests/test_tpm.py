@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from collections import defaultdict
 
@@ -612,6 +613,35 @@ def test_joint_is_built_once_read_only_and_left_intact_by_collection():
     assert narrow.columns == slice(1, 4)
     collect_work_distribution(narrow)
     assert np.array_equal(narrow.joint(), np.clip(pn[1:4] * u.table.pmn[:, 1:4], 0.0, None))
+
+
+def test_a_wide_state_collection_makes_no_copy_of_the_joint(monkeypatch):
+    # np.bincount copies a read-only input, so collection hands it the joint's
+    # writeable base. Traced per call on a table whose cluster ids a first state
+    # stored: the 2n - 1 integer Bohr values leave a bincount nothing N^2 long
+    # to allocate, unless it copies the joint.
+    n = 200
+    levels = np.arange(n, dtype=float)
+    table = PairTable(np.full((n, n), 1.0 / n), levels, levels)
+    collect_work_distribution(UncollectedDistribution(np.full(n, 1.0 / n), table))
+    uncollected = UncollectedDistribution((levels + 1.0) / (levels + 1.0).sum(), table)
+    assert not uncollected.joint().flags.writeable
+    peaks, real = [], np.bincount
+
+    def traced(*args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        counts = real(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return counts
+
+    monkeypatch.setattr(np, "bincount", traced)
+    tracemalloc.start()
+    try:
+        collect_work_distribution(uncollected)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 and max(peaks) < 0.1 * n * n * 8, peaks
 
 
 def test_density_matrix_populations_are_checked_by_the_uncollected_table():

@@ -127,15 +127,29 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _json_text(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: str, record: dict) -> None:
-    _write_atomic(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+class _Outputs:
+    """A run's output directory and the names of the files written to it, each
+    listed once it is on disk, so that a run failing part-way names them too."""
+
+    def __init__(self, directory: str):
+        self.directory, self.names = directory, []
+
+    def write(self, name: str, text: str) -> None:
+        _write_atomic(os.path.join(self.directory, name), text)
+        self.names.append(name)
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(_format_cell(cell) for cell in row))
+        self.write(name, "\n".join(lines) + "\n")
+
+    def json(self, name: str, record: dict) -> None:
+        self.write(name, _json_text(record))
 
 
 def _progress(message: str) -> None:
@@ -147,7 +161,7 @@ _WORK_HEADER = ["W", "P", "multiplicity"]
 _MOMENT_HEADER = [f"m{k}" for k in range(1, experiments.MOMENT_ORDERS + 1)]
 
 
-def _run_lz_sweep(config: RunConfig, out: str):
+def _run_lz_sweep(config: RunConfig, out: _Outputs):
     result = lz_sweep(
         omega_i=config.omega_i,
         omega_f_grid=config.grid(default_lz_grid()),
@@ -156,14 +170,13 @@ def _run_lz_sweep(config: RunConfig, out: str):
         workers=config.workers,
     )
     normalized = [f"{name}_normalized" for name in _MOMENT_HEADER]
-    paths = _sweep_csvs(result, out, "lz_sweep", "omega_f",
-                        (normalized, lambda row: row.normalized_moments),
-                        (["flags"], lambda row: [";".join(row.flags)]))
-    return paths, {"h_w_peak": float(np.max(result.column("h_w")))}
+    _sweep_csvs(result, out, "lz_sweep", "omega_f",
+                (normalized, lambda row: row.normalized_moments),
+                (["flags"], lambda row: [";".join(row.flags)]))
+    return {"h_w_peak": float(np.max(result.column("h_w")))}
 
 
-def _run_aah_hist(config: RunConfig, out: str):
-    paths = []
+def _run_aah_hist(config: RunConfig, out: _Outputs):
     entropies: dict = {}
     grid = config.grid(np.array([1.5, 2.0, 2.5, 3.0]))
     labels = [f"{delta:g}" for delta in grid]
@@ -177,30 +190,27 @@ def _run_aah_hist(config: RunConfig, out: str):
     experiments._flat_chain(config.fib_index)  # filled before the pool starts
     works = experiments._fan_out(histogram, list(grid), config.workers)
     for work, label in zip(works, labels):
-        path = os.path.join(out, f"aah_hist_delta_{label.replace('.', 'p')}.csv")
-        _write_csv(path, _WORK_HEADER, zip(work.support, work.probs, work.multiplicity))
-        paths.append(path)
+        out.csv(f"aah_hist_delta_{label.replace('.', 'p')}.csv", _WORK_HEADER,
+                zip(work.support, work.probs, work.multiplicity))
         entropies[f"h_w_delta_{label}"] = entropy_of_work(work)
-    return paths, entropies
+    return entropies
 
 
-def _sweep_csvs(result, out: str, prefix: str, axis_name: str, moments_extra, entropy_extra):
+def _sweep_csvs(result, out: _Outputs, prefix: str, axis_name: str, moments_extra,
+                entropy_extra) -> None:
     """Write ``<prefix>_moments.csv`` (moments, variance) and ``<prefix>_entropy.csv`` (the
     report), a line per axis value, each widened by its extra: (header, cells of a row)."""
-    paths = []
     for name, header, cells, (extra_header, extra) in (
         ("moments", _MOMENT_HEADER + ["variance"], lambda row: [*row.moments, row.variance],
          moments_extra),
         ("entropy", _ENTROPY_HEADER, lambda row: row.report.csv_row(), entropy_extra),
     ):
-        paths.append(os.path.join(out, f"{prefix}_{name}.csv"))
-        _write_csv(paths[-1], [axis_name, *header, *extra_header], (
+        out.csv(f"{prefix}_{name}.csv", [axis_name, *header, *extra_header], (
             [value, *cells(row), *extra(row)] for value, row in zip(result.axis, result.rows)
         ))
-    return paths
 
 
-def _run_aah_sweep(config: RunConfig, out: str):
+def _run_aah_sweep(config: RunConfig, out: _Outputs):
     result = aah_transition_sweep(
         fib_index=config.fib_index,
         delta_grid=config.grid(default_aah_grid()),
@@ -210,13 +220,13 @@ def _run_aah_sweep(config: RunConfig, out: str):
         cluster_tol=config.cluster_tol,
         workers=config.workers,
     )
-    paths = _sweep_csvs(result, out, "aah_sweep", "delta",
-                        (["mean_direct"], lambda row: [row.mean_direct]),
-                        (["gamma_max"], lambda row: [row.gamma_max]))
-    return paths, {"h_w_max": float(np.max(result.column("h_w")))}
+    _sweep_csvs(result, out, "aah_sweep", "delta",
+                (["mean_direct"], lambda row: [row.mean_direct]),
+                (["gamma_max"], lambda row: [row.gamma_max]))
+    return {"h_w_max": float(np.max(result.column("h_w")))}
 
 
-def _run_thermal_sweep(config: RunConfig, out: str):
+def _run_thermal_sweep(config: RunConfig, out: _Outputs):
     states = tuple(StateSpec.thermal(beta) for beta in config.state_betas)
     results = _aah_sweeps(
         config.fib_index,
@@ -228,17 +238,16 @@ def _run_thermal_sweep(config: RunConfig, out: str):
         config.workers,
         moments=False,  # the entropy file is all this subcommand writes
     )
-    path = os.path.join(out, "thermal_sweep_entropy.csv")
     rows = [
         [beta, delta, *row.report.csv_row()]
         for beta, result in zip(config.state_betas, results)
         for delta, row in zip(result.axis, result.rows)
     ]
-    _write_csv(path, ["beta", "delta"] + _ENTROPY_HEADER, rows)
-    return [path], {"h_w_max": max(row.report.h_w for result in results for row in result.rows)}
+    out.csv("thermal_sweep_entropy.csv", ["beta", "delta"] + _ENTROPY_HEADER, rows)
+    return {"h_w_max": max(row.report.h_w for result in results for row in result.rows)}
 
 
-def _run_aah_scaling(config: RunConfig, out: str):
+def _run_aah_scaling(config: RunConfig, out: _Outputs):
     result = scaling_derivative(
         fib_indices=range(config.fib_min, config.fib_max + 1),
         eta_samples=config.eta_samples,
@@ -248,18 +257,16 @@ def _run_aah_scaling(config: RunConfig, out: str):
         cluster_tol=config.cluster_tol,
         workers=config.workers,
     )
-    slopes_path = os.path.join(out, "aah_scaling_slopes.csv")
-    _write_csv(
-        slopes_path,
+    out.csv(
+        "aah_scaling_slopes.csv",
         ["size", "slope", "fit_residual"],
         (
             [int(n), s, r]
             for n, s, r in zip(result.sizes, result.slopes, result.residuals)
         ),
     )
-    fit_path = os.path.join(out, "aah_scaling_fit.json")
-    _write_json(
-        fit_path,
+    out.json(
+        "aah_scaling_fit.json",
         {
             "fit_exponent": result.fit_exponent,
             "fit_prefactor": result.fit_prefactor,
@@ -271,10 +278,10 @@ def _run_aah_scaling(config: RunConfig, out: str):
             "slopes": [float(s) for s in result.slopes],
         },
     )
-    return [slopes_path, fit_path], {"fit_exponent": result.fit_exponent}
+    return {"fit_exponent": result.fit_exponent}
 
 
-def _run_coherence_map(config: RunConfig, out: str):
+def _run_coherence_map(config: RunConfig, out: _Outputs):
     grid = config.grid(default_aah_grid())
     coherences = eigenstate_coherence_map(
         fib_index=config.fib_index,
@@ -282,17 +289,16 @@ def _run_coherence_map(config: RunConfig, out: str):
         eta=config.eta,
         workers=config.workers,
     )
-    path = os.path.join(out, "coherence_map_levels.csv")
     header = ["level"] + [f"{d:.17g}" for d in grid]
-    _write_csv(
-        path,
+    out.csv(
+        "coherence_map_levels.csv",
         header,
         ([level, *row] for level, row in enumerate(coherences)),
     )
-    return [path], {"c_max": float(coherences.max())}
+    return {"c_max": float(coherences.max())}
 
 
-def _run_bandwidth_fit(config: RunConfig, out: str):
+def _run_bandwidth_fit(config: RunConfig, out: _Outputs):
     grid = config.grid(default_aah_grid())
     result = bandwidth_fit(
         fib_index=config.fib_index,
@@ -301,28 +307,26 @@ def _run_bandwidth_fit(config: RunConfig, out: str):
         seed=config.seed,
         workers=config.workers,
     )
-    edges_path = os.path.join(out, "bandwidth_fit_edges.csv")
-    _write_csv(
-        edges_path,
+    out.csv(
+        "bandwidth_fit_edges.csv",
         ["delta", "edge_excess", "fitted"],
         (
             [d, e, result.coefficient * d * d]
             for d, e in zip(grid, result.band_edges)
         ),
     )
-    fit_path = os.path.join(out, "bandwidth_fit_result.json")
-    _write_json(
-        fit_path,
+    out.json(
+        "bandwidth_fit_result.json",
         {
             "coefficient": result.coefficient,
             "residual_max": result.residual_max,
             "delta_grid": [float(d) for d in grid],
         },
     )
-    return [edges_path, fit_path], {"coefficient": result.coefficient}
+    return {"coefficient": result.coefficient}
 
 
-def _run_single_quench(config: RunConfig, out: str):
+def _run_single_quench(config: RunConfig, out: _Outputs):
     """Two-level quench when omega_f is given, chain quench otherwise."""
     if config.omega_f is not None:
         hi, hf = lz_hamiltonian(config.omega_i), lz_hamiltonian(config.omega_f)
@@ -335,11 +339,10 @@ def _run_single_quench(config: RunConfig, out: str):
         work = aah_work_histogram(
             params, config.direction, config.state_spec(), config.cluster_tol
         )
-    csv_path = os.path.join(out, "single_quench_work.csv")
-    _write_csv(csv_path, _WORK_HEADER, zip(work.support, work.probs, work.multiplicity))
-    json_path = os.path.join(out, "single_quench_work.json")
-    _write_json(json_path, work.to_json_record())
-    return [csv_path, json_path], {"h_w": entropy_of_work(work)}
+    out.csv("single_quench_work.csv", _WORK_HEADER,
+            zip(work.support, work.probs, work.multiplicity))
+    out.json("single_quench_work.json", work.to_json_record())
+    return {"h_w": entropy_of_work(work)}
 
 
 _COMMON = ("subcommand", "out", "seed", "threads", "bits")
@@ -348,7 +351,8 @@ _STATE = ("state_kind", "state_level", "state_beta")
 _GRID = ("grid_start", "grid_stop", "grid_points", "grid_values")
 
 # Each subcommand's handler and the settings it reads besides _COMMON: its
-# flags, the settings it refuses and its manifest's config echo follow.
+# flags, the settings it refuses and its manifest's config echo follow. A
+# handler writes its files through an _Outputs and returns the summary's extras.
 _HANDLERS = {
     "lz-sweep": (_run_lz_sweep, ("omega_i", "state_beta", "cluster_tol", *_GRID)),
     "aah-hist": (_run_aah_hist, (*_CHAIN, *_STATE, *_GRID)),
@@ -559,7 +563,8 @@ def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit status.
 
     The manifest is written even when the computation fails, with an error
-    record, so a partial run is always auditable. An output directory that
+    record and the files written before it, so a partial run is always
+    auditable. An output directory that
     cannot be created raises ``ConfigError`` first, as there is then no
     place for a manifest. An unwritable output or manifest is an ``io`` error, status 4.
     """
@@ -571,14 +576,14 @@ def run(config: RunConfig) -> int:
         raise ConfigError(f"cannot create output directory {out!r}: {exc}") from None
     if not os.access(out, os.W_OK):
         raise ConfigError(f"output directory {out!r} is not writable")
-    outputs: list[str] = []
+    outputs = _Outputs(out)
     extras: dict = {}
     error_record = None
     status = 0
     try:
         _progress(f"running {config.subcommand} (seed={config.seed})")
-        outputs, extras = _HANDLERS[config.subcommand][0](config, out)
-        _progress(f"wrote {len(outputs)} file(s) in {time.time() - started:.1f}s")
+        extras = _HANDLERS[config.subcommand][0](config, outputs)
+        _progress(f"wrote {len(outputs.names)} file(s) in {time.time() - started:.1f}s")
     except BoundViolationError as exc:
         error_record = {"type": "bound-violation", "message": str(exc),
                         "axis_point": getattr(exc, "axis_point", None)}
@@ -607,7 +612,7 @@ def run(config: RunConfig) -> int:
             for module, names in _TOLERANCES
             for name in names
         },
-        "outputs": [os.path.basename(path) for path in outputs],
+        "outputs": outputs.names,
         "wall_time_s": time.time() - started,
         "peak_rss_mb": resource and resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / (1024.0**2 if sys.platform == "darwin" else 1024.0),  # bytes on macOS, KiB elsewhere
@@ -616,7 +621,7 @@ def run(config: RunConfig) -> int:
     if error_record is not None:
         print(json.dumps(error_record), file=sys.stderr)
     try:
-        _write_json(os.path.join(out, "manifest.json"), manifest)
+        _write_atomic(os.path.join(out, "manifest.json"), _json_text(manifest))
     except OSError as exc:
         error_record = {"type": "io", "message": f"manifest.json: {type(exc).__name__}: {exc}"}
         print(json.dumps(error_record), file=sys.stderr)

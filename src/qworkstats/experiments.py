@@ -27,6 +27,8 @@ from .tpm import (
     PairTable,
     UncollectedDistribution,
     WorkDistribution,
+    _cluster_width,
+    _stored_cluster_ids,
     check_first_moment,
     collect_work_distribution,
     max_degeneracy,
@@ -192,7 +194,11 @@ def _evaluate(
     With ``moments`` false the row skips the work moments and leaves them None.
     """
     uncollected = UncollectedDistribution(pn, table)
-    uncollected_entropy(uncollected)  # stored for the report, before collection's arrays live
+    # In turn, so that no two of their N^2 peaks meet: a wide state's cluster
+    # ids before the joint exists, H_u (stored for the report) before
+    # collection's arrays live, then collection, which releases the joint.
+    _stored_cluster_ids(table, _cluster_width(table, cluster_tol), uncollected.columns)
+    uncollected_entropy(uncollected)
     work = collect_work_distribution(uncollected, cluster_tol)
     # Sweep states carry no coherence in the initial basis, so the measured
     # mean checked here is also the trace-formula mean.

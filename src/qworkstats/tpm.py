@@ -42,6 +42,8 @@ DEFAULT_CLUSTER_SCALE = 1e-12
 # from the support; their count and mass go to the diagnostics.
 DROP_THRESHOLD = 1e-15
 PROXIMITY_WARNING_FACTOR = 10.0
+# Pairs per block of rows in which collection forms its weighted sums.
+BLOCK_PAIRS = 1 << 16
 
 # Relative tolerance for distribution-mean vs trace-formula agreement;
 # scaled by the mean absolute work so it stays meaningful at <W> = 0.
@@ -160,9 +162,10 @@ class PairTable:
             table.hi = table.hf = None
         return table
 
-    def bohr(self, columns: slice = slice(None)) -> np.ndarray:
-        """A new [m, n] array of the Bohr frequencies E_m(final) - E_n(initial) over ``columns``."""
-        return np.subtract.outer(self.final_energies, self.initial_energies[columns])
+    def bohr(self, columns: slice = slice(None), rows: slice = slice(None)) -> np.ndarray:
+        """A new [m, n] array of the Bohr frequencies E_m(final) - E_n(initial) over
+        ``rows`` and ``columns``."""
+        return np.subtract.outer(self.final_energies[rows], self.initial_energies[columns])
 
     def memo(self, key, compute):
         """``compute()`` on the first request for ``key``, the stored value after."""
@@ -220,7 +223,9 @@ class UncollectedDistribution:
         """The table p_n * p_{m|n} over the live ``columns``, clipped at zero.
 
         The columns left out carry p_n = 0, so they hold no probability.
-        Built on the first call; every call returns the same read-only view of it.
+        Built on the first call; every call returns the same read-only view of
+        it, until a collection that finds H_u stored (``_h_u``, its other
+        reader) releases it, and the next call builds it again.
         """
         try:
             return self.__dict__["_joint"]
@@ -368,14 +373,14 @@ def _clusters(v: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray
     return ids, np.bincount(ids)
 
 
-def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[np.ndarray, ...]:
-    """(cluster of each pair in ``columns``, row-major; pairs per cluster).
+def _stored_cluster_ids(
+    table: PairTable, cluster_tol: float, columns: slice
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The whole table's [m, n] cluster ids and member counts at ``cluster_tol``, or None.
 
-    A state over more than half of the columns stores the ids of the whole
-    table and the member counts, scattered through one argsort; a narrower
-    state reads them if stored and otherwise looks its columns up in the
-    sorted values, storing nothing. Equal values share a cluster, so both
-    routes give the same ids. No Bohr or sorted values outlive the call.
+    A state over more than half of the columns builds and stores them,
+    scattered through one argsort; a narrower one only reads them. No Bohr
+    or sorted values outlive the call.
     """
     key, shape = ("cluster_ids", cluster_tol), table.pmn.shape
     stored = table._memo.get(key)
@@ -387,14 +392,35 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
         del v  # the sorted values, freed before the scatter allocates
         ids = np.empty_like(sorted_ids)
         ids[order] = sorted_ids
-        del order, sorted_ids  # N^2 each: freed before a partial block is copied below
+        del order, sorted_ids  # N^2 each: freed before a partial block is copied
         stored = table.memo(key, lambda: (ids.reshape(shape), members))
+    return stored
+
+
+def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[np.ndarray, ...]:
+    """(cluster of each pair in ``columns``, row-major; pairs per cluster).
+
+    Read from ``_stored_cluster_ids``; a narrow state on a table without
+    them looks its columns up in the sorted values, storing nothing. Equal
+    values share a cluster, so both routes give the same ids.
+    """
+    stored = _stored_cluster_ids(table, cluster_tol, columns)
     if stored is None:
         v = np.sort(table.bohr(), axis=None)
         sorted_ids, members = _clusters(v, cluster_tol)
         return sorted_ids[np.searchsorted(v, table.bohr(columns))].ravel(), members
     ids, members = stored
     return ids[:, columns].ravel(), members
+
+
+def _cluster_width(table: PairTable, cluster_tol: float | None) -> float:
+    """``cluster_tol`` as a float, or the table's default for None; refused unless
+    positive and finite."""
+    if cluster_tol is None:
+        cluster_tol = table.default_cluster_tol
+    if not 0 < cluster_tol < math.inf:
+        raise ValidationError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
+    return float(cluster_tol)
 
 
 def collect_work_distribution(
@@ -406,21 +432,29 @@ def collect_work_distribution(
     previous value is below ``cluster_tol``; each collected value is the
     probability-weighted mean of its members. The sort and the clusters
     depend on the Bohr frequencies alone, so the table computes them once
-    per width for all of its states; a state sums over its live columns.
+    per width for all of its states; a state sums over its live columns,
+    one block of rows at a time, so no product of the table is built whole.
+    With H_u stored beside it, the joint is released after its last read.
     """
-    if cluster_tol is None:
-        cluster_tol = uncollected.table.default_cluster_tol
-    if not 0 < cluster_tol < math.inf:
-        raise ValidationError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
-    cluster_tol = float(cluster_tol)
+    table = uncollected.table
+    cluster_tol = _cluster_width(table, cluster_tol)
     columns = uncollected.columns
-    ids, members = _cluster_ids(uncollected.table, cluster_tol, columns)
+    ids, members = _cluster_ids(table, cluster_tol, columns)
     q = uncollected.joint().base  # writeable: bincount copies a read-only array
     cluster_prob = np.bincount(ids, weights=q.ravel(), minlength=members.size)
-    weighted = uncollected.table.bohr(columns)
-    weighted *= q
-    weighted_sum = np.bincount(ids, weights=weighted.ravel(), minlength=members.size)
-    del weighted, ids  # up to N^2 values each: freed before the rest allocates
+    # sum (E_m - E_n) q[m, n] per cluster, adding the pairs one at a time in
+    # row-major order: the bits of one bincount over the whole product
+    ids = ids.reshape(q.shape)
+    weighted_sum = np.zeros(members.size)
+    step = max(1, BLOCK_PAIRS // q.shape[1])  # rows per block
+    for start in range(0, q.shape[0], step):
+        rows = slice(start, start + step)
+        weighted = table.bohr(columns, rows)
+        weighted *= q[rows]
+        np.add.at(weighted_sum, ids[rows].ravel(), weighted.ravel())  # 1-D: the fast path
+    del weighted, ids, q  # up to N^2 ids: freed before the rest allocates
+    if "_h_u" in uncollected.__dict__:
+        del uncollected.__dict__["_joint"]
 
     keep = cluster_prob >= DROP_THRESHOLD
     if not keep.any():
@@ -440,8 +474,8 @@ def collect_work_distribution(
         kept_probs *= float(cluster_prob.sum()) / float(kept_probs.sum())
     del cluster_prob  # up to N^2 values: freed before the distribution is built
 
-    gaps = support[1:] - support[:-1]
-    min_gap = float(gaps.min()) if gaps.size else math.inf
+    # freed at once: the distribution checks gaps of its own
+    min_gap = float((support[1:] - support[:-1]).min()) if support.size > 1 else math.inf
     warnings = []
     if min_gap < PROXIMITY_WARNING_FACTOR * cluster_tol:
         warnings.append(

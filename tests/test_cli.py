@@ -601,8 +601,10 @@ def test_a_file_that_cannot_be_written_exits_4_with_an_io_record(tmp_path, capsy
     written = sorted(os.listdir(out))
     if name == "manifest.json":
         assert "manifest.json" in record["message"] and "manifest.json" not in written
-    else:  # the manifest holds the record
-        assert json.loads((out / "manifest.json").read_text())["error"] == record
+    else:  # the manifest holds the record, and names the file written before the failure
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == record
+        assert manifest["outputs"] == ["lz_sweep_moments.csv"]
         assert written == ["lz_sweep_moments.csv", "manifest.json"]
 
 

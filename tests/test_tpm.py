@@ -617,31 +617,88 @@ def test_joint_is_built_once_read_only_and_left_intact_by_collection():
 
 def test_a_wide_state_collection_makes_no_copy_of_the_joint(monkeypatch):
     # np.bincount copies a read-only input, so collection hands it the joint's
-    # writeable base. Traced per call on a table whose cluster ids a first state
-    # stored: the 2n - 1 integer Bohr values leave a bincount nothing N^2 long
-    # to allocate, unless it copies the joint.
-    n = 200
+    # writeable base, and it forms its weighted sums a block of rows at a time.
+    # Every np.bincount and np.add.at call is traced, on a table two blocks
+    # tall whose cluster ids a first state stored: the 2n - 1 integer Bohr
+    # values leave none of them anything N^2 long to allocate, unless one
+    # copies the joint or a product of the whole table.
+    n = 300
     levels = np.arange(n, dtype=float)
     table = PairTable(np.full((n, n), 1.0 / n), levels, levels)
     collect_work_distribution(UncollectedDistribution(np.full(n, 1.0 / n), table))
     uncollected = UncollectedDistribution((levels + 1.0) / (levels + 1.0).sum(), table)
     assert not uncollected.joint().flags.writeable
-    peaks, real = [], np.bincount
+    peaks, add = [], np.add
 
-    def traced(*args, **kwargs):
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        counts = real(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1] - start)
-        return counts
+    def traced(name, real):
+        def call(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = real(*args, **kwargs)
+            peaks.append((name, tracemalloc.get_traced_memory()[1] - start))
+            return result
+        return call
 
-    monkeypatch.setattr(np, "bincount", traced)
+    class TracedAdd:  # a ufunc's attributes cannot be set, so np.add is stood in for
+        at = staticmethod(traced("add.at", add.at))
+
+        def __getattr__(self, name):
+            return getattr(add, name)
+
+    monkeypatch.setattr(np, "bincount", traced("bincount", np.bincount))
+    monkeypatch.setattr(np, "add", TracedAdd())
     tracemalloc.start()
     try:
         collect_work_distribution(uncollected)
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 2 and max(peaks) < 0.1 * n * n * 8, peaks
+    blocks = len(range(0, n, tpm.BLOCK_PAIRS // n))
+    assert blocks == 2
+    assert [name for name, _ in peaks] == ["bincount"] + ["add.at"] * blocks, peaks
+    assert max(peak for _, peak in peaks) < 0.1 * n * n * 8, peaks
+
+
+def _one_bincount_collection(uncollected):
+    """(support, probs, multiplicity) summed by one np.bincount over the whole
+    product of the Bohr table and the joint: collection before its row blocks."""
+    table, columns = uncollected.table, uncollected.columns
+    ids, members = tpm._cluster_ids(table, table.default_cluster_tol, columns)
+    q = uncollected.joint()
+    probs = np.bincount(ids, weights=q.ravel(), minlength=members.size)
+    sums = np.bincount(ids, weights=(table.bohr(columns) * q).ravel(), minlength=members.size)
+    keep = probs >= tpm.DROP_THRESHOLD
+    kept = probs[keep]
+    support = sums[keep] / kept
+    if probs[~keep].sum() != 0.0:
+        kept = kept * (float(probs.sum()) / float(kept.sum()))
+    return support, kept, members[keep]
+
+
+@pytest.mark.parametrize("ties", [True, False])
+def test_block_sums_are_the_bits_of_one_bincount(ties):
+    # A table three blocks tall. With integer levels every work value gathers
+    # pairs from all of the blocks, so a sum per block, added up after, would
+    # round differently; random levels leave the pairs alone in their values.
+    rng = np.random.default_rng(23)
+    n = 400
+    assert len(range(0, n, tpm.BLOCK_PAIRS // (n - 5))) == 3
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    pmn = q * q
+    pmn /= pmn.sum(axis=0)
+    if ties:
+        ef, ei = (np.sort(rng.integers(0, 40, size=n)).astype(float) for _ in range(2))
+    else:
+        ef, ei = (np.sort(rng.normal(size=n)) for _ in range(2))
+    pn = rng.random(n)
+    pn[-5:] = 0.0  # live columns short of the table's
+    uncollected = UncollectedDistribution(pn / pn.sum(), PairTable(pmn, ef, ei))
+    work = collect_work_distribution(uncollected)
+    support, probs, multiplicity = _one_bincount_collection(uncollected)
+    if ties:
+        assert multiplicity.max() > n
+    for got, want in ((work.support, support), (work.probs, probs),
+                      (work.multiplicity, multiplicity)):
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_density_matrix_populations_are_checked_by_the_uncollected_table():

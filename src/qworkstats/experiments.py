@@ -21,7 +21,7 @@ from .errors import BoundViolationError, ValidationError
 from .infotheory import (
     BoundsReport, _column_entropies, bounds_report, entropy_of_work, uncollected_entropy
 )
-from .models import AahParams, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
+from .models import AahParams, _onsite_energies, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
 from .spectral import SpectralDecomposition, diagonalize, level_populations, thermal_populations
 from .tpm import (
     PairTable,
@@ -264,15 +264,14 @@ def _potential_grid(delta_grid: np.ndarray) -> np.ndarray:
 
 
 def _aah_quench(params: AahParams, direction: str) -> PairTable:
-    """The quench that switches the potential off or on."""
+    """The quench that switches the potential off or on: its table reads the on-site change."""
     flat = _flat_chain(params.fib_index)
-    modulated_h = aah_hamiltonian(params)
-    modulated = diagonalize(modulated_h)
-    # built after that eigh, whose peak it would raise; the table drops both Hamiltonians
-    flat_h = aah_hamiltonian(AahParams(fib_index=params.fib_index, delta=0.0))
+    modulated = diagonalize(aah_hamiltonian(params))
+    onsite = _onsite_energies(params)
+    flat_onsite = _onsite_energies(AahParams(fib_index=params.fib_index, delta=0.0))
     if direction == DELTA_TO_ZERO:
-        return PairTable.of(modulated_h, flat_h, modulated, flat)
-    return PairTable.of(flat_h, modulated_h, flat, modulated)
+        return PairTable.of(None, None, modulated, flat, diagonal_change=flat_onsite - onsite)
+    return PairTable.of(None, None, flat, modulated, diagonal_change=onsite - flat_onsite)
 
 
 def aah_work_histogram(

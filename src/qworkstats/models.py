@@ -81,6 +81,12 @@ class AahParams:
         return prev / cur
 
 
+def _onsite_energies(params: AahParams) -> np.ndarray:
+    """The diagonal of ``aah_hamiltonian(params)``, bit for bit (signed zeros at zero potential)."""
+    sites = np.arange(1, params.size + 1, dtype=float)
+    return params.delta * np.cos(2.0 * np.pi * params.gamma * sites + params.eta)
+
+
 def aah_hamiltonian(params: AahParams) -> HermitianOperator:
     """Real symmetric N x N ring Hamiltonian with quasiperiodic on-site terms.
 
@@ -89,9 +95,8 @@ def aah_hamiltonian(params: AahParams) -> HermitianOperator:
     the two cyclic bonds.
     """
     n = params.size
-    sites = np.arange(1, n + 1, dtype=float)
-    h = np.diag(params.delta * np.cos(2.0 * np.pi * params.gamma * sites + params.eta))
+    h = np.diag(_onsite_energies(params))
     idx = np.arange(n)
     h[idx, (idx + 1) % n] -= 1.0
     h[(idx + 1) % n, idx] -= 1.0
-    return HermitianOperator(entries=h)
+    return object.__new__(HermitianOperator)._own(h)  # built here, so kept without a copy

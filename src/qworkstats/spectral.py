@@ -66,15 +66,19 @@ def _check_hermitian(entries: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """A finite-dimensional Hamiltonian or observable."""
+    """A finite-dimensional Hamiltonian or observable, kept read-only (a caller's array copied)."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries)
+        self._own(np.array(self.entries))
+
+    def _own(self, entries: np.ndarray) -> HermitianOperator:
         _check_square(entries, "operator")
         _check_hermitian(entries, "operator")
-        object.__setattr__(self, "entries", _frozen_array(entries))
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
+        return self
 
     @property
     def dim(self) -> int:

@@ -147,18 +147,22 @@ class PairTable:
         initial: SpectralDecomposition,
         final: SpectralDecomposition,
         u: UnitaryMatrix | None = None,
+        diagonal_change: np.ndarray | None = None,
     ) -> PairTable:
         """The quench from ``hi`` to ``hf`` under ``u``, given both decompositions.
 
         ``transition_probabilities`` has checked that the table is doubly
         stochastic, and its entries are squared moduli, so they lie in [0, 1].
+        A sudden quench known to change only diag(hf) - diag(hi) passes it, and no hi or hf.
         """
         table = object.__new__(cls)
         pmn = transition_probabilities(initial, final, u)
         table._own(pmn, final.eigenvalues, initial.eigenvalues)
         table.hi, table.hf, table.u, table.initial = hi, hf, u, initial
-        table.diagonal_change = _diagonal_change(table)
-        if table.diagonal_change is not None:  # all that the first moment reads of hi and hf
+        if diagonal_change is None:
+            diagonal_change = _diagonal_change(table)
+        table.diagonal_change = diagonal_change
+        if diagonal_change is not None:  # all that the first moment reads of hi and hf
             table.hi = table.hf = None
         return table
 
@@ -321,8 +325,8 @@ def transition_probabilities(
     vi = initial.eigenvectors
     vf = final.eigenvectors
     overlap = vf.conj().T @ (u.entries @ vi if u is not None else vi)
-    pmn = np.abs(overlap, out=None if overlap.dtype.kind == "c" else overlap)
-    pmn *= pmn  # in place: a real overlap is squared in its own N^2 buffer
+    pmn = np.abs(overlap) if overlap.dtype.kind == "c" else overlap
+    pmn *= pmn  # in place; a real x * x is |x| * |x| bit for bit, so it skips the abs
     worst = max(np.abs(pmn.sum(axis=0) - 1.0).max(), np.abs(pmn.sum(axis=1) - 1.0).max())
     if not worst <= STOCHASTICITY_TOL:
         raise ValidationError(f"transition matrix deviates from doubly stochastic by {worst:g}")
@@ -360,19 +364,6 @@ def uncollected_distribution(setup: QuenchSetup) -> UncollectedDistribution:
     return UncollectedDistribution(initial_populations(setup.rho, initial), table)
 
 
-def _clusters(v: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single linkage over sorted values: (cluster of each value, pairs per cluster).
-
-    A value starts a new cluster when it lies ``cluster_tol`` or more past
-    the previous one.
-    """
-    ids = np.empty(v.size, dtype=np.intp)
-    ids[0] = 0
-    gaps = np.subtract(v[1:], v[:-1], out=ids[1:].view(float))  # in the ids: no N^2 temporary
-    np.cumsum(gaps >= cluster_tol, out=ids[1:])
-    return ids, np.bincount(ids)
-
-
 def _stored_cluster_ids(
     table: PairTable, cluster_tol: float, columns: slice
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -388,8 +379,12 @@ def _stored_cluster_ids(
         v = table.bohr().ravel()
         order = np.argsort(v)
         v = v[order]
-        sorted_ids, members = _clusters(v, cluster_tol)
-        del v  # the sorted values, freed before the scatter allocates
+        sorted_ids = np.empty(v.size, dtype=np.intp)
+        sorted_ids[0] = 0
+        gaps = np.subtract(v[1:], v[:-1], out=sorted_ids[1:].view(float))  # no N^2 temporary
+        np.cumsum(gaps >= cluster_tol, out=sorted_ids[1:])
+        members = np.bincount(sorted_ids)
+        del v, gaps  # the sorted values, freed before the scatter allocates
         ids = np.empty_like(sorted_ids)
         ids[order] = sorted_ids
         del order, sorted_ids  # N^2 each: freed before a partial block is copied
@@ -401,14 +396,21 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
     """(cluster of each pair in ``columns``, row-major; pairs per cluster).
 
     Read from ``_stored_cluster_ids``; a narrow state on a table without
-    them looks its columns up in the sorted values, storing nothing. Equal
-    values share a cluster, so both routes give the same ids.
+    them finds its pairs' sorted positions among the cluster starts, and
+    stores nothing. Equal values share a cluster: both routes agree.
     """
     stored = _stored_cluster_ids(table, cluster_tol, columns)
     if stored is None:
-        v = np.sort(table.bohr(), axis=None)
-        sorted_ids, members = _clusters(v, cluster_tol)
-        return sorted_ids[np.searchsorted(v, table.bohr(columns))].ravel(), members
+        v = table.bohr().ravel()
+        v.sort()
+        new = np.ones(v.size, dtype=bool)  # True where a cluster starts
+        for start in range(0, v.size - 1, BLOCK_PAIRS):  # by blocks: no N^2 gaps
+            block = slice(start, start + BLOCK_PAIRS)
+            np.greater_equal(v[1:][block] - v[:-1][block], cluster_tol, out=new[1:][block])
+        at = np.searchsorted(v, table.bohr(columns).ravel())
+        del v  # N^2: freed before the starts allocate
+        starts = np.flatnonzero(new)
+        return np.searchsorted(starts, at, "right") - 1, np.diff(starts, append=new.size)
     ids, members = stored
     return ids[:, columns].ravel(), members
 

@@ -9,9 +9,11 @@ from qworkstats import (
     AahParams,
     DELTA_TO_ZERO,
     ZERO_TO_DELTA,
+    QuenchSetup,
     SpectralDecomposition,
     StateSpec,
     ValidationError,
+    aah_hamiltonian,
     aah_transition_sweep,
     aah_work_histogram,
     bandwidth_fit,
@@ -19,6 +21,7 @@ from qworkstats import (
     default_lz_grid,
     eigenstate_coherence_map,
     lz_sweep,
+    mean_work_direct,
     scaling_derivative,
 )
 from qworkstats import cli, experiments, infotheory, tpm
@@ -307,6 +310,43 @@ def test_each_potential_diagonalized_once_per_sweep(monkeypatch):
     assert len(results) == len(betas)
 
 
+def test_aah_quench_tables_read_the_on_site_change(monkeypatch):
+    # Neither direction builds the flat Hamiltonian: the table's first-moment
+    # change is the difference of the two diagonals, bit for bit, and its
+    # means stay those of the trace formula on the two Hamiltonians.
+    fib_index = 8
+    flat = aah_hamiltonian(AahParams(fib_index=fib_index, delta=0.0))
+    n = flat.dim
+    for delta in (1.5, 2.5):
+        params = AahParams(fib_index=fib_index, delta=delta)
+        modulated = aah_hamiltonian(params)
+        for direction, (hi, hf) in ((ZERO_TO_DELTA, (flat, modulated)),
+                                    (DELTA_TO_ZERO, (modulated, flat))):
+            table = experiments._aah_quench(params, direction)
+            assert table.hi is None and table.hf is None and table.u is None
+            change = hf.entries.diagonal() - hi.entries.diagonal()
+            assert table.diagonal_change.tobytes() == change.tobytes()
+            for pn in (np.eye(n)[0], np.eye(n)[n // 2], np.full(n, 1.0 / n)):
+                setup = QuenchSetup(hi=hi, hf=hf, rho=pn)
+                assert table.mean_work(pn) == mean_work_direct(setup)
+
+    # one build per point, and the flat chain's one per sweep
+    builds = []
+    real = experiments.aah_hamiltonian
+
+    def counting(params):
+        builds.append(params.delta)
+        return real(params)
+
+    monkeypatch.setattr(experiments, "aah_hamiltonian", counting)
+    grid = [1.0, 2.0, 3.0]
+    for direction in (ZERO_TO_DELTA, DELTA_TO_ZERO):
+        builds.clear()
+        _flat_chain.cache_clear()
+        _aah_sweeps(fib_index, grid, direction, (StateSpec.ground(),), 1.2, None, workers=2)
+        assert sorted(builds) == [0.0, *grid]
+
+
 def test_each_potential_builds_one_pair_table_per_sweep(monkeypatch):
     # the transition matrix and everything derived from it alone depend on
     # the potential, not on the state, so four inverse temperatures share them
@@ -370,9 +410,11 @@ def test_a_sweep_row_holds_few_n_squared_arrays():
     # modulated Hamiltonian, and 7.2 and 4.1 (8.2 and 5.1) while the entropy
     # of the joint table was taken after collection, beside the collected
     # distribution, and 6.2 and 4.1 (7.2 and 5.1) while collection built the
-    # whole weighted product and the joint outlived it. Now they read 5.6 and
-    # 4.1 (6.6 and 5.1). The flat chain keeps one N^2 array between rows, its
-    # eigenvectors, and no Hamiltonian.
+    # whole weighted product and the joint outlived it, and 5.6 and 4.1 (6.6
+    # and 5.1) while each quench built the flat Hamiltonian, the operator
+    # copied the model's array and a ground row's collection made a cluster id
+    # per pair. Now they read 5.6 and 2.7 (6.6 and 3.7). The flat chain keeps
+    # one N^2 array between rows, its eigenvectors, and no Hamiltonian.
     fib_index = 14
     flat = _flat_chain(fib_index)
     n_squared = flat.dim**2 * 8
@@ -383,9 +425,9 @@ def test_a_sweep_row_holds_few_n_squared_arrays():
     thermal = tuple(StateSpec.thermal(beta) for beta in betas)
     budgets = (
         (ZERO_TO_DELTA, thermal, {"moments": False}, 5.9),
-        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 4.5),
+        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 3.0),
         (DELTA_TO_ZERO, thermal, {"moments": False}, 6.9),
-        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 5.5),
+        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 4.0),
     )
     for direction, states, options, budget in budgets:
         tracemalloc.start()

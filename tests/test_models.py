@@ -12,7 +12,7 @@ from qworkstats import (
     fibonacci_pair,
     lz_hamiltonian,
 )
-from qworkstats.models import BAND_EDGE_COEFFICIENT, GOLDEN_RATIO_CONJUGATE
+from qworkstats.models import BAND_EDGE_COEFFICIENT, GOLDEN_RATIO_CONJUGATE, _onsite_energies
 
 
 def test_lz_pure_gap():
@@ -91,6 +91,39 @@ def test_aah_hamiltonian_structure():
     expected_diag = 1.3 * np.cos(2 * np.pi * params.gamma * sites + 1.2)
     assert np.allclose(np.diag(h), expected_diag)
     assert h[0, n - 1] == -1.0 and h[n - 1, 0] == -1.0
+
+
+def test_aah_hamiltonian_keeps_its_own_array_read_only(monkeypatch):
+    built = []
+    diag = np.diag
+
+    def recording(values):
+        built.append(diag(values))
+        return built[-1]
+
+    monkeypatch.setattr(np, "diag", recording)
+    params = AahParams(fib_index=8, delta=1.3)
+    operator = aah_hamiltonian(params)
+    monkeypatch.undo()
+    assert operator.entries is built[0] and not operator.entries.flags.writeable
+    # its diagonal is the on-site energies, signed zeros and all at zero potential
+    for delta in (0.0, 1.3):
+        potential = AahParams(fib_index=8, delta=delta)
+        diagonal = aah_hamiltonian(potential).entries.diagonal()
+        assert diagonal.tobytes() == _onsite_energies(potential).tobytes()
+        assert delta > 0 or (np.signbit(diagonal).any() and not diagonal.any())
+    # a caller's array is still copied, and stays writable
+    mine = operator.entries.copy()
+    copied = HermitianOperator(entries=mine)
+    assert not np.shares_memory(copied.entries, mine)
+    assert mine.flags.writeable and not copied.entries.flags.writeable
+    mine[0, 0] = 7.0
+    assert copied.entries[0, 0] == operator.entries[0, 0]
+    # ... and NaN is still refused, on either route
+    mine[0, 0] = math.nan
+    for build in (HermitianOperator, object.__new__(HermitianOperator)._own):
+        with pytest.raises(ValidationError, match="non-finite"):
+            build(mine)
 
 
 def test_aah_flat_spectrum_is_circulant():

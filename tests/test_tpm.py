@@ -30,7 +30,7 @@ from qworkstats import (
     uncollected_distribution,
     work_moments,
 )
-from qworkstats import tpm
+from qworkstats import experiments, tpm
 from qworkstats.tpm import CollectionDiagnostics, PairTable, WorkDistribution, check_first_moment
 
 
@@ -304,13 +304,85 @@ def test_one_level_state_collects_without_an_argsort(monkeypatch):
     argsorted = PairTable(pmn, ef, ei)
     collect_work_distribution(UncollectedDistribution(np.full(dim, 1.0 / dim), argsorted))
     expected = collect_work_distribution(UncollectedDistribution(pn, argsorted))
+    clusters = argsorted._memo[("cluster_ids", argsorted.default_cluster_tol)][1].size
+    assert clusters < dim * dim  # the tied levels share values
 
     def no_argsort(*args, **kwargs):
         raise AssertionError("a one-level state sorted the whole table")
 
+    # ... nor does it make an integer array per pair, or pass N^2 values to a
+    # cumsum or a bincount: its integer arrays are one per cluster at most
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((name, np.size(args[0]), result.dtype.kind, result.size))
+            return result
+        return call
+
     monkeypatch.setattr(np, "argsort", no_argsort)
+    for name in ("cumsum", "bincount", "flatnonzero", "searchsorted", "diff", "empty", "zeros",
+                 "ones", "empty_like"):
+        monkeypatch.setattr(np, name, spy(name, getattr(np, name)))
     table = PairTable(pmn, ef, ei)
     assert_same_collection(collect_work_distribution(UncollectedDistribution(pn, table)), expected)
+    assert {"flatnonzero", "searchsorted", "diff"} <= {name for name, *_ in calls}, calls
+    assert not [call for call in calls if call[0] in ("cumsum", "bincount") and call[1] >= dim**2]
+    integers = [call for call in calls if call[2] in "iu"]
+    assert integers and max(size for *_, size in integers) <= clusters, integers
+
+
+def assert_same_bits(got, expected):
+    """Every field of two collected distributions, diagnostics included, bit for bit."""
+    for name in ("support", "probs", "multiplicity"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert repr(got.diagnostics) == repr(expected.diagnostics)  # repr keeps every float bit
+
+
+def narrow_and_stored(make_table, pn, cluster_tol=None):
+    """A narrow state collected on a fresh table, and on one whose ids a
+    uniform state stored first."""
+    fresh = make_table()
+    narrow = collect_work_distribution(UncollectedDistribution(pn, fresh), cluster_tol)
+    assert not fresh._memo  # the narrow route stores nothing
+    table = make_table()
+    uniform = np.full(table.dim, 1.0 / table.dim)
+    collect_work_distribution(UncollectedDistribution(uniform, table), cluster_tol)
+    assert any(key[0] == "cluster_ids" for key in table._memo)
+    return narrow, collect_work_distribution(UncollectedDistribution(pn, table), cluster_tol)
+
+
+def test_the_narrow_route_collects_the_bits_of_the_stored_route():
+    # Tied integer levels make clusters of three and more pairs. The level at
+    # 0.5 puts its pairs between the integer values, each in a cluster of its
+    # own: with a population of 1e-16 they fall below the floor, so the
+    # dropped clusters sit among the kept ones and the renormalization runs.
+    rng = np.random.default_rng(83)
+    dim = 9
+    ei = np.array([-2.0, -2.0, -1.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0])
+    ef = np.sort(rng.integers(-3, 4, size=dim)).astype(float)
+    pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
+    populations = [np.eye(dim)[level] for level in range(dim)]
+    populations.append(np.r_[np.zeros(3), 1.0 - 1e-16, 1e-16, np.zeros(4)])
+    populations.append(np.r_[np.zeros(5), rng.dirichlet(np.ones(3)), 0.0])
+    dropped = 0
+    for pn in populations:
+        for cluster_tol in (None, 0.25, 1.5):
+            narrow, stored = narrow_and_stored(lambda: PairTable(pmn, ef, ei), pn, cluster_tol)
+            assert_same_bits(narrow, stored)
+            assert cluster_tol == 1.5 or narrow.multiplicity.max() >= 3
+            dropped += narrow.diagnostics.dropped_mass != 0.0
+    assert dropped >= 2
+
+    # real ground rows at N = 377, on both sides of the transition
+    for delta in (1.5, 2.5):
+        params = AahParams(fib_index=14, delta=delta)
+        for direction in (experiments.ZERO_TO_DELTA, experiments.DELTA_TO_ZERO):
+            make = lambda: experiments._aah_quench(params, direction)  # noqa: E731
+            narrow, stored = narrow_and_stored(make, np.eye(params.size)[0])
+            assert_same_bits(narrow, stored)
 
 
 def _spectrum(rng, dim):

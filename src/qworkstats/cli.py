@@ -104,6 +104,21 @@ def _blas_record() -> dict:
             "threads": blas_threads()}
 
 
+# glibc's thresholds as main sets them, and the record of what it set in this process.
+_MALLOC_POLICY = {"mmap_threshold": 64 << 20, "trim_threshold": 128 << 20}
+_malloc_in_force: dict | None = None
+
+
+def _raise_malloc_thresholds() -> dict | None:
+    """Set glibc's mmap threshold and, if it took, its trim threshold: either alone is slower.
+    ``eigh``'s workspace (N <= 2048) then reuses faulted-in heap pages. The policy, if both took."""
+    mallopt = platform.libc_ver()[0] == "glibc" and getattr(ctypes.CDLL(None), "mallopt", None)
+    # glibc's M_MMAP_THRESHOLD is -3 and its M_TRIM_THRESHOLD -1
+    if not mallopt or mallopt(-3, _MALLOC_POLICY["mmap_threshold"]) != 1:
+        return None
+    return _MALLOC_POLICY if mallopt(-1, _MALLOC_POLICY["trim_threshold"]) == 1 else None
+
+
 def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -606,6 +621,7 @@ def run(config: RunConfig) -> int:
             "cpu_count": os.cpu_count(),
             "blas": _blas_record(),
             "pool_workers": config.workers,
+            "malloc": _malloc_in_force,
         },
         "tolerances": {
             f"{module.__name__.rsplit('.', 1)[1]}.{name}": getattr(module, name)
@@ -663,7 +679,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _malloc_in_force
     overrides = vars(_build_parser().parse_args(argv))
+    _malloc_in_force = _raise_malloc_thresholds()  # before anything is diagonalized
     path = overrides.pop("config")
     try:
         config = parse_config(path, overrides)

@@ -5,6 +5,7 @@ import errno
 import glob
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -431,6 +432,9 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert environment["blas"] == {"name": blas.get("name"), "version": blas.get("version"),
                                    "threads": cli.blas_threads()}
+    glibc = platform.libc_ver()[0] == "glibc"
+    assert environment["malloc"] == ({"mmap_threshold": 64 << 20, "trim_threshold": 128 << 20}
+                                     if glibc else None)
     assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
     tolerances = manifest["tolerances"]
     # the seed and the width are written once, in the config echo
@@ -485,6 +489,63 @@ def test_blas_reader_sees_the_environment_and_sizes_the_pool(tmp_path):
     assert manifest["environment"]["blas"]["threads"] == child["threads"]
     usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     assert manifest["environment"]["pool_workers"] == (len(usable) if usable else os.cpu_count())
+
+
+def test_a_refused_mmap_threshold_leaves_the_trim_threshold_alone(tmp_path, monkeypatch):
+    calls = []
+
+    def mallopt(parameter, value):
+        calls.append((parameter, value))
+        return 0 if parameter == -3 else 1  # glibc's M_MMAP_THRESHOLD refused
+
+    real = cli.ctypes.CDLL
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name, *args, **kwargs: (
+        argparse.Namespace(mallopt=mallopt) if name is None else real(name, *args, **kwargs)))
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda *args, **kwargs: ("glibc", "2.36"))
+    out = tmp_path / "run"
+    assert main(["lz-sweep", "--grid-points", "3", "--out", str(out)]) == 0
+    assert calls == [(-3, 64 << 20)]
+    assert json.loads((out / "manifest.json").read_text())["environment"]["malloc"] is None
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+    assert cli._raise_malloc_thresholds() is None and calls == [(-3, 64 << 20)]
+
+
+REPEATED_EIGH_CHILD = r"""
+import json
+import resource
+import sys
+
+import numpy as np
+
+from qworkstats import cli
+
+if sys.argv[1] == "policy":
+    assert cli._raise_malloc_thresholds() is not None
+n = 377
+entries = np.random.default_rng(0).normal(size=(n, n))
+entries += entries.T
+np.linalg.eigh(entries)  # the first call faults its workspace in, with or without the policy
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+np.linalg.eigh(entries)
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator policy")
+def test_a_repeated_eigh_reuses_its_workspace_pages_under_the_policy():
+    # eigh's workspace: a copy of the matrix (8 N^2 bytes) and dsyevd's work block (16 N^2)
+    pages = 24 * 377**2 / os.sysconf("SC_PAGE_SIZE")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**{k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")},
+           "PYTHONPATH": src}  # glibc reads MALLOC_*_THRESHOLD_ at startup
+    faults = {}
+    for mode in ("policy", "default"):  # a fresh process each: pytest's heap is not measured
+        done = subprocess.run([sys.executable, "-c", REPEATED_EIGH_CHILD, mode],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        faults[mode] = json.loads(done.stdout.splitlines()[-1])
+    assert faults["policy"] < 0.05 * pages, faults
+    assert faults["default"] >= 0.5 * pages, faults
 
 
 @pytest.mark.parametrize(

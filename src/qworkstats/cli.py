@@ -104,19 +104,22 @@ def _blas_record() -> dict:
             "threads": blas_threads()}
 
 
-# glibc's thresholds as main sets them, and the record of what it set in this process.
-_MALLOC_POLICY = {"mmap_threshold": 64 << 20, "trim_threshold": 128 << 20}
+# glibc's thresholds and arena count as main sets them, and the record of what it set here.
+_MALLOC_POLICY = {"mmap_threshold": 64 << 20, "trim_threshold": 128 << 20, "arena_max": 1}
 _malloc_in_force: dict | None = None
 
 
 def _raise_malloc_thresholds() -> dict | None:
     """Set glibc's mmap threshold and, if it took, its trim threshold: either alone is slower.
-    ``eigh``'s workspace (N <= 2048) then reuses faulted-in heap pages. The policy, if both took."""
+    ``eigh``'s workspace (N <= 2048) then reuses faulted-in heap pages. One arena, so that
+    pool threads reuse the holes of one heap, not keep their own. The policy, if all took."""
     mallopt = platform.libc_ver()[0] == "glibc" and getattr(ctypes.CDLL(None), "mallopt", None)
-    # glibc's M_MMAP_THRESHOLD is -3 and its M_TRIM_THRESHOLD -1
+    # glibc's M_MMAP_THRESHOLD is -3, its M_TRIM_THRESHOLD -1 and its M_ARENA_MAX -8
     if not mallopt or mallopt(-3, _MALLOC_POLICY["mmap_threshold"]) != 1:
         return None
-    return _MALLOC_POLICY if mallopt(-1, _MALLOC_POLICY["trim_threshold"]) == 1 else None
+    trim = mallopt(-1, _MALLOC_POLICY["trim_threshold"])
+    arenas = mallopt(-8, _MALLOC_POLICY["arena_max"])
+    return _MALLOC_POLICY if trim == arenas == 1 else None
 
 
 def _format_cell(value) -> str:

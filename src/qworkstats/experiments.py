@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BoundViolationError, ValidationError
 from .infotheory import (
-    BoundsReport, _column_entropies, bounds_report, entropy_of_work, uncollected_entropy
+    BoundsReport, _column_entropies, _table_coherences, bounds_report, entropy_of_work
 )
 from .models import AahParams, _onsite_energies, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
 from .spectral import SpectralDecomposition, diagonalize, level_populations, thermal_populations
@@ -27,8 +27,6 @@ from .tpm import (
     PairTable,
     UncollectedDistribution,
     WorkDistribution,
-    _cluster_width,
-    _stored_cluster_ids,
     check_first_moment,
     collect_work_distribution,
     max_degeneracy,
@@ -194,11 +192,11 @@ def _evaluate(
     With ``moments`` false the row skips the work moments and leaves them None.
     """
     uncollected = UncollectedDistribution(pn, table)
-    # In turn, so that no two of their N^2 peaks meet: a wide state's cluster
-    # ids before the joint exists, H_u (stored for the report) before
-    # collection's arrays live, then collection, which releases the joint.
-    _stored_cluster_ids(table, _cluster_width(table, cluster_tol), uncollected.columns)
-    uncollected_entropy(uncollected)
+    # The table's two memoized N^2 products come before its first collection, so that
+    # they take the heap hole the cluster sort leaves: after it, the first state's
+    # per-cluster arrays fill that hole, and the products raise the peak RSS.
+    table.mean_work(uncollected.pn)
+    _table_coherences(table)
     work = collect_work_distribution(uncollected, cluster_tol)
     # Sweep states carry no coherence in the initial basis, so the measured
     # mean checked here is also the trace-formula mean.

@@ -77,11 +77,19 @@ def entropy_of_work(work: WorkDistribution) -> float:
 
 
 def uncollected_entropy(uncollected: UncollectedDistribution) -> float:
-    """Shannon entropy of the joint table p_n * p_{m|n}, stored on ``uncollected`` beside
-    it. It is nonnegative, and its factors were checked, so it is only renormalized."""
-    if "_h_u" not in uncollected.__dict__:
-        uncollected.__dict__["_h_u"] = _entropy(uncollected.joint().ravel())
-    return uncollected.__dict__["_h_u"]
+    """Shannon entropy of the joint table p_n * p_{m|n}, read a block of rows at a time.
+
+    With Z = sum q and S = sum q ln q over the nonnegative joint q, it is
+    ln Z - S / Z: its factors were checked, so it is only renormalized. The
+    block sums are added exactly, so the block size moves only their own rounding.
+    """
+    totals, weighted = [], []
+    for _, q in uncollected.blocks():
+        totals.append(float(q.sum()))
+        q *= np.log(q, out=np.zeros(q.shape), where=q > 0.0)
+        weighted.append(float(q.sum()))
+    total = math.fsum(totals)
+    return max(0.0, math.log(total) - math.fsum(weighted) / total)  # +0.0, never -0.0
 
 
 def relative_entropy_of_coherence(
@@ -114,6 +122,11 @@ def _column_entropies(pmn: np.ndarray) -> np.ndarray:
     terms = np.log(pmn, out=np.zeros(pmn.shape), where=pmn > 0.0)
     terms *= pmn
     return -terms.sum(axis=0)
+
+
+def _table_coherences(table: PairTable) -> np.ndarray:
+    """``table``'s per-level coherences: one read-only vector for the reports of its states."""
+    return table.memo("per_level_coherences", lambda: _frozen_array(_column_entropies(table.pmn)))
 
 
 def effective_dimension(pmn: np.ndarray, level: int) -> tuple[float, float]:
@@ -193,8 +206,7 @@ def bounds_report(
     pn = uncollected.pn
     table = uncollected.table
     pmn = table.pmn
-    # one read-only vector shared by the reports of the table's states
-    per_level = table.memo("per_level_coherences", lambda: _frozen_array(_column_entropies(pmn)))
+    per_level = _table_coherences(table)
     eff_dim, neg_log_eff_dim = table.memo(
         "effective_dimension", lambda: effective_dimension(pmn, 0)
     )

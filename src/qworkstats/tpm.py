@@ -42,7 +42,7 @@ DEFAULT_CLUSTER_SCALE = 1e-12
 # from the support; their count and mass go to the diagnostics.
 DROP_THRESHOLD = 1e-15
 PROXIMITY_WARNING_FACTOR = 10.0
-# Pairs per block of rows in which collection forms its weighted sums.
+# Pairs per block in which a state's joint table is read, and the narrow route's gaps taken.
 BLOCK_PAIRS = 1 << 16
 
 # Relative tolerance for distribution-mean vs trace-formula agreement;
@@ -224,20 +224,22 @@ class UncollectedDistribution:
         return self.pn.size
 
     def joint(self) -> np.ndarray:
-        """The table p_n * p_{m|n} over the live ``columns``, clipped at zero.
+        """A new array of p_n * p_{m|n} over the live ``columns``, clipped at zero.
 
         The columns left out carry p_n = 0, so they hold no probability.
-        Built on the first call; every call returns the same read-only view of
-        it, until a collection that finds H_u stored (``_h_u``, its other
-        reader) releases it, and the next call builds it again.
         """
-        try:
-            return self.__dict__["_joint"]
-        except KeyError:
-            joint = self.pn[self.columns] * self.table.pmn[:, self.columns]
-            view = np.maximum(joint, 0.0, out=joint).view()
-            view.setflags(write=False)
-            return self.__dict__.setdefault("_joint", view)
+        q = self.pn[self.columns] * self.table.pmn[:, self.columns]
+        return np.maximum(q, 0.0, out=q)
+
+    def blocks(self):
+        """Yield ``(rows, q)``: the rows of the joint, clipped at zero, a block of about
+        ``BLOCK_PAIRS`` pairs at a time, so that no N^2 product exists."""
+        pn, pmn, columns = self.pn[self.columns], self.table.pmn, self.columns
+        step = max(1, BLOCK_PAIRS // pn.size)
+        for start in range(0, self.dim, step):
+            rows = slice(start, start + step)
+            q = pn * pmn[rows, columns]
+            yield rows, np.maximum(q, 0.0, out=q)
 
 
 @dataclass(frozen=True)
@@ -364,14 +366,14 @@ def uncollected_distribution(setup: QuenchSetup) -> UncollectedDistribution:
     return UncollectedDistribution(initial_populations(setup.rho, initial), table)
 
 
-def _stored_cluster_ids(
-    table: PairTable, cluster_tol: float, columns: slice
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The whole table's [m, n] cluster ids and member counts at ``cluster_tol``, or None.
+def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[np.ndarray, ...]:
+    """([m, n] cluster of each pair in ``columns``; pairs per cluster).
 
-    A state over more than half of the columns builds and stores them,
-    scattered through one argsort; a narrower one only reads them. No Bohr
-    or sorted values outlive the call.
+    A state over more than half of the columns builds the whole table's ids,
+    scattered through one argsort, and stores them; a later state reads them.
+    A narrow state on a table without them finds its pairs' sorted positions
+    among the cluster starts, and stores nothing. Equal values share a
+    cluster, so both routes agree. No Bohr or sorted values outlive the call.
     """
     key, shape = ("cluster_ids", cluster_tol), table.pmn.shape
     stored = table._memo.get(key)
@@ -387,19 +389,8 @@ def _stored_cluster_ids(
         del v, gaps  # the sorted values, freed before the scatter allocates
         ids = np.empty_like(sorted_ids)
         ids[order] = sorted_ids
-        del order, sorted_ids  # N^2 each: freed before a partial block is copied
+        del order, sorted_ids  # N^2 each
         stored = table.memo(key, lambda: (ids.reshape(shape), members))
-    return stored
-
-
-def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[np.ndarray, ...]:
-    """(cluster of each pair in ``columns``, row-major; pairs per cluster).
-
-    Read from ``_stored_cluster_ids``; a narrow state on a table without
-    them finds its pairs' sorted positions among the cluster starts, and
-    stores nothing. Equal values share a cluster: both routes agree.
-    """
-    stored = _stored_cluster_ids(table, cluster_tol, columns)
     if stored is None:
         v = table.bohr().ravel()
         v.sort()
@@ -407,12 +398,12 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
         for start in range(0, v.size - 1, BLOCK_PAIRS):  # by blocks: no N^2 gaps
             block = slice(start, start + BLOCK_PAIRS)
             np.greater_equal(v[1:][block] - v[:-1][block], cluster_tol, out=new[1:][block])
-        at = np.searchsorted(v, table.bohr(columns).ravel())
+        at = np.searchsorted(v, table.bohr(columns))
         del v  # N^2: freed before the starts allocate
         starts = np.flatnonzero(new)
         return np.searchsorted(starts, at, "right") - 1, np.diff(starts, append=new.size)
     ids, members = stored
-    return ids[:, columns].ravel(), members
+    return ids[:, columns], members
 
 
 def _cluster_width(table: PairTable, cluster_tol: float | None) -> float:
@@ -436,27 +427,20 @@ def collect_work_distribution(
     depend on the Bohr frequencies alone, so the table computes them once
     per width for all of its states; a state sums over its live columns,
     one block of rows at a time, so no product of the table is built whole.
-    With H_u stored beside it, the joint is released after its last read.
     """
     table = uncollected.table
     cluster_tol = _cluster_width(table, cluster_tol)
     columns = uncollected.columns
     ids, members = _cluster_ids(table, cluster_tol, columns)
-    q = uncollected.joint().base  # writeable: bincount copies a read-only array
-    cluster_prob = np.bincount(ids, weights=q.ravel(), minlength=members.size)
-    # sum (E_m - E_n) q[m, n] per cluster, adding the pairs one at a time in
-    # row-major order: the bits of one bincount over the whole product
-    ids = ids.reshape(q.shape)
-    weighted_sum = np.zeros(members.size)
-    step = max(1, BLOCK_PAIRS // q.shape[1])  # rows per block
-    for start in range(0, q.shape[0], step):
-        rows = slice(start, start + step)
-        weighted = table.bohr(columns, rows)
-        weighted *= q[rows]
-        np.add.at(weighted_sum, ids[rows].ravel(), weighted.ravel())  # 1-D: the fast path
-    del weighted, ids, q  # up to N^2 ids: freed before the rest allocates
-    if "_h_u" in uncollected.__dict__:
-        del uncollected.__dict__["_joint"]
+    # sum q[m, n] and (E_m - E_n) q[m, n] per cluster, adding the pairs one at a
+    # time in row-major order: the bits of one bincount over the whole table
+    cluster_prob, weighted_sum = np.zeros(members.size), np.zeros(members.size)
+    for rows, q in uncollected.blocks():
+        block_ids = ids[rows].ravel()
+        np.add.at(cluster_prob, block_ids, q.ravel())  # 1-D: the fast path
+        q *= table.bohr(columns, rows)
+        np.add.at(weighted_sum, block_ids, q.ravel())
+    del ids, block_ids  # a narrow state's ids, and a view: freed before the rest allocates
 
     keep = cluster_prob >= DROP_THRESHOLD
     if not keep.any():

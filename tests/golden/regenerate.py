@@ -32,7 +32,8 @@ from qworkstats import cli
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 # Every subcommand at fib_index <= 10, each state kind, both directions and
-# both single-quench models.
+# both single-quench models; and the two sweeps at fib_index 14 (N = 377),
+# whose N^2 pairs fill more than two blocks of ``tpm.BLOCK_PAIRS``.
 CONFIGURATIONS = {
     "lz_sweep": ["lz-sweep", "--grid-points", "41"],
     "aah_hist_zero_to_delta": ["aah-hist", "--fib-index", "9"],
@@ -56,6 +57,11 @@ CONFIGURATIONS = {
                                 "--state", "thermal", "--beta", "0.5"],
     "single_quench_chain": ["single-quench", "--fib-index", "9", "--delta", "2.5",
                             "--eta", "0.7"],
+    "aah_sweep_ground_377": ["aah-sweep", "--fib-index", "14", "--grid-values", "1.5,2.5"],
+    "aah_sweep_ground_377_delta_to_zero": ["aah-sweep", "--fib-index", "14",
+                                           "--grid-values", "1.5,2.5",
+                                           "--direction", "delta-to-zero"],
+    "thermal_sweep_377": ["thermal-sweep", "--fib-index", "14", "--grid-values", "1.5,2.5"],
 }
 
 

@@ -433,8 +433,8 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
     assert environment["blas"] == {"name": blas.get("name"), "version": blas.get("version"),
                                    "threads": cli.blas_threads()}
     glibc = platform.libc_ver()[0] == "glibc"
-    assert environment["malloc"] == ({"mmap_threshold": 64 << 20, "trim_threshold": 128 << 20}
-                                     if glibc else None)
+    assert environment["malloc"] == ({"mmap_threshold": 64 << 20, "trim_threshold": 128 << 20,
+                                      "arena_max": 1} if glibc else None)
     assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
     tolerances = manifest["tolerances"]
     # the seed and the width are written once, in the config echo
@@ -508,6 +508,25 @@ def test_a_refused_mmap_threshold_leaves_the_trim_threshold_alone(tmp_path, monk
     assert json.loads((out / "manifest.json").read_text())["environment"]["malloc"] is None
     monkeypatch.setattr(cli.platform, "libc_ver", lambda *args, **kwargs: ("", ""))
     assert cli._raise_malloc_thresholds() is None and calls == [(-3, 64 << 20)]
+
+
+def test_the_policy_sets_one_arena_and_is_recorded_only_if_every_setting_took(monkeypatch):
+    calls, refused = [], set()
+
+    def mallopt(parameter, value):
+        calls.append((parameter, value))
+        return 0 if parameter in refused else 1
+
+    real = cli.ctypes.CDLL
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name, *args, **kwargs: (
+        argparse.Namespace(mallopt=mallopt) if name is None else real(name, *args, **kwargs)))
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda *args, **kwargs: ("glibc", "2.36"))
+    policy = cli._raise_malloc_thresholds()
+    assert calls == [(-3, 64 << 20), (-1, 128 << 20), (-8, 1)]  # M_ARENA_MAX is -8
+    assert policy == {"mmap_threshold": 64 << 20, "trim_threshold": 128 << 20, "arena_max": 1}
+    for parameter in (-1, -8):
+        refused = {parameter}
+        assert cli._raise_malloc_thresholds() is None
 
 
 REPEATED_EIGH_CHILD = r"""

@@ -401,7 +401,7 @@ def test_thermal_sweep_computes_no_moments_and_the_same_reports(monkeypatch, tmp
             assert np.array_equal(a.report.per_level_coherence, b.report.per_level_coherence)
 
 
-def test_a_sweep_row_holds_few_n_squared_arrays():
+def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
     # The traced peak of two sweep rows at N = 377, with the flat chain cached,
     # counted in N^2 float arrays: the thermal row (the CLI's four betas, no
     # moments) read 12.7 and the ground row 7.6 while the pair table kept its
@@ -413,21 +413,27 @@ def test_a_sweep_row_holds_few_n_squared_arrays():
     # whole weighted product and the joint outlived it, and 5.6 and 4.1 (6.6
     # and 5.1) while each quench built the flat Hamiltonian, the operator
     # copied the model's array and a ground row's collection made a cluster id
-    # per pair. Now they read 5.6 and 2.7 (6.6 and 3.7). The flat chain keeps
-    # one N^2 array between rows, its eigenvectors, and no Hamiltonian.
+    # per pair, and 5.6 and 2.7 (6.6 and 3.7) while each state built its joint
+    # table and H_u copied its nonzero entries. Now they read 5.2 and 2.7 (6.2
+    # and 3.7): the thermal peak is the wide state's cluster-id build, and the
+    # ground peak the narrow state's cluster starts. The flat chain keeps one
+    # N^2 array between rows, its eigenvectors, and no Hamiltonian. A block is
+    # cut to 0.05 N^2 (by default 0.46 N^2 here and 0.07 N^2 at N = 987), so
+    # that a block sized for small tables cannot set a peak.
     fib_index = 14
     flat = _flat_chain(fib_index)
     n_squared = flat.dim**2 * 8
+    monkeypatch.setattr(tpm, "BLOCK_PAIRS", flat.dim**2 // 20)
     held = [a for a in vars(flat).values() if isinstance(a, np.ndarray) and a.size == flat.dim**2]
     assert isinstance(flat, SpectralDecomposition) and len(held) == 1
     assert held[0] is flat.eigenvectors
     betas = cli.RunConfig("thermal-sweep").state_betas
     thermal = tuple(StateSpec.thermal(beta) for beta in betas)
     budgets = (
-        (ZERO_TO_DELTA, thermal, {"moments": False}, 5.9),
-        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 3.0),
-        (DELTA_TO_ZERO, thermal, {"moments": False}, 6.9),
-        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 4.0),
+        (ZERO_TO_DELTA, thermal, {"moments": False}, 5.3),
+        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 2.8),
+        (DELTA_TO_ZERO, thermal, {"moments": False}, 6.3),
+        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 3.8),
     )
     for direction, states, options, budget in budgets:
         tracemalloc.start()
@@ -438,6 +444,40 @@ def test_a_sweep_row_holds_few_n_squared_arrays():
         finally:
             tracemalloc.stop()
         assert peak <= budget, (direction, len(states), peak)
+
+
+def test_the_block_size_moves_only_the_last_bits_of_h_u(monkeypatch):
+    # Collection adds the pairs in row-major order whatever the block, so its
+    # bits stay; H_u sums each block on its own, so its last bits may move.
+    # At N = 377 the default block is 0.46 N^2; the others are 0.05 N^2 and
+    # one row. A ground state collects by the narrow route on a fresh table,
+    # a thermal state stores the ids, and an eigenstate reads them.
+    states = (StateSpec.ground(), StateSpec.thermal(1.0), StateSpec.eigenstate(3))
+    fields = [name for name in BoundsReport.CSV_FIELDS if name != "h_u"]
+
+    def quench_all():
+        out = []
+        for delta in (1.5, 2.5):
+            for direction in (ZERO_TO_DELTA, DELTA_TO_ZERO):
+                table = experiments._aah_quench(AahParams(fib_index=14, delta=delta), direction)
+                for state in states:
+                    pn = state.build(table.initial)
+                    work = tpm.collect_work_distribution(tpm.UncollectedDistribution(pn, table))
+                    out.append((work, experiments._evaluate(pn, table, None)))
+        return out
+
+    default = quench_all()
+    for block_pairs in (377**2 // 20, 1):
+        monkeypatch.setattr(tpm, "BLOCK_PAIRS", block_pairs)
+        for (work, row), (work0, row0) in zip(quench_all(), default):
+            for name in ("support", "probs", "multiplicity"):
+                assert getattr(work, name).tobytes() == getattr(work0, name).tobytes(), name
+            assert repr(work.diagnostics) == repr(work0.diagnostics)
+            assert [repr(getattr(row.report, name)) for name in fields] == \
+                [repr(getattr(row0.report, name)) for name in fields]
+            assert (row.moments.tobytes(), row.mean_direct) == (row0.moments.tobytes(),
+                                                                 row0.mean_direct)
+            assert abs(row.report.h_u - row0.report.h_u) <= 1e-15 * row0.report.h_u
 
 
 def test_shared_sweep_matches_one_sweep_per_state():

@@ -1,4 +1,4 @@
-"""Every output of 15 small CLI runs against the files in ``tests/golden/``.
+"""Every output of 18 CLI runs against the files in ``tests/golden/``.
 
 In the environment that recorded them (``tests/golden/manifest.json``) each
 CSV and JSON file must be equal byte for byte. Elsewhere LAPACK may pick
@@ -65,6 +65,32 @@ def _basis_free(argv: list[str], file: str, data: bytes):
     return [[header[i] for i in keep]] + [[row[i] for i in keep] for row in rows]
 
 
+def _relative_change(a: str, b: str) -> float:
+    try:
+        a, b = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a - b) else math.inf
+
+
+def _moved_cells(file: str, got: bytes, expected: bytes) -> str:
+    """The columns of a CSV file whose cells moved, each with its largest relative change."""
+    if not file.endswith(".csv"):
+        return file
+    got_rows, expected_rows = (list(csv.reader(io.StringIO(data.decode())))
+                               for data in (got, expected))
+    if len(got_rows) != len(expected_rows) or got_rows[0] != expected_rows[0]:
+        return f"{file} (rows or header)"
+    worst = {}
+    for got_row, expected_row in zip(got_rows[1:], expected_rows[1:]):
+        for name, a, b in zip(got_rows[0], got_row, expected_row):
+            if a != b:
+                worst[name] = max(worst.get(name, 0.0), _relative_change(a, b))
+    return f"{file} ({', '.join(f'{name} {change:.2g}' for name, change in worst.items())})"
+
+
 def test_outputs_match_the_golden_files(tmp_path, capsys):
     regenerate = _regenerate()
     with open(os.path.join(GOLDEN, "manifest.json")) as stream:
@@ -85,7 +111,7 @@ def test_outputs_match_the_golden_files(tmp_path, capsys):
                 same = _close(_basis_free(argv, file, files[file]),
                               _basis_free(argv, file, expected))
             if not same:
-                moved.append(f"{name}/{file}")
+                moved.append(f"{name}/{_moved_cells(file, files[file], expected)}")
     capsys.readouterr()  # the runs' own progress lines and summaries
     if bytewise:
         note = f"golden: {len(manifest['configurations'])} runs compared byte for byte"
@@ -96,6 +122,20 @@ def test_outputs_match_the_golden_files(tmp_path, capsys):
     with capsys.disabled():
         print(f"\n{note}")
     assert not moved, f"outputs moved: {moved}"
+
+
+def test_a_moved_file_names_its_moved_columns_and_their_largest_relative_change():
+    file = "aah_sweep_entropy.csv"
+    with open(os.path.join(GOLDEN, "aah_sweep_ground", file), "rb") as stream:
+        data = stream.read()
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    index = header.index("h_u")
+    rows[1][index] = repr(float(rows[1][index]) * (1 + 1e-15))
+    rows[2][index] = repr(float(rows[2][index]) * (1 + 1e-12))
+    moved = "\n".join(",".join(row) for row in [header, *rows]).encode() + b"\n"
+    assert _moved_cells(file, moved, data) == f"{file} (h_u 1e-12)"
+    assert _moved_cells(file, data, data) == f"{file} ()"
+    assert _moved_cells("fit.json", b"{}", b"[]") == "fit.json"
 
 
 def test_the_tolerant_comparison_reads_only_basis_free_columns():

@@ -28,6 +28,7 @@ from qworkstats import (
     thermal_state,
     transition_probabilities,
     uncollected_distribution,
+    uncollected_entropy,
     work_moments,
 )
 from qworkstats import experiments, tpm
@@ -670,64 +671,48 @@ def test_work_distribution_rejects_non_finite_and_negative_values():
         WorkDistribution(np.array([]), np.array([]), np.array([], dtype=int), diagnostics)
 
 
-def test_joint_is_built_once_read_only_and_left_intact_by_collection():
+def test_joint_is_a_new_clipped_array_of_the_live_columns():
     setup = random_setup(np.random.default_rng(5), 6)
     u = uncollected_distribution(setup)
     joint = u.joint()
-    assert u.joint() is joint and not joint.flags.writeable
-    collect_work_distribution(u)
-    collect_work_distribution(u, 1e-3)
     columns = u.columns
     assert np.array_equal(joint, np.clip(u.pn[columns] * u.table.pmn[:, columns], 0.0, None))
-    # a state over part of the levels holds its live column block only
+    assert u.joint() is not joint and joint.flags.writeable
+    assert not np.shares_memory(joint, u.table.pmn)
+    # a state over part of the levels reads its live column block only
     pn = np.array([0.0, 0.25, 0.0, 0.75, 0.0, 0.0])
     narrow = UncollectedDistribution(pn, u.table)
     assert narrow.columns == slice(1, 4)
-    collect_work_distribution(narrow)
     assert np.array_equal(narrow.joint(), np.clip(pn[1:4] * u.table.pmn[:, 1:4], 0.0, None))
+    # ... and its row blocks are the rows of that joint, in order
+    assert np.array_equal(np.vstack([q for _, q in narrow.blocks()]), narrow.joint())
 
 
-def test_a_wide_state_collection_makes_no_copy_of_the_joint(monkeypatch):
-    # np.bincount copies a read-only input, so collection hands it the joint's
-    # writeable base, and it forms its weighted sums a block of rows at a time.
-    # Every np.bincount and np.add.at call is traced, on a table two blocks
-    # tall whose cluster ids a first state stored: the 2n - 1 integer Bohr
-    # values leave none of them anything N^2 long to allocate, unless one
-    # copies the joint or a product of the whole table.
+def test_collection_and_the_uncollected_entropy_allocate_no_n_squared_array(monkeypatch):
+    # On a table whose cluster ids a first state stored, collection and H_u
+    # read the joint a block of rows at a time. A block here is 1 % of the
+    # table, so whatever they allocate beyond their blocks shows: a copy of
+    # the joint, of the ids or of a product of the whole table is 1.0 N^2.
+    # The 2n - 1 integer Bohr values keep the per-cluster arrays short.
     n = 300
+    monkeypatch.setattr(tpm, "BLOCK_PAIRS", n * n // 100)
     levels = np.arange(n, dtype=float)
     table = PairTable(np.full((n, n), 1.0 / n), levels, levels)
     collect_work_distribution(UncollectedDistribution(np.full(n, 1.0 / n), table))
-    uncollected = UncollectedDistribution((levels + 1.0) / (levels + 1.0).sum(), table)
-    assert not uncollected.joint().flags.writeable
-    peaks, add = [], np.add
-
-    def traced(name, real):
-        def call(*args, **kwargs):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            result = real(*args, **kwargs)
-            peaks.append((name, tracemalloc.get_traced_memory()[1] - start))
-            return result
-        return call
-
-    class TracedAdd:  # a ufunc's attributes cannot be set, so np.add is stood in for
-        at = staticmethod(traced("add.at", add.at))
-
-        def __getattr__(self, name):
-            return getattr(add, name)
-
-    monkeypatch.setattr(np, "bincount", traced("bincount", np.bincount))
-    monkeypatch.setattr(np, "add", TracedAdd())
-    tracemalloc.start()
-    try:
-        collect_work_distribution(uncollected)
-    finally:
-        tracemalloc.stop()
-    blocks = len(range(0, n, tpm.BLOCK_PAIRS // n))
-    assert blocks == 2
-    assert [name for name, _ in peaks] == ["bincount"] + ["add.at"] * blocks, peaks
-    assert max(peak for _, peak in peaks) < 0.1 * n * n * 8, peaks
+    assert any(key[0] == "cluster_ids" for key in table._memo)
+    assert len(range(0, n, tpm.BLOCK_PAIRS // n)) == 100
+    ramp = levels + 1.0
+    trimmed = np.r_[np.zeros(10), ramp[10:-10], np.zeros(10)]  # live columns short of the table's
+    for pn in (ramp, trimmed):
+        uncollected = UncollectedDistribution(pn / pn.sum(), table)
+        for read in (uncollected_entropy, collect_work_distribution):
+            tracemalloc.start()
+            try:
+                read(uncollected)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.1 * n * n * 8, (read.__name__, peak / (n * n * 8))
 
 
 def _one_bincount_collection(uncollected):
@@ -735,6 +720,7 @@ def _one_bincount_collection(uncollected):
     product of the Bohr table and the joint: collection before its row blocks."""
     table, columns = uncollected.table, uncollected.columns
     ids, members = tpm._cluster_ids(table, table.default_cluster_tol, columns)
+    ids = ids.ravel()
     q = uncollected.joint()
     probs = np.bincount(ids, weights=q.ravel(), minlength=members.size)
     sums = np.bincount(ids, weights=(table.bohr(columns) * q).ravel(), minlength=members.size)

@@ -22,13 +22,9 @@ from .spectral import (
     HermitianOperator,
     SpectralDecomposition,
     UnitaryMatrix,
-    dephase,
     diagonalize,
-    eigenstate_projector,
     level_populations,
     thermal_populations,
-    thermal_state,
-    von_neumann_entropy,
 )
 from .models import AahParams, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
 from .tpm import (
@@ -38,7 +34,6 @@ from .tpm import (
     WorkDistribution,
     collect_work_distribution,
     max_degeneracy,
-    mean_work_direct,
     transition_probabilities,
     initial_populations,
     uncollected_distribution,
@@ -49,8 +44,6 @@ from .infotheory import (
     bounds_report,
     effective_dimension,
     entropy_of_work,
-    per_level_coherences,
-    relative_entropy_of_coherence,
     shannon_entropy,
     uncollected_entropy,
 )

@@ -64,8 +64,7 @@ LN2 = math.log(2.0)
 
 # Tolerances the manifest records, by module.
 _TOLERANCES = (
-    (spectral, ("HERMITICITY_RTOL", "ORTHONORMALITY_TOL", "TRACE_TOL", "PSD_TOL",
-                "ENTROPY_EIGENVALUE_FLOOR", "GROUND_DEGENERACY_RTOL")),
+    (spectral, ("HERMITICITY_RTOL", "ORTHONORMALITY_TOL", "TRACE_TOL", "GROUND_DEGENERACY_RTOL")),
     (tpm, ("PROBABILITY_TOL", "STOCHASTICITY_TOL", "NORMALIZATION_TOL", "DEFAULT_CLUSTER_SCALE",
            "DROP_THRESHOLD", "PROXIMITY_WARNING_FACTOR", "RELATIVE_MEAN_TOL")),
     (infotheory, ("NEGATIVE_PROB_TOL", "NORMALIZATION_ERROR", "BOUND_SLACK",

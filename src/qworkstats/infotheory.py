@@ -29,13 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BoundViolationError, DimensionMismatchError, ValidationError
-from .spectral import (
-    DensityMatrix,
-    SpectralDecomposition,
-    _frozen_array,
-    dephase,
-    von_neumann_entropy,
-)
+from .spectral import _frozen_array
 from .tpm import PairTable, QuenchSetup, UncollectedDistribution, WorkDistribution, max_degeneracy
 
 NEGATIVE_PROB_TOL = 1e-12
@@ -92,32 +86,13 @@ def uncollected_entropy(uncollected: UncollectedDistribution) -> float:
     return max(0.0, math.log(total) - math.fsum(weighted) / total)  # +0.0, never -0.0
 
 
-def relative_entropy_of_coherence(
-    sigma: DensityMatrix, basis: SpectralDecomposition
-) -> float:
-    """S(dephased sigma) - S(sigma) in the given basis, always >= 0."""
-    return von_neumann_entropy(dephase(sigma, basis)) - von_neumann_entropy(sigma)
-
-
-def per_level_coherences(pmn: np.ndarray) -> np.ndarray:
-    """Column entropies of the transition matrix.
-
-    Entry n equals the relative entropy of coherence of the initial
-    eigenstate |n_i><n_i| in the protocol-rotated final basis, computed
-    here directly from the transition probabilities.
-    """
-    p = np.asarray(pmn, dtype=float)
-    worst = float(np.abs(p.sum(axis=0) - 1.0).max())
-    if not worst <= NORMALIZATION_ERROR:  # a NaN fails
-        raise ValidationError(f"transition columns deviate from 1 by {worst:g}")
-    return _column_entropies(p)
-
-
 def _column_entropies(pmn: np.ndarray) -> np.ndarray:
     """-sum_m p ln p down each column, with 0 ln 0 = 0.
 
-    An entry at or below zero gives a zero term (-0.0 for a tiny negative
-    one), which leaves every column sum as clipping would.
+    Of a transition matrix, entry n is the relative entropy of coherence of
+    |n_i><n_i| in the protocol-rotated final basis. An entry at or below
+    zero gives a zero term (-0.0 for a tiny negative one), which leaves
+    every column sum as clipping would.
     """
     terms = np.log(pmn, out=np.zeros(pmn.shape), where=pmn > 0.0)
     terms *= pmn

@@ -1,9 +1,9 @@
 """Dense Hermitian linear algebra for finite-dimensional quantum systems.
 
-Eigendecompositions, Gibbs and projector states, dephasing, and the von
-Neumann entropy. Everything works in units with hbar = 1; energies are
-carried in units of the reference frequency fixed by each model (the gap
-for the two-level crossing, the hopping for the lattice chain).
+Eigendecompositions and the populations of Gibbs and eigenlevel states.
+Everything works in units with hbar = 1; energies are carried in units of
+the reference frequency fixed by each model (the gap for the two-level
+crossing, the hopping for the lattice chain).
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -16,20 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGroundStateError,
-    DimensionMismatchError,
-    EigensolverError,
-    ValidationError,
-)
+from .errors import DegenerateGroundStateError, EigensolverError, ValidationError
 
 HERMITICITY_RTOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
-# Eigenvalues below this are treated as exact zeros inside entropies, so the
-# machine-epsilon negatives produced by diagonalization never reach log().
-ENTROPY_EIGENVALUE_FLOOR = 1e-14
 GROUND_DEGENERACY_RTOL = 1e-12
 
 
@@ -123,8 +114,9 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A quantum state: Hermitian with unit trace. Positivity needs the
-    eigenvalues, so ``von_neumann_entropy`` checks it, not the constructor."""
+    """A quantum state: Hermitian with unit trace. Positivity is not checked:
+    ``initial_populations`` clips the projected populations at zero, and
+    ``UncollectedDistribution`` refuses any that do not sum to 1 within 1e-12."""
 
     entries: np.ndarray
 
@@ -191,7 +183,7 @@ def thermal_populations(decomposition: SpectralDecomposition, beta: float) -> np
             if gap <= GROUND_DEGENERACY_RTOL * decomposition.spectral_span:
                 raise DegenerateGroundStateError(
                     "ground level is degenerate at beta = inf; select a level "
-                    "explicitly with level_populations or eigenstate_projector"
+                    "explicitly with level_populations"
                 )
         return level_populations(decomposition, 0)
     weights = np.exp(-beta * (evals - evals[0]))
@@ -207,43 +199,3 @@ def level_populations(decomposition: SpectralDecomposition, level: int) -> np.nd
     populations = np.zeros(decomposition.dim)
     populations[level] = 1.0
     return populations
-
-
-def thermal_state(decomposition: SpectralDecomposition, beta: float) -> DensityMatrix:
-    """Gibbs state exp(-beta H)/Z: ``thermal_populations`` as a dense matrix."""
-    populations = thermal_populations(decomposition, beta)
-    v = decomposition.eigenvectors
-    rho = (v * populations) @ v.conj().T
-    return DensityMatrix(entries=0.5 * (rho + rho.conj().T))
-
-
-def eigenstate_projector(decomposition: SpectralDecomposition, level: int) -> DensityMatrix:
-    """Rank-1 projector onto eigenlevel ``level``."""
-    vec = decomposition.eigenvectors @ level_populations(decomposition, level)
-    return DensityMatrix(entries=np.outer(vec, vec.conj()))
-
-
-def dephase(rho: DensityMatrix, basis: SpectralDecomposition) -> DensityMatrix:
-    """Remove all off-diagonal elements of ``rho`` in the given eigenbasis."""
-    if rho.dim != basis.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho.dim} does not match basis dimension {basis.dim}"
-        )
-    v = basis.eigenvectors
-    populations = (v.conj() * (rho.entries @ v)).sum(axis=0).real
-    out = (v * populations) @ v.conj().T
-    return DensityMatrix(entries=0.5 * (out + out.conj().T))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
-    try:
-        evals = np.linalg.eigvalsh(rho.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    if float(evals[0]) < -PSD_TOL:
-        raise ValidationError(
-            f"invalid density matrix: negative eigenvalue {float(evals[0]):g}"
-        )
-    p = evals[evals > ENTROPY_EIGENVALUE_FLOOR]
-    return 0.0 - float((p * np.log(p)).sum())  # +0.0, not -0.0, for a pure state

@@ -159,8 +159,10 @@ class PairTable:
         pmn = transition_probabilities(initial, final, u)
         table._own(pmn, final.eigenvalues, initial.eigenvalues)
         table.hi, table.hf, table.u, table.initial = hi, hf, u, initial
-        if diagonal_change is None:
-            diagonal_change = _diagonal_change(table)
+        if diagonal_change is None and u is None:
+            d = hf.entries.diagonal() - hi.entries.diagonal()
+            if np.count_nonzero(hf.entries != hi.entries) == np.count_nonzero(d):
+                diagonal_change = d
         table.diagonal_change = diagonal_change
         if diagonal_change is not None:  # all that the first moment reads of hi and hf
             table.hi = table.hf = None
@@ -193,7 +195,7 @@ class PairTable:
             raise ValidationError("a table built from arrays has no Hamiltonians")
         live = np.flatnonzero(pn > 0.0)
         key = ("level_work", live.tobytes())
-        diagonal = self.memo(key, lambda: _level_work(self, self.initial, live))
+        diagonal = self.memo(key, lambda: _level_work(self, live))
         return float(diagonal @ pn[live])
 
 
@@ -401,7 +403,10 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
         at = np.searchsorted(v, table.bohr(columns))
         del v  # N^2: freed before the starts allocate
         starts = np.flatnonzero(new)
-        return np.searchsorted(starts, at, "right") - 1, np.diff(starts, append=new.size)
+        counts = np.empty_like(starts)  # written in place, with no copy of the starts
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = new.size - starts[-1]
+        return np.searchsorted(starts, at, "right") - 1, counts
     ids, members = stored
     return ids[:, columns], members
 
@@ -508,42 +513,8 @@ def work_moments(work: WorkDistribution, max_order: int = 4) -> MomentSummary:
     return MomentSummary(moments=moments, variance=variance)
 
 
-def _rotated_difference(quench) -> np.ndarray:
-    """U^dag Hf U - Hi of a ``QuenchSetup`` or a ``PairTable.of``."""
-    hf = quench.hf.entries
-    if quench.u is not None:
-        u = quench.u.entries
-        hf = u.conj().T @ hf @ u
-    return hf - quench.hi.entries
-
-
-def mean_work_direct(setup: QuenchSetup) -> float:
-    """<W> from the trace formula tr[(U^dag Hf U - Hi) rho].
-
-    Evaluated without diagonalizing anything for a density matrix. A
-    population state has no coherence in the initial energy basis, so there
-    it is sum_n p_n <n_i|U^dag Hf U - Hi|n_i> over the levels with p_n > 0:
-    one mat-vec for an eigenstate. That is also the mean of the two-point
-    statistics of any state, whose first measurement removes the
-    coherences; ``PairTable.mean_work`` evaluates it for those.
-    """
-    if isinstance(setup.rho, DensityMatrix):
-        return float(np.real(np.einsum("ij,ji->", _rotated_difference(setup), setup.rho.entries)))
-    live = np.flatnonzero(setup.rho > 0.0)
-    return float(_level_work(setup, diagonalize(setup.hi), live) @ setup.rho[live])
-
-
-def _diagonal_change(quench) -> np.ndarray | None:
-    """diag(Hf) - diag(Hi) if ``quench`` is sudden and changes only the diagonal, else None."""
-    if quench.u is not None:
-        return None
-    hf, hi = quench.hf.entries, quench.hi.entries
-    d = hf.diagonal() - hi.diagonal()
-    return d if np.count_nonzero(hf != hi) == np.count_nonzero(d) else None
-
-
-def _level_work(quench, initial: SpectralDecomposition, live: np.ndarray) -> np.ndarray:
-    """<n_i|U^dag Hf U - Hi|n_i> for the ``live`` levels n of a quench or a ``PairTable.of``.
+def _level_work(table: PairTable, live: np.ndarray) -> np.ndarray:
+    """<n_i|U^dag Hf U - Hi|n_i> for the ``live`` levels n of a ``PairTable.of``.
 
     A sudden quench that changes only the diagonal scales the rows of the
     eigenvectors; the N^3 product with the difference adds only exact
@@ -551,13 +522,16 @@ def _level_work(quench, initial: SpectralDecomposition, live: np.ndarray) -> np.
     products with the Fortran-order eigenvectors out in Fortran order,
     which sums in another order), so the two routes give the same bits.
     """
-    v = initial.eigenvectors
+    v = table.initial.eigenvectors
     v = v[:, live[0] : live[-1] + 1] if live[-1] - live[0] + 1 == live.size else v[:, live]
-    d = quench.diagonal_change if isinstance(quench, PairTable) else _diagonal_change(quench)
-    if d is not None:
-        product = np.multiply(d[:, np.newaxis], v, order="C")
+    if table.diagonal_change is not None:
+        product = np.multiply(table.diagonal_change[:, np.newaxis], v, order="C")
     else:
-        product = _rotated_difference(quench) @ v
+        hf = table.hf.entries
+        if table.u is not None:
+            u = table.u.entries
+            hf = u.conj().T @ hf @ u
+        product = (hf - table.hi.entries) @ v
     np.multiply(v.conj(), product, out=product)
     return product.sum(axis=0).real
 

@@ -1,4 +1,12 @@
-"""Shared helpers for building randomized quantum objects in tests."""
+"""Shared helpers for building randomized quantum objects in tests, and the
+oracles that check the library's routes.
+
+The oracles are the density-matrix route of the coherence chain (dense
+Gibbs and projector states, dephasing, the von Neumann entropy and the
+relative entropy of coherence) and the trace-formula mean work. No quench
+runs them: the library computes the chain from populations and column
+entropies, and the mean from its pair table.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +14,22 @@ import numpy as np
 
 from qworkstats import (
     DensityMatrix,
+    DimensionMismatchError,
+    EigensolverError,
     HermitianOperator,
     QuenchSetup,
     SpectralDecomposition,
     UnitaryMatrix,
+    ValidationError,
+    diagonalize,
+    level_populations,
+    thermal_populations,
 )
+
+PSD_TOL = 1e-10
+# Eigenvalues below this are treated as exact zeros inside entropies, so the
+# machine-epsilon negatives produced by diagonalization never reach log().
+ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, complex_entries: bool = True):
@@ -61,3 +80,86 @@ def assert_positive(rho: DensityMatrix, tol: float = 1e-10) -> None:
     """No eigenvalue of ``rho`` below ``-tol``."""
     smallest = float(np.linalg.eigvalsh(rho.entries)[0])
     assert smallest >= -tol, f"density matrix has negative eigenvalue {smallest:g}"
+
+
+def thermal_state(decomposition: SpectralDecomposition, beta: float) -> DensityMatrix:
+    """Gibbs state exp(-beta H)/Z: ``thermal_populations`` as a dense matrix."""
+    populations = thermal_populations(decomposition, beta)
+    v = decomposition.eigenvectors
+    rho = (v * populations) @ v.conj().T
+    return DensityMatrix(entries=0.5 * (rho + rho.conj().T))
+
+
+def eigenstate_projector(decomposition: SpectralDecomposition, level: int) -> DensityMatrix:
+    """Rank-1 projector onto eigenlevel ``level``."""
+    vec = decomposition.eigenvectors @ level_populations(decomposition, level)
+    return DensityMatrix(entries=np.outer(vec, vec.conj()))
+
+
+def dephase(rho: DensityMatrix, basis: SpectralDecomposition) -> DensityMatrix:
+    """Remove all off-diagonal elements of ``rho`` in the given eigenbasis."""
+    if rho.dim != basis.dim:
+        raise DimensionMismatchError(
+            f"state dimension {rho.dim} does not match basis dimension {basis.dim}"
+        )
+    v = basis.eigenvectors
+    populations = (v.conj() * (rho.entries @ v)).sum(axis=0).real
+    out = (v * populations) @ v.conj().T
+    return DensityMatrix(entries=0.5 * (out + out.conj().T))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
+    try:
+        evals = np.linalg.eigvalsh(rho.entries)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
+    if float(evals[0]) < -PSD_TOL:
+        raise ValidationError(
+            f"invalid density matrix: negative eigenvalue {float(evals[0]):g}"
+        )
+    p = evals[evals > ENTROPY_EIGENVALUE_FLOOR]
+    return 0.0 - float((p * np.log(p)).sum())  # +0.0, not -0.0, for a pure state
+
+
+def relative_entropy_of_coherence(
+    sigma: DensityMatrix, basis: SpectralDecomposition
+) -> float:
+    """S(dephased sigma) - S(sigma) in the given basis, always >= 0."""
+    return von_neumann_entropy(dephase(sigma, basis)) - von_neumann_entropy(sigma)
+
+
+def _rotated_difference(setup: QuenchSetup) -> np.ndarray:
+    """U^dag Hf U - Hi of a setup."""
+    hf = setup.hf.entries
+    if setup.u is not None:
+        u = setup.u.entries
+        hf = u.conj().T @ hf @ u
+    return hf - setup.hi.entries
+
+
+def mean_work_direct(setup: QuenchSetup) -> float:
+    """<W> from the trace formula tr[(U^dag Hf U - Hi) rho].
+
+    Evaluated without diagonalizing anything for a density matrix. A
+    population state has no coherence in the initial energy basis, so there
+    it is sum_n p_n <n_i|U^dag Hf U - Hi|n_i> over the levels with p_n > 0,
+    on its own products rather than a pair table's. A sudden quench that
+    changes only the diagonal scales the rows of the eigenvectors; the N^3
+    product with the difference adds only exact zeros to those terms. Both
+    sum a C-order array, so the two routes give the same bits, and so does
+    ``PairTable.mean_work``.
+    """
+    if isinstance(setup.rho, DensityMatrix):
+        return float(np.real(np.einsum("ij,ji->", _rotated_difference(setup), setup.rho.entries)))
+    live = np.flatnonzero(setup.rho > 0.0)
+    v = diagonalize(setup.hi).eigenvectors
+    v = v[:, live[0] : live[-1] + 1] if live[-1] - live[0] + 1 == live.size else v[:, live]
+    hf, hi = setup.hf.entries, setup.hi.entries
+    d = hf.diagonal() - hi.diagonal()
+    if setup.u is None and np.count_nonzero(hf != hi) == np.count_nonzero(d):
+        product = np.multiply(d[:, np.newaxis], v, order="C")
+    else:
+        product = _rotated_difference(setup) @ v
+    np.multiply(v.conj(), product, out=product)
+    return float(product.sum(axis=0).real @ setup.rho[live])

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import mean_work_direct
 from qworkstats import (
     AahParams,
     DELTA_TO_ZERO,
@@ -21,7 +22,6 @@ from qworkstats import (
     default_lz_grid,
     eigenstate_coherence_map,
     lz_sweep,
-    mean_work_direct,
     scaling_derivative,
 )
 from qworkstats import cli, experiments, infotheory, tpm
@@ -416,7 +416,10 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
     # per pair, and 5.6 and 2.7 (6.6 and 3.7) while each state built its joint
     # table and H_u copied its nonzero entries. Now they read 5.2 and 2.7 (6.2
     # and 3.7): the thermal peak is the wide state's cluster-id build, and the
-    # ground peak the narrow state's cluster starts. The flat chain keeps one
+    # ground peak the narrow state's per-cluster arrays in collection. Its
+    # cluster-id build peaked there too, at 2.7 (3.7), while the member counts
+    # came from the starts and an appended copy, and reads 2.2 (3.2) with the
+    # counts written beside the starts. The flat chain keeps one
     # N^2 array between rows, its eigenvectors, and no Hamiltonian. A block is
     # cut to 0.05 N^2 (by default 0.46 N^2 here and 0.07 N^2 at N = 987), so
     # that a block sized for small tables cannot set a peak.

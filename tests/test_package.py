@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import pathlib
 import types
 
 import pytest
@@ -39,11 +41,9 @@ PUBLIC_NAMES = [
     "collect_work_distribution",
     "default_aah_grid",
     "default_lz_grid",
-    "dephase",
     "diagonalize",
     "effective_dimension",
     "eigenstate_coherence_map",
-    "eigenstate_projector",
     "entropy_of_work",
     "fibonacci_pair",
     "initial_populations",
@@ -51,17 +51,12 @@ PUBLIC_NAMES = [
     "lz_hamiltonian",
     "lz_sweep",
     "max_degeneracy",
-    "mean_work_direct",
-    "per_level_coherences",
-    "relative_entropy_of_coherence",
     "scaling_derivative",
     "shannon_entropy",
     "thermal_populations",
-    "thermal_state",
     "transition_probabilities",
     "uncollected_distribution",
     "uncollected_entropy",
-    "von_neumann_entropy",
     "work_moments",
 ]
 
@@ -101,3 +96,36 @@ def test_result_fields_are_pinned(name):
 
 def test_csv_fields_are_the_scalar_report_fields():
     assert qworkstats.BoundsReport.CSV_FIELDS == tuple(RESULT_FIELDS["BoundsReport"][:-1])
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# The program: the package's modules and the benchmark that drives them.
+PROGRAM_FILES = [
+    *(path for path in sorted((ROOT / "src" / "qworkstats").glob("*.py"))
+      if path.name != "__init__.py"),
+    *sorted((ROOT / "benchmark").glob("*.py")),
+]
+
+
+def _references(node, inside=frozenset()):
+    """Names loaded and attributes read under ``node``, outside the definitions
+    of the same name (its own body does not count as a use)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    found = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        found.add(node.attr)
+    found -= inside
+    for child in ast.iter_child_nodes(node):
+        found |= _references(child, inside)
+    return found
+
+
+def test_every_public_name_is_used_by_the_program():
+    # a name that only the tests call is a test oracle, and belongs in the tests
+    used = set()
+    for path in PROGRAM_FILES:
+        used |= _references(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(set(PUBLIC_NAMES) - used) == []

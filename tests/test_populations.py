@@ -3,8 +3,8 @@
 States without coherence in the initial energy basis travel through a
 quench as their populations p_n alone. These tests feed the same quench
 once as populations (``StateSpec.build``) and once as the dense state
-(``thermal_state`` / ``eigenstate_projector``) and require every reported
-number to agree.
+(the ``thermal_state`` / ``eigenstate_projector`` oracles of ``conftest``)
+and require every reported number to agree.
 """
 
 import math
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import eigenstate_projector, mean_work_direct, thermal_state
 from qworkstats import (
     AahParams,
     BoundsReport,
@@ -23,11 +24,8 @@ from qworkstats import (
     aah_hamiltonian,
     collect_work_distribution,
     diagonalize,
-    eigenstate_projector,
     initial_populations,
     lz_hamiltonian,
-    mean_work_direct,
-    thermal_state,
     uncollected_distribution,
 )
 from qworkstats.experiments import _evaluate

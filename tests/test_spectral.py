@@ -7,9 +7,13 @@ import pytest
 from conftest import (
     assert_decomposes,
     assert_positive,
+    dephase,
+    eigenstate_projector,
     random_density,
     random_hermitian,
     random_setup,
+    thermal_state,
+    von_neumann_entropy,
 )
 from qworkstats import (
     BoundsReport,
@@ -22,12 +26,8 @@ from qworkstats import (
     ValidationError,
     bounds_report,
     collect_work_distribution,
-    dephase,
     diagonalize,
-    eigenstate_projector,
     initial_populations,
-    thermal_state,
-    von_neumann_entropy,
 )
 from qworkstats.models import AahParams, aah_hamiltonian, lz_hamiltonian
 from qworkstats.spectral import HERMITICITY_RTOL
@@ -200,7 +200,7 @@ def test_thermal_state_zero_temperature_is_ground_projector():
 
 def test_thermal_state_zero_temperature_degenerate_raises():
     dec = diagonalize(HermitianOperator(entries=np.diag([0.0, 0.0, 1.0])))
-    with pytest.raises(DegenerateGroundStateError, match="eigenstate_projector"):
+    with pytest.raises(DegenerateGroundStateError, match="level_populations"):
         thermal_state(dec, math.inf)
 
 

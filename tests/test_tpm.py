@@ -6,7 +6,15 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density, random_setup
+from conftest import (
+    dephase,
+    eigenstate_projector,
+    haar_unitary,
+    mean_work_direct,
+    random_density,
+    random_setup,
+    thermal_state,
+)
 from qworkstats import (
     AahParams,
     DensityMatrix,
@@ -18,14 +26,10 @@ from qworkstats import (
     ValidationError,
     aah_hamiltonian,
     collect_work_distribution,
-    dephase,
     diagonalize,
-    eigenstate_projector,
     initial_populations,
     lz_hamiltonian,
     max_degeneracy,
-    mean_work_direct,
-    thermal_state,
     transition_probabilities,
     uncollected_distribution,
     uncollected_entropy,
@@ -328,7 +332,8 @@ def test_one_level_state_collects_without_an_argsort(monkeypatch):
         monkeypatch.setattr(np, name, spy(name, getattr(np, name)))
     table = PairTable(pmn, ef, ei)
     assert_same_collection(collect_work_distribution(UncollectedDistribution(pn, table)), expected)
-    assert {"flatnonzero", "searchsorted", "diff"} <= {name for name, *_ in calls}, calls
+    # the starts, where they fall among them, and the member counts beside the starts
+    assert {"flatnonzero", "searchsorted", "empty_like"} <= {name for name, *_ in calls}, calls
     assert not [call for call in calls if call[0] in ("cumsum", "bincount") and call[1] >= dim**2]
     integers = [call for call in calls if call[2] in "iu"]
     assert integers and max(size for *_, size in integers) <= clusters, integers
@@ -526,30 +531,22 @@ def _changed_diagonal(rng, dim, dtype):
     return HermitianOperator(entries=hi), HermitianOperator(entries=hf)
 
 
-def test_diagonal_first_moment_route_matches_the_dense_product_bit_for_bit(monkeypatch):
-    dense = []
-    rotated_difference = tpm._rotated_difference
-
-    def recording(quench):
-        dense.append(quench)
-        return rotated_difference(quench)
-
-    monkeypatch.setattr(tpm, "_rotated_difference", recording)
+def test_diagonal_first_moment_route_matches_the_dense_product_bit_for_bit():
     rng = np.random.default_rng(89)
     for dim in (2, 3, 8, 33, 200):
         for dtype in (float, complex):
             hi, hf = _changed_diagonal(rng, dim, dtype)
-            quench = QuenchSetup(hi=hi, hf=hf, rho=np.full(dim, 1.0 / dim))
             initial = diagonalize(hi)
+            table = PairTable.of(hi, hf, initial, diagonalize(hf))
+            assert table.diagonal_change is not None and table.hi is None
             for live in (np.arange(dim), np.arange(dim // 2 + 1), np.array([dim - 1]),
                          np.arange(0, dim, 3)):
                 v = initial.eigenvectors[:, live]
                 product = (hf.entries - hi.entries) @ v
                 expected = np.multiply(v.conj(), product, order="C").sum(axis=0).real
-                assert np.array_equal(tpm._level_work(quench, initial, live), expected)
+                assert np.array_equal(tpm._level_work(table, live), expected)
                 if dtype is float:  # numpy lays these products out in C order itself
                     assert np.array_equal((v.conj() * product).sum(axis=0).real, expected)
-    assert dense == []
 
     # one changed off-diagonal pair, or a protocol, takes the dense product
     hi, hf = _changed_diagonal(rng, 6, complex)
@@ -557,12 +554,13 @@ def test_diagonal_first_moment_route_matches_the_dense_product_bit_for_bit(monke
     entries[1, 4] += 0.5j
     entries[4, 1] -= 0.5j
     initial, live = diagonalize(hi), np.arange(6)
-    for quench in (
-        QuenchSetup(hi=hi, hf=HermitianOperator(entries=entries), rho=np.eye(6)[0]),
-        QuenchSetup(hi=hi, hf=hf, rho=np.eye(6)[0], u=haar_unitary(rng, 6)),
-    ):
-        tpm._level_work(quench, initial, live)
-        assert dense.pop() is quench
+    for hf, u in ((HermitianOperator(entries=entries), None), (hf, haar_unitary(rng, 6))):
+        table = PairTable.of(hi, hf, initial, diagonalize(hf), u)
+        assert table.diagonal_change is None
+        rotated = hf.entries if u is None else u.entries.conj().T @ hf.entries @ u.entries
+        product = (rotated - hi.entries) @ initial.eigenvectors
+        np.multiply(initial.eigenvectors.conj(), product, out=product)
+        assert np.array_equal(tpm._level_work(table, live), product.sum(axis=0).real)
 
 
 def test_pair_table_mean_work_shares_first_moment_products_per_live_set():

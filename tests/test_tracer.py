@@ -72,5 +72,9 @@ def test_traced_runs_leave_no_unwrapped_layer_function(tmp_path):
             "experiments.point"} <= set(result["fired"])
     # the sweeps' bound chains are timed as such, not only the library setups' below
     assert "infotheory.bounds_report" in result["cli_fired"]
-    # basis_populations is named by the tracer but no longer defined in spectral
-    assert set(result["absent"]) <= {"qworkstats.spectral.basis_populations"}
+    # names the tracer looks up that the library no longer defines
+    assert set(result["absent"]) == {
+        "qworkstats.spectral.basis_populations", "qworkstats.spectral.thermal_state",
+        "qworkstats.spectral.eigenstate_projector", "qworkstats.spectral.dephase",
+        "qworkstats.tpm.mean_work_direct",
+    }

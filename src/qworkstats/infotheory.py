@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import tpm
 from .errors import BoundViolationError, DimensionMismatchError, ValidationError
-from .spectral import _frozen_array
 from .tpm import PairTable, QuenchSetup, UncollectedDistribution, WorkDistribution, max_degeneracy
 
 NEGATIVE_PROB_TOL = 1e-12
@@ -40,10 +40,11 @@ GROUND_PROJECTOR_TOL = 1e-12
 
 def _entropy(p: np.ndarray) -> float:
     """-sum q ln q of q = p / sum(p) for a nonnegative ``p``, with 0 ln 0 = 0."""
-    live = p[p > 0.0]
-    live /= p.sum()  # in place, as is the product: inputs can be N^2 long
-    live *= np.log(live)
-    return 0.0 - float(live.sum())  # +0.0, not -0.0, when no term is nonzero
+    q = p / p.sum() if p.min() > 0.0 else p[p > 0.0] / p.sum()  # the one array as long as p
+    for start in range(0, q.size, tpm.BLOCK_PAIRS):
+        block = q[start : start + tpm.BLOCK_PAIRS]
+        block *= np.log(block)  # in place, so no log temporary is longer than a block
+    return 0.0 - float(q.sum())  # once, in one order: +0.0, not -0.0, when no term is nonzero
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
@@ -80,7 +81,10 @@ def uncollected_entropy(uncollected: UncollectedDistribution) -> float:
     totals, weighted = [], []
     for _, q in uncollected.blocks():
         totals.append(float(q.sum()))
-        q *= np.log(q, out=np.zeros(q.shape), where=q > 0.0)
+        with np.errstate(divide="ignore"):
+            terms = np.log(q)
+        terms[q == 0.0] = 0.0  # 0 ln 0 = 0
+        q *= terms
         weighted.append(float(q.sum()))
     total = math.fsum(totals)
     return max(0.0, math.log(total) - math.fsum(weighted) / total)  # +0.0, never -0.0
@@ -101,7 +105,9 @@ def _column_entropies(pmn: np.ndarray) -> np.ndarray:
 
 def _table_coherences(table: PairTable) -> np.ndarray:
     """``table``'s per-level coherences: one read-only vector for the reports of its states."""
-    return table.memo("per_level_coherences", lambda: _frozen_array(_column_entropies(table.pmn)))
+    per_level = table.memo("per_level_coherences", lambda: _column_entropies(table.pmn))
+    per_level.setflags(write=False)  # no copy: one would outlive the table in the hole of its terms
+    return per_level
 
 
 def effective_dimension(pmn: np.ndarray, level: int) -> tuple[float, float]:

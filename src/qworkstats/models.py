@@ -38,11 +38,11 @@ def lz_hamiltonian(omega: float) -> HermitianOperator:
 def fibonacci_pair(n: int) -> tuple[int, int]:
     """(F_{n-1}, F_n) for the sequence F_1 = F_2 = 1.
 
-    Python integers are unbounded, so no overflow guard is needed; only
-    n >= 3 is required so that F_{n-1}/F_n lies strictly inside (0, 1).
+    n >= 3 puts F_{n-1}/F_n strictly inside (0, 1). n <= 23 keeps the ring's
+    N^2 level pairs countable by int32 cluster ids: F_23^2 < 2^31 < F_24^2.
     """
-    if n < 3:
-        raise ValidationError(f"Fibonacci index must be >= 3, got {n}")
+    if not 3 <= n <= 23:  # before the loop, where a huge n would spend minutes
+        raise ValidationError(f"Fibonacci index must lie in [3, 23], got {n}")
     prev, cur = 1, 1
     for _ in range(n - 2):
         prev, cur = cur, prev + cur

@@ -129,6 +129,8 @@ class PairTable:
         self._own(pmn, ef, ei)
 
     def _own(self, pmn: np.ndarray, ef: np.ndarray, ei: np.ndarray) -> None:
+        if pmn.size >= 2**31:
+            raise ValidationError(f"{pmn.shape[0]} levels have more pairs than int32 cluster ids")
         for arr in (pmn, ef, ei):
             arr.setflags(write=False)
         self.pmn, self.final_energies, self.initial_energies = pmn, ef, ei
@@ -283,17 +285,16 @@ class WorkDistribution:
         object.__setattr__(self, "diagnostics", diagnostics)
         if not (support.shape == probs.shape == multiplicity.shape) or support.ndim != 1:
             raise DimensionMismatchError("support, probs, multiplicity must be equal-length vectors")
-        gaps = support[1:] - support[:-1]
-        if not (np.isfinite(support).all() and (gaps > 0).all()):
+        min_gap = float((support[1:] - support[:-1]).min()) if support.size > 1 else math.inf
+        if not (np.isfinite(support).all() and min_gap > 0):  # a NaN fails
             raise ValidationError("support must be finite and strictly increasing")
-        if gaps.size and float(gaps.min()) < diagnostics.cluster_tol:
+        if min_gap < diagnostics.cluster_tol:
             raise ValidationError(
-                f"support gap {float(gaps.min()):g} below clustering width "
-                f"{diagnostics.cluster_tol:g}"
+                f"support gap {min_gap:g} below clustering width {diagnostics.cluster_tol:g}"
             )
         if not (abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL and probs.min() >= 0.0):
             raise ValidationError(f"probs must be >= 0 and sum to 1, not {float(probs.sum())!r}")
-        if (multiplicity < 1).any():
+        if multiplicity.min() < 1:
             raise ValidationError("multiplicities must be >= 1")
         total_pairs = int(multiplicity.sum()) + diagnostics.dropped_pairs
         if math.isqrt(total_pairs) ** 2 != total_pairs:
@@ -371,44 +372,42 @@ def uncollected_distribution(setup: QuenchSetup) -> UncollectedDistribution:
 def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[np.ndarray, ...]:
     """([m, n] cluster of each pair in ``columns``; pairs per cluster).
 
-    A state over more than half of the columns builds the whole table's ids,
-    scattered through one argsort, and stores them; a later state reads them.
-    A narrow state on a table without them finds its pairs' sorted positions
-    among the cluster starts, and stores nothing. Equal values share a
-    cluster, so both routes agree. No Bohr or sorted values outlive the call.
+    A state over more than half of the columns builds the whole table's int32
+    ids, scattered through one argsort, and stores them; a later state reads
+    them. A narrow state on a table without them finds its pairs' sorted
+    positions among the cluster starts, and stores nothing. Equal values share
+    a cluster, so both routes agree. No Bohr or sorted values outlive the call.
     """
     key, shape = ("cluster_ids", cluster_tol), table.pmn.shape
     stored = table._memo.get(key)
-    if stored is None and 2 * (columns.stop - columns.start) > shape[1]:
-        v = table.bohr().ravel()
+    if stored is not None:
+        return stored[0][:, columns], stored[1]
+    wide = 2 * (columns.stop - columns.start) > shape[1]
+    v = table.bohr().ravel()
+    if wide:
         order = np.argsort(v)
         v = v[order]
-        sorted_ids = np.empty(v.size, dtype=np.intp)
-        sorted_ids[0] = 0
-        gaps = np.subtract(v[1:], v[:-1], out=sorted_ids[1:].view(float))  # no N^2 temporary
-        np.cumsum(gaps >= cluster_tol, out=sorted_ids[1:])
-        members = np.bincount(sorted_ids)
-        del v, gaps  # the sorted values, freed before the scatter allocates
-        ids = np.empty_like(sorted_ids)
-        ids[order] = sorted_ids
-        del order, sorted_ids  # N^2 each
-        stored = table.memo(key, lambda: (ids.reshape(shape), members))
-    if stored is None:
-        v = table.bohr().ravel()
+    else:
         v.sort()
-        new = np.ones(v.size, dtype=bool)  # True where a cluster starts
-        for start in range(0, v.size - 1, BLOCK_PAIRS):  # by blocks: no N^2 gaps
-            block = slice(start, start + BLOCK_PAIRS)
-            np.greater_equal(v[1:][block] - v[:-1][block], cluster_tol, out=new[1:][block])
         at = np.searchsorted(v, table.bohr(columns))
-        del v  # N^2: freed before the starts allocate
-        starts = np.flatnonzero(new)
-        counts = np.empty_like(starts)  # written in place, with no copy of the starts
-        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-        counts[-1] = new.size - starts[-1]
+    new = np.ones(v.size, dtype=bool)  # True where a cluster starts
+    for start in range(0, v.size - 1, BLOCK_PAIRS):  # by blocks: no N^2 gaps
+        block = slice(start, start + BLOCK_PAIRS)
+        np.greater_equal(v[1:][block] - v[:-1][block], cluster_tol, out=new[1:][block])
+    del v  # N^2: freed before the starts allocate
+    starts = np.flatnonzero(new)
+    counts = np.empty_like(starts)  # written in place, with no copy of the starts
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = new.size - starts[-1]
+    if not wide:
         return np.searchsorted(starts, at, "right") - 1, counts
-    ids, members = stored
-    return ids[:, columns], members
+    del starts  # up to N^2 of them: freed before the scatter allocates
+    new[0] = False  # so that the ids count from 0
+    ids = np.empty(new.size, dtype=np.int32)
+    ids[order] = np.cumsum(new, dtype=np.int32)
+    del order, new
+    stored = table.memo(key, lambda: (ids.reshape(shape), counts))
+    return stored[0][:, columns], stored[1]
 
 
 def _cluster_width(table: PairTable, cluster_tol: float | None) -> float:
@@ -455,7 +454,10 @@ def collect_work_distribution(
     support = weighted_sum[keep]
     del weighted_sum
     support /= kept_probs
-    dropped_mass = float(cluster_prob[~keep].sum())
+    multiplicity = members[keep]
+    dropped = np.invert(keep, out=keep)  # the same mask, now over the dropped clusters
+    dropped_mass = float(cluster_prob[dropped].sum())
+    dropped_pairs = int(members.sum(where=dropped))
     if dropped_mass != 0.0:
         # With ~N^2 clusters the sub-threshold mass can accumulate to more
         # than the normalization tolerance (up to N^2 times the floor), so
@@ -463,7 +465,7 @@ def collect_work_distribution(
         # is below 1e-8 relative in every reachable case and is auditable
         # through dropped_mass.
         kept_probs *= float(cluster_prob.sum()) / float(kept_probs.sum())
-    del cluster_prob  # up to N^2 values: freed before the distribution is built
+    del cluster_prob, keep, dropped  # freed here: a mask freed later cost 3 MB of thermal peak RSS
 
     # freed at once: the distribution checks gaps of its own
     min_gap = float((support[1:] - support[:-1]).min()) if support.size > 1 else math.inf
@@ -477,11 +479,11 @@ def collect_work_distribution(
         cluster_tol=cluster_tol,
         min_gap=min_gap,
         warnings=tuple(warnings),
-        dropped_pairs=int(members[~keep].sum()),
+        dropped_pairs=dropped_pairs,
         dropped_mass=dropped_mass,
     )
     # built here, so kept without a copy
-    return object.__new__(WorkDistribution)._own(support, kept_probs, members[keep], diagnostics)
+    return object.__new__(WorkDistribution)._own(support, kept_probs, multiplicity, diagnostics)
 
 
 def max_degeneracy(work: WorkDistribution) -> int:
@@ -544,9 +546,9 @@ def check_first_moment(work: WorkDistribution, uncollected: UncollectedDistribut
     stays meaningful when the mean is exactly zero. Returns the trace
     mean, so a caller that reports it need not evaluate it twice.
     """
-    from_dist = float((work.support * work.probs).sum())
+    from_dist = float(work.support @ work.probs)
     from_trace = uncollected.table.mean_work(uncollected.pn)
-    scale = max(abs(from_trace), float((np.abs(work.support) * work.probs).sum()), 1e-300)
+    scale = max(abs(from_trace), float(np.abs(work.support) @ work.probs), 1e-300)
     if not abs(from_dist - from_trace) <= RELATIVE_MEAN_TOL * scale:
         raise ValidationError(
             f"distribution mean {from_dist!r} and trace formula {from_trace!r} "

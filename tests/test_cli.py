@@ -463,6 +463,19 @@ def test_default_pool_divides_cores_by_blas_threads(monkeypatch, cores, blas, wo
     assert RunConfig(subcommand="aah-sweep", threads=3).workers == 3
 
 
+def test_a_fibonacci_index_past_the_cap_exits_2_with_a_manifest(tmp_path):
+    # refused before the Fibonacci loop runs, so the run ends at once
+    env = {**os.environ,
+           "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")}
+    argv = ["aah-sweep", "--out", str(tmp_path), "--fib-index", "1000000", "--threads", "1"]
+    done = subprocess.run([sys.executable, "-m", "qworkstats.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error["type"] == "validation" and "Fibonacci index" in error["message"]
+
+
 BLAS_THREADS_CHILD = r"""
 import json
 import sys

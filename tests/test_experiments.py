@@ -414,12 +414,14 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
     # and 5.1) while each quench built the flat Hamiltonian, the operator
     # copied the model's array and a ground row's collection made a cluster id
     # per pair, and 5.6 and 2.7 (6.6 and 3.7) while each state built its joint
-    # table and H_u copied its nonzero entries. Now they read 5.2 and 2.7 (6.2
-    # and 3.7): the thermal peak is the wide state's cluster-id build, and the
-    # ground peak the narrow state's per-cluster arrays in collection. Its
-    # cluster-id build peaked there too, at 2.7 (3.7), while the member counts
-    # came from the starts and an appended copy, and reads 2.2 (3.2) with the
-    # counts written beside the starts. The flat chain keeps one
+    # table and H_u copied its nonzero entries, and 5.2 and 2.7 (6.2 and 3.7)
+    # while the wide route stored int64 ids and the work entropy copied the
+    # collected probabilities and took their whole log. Now they read 4.2 and
+    # 2.6 (5.2 and 3.6). The thermal peak is the wide state's argsort: the Bohr
+    # values, their order and the sorted copy; its work entropy, one array of
+    # quotients and a block of logs, reads 4.1 (5.1). The ground peak is the
+    # narrow state's per-cluster arrays in collection, the dropped_mass gather
+    # among them; its cluster-id build reads 2.2 (3.2). The flat chain keeps one
     # N^2 array between rows, its eigenvectors, and no Hamiltonian. A block is
     # cut to 0.05 N^2 (by default 0.46 N^2 here and 0.07 N^2 at N = 987), so
     # that a block sized for small tables cannot set a peak.
@@ -433,10 +435,10 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
     betas = cli.RunConfig("thermal-sweep").state_betas
     thermal = tuple(StateSpec.thermal(beta) for beta in betas)
     budgets = (
-        (ZERO_TO_DELTA, thermal, {"moments": False}, 5.3),
-        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 2.8),
-        (DELTA_TO_ZERO, thermal, {"moments": False}, 6.3),
-        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 3.8),
+        (ZERO_TO_DELTA, thermal, {"moments": False}, 4.3),
+        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 2.7),
+        (DELTA_TO_ZERO, thermal, {"moments": False}, 5.3),
+        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 3.7),
     )
     for direction, states, options, budget in budgets:
         tracemalloc.start()

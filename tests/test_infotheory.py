@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from qworkstats import (
     uncollected_distribution,
     uncollected_entropy,
 )
-from qworkstats import infotheory
+from qworkstats import experiments, infotheory, tpm
+from qworkstats.experiments import ZERO_TO_DELTA, StateSpec
 from qworkstats.infotheory import BoundsReport, _column_entropies, check_bounds
 from qworkstats.tpm import PairTable
 
@@ -441,3 +443,71 @@ def test_temperature_independence_of_c_max():
         if reference is None:
             reference = report.c_max
         assert report.c_max == reference
+
+
+def _mask_entropy(p):
+    """``infotheory._entropy`` while it copied the positive entries and took one whole log."""
+    live = p[p > 0.0]
+    live /= p.sum()
+    live *= np.log(live)
+    return 0.0 - float(live.sum())
+
+
+def _where_log_entropy(uncollected):
+    """``uncollected_entropy`` while each block took a fresh zero array and a where= log."""
+    totals, weighted = [], []
+    for _, q in uncollected.blocks():
+        totals.append(float(q.sum()))
+        q *= np.log(q, out=np.zeros(q.shape), where=q > 0.0)
+        weighted.append(float(q.sum()))
+    total = math.fsum(totals)
+    return max(0.0, math.log(total) - math.fsum(weighted) / total)
+
+
+@pytest.mark.parametrize("block_pairs", [tpm.BLOCK_PAIRS, 1000, 7])
+def test_block_terms_are_the_bits_of_the_mask_formula(monkeypatch, block_pairs):
+    # Vectors three blocks long and more: all positive (a collected
+    # distribution's), with exact zeros, and with subnormal entries.
+    monkeypatch.setattr(tpm, "BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(29)
+    positive = rng.random(3 * tpm.BLOCK_PAIRS + 11 if block_pairs > 7 else 50)
+    positive /= positive.sum()
+    zeros = np.where(rng.random(positive.size) < 0.3, 0.0, positive)
+    subnormal = np.where(rng.random(positive.size) < 0.2, 5e-324 * rng.integers(1, 99), positive)
+    subnormal[-1] = 0.0
+    for p in (positive, zeros, subnormal, np.array([1.0]), np.array([0.0, 1.0, 0.0])):
+        p.setflags(write=False)  # as the collected probabilities are
+        assert infotheory._entropy(p) == _mask_entropy(p)
+    assert (subnormal > 0.0).sum() > (subnormal >= np.finfo(float).tiny).sum()
+
+
+@pytest.mark.parametrize("block_pairs", [tpm.BLOCK_PAIRS, 377**2 // 20, 1])
+def test_uncollected_entropy_is_the_bits_of_the_where_log(monkeypatch, block_pairs):
+    # At N = 377 the default block is 0.46 N^2, then 0.05 N^2 and one row. The
+    # second state's live columns hold levels of zero population: exact zeros.
+    monkeypatch.setattr(tpm, "BLOCK_PAIRS", block_pairs)
+    table = experiments._aah_quench(AahParams(fib_index=14, delta=2.5), ZERO_TO_DELTA)
+    gapped = np.zeros(table.dim)
+    gapped[[3, 100, 300]] = 0.25, 0.5, 0.25
+    for pn in (StateSpec.thermal(1.0).build(table.initial), gapped):
+        uncollected = UncollectedDistribution(pn, table)
+        assert (uncollected.joint() == 0.0).any() == (pn is gapped)
+        assert uncollected_entropy(uncollected) == _where_log_entropy(uncollected)
+
+
+def test_entropy_of_work_holds_one_array_as_long_as_its_probabilities():
+    # A thermal distribution at N = 377 and two hoppings and a half collects
+    # about 0.5 N^2 values. Its entropy holds their quotients and one block of
+    # logs, and the array headers (under 1 KiB); the mask copy is gone.
+    table = experiments._aah_quench(AahParams(fib_index=14, delta=2.5), ZERO_TO_DELTA)
+    work = collect_work_distribution(
+        UncollectedDistribution(StateSpec.thermal(1.0).build(table.initial), table)
+    )
+    assert work.probs.size > tpm.BLOCK_PAIRS
+    tracemalloc.start()
+    try:
+        entropy_of_work(work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= work.probs.nbytes + tpm.BLOCK_PAIRS * 8 + 1024, peak

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -665,8 +666,16 @@ def test_work_distribution_rejects_non_finite_and_negative_values():
             WorkDistribution(np.array(support), np.array(probs), np.array([1, 3]), diagnostics)
     with pytest.raises(ValidationError, match="support must be finite"):
         WorkDistribution(np.array([math.nan]), np.array([1.0]), np.array([4]), diagnostics)
+    with pytest.raises(ValidationError, match="support must be finite"):  # inside the support
+        WorkDistribution(np.array([0.0, math.nan, 1.0]), np.full(3, 1 / 3), np.array([1, 2, 1]),
+                         diagnostics)
+    with pytest.raises(ValidationError, match="multiplicities must be >= 1"):
+        WorkDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]), np.array([4, 0]), diagnostics)
     with pytest.raises(ValidationError, match="sum to 1, not 0.0"):  # no point at all
         WorkDistribution(np.array([]), np.array([]), np.array([], dtype=int), diagnostics)
+    everything_dropped = dataclasses.replace(diagnostics, dropped_pairs=4, dropped_mass=1.0)
+    with pytest.raises(ValidationError, match="sum to 1, not 0.0"):  # an empty support
+        WorkDistribution(np.array([]), np.array([]), np.array([], dtype=int), everything_dropped)
 
 
 def test_joint_is_a_new_clipped_array_of_the_live_columns():
@@ -711,6 +720,53 @@ def test_collection_and_the_uncollected_entropy_allocate_no_n_squared_array(monk
             finally:
                 tracemalloc.stop()
             assert peak < 0.1 * n * n * 8, (read.__name__, peak / (n * n * 8))
+
+
+def _int64_cluster_ids(table, cluster_tol):
+    """The whole table's int64 ids and ``np.bincount`` members: the wide route of
+    ``tpm._cluster_ids`` while it wrote its gaps through a float view of its id buffer."""
+    v = table.bohr().ravel()
+    order = np.argsort(v)
+    v = v[order]
+    sorted_ids = np.empty(v.size, dtype=np.intp)
+    sorted_ids[0] = 0
+    gaps = np.subtract(v[1:], v[:-1], out=sorted_ids[1:].view(float))
+    np.cumsum(gaps >= cluster_tol, out=sorted_ids[1:])
+    members = np.bincount(sorted_ids)
+    ids = np.empty_like(sorted_ids)
+    ids[order] = sorted_ids
+    return ids.reshape(table.pmn.shape), members
+
+
+@pytest.mark.parametrize("quench", ["zero-to-delta", "delta-to-zero", "integer levels"])
+def test_int32_cluster_ids_are_the_old_int64_ids(quench):
+    # Narrow states on a fresh table, then the wide state that stores the
+    # whole table's ids, then a narrow state that reads them. Integer levels
+    # put many pairs in each value.
+    if quench == "integer levels":
+        levels = np.repeat(np.arange(20.0), 3)
+        table = PairTable(np.eye(levels.size), levels, levels)
+    else:
+        table = experiments._aah_quench(AahParams(fib_index=12, delta=2.5), quench)
+    n, width = table.dim, table.default_cluster_tol
+    old_ids, old_members = _int64_cluster_ids(table, width)
+    stored = False
+    for columns in (slice(0, 1), slice(3, n // 2), slice(0, n), slice(n - 5, n)):
+        stored |= 2 * (columns.stop - columns.start) > n
+        ids, members = tpm._cluster_ids(table, width, columns)
+        assert np.array_equal(ids, old_ids[:, columns]) and np.array_equal(members, old_members)
+        assert ids.dtype == (np.int32 if stored else np.intp)
+        assert (("cluster_ids", width) in table._memo) == stored
+    assert old_members.size < n * n  # ties, or the ids would be a permutation
+    assert old_members.max() > (2 if quench == "integer levels" else 1)
+
+
+def test_a_table_with_more_pairs_than_int32_ids_is_refused():
+    # a broadcast zero stands in for the transitions: nothing N^2 is allocated
+    n = 46341  # the smallest N with N^2 >= 2^31
+    levels = np.arange(float(n))
+    with pytest.raises(ValidationError, match="int32"):
+        object.__new__(PairTable)._own(np.broadcast_to(0.0, (n, n)), levels, levels)
 
 
 def _one_bincount_collection(uncollected):

@@ -387,11 +387,10 @@ def scaling_derivative(
         raise ValidationError(f"deriv_step must be positive, got {deriv_step!r}")
     _check_direction(direction)
 
+    sizes = [fibonacci_pair(fib_index)[1] for fib_index in indices]  # refused before any ring
     rng = np.random.default_rng(seed)
-    sizes = []
     slopes = []
     for fib_index in indices:
-        sizes.append(fibonacci_pair(fib_index)[1])
         etas = rng.uniform(0.0, 2.0 * math.pi, size=eta_samples)
 
         def slope_for(eta: float) -> float:

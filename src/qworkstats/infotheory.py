@@ -40,7 +40,8 @@ GROUND_PROJECTOR_TOL = 1e-12
 
 def _entropy(p: np.ndarray) -> float:
     """-sum q ln q of q = p / sum(p) for a nonnegative ``p``, with 0 ln 0 = 0."""
-    q = p / p.sum() if p.min() > 0.0 else p[p > 0.0] / p.sum()  # the one array as long as p
+    q = p[p > 0.0]  # the one array as long as p; its mask is a byte per entry
+    q /= p.sum()
     for start in range(0, q.size, tpm.BLOCK_PAIRS):
         block = q[start : start + tpm.BLOCK_PAIRS]
         block *= np.log(block)  # in place, so no log temporary is longer than a block
@@ -81,10 +82,7 @@ def uncollected_entropy(uncollected: UncollectedDistribution) -> float:
     totals, weighted = [], []
     for _, q in uncollected.blocks():
         totals.append(float(q.sum()))
-        with np.errstate(divide="ignore"):
-            terms = np.log(q)
-        terms[q == 0.0] = 0.0  # 0 ln 0 = 0
-        q *= terms
+        q *= np.log(q, out=np.zeros(q.shape), where=q > 0.0)
         weighted.append(float(q.sum()))
     total = math.fsum(totals)
     return max(0.0, math.log(total) - math.fsum(weighted) / total)  # +0.0, never -0.0

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .spectral import HermitianOperator
+from .tpm import MAX_PAIRS
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -38,14 +39,16 @@ def lz_hamiltonian(omega: float) -> HermitianOperator:
 def fibonacci_pair(n: int) -> tuple[int, int]:
     """(F_{n-1}, F_n) for the sequence F_1 = F_2 = 1.
 
-    n >= 3 puts F_{n-1}/F_n strictly inside (0, 1). n <= 23 keeps the ring's
-    N^2 level pairs countable by int32 cluster ids: F_23^2 < 2^31 < F_24^2.
+    n >= 3 puts F_{n-1}/F_n strictly inside (0, 1). A ring of F_n levels must
+    fit a pair table, so a huge n is refused within the loop's first steps.
     """
-    if not 3 <= n <= 23:  # before the loop, where a huge n would spend minutes
-        raise ValidationError(f"Fibonacci index must lie in [3, 23], got {n}")
+    if n < 3:
+        raise ValidationError(f"Fibonacci index must be >= 3, got {n}")
     prev, cur = 1, 1
     for _ in range(n - 2):
         prev, cur = cur, prev + cur
+        if cur * cur > MAX_PAIRS:
+            raise ValidationError(f"Fibonacci index {n} gives more than {MAX_PAIRS} level pairs")
     return prev, cur
 
 

@@ -44,6 +44,8 @@ DROP_THRESHOLD = 1e-15
 PROXIMITY_WARNING_FACTOR = 10.0
 # Pairs per block in which a state's joint table is read, and the narrow route's gaps taken.
 BLOCK_PAIRS = 1 << 16
+CLUSTER_ID = np.int32  # the dtype of a table's stored pair ids, which bounds its pairs
+MAX_PAIRS = int(np.iinfo(CLUSTER_ID).max)
 
 # Relative tolerance for distribution-mean vs trace-formula agreement;
 # scaled by the mean absolute work so it stays meaningful at <W> = 0.
@@ -129,8 +131,8 @@ class PairTable:
         self._own(pmn, ef, ei)
 
     def _own(self, pmn: np.ndarray, ef: np.ndarray, ei: np.ndarray) -> None:
-        if pmn.size >= 2**31:
-            raise ValidationError(f"{pmn.shape[0]} levels have more pairs than int32 cluster ids")
+        if pmn.size > MAX_PAIRS:
+            raise ValidationError(f"{pmn.shape[0]} levels have more than {MAX_PAIRS} pairs")
         for arr in (pmn, ef, ei):
             arr.setflags(write=False)
         self.pmn, self.final_energies, self.initial_energies = pmn, ef, ei
@@ -403,8 +405,8 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
         return np.searchsorted(starts, at, "right") - 1, counts
     del starts  # up to N^2 of them: freed before the scatter allocates
     new[0] = False  # so that the ids count from 0
-    ids = np.empty(new.size, dtype=np.int32)
-    ids[order] = np.cumsum(new, dtype=np.int32)
+    ids = np.empty(new.size, dtype=CLUSTER_ID)
+    ids[order] = np.cumsum(new, dtype=CLUSTER_ID)
     del order, new
     stored = table.memo(key, lambda: (ids.reshape(shape), counts))
     return stored[0][:, columns], stored[1]

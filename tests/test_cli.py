@@ -464,7 +464,7 @@ def test_default_pool_divides_cores_by_blas_threads(monkeypatch, cores, blas, wo
 
 
 def test_a_fibonacci_index_past_the_cap_exits_2_with_a_manifest(tmp_path):
-    # refused before the Fibonacci loop runs, so the run ends at once
+    # refused within the Fibonacci loop's first steps, so the run ends at once
     env = {**os.environ,
            "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")}
     argv = ["aah-sweep", "--out", str(tmp_path), "--fib-index", "1000000", "--threads", "1"]
@@ -474,6 +474,18 @@ def test_a_fibonacci_index_past_the_cap_exits_2_with_a_manifest(tmp_path):
     assert "Traceback" not in done.stderr
     error = json.loads((tmp_path / "manifest.json").read_text())["error"]
     assert error["type"] == "validation" and "Fibonacci index" in error["message"]
+
+
+def test_aah_scaling_past_the_cap_exits_2_before_it_builds_a_ring(monkeypatch, tmp_path):
+    # every index is checked before the first ring, not only when the ascending
+    # loop reaches it: a ring built here would be a chain of 55 to 28,657 levels
+    def no_ring(fib_index):
+        raise AssertionError(f"ring {fib_index} built before the refusal")
+
+    monkeypatch.setattr(experiments, "_flat_chain", no_ring)
+    assert main(["aah-scaling", "--out", str(tmp_path), "--fib-max", "24", "--threads", "1"]) == 2
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error["type"] == "validation" and "Fibonacci index 24" in error["message"]
 
 
 BLAS_THREADS_CHILD = r"""

@@ -453,17 +453,6 @@ def _mask_entropy(p):
     return 0.0 - float(live.sum())
 
 
-def _where_log_entropy(uncollected):
-    """``uncollected_entropy`` while each block took a fresh zero array and a where= log."""
-    totals, weighted = [], []
-    for _, q in uncollected.blocks():
-        totals.append(float(q.sum()))
-        q *= np.log(q, out=np.zeros(q.shape), where=q > 0.0)
-        weighted.append(float(q.sum()))
-    total = math.fsum(totals)
-    return max(0.0, math.log(total) - math.fsum(weighted) / total)
-
-
 @pytest.mark.parametrize("block_pairs", [tpm.BLOCK_PAIRS, 1000, 7])
 def test_block_terms_are_the_bits_of_the_mask_formula(monkeypatch, block_pairs):
     # Vectors three blocks long and more: all positive (a collected
@@ -481,24 +470,10 @@ def test_block_terms_are_the_bits_of_the_mask_formula(monkeypatch, block_pairs):
     assert (subnormal > 0.0).sum() > (subnormal >= np.finfo(float).tiny).sum()
 
 
-@pytest.mark.parametrize("block_pairs", [tpm.BLOCK_PAIRS, 377**2 // 20, 1])
-def test_uncollected_entropy_is_the_bits_of_the_where_log(monkeypatch, block_pairs):
-    # At N = 377 the default block is 0.46 N^2, then 0.05 N^2 and one row. The
-    # second state's live columns hold levels of zero population: exact zeros.
-    monkeypatch.setattr(tpm, "BLOCK_PAIRS", block_pairs)
-    table = experiments._aah_quench(AahParams(fib_index=14, delta=2.5), ZERO_TO_DELTA)
-    gapped = np.zeros(table.dim)
-    gapped[[3, 100, 300]] = 0.25, 0.5, 0.25
-    for pn in (StateSpec.thermal(1.0).build(table.initial), gapped):
-        uncollected = UncollectedDistribution(pn, table)
-        assert (uncollected.joint() == 0.0).any() == (pn is gapped)
-        assert uncollected_entropy(uncollected) == _where_log_entropy(uncollected)
-
-
 def test_entropy_of_work_holds_one_array_as_long_as_its_probabilities():
     # A thermal distribution at N = 377 and two hoppings and a half collects
-    # about 0.5 N^2 values. Its entropy holds their quotients and one block of
-    # logs, and the array headers (under 1 KiB); the mask copy is gone.
+    # about 0.5 N^2 values. Its entropy holds their quotients and either their
+    # mask (a byte each) or one block of logs, and the array headers (under 1 KiB).
     table = experiments._aah_quench(AahParams(fib_index=14, delta=2.5), ZERO_TO_DELTA)
     work = collect_work_distribution(
         UncollectedDistribution(StateSpec.thermal(1.0).build(table.initial), table)

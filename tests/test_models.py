@@ -12,6 +12,7 @@ from qworkstats import (
     diagonalize,
     fibonacci_pair,
     lz_hamiltonian,
+    tpm,
 )
 from qworkstats.models import BAND_EDGE_COEFFICIENT, GOLDEN_RATIO_CONJUGATE, _onsite_energies
 
@@ -61,18 +62,18 @@ def test_fibonacci_pair_values():
         fibonacci_pair(2)
 
 
-def test_the_fibonacci_index_is_refused_past_23_before_the_loop():
-    # F_23 = 28,657 is the largest ring whose N^2 level pairs fit int32 ids;
-    # a huge index is refused at once, not after a loop over big integers.
+def test_a_fibonacci_index_past_23_is_refused_at_once():
+    # F_23 = 28,657 is the largest ring whose N^2 level pairs a pair table
+    # holds; a huge index is refused at once, not after a loop over big integers.
     started = time.perf_counter()
     with pytest.raises(ValidationError, match="Fibonacci index"):
         AahParams(10**6, 1.0)
     assert time.perf_counter() - started < 1.0
-    with pytest.raises(ValidationError, match="Fibonacci index"):
+    with pytest.raises(ValidationError, match="Fibonacci index 24"):
         fibonacci_pair(24)
     params = AahParams(23, 1.0)  # the parameters only: no N = 28,657 matrix is built
     prev, cur = fibonacci_pair(23)
-    assert params.size == cur == 28657 and cur**2 < 2**31 < (prev + cur) ** 2
+    assert params.size == cur == 28657 and cur**2 <= tpm.MAX_PAIRS < (prev + cur) ** 2
 
 
 def test_fibonacci_ratio_alternating_convergence():

@@ -765,7 +765,7 @@ def test_a_table_with_more_pairs_than_int32_ids_is_refused():
     # a broadcast zero stands in for the transitions: nothing N^2 is allocated
     n = 46341  # the smallest N with N^2 >= 2^31
     levels = np.arange(float(n))
-    with pytest.raises(ValidationError, match="int32"):
+    with pytest.raises(ValidationError, match=f"more than {tpm.MAX_PAIRS} pairs"):
         object.__new__(PairTable)._own(np.broadcast_to(0.0, (n, n)), levels, levels)
 
 

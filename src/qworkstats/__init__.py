@@ -28,7 +28,6 @@ from .spectral import (
 )
 from .models import AahParams, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
 from .tpm import (
-    MomentSummary,
     QuenchSetup,
     UncollectedDistribution,
     WorkDistribution,
@@ -44,7 +43,6 @@ from .infotheory import (
     bounds_report,
     effective_dimension,
     entropy_of_work,
-    shannon_entropy,
     uncollected_entropy,
 )
 from .experiments import (

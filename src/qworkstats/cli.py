@@ -67,8 +67,7 @@ _TOLERANCES = (
     (spectral, ("HERMITICITY_RTOL", "ORTHONORMALITY_TOL", "TRACE_TOL", "GROUND_DEGENERACY_RTOL")),
     (tpm, ("PROBABILITY_TOL", "STOCHASTICITY_TOL", "NORMALIZATION_TOL", "DEFAULT_CLUSTER_SCALE",
            "DROP_THRESHOLD", "PROXIMITY_WARNING_FACTOR", "RELATIVE_MEAN_TOL")),
-    (infotheory, ("NEGATIVE_PROB_TOL", "NORMALIZATION_ERROR", "BOUND_SLACK",
-                  "GROUND_PROJECTOR_TOL")),
+    (infotheory, ("BOUND_SLACK", "GROUND_PROJECTOR_TOL")),
     (experiments, ("GROUND_MEAN_TOL",)),
 )
 
@@ -175,7 +174,7 @@ def _progress(message: str) -> None:
 
 _ENTROPY_HEADER = list(BoundsReport.CSV_FIELDS)
 _WORK_HEADER = ["W", "P", "multiplicity"]
-_MOMENT_HEADER = [f"m{k}" for k in range(1, experiments.MOMENT_ORDERS + 1)]
+_MOMENT_HEADER = [f"m{k}" for k in range(1, tpm.MOMENT_ORDERS + 1)]
 
 
 def _run_lz_sweep(config: RunConfig, out: _Outputs):
@@ -196,8 +195,10 @@ def _run_lz_sweep(config: RunConfig, out: _Outputs):
 def _run_aah_hist(config: RunConfig, out: _Outputs):
     entropies: dict = {}
     grid = config.grid(np.array([1.5, 2.0, 2.5, 3.0]))
+    if len(set(grid.tolist())) < grid.size:  # a repeated value would write its file twice
+        raise ConfigError(f"aah-hist grid values must be distinct, got {grid.tolist()}")
     labels = [f"{delta:g}" for delta in grid]
-    if len(set(labels)) < len(set(grid.tolist())):  # %g would merge distinct values
+    if len(set(labels)) < grid.size:  # %g would merge distinct values
         labels = [repr(float(delta)) for delta in grid]
 
     def histogram(delta: float):

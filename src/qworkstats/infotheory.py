@@ -29,11 +29,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tpm
-from .errors import BoundViolationError, DimensionMismatchError, ValidationError
+from .errors import BoundViolationError, DimensionMismatchError
 from .tpm import PairTable, QuenchSetup, UncollectedDistribution, WorkDistribution, max_degeneracy
 
-NEGATIVE_PROB_TOL = 1e-12
-NORMALIZATION_ERROR = 1e-6
 BOUND_SLACK = 1e-10
 GROUND_PROJECTOR_TOL = 1e-12
 
@@ -46,25 +44,6 @@ def _entropy(p: np.ndarray) -> float:
         block = q[start : start + tpm.BLOCK_PAIRS]
         block *= np.log(block)  # in place, so no log temporary is longer than a block
     return 0.0 - float(q.sum())  # once, in one order: +0.0, not -0.0, when no term is nonzero
-
-
-def shannon_entropy(probabilities: np.ndarray) -> float:
-    """-sum p ln p with 0 ln 0 = 0, after clipping tiny negatives.
-
-    Inputs whose total deviates from 1 by more than 1e-6 are rejected;
-    smaller deviations are renormalized away.
-    """
-    p = np.asarray(probabilities, dtype=float).ravel()
-    if p.size == 0:
-        raise ValidationError("empty probability vector")
-    smallest = float(p.min())
-    if smallest < -NEGATIVE_PROB_TOL:
-        raise ValidationError(f"probability {smallest:g} below tolerated negative noise")
-    p = np.maximum(p, 0.0)
-    total = float(p.sum())
-    if abs(total - 1.0) > NORMALIZATION_ERROR:
-        raise ValidationError(f"probabilities sum to {total!r}, not 1")
-    return _entropy(p)
 
 
 def entropy_of_work(work: WorkDistribution) -> float:
@@ -108,17 +87,14 @@ def _table_coherences(table: PairTable) -> np.ndarray:
     return per_level
 
 
-def effective_dimension(pmn: np.ndarray, level: int) -> tuple[float, float]:
-    """Participation of one initial level over final levels.
+def effective_dimension(pmn: np.ndarray) -> tuple[float, float]:
+    """Participation of the ground level over final levels.
 
-    Returns (I, -ln I) with I = sum_m p_{m|level}^2; the second entry is
-    the collision (Renyi-2) entropy of the column, a lower bound on any
-    Shannon entropy built on it.
+    Returns (I, -ln I) with I = sum_m p_{m|0}^2; the second entry is the
+    collision (Renyi-2) entropy of the column, a lower bound on any Shannon
+    entropy built on it.
     """
-    p = np.asarray(pmn, dtype=float)
-    if not 0 <= level < p.shape[1]:
-        raise ValidationError(f"level index {level} out of range for {p.shape[1]} columns")
-    inverse_participation = float((p[:, level] ** 2).sum())
+    inverse_participation = float((pmn[:, 0] ** 2).sum())
     return inverse_participation, -math.log(inverse_participation)
 
 
@@ -186,15 +162,13 @@ def bounds_report(
     table = uncollected.table
     pmn = table.pmn
     per_level = _table_coherences(table)
-    eff_dim, neg_log_eff_dim = table.memo(
-        "effective_dimension", lambda: effective_dimension(pmn, 0)
-    )
+    eff_dim, neg_log_eff_dim = table.memo("effective_dimension", lambda: effective_dimension(pmn))
 
     s_diag = _entropy(pn)  # the populations were checked at construction
     avg_coherence = float(pn @ per_level)
     c_max = float(per_level.max())
-    rotated_populations = pmn @ pn
-    rec_rho_bar = shannon_entropy(rotated_populations) - s_diag
+    # C(rho_bar): the rotated populations are >= 0 and sum to 1 within the checks of their factors
+    rec_rho_bar = _entropy(pmn @ pn) - s_diag
     _require("coherence_nonnegative", -rec_rho_bar, 0.0)  # C(rho_bar) >= 0
     rec_rho_bar = max(rec_rho_bar, 0.0)  # cancellation noise below 0 is written as 0
 

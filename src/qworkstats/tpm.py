@@ -47,6 +47,9 @@ BLOCK_PAIRS = 1 << 16
 CLUSTER_ID = np.int32  # the dtype of a table's stored pair ids, which bounds its pairs
 MAX_PAIRS = int(np.iinfo(CLUSTER_ID).max)
 
+# The power sums <W^k> that work_moments computes, k = 1..MOMENT_ORDERS.
+MOMENT_ORDERS = 4
+
 # Relative tolerance for distribution-mean vs trace-formula agreement;
 # scaled by the mean absolute work so it stays meaningful at <W> = 0.
 RELATIVE_MEAN_TOL = 1e-8
@@ -125,21 +128,24 @@ class PairTable:
         worst = float(np.abs(pmn.sum(axis=0) - 1.0).max())
         if not worst <= STOCHASTICITY_TOL:
             raise ValidationError(f"transition columns deviate from 1 by {worst:g}")
-        ascending = (ef[1:] >= ef[:-1]).all() and (ei[1:] >= ei[:-1]).all()  # a NaN fails
-        if not (ascending and np.isfinite([ef[-1] - ei[0], ef[0] - ei[-1]]).all()):
-            raise ValidationError("spectra must be ascending, with finite Bohr frequencies")
+        if not ((ef[1:] >= ef[:-1]).all() and (ei[1:] >= ei[:-1]).all()):  # a NaN fails
+            raise ValidationError("spectra must be ascending")
         self._own(pmn, ef, ei)
 
     def _own(self, pmn: np.ndarray, ef: np.ndarray, ei: np.ndarray) -> None:
         if pmn.size > MAX_PAIRS:
             raise ValidationError(f"{pmn.shape[0]} levels have more than {MAX_PAIRS} pairs")
+        # The Bohr frequencies' max - min, exactly: rounding is monotone in each level. In
+        # Python floats, so that an overflow gives inf without a warning.
+        top = float(ef[-1]) - float(ei[0])
+        span = top - (float(ef[0]) - float(ei[-1]))
+        if not math.isfinite(span):
+            raise ValidationError(f"spectra must give finite Bohr frequencies; they span {span!r}")
         for arr in (pmn, ef, ei):
             arr.setflags(write=False)
         self.pmn, self.final_energies, self.initial_energies = pmn, ef, ei
-        # The Bohr frequencies' max - min, exactly: rounding is monotone in each level.
-        span = float((ef[-1] - ei[0]) - (ef[0] - ei[-1]))
         if span <= 0:
-            span = max(1.0, abs(float(ef[-1] - ei[0])))
+            span = max(1.0, abs(top))
         self.default_cluster_tol = DEFAULT_CLUSTER_SCALE * span
         self._memo: dict = {}
 
@@ -230,12 +236,10 @@ class UncollectedDistribution:
         return self.pn.size
 
     def joint(self) -> np.ndarray:
-        """A new array of p_n * p_{m|n} over the live ``columns``, clipped at zero.
-
-        The columns left out carry p_n = 0, so they hold no probability.
+        """A new array of p_n * p_{m|n} over the live ``columns``, clipped at zero: the
+        ``blocks`` in order. The columns left out carry p_n = 0, so they hold no probability.
         """
-        q = self.pn[self.columns] * self.table.pmn[:, self.columns]
-        return np.maximum(q, 0.0, out=q)
+        return np.concatenate([q for _, q in self.blocks()])
 
     def blocks(self):
         """Yield ``(rows, q)``: the rows of the joint, clipped at zero, a block of about
@@ -493,28 +497,13 @@ def max_degeneracy(work: WorkDistribution) -> int:
     return int(work.multiplicity.max())
 
 
-@dataclass(frozen=True, eq=False)
-class MomentSummary:
-    """Power sums <W^k> for k = 1..order, plus the variance."""
-
-    moments: np.ndarray
-    variance: float
-
-    def __getitem__(self, order: int) -> float:
-        if not 1 <= order <= self.moments.size:
-            raise ValidationError(f"moment order {order} not computed")
-        return float(self.moments[order - 1])
-
-
-def work_moments(work: WorkDistribution, max_order: int = 4) -> MomentSummary:
-    """Exact weighted power sums of the collected distribution."""
-    if max_order < 1:
-        raise ValidationError(f"max_order must be >= 1, got {max_order}")
-    powers = work.support[np.newaxis, :] ** np.arange(1, max_order + 1)[:, np.newaxis]
+def work_moments(work: WorkDistribution) -> tuple[np.ndarray, float]:
+    """Exact weighted power sums <W^k> of the collected distribution for k = 1..MOMENT_ORDERS,
+    and its variance."""
+    powers = work.support[np.newaxis, :] ** np.arange(1, MOMENT_ORDERS + 1)[:, np.newaxis]
     moments = powers @ work.probs
     second = float((work.support**2 * work.probs).sum())
-    variance = second - float(moments[0]) ** 2
-    return MomentSummary(moments=moments, variance=variance)
+    return moments, second - float(moments[0]) ** 2
 
 
 def _level_work(table: PairTable, live: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@ oracles that check the library's routes.
 
 The oracles are the density-matrix route of the coherence chain (dense
 Gibbs and projector states, dephasing, the von Neumann entropy and the
-relative entropy of coherence) and the trace-formula mean work. No quench
-runs them: the library computes the chain from populations and column
-entropies, and the mean from its pair table.
+relative entropy of coherence), a checked Shannon entropy and the
+trace-formula mean work. No quench runs them: the library computes the
+chain from populations and column entropies, whose checks it made once
+when it built them, and the mean from its pair table.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from qworkstats import (
 )
 
 PSD_TOL = 1e-10
+NEGATIVE_PROB_TOL = 1e-12
+NORMALIZATION_ERROR = 1e-6
 # Eigenvalues below this are treated as exact zeros inside entropies, so the
 # machine-epsilon negatives produced by diagonalization never reach log().
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
@@ -106,6 +109,26 @@ def dephase(rho: DensityMatrix, basis: SpectralDecomposition) -> DensityMatrix:
     populations = (v.conj() * (rho.entries @ v)).sum(axis=0).real
     out = (v * populations) @ v.conj().T
     return DensityMatrix(entries=0.5 * (out + out.conj().T))
+
+
+def shannon_entropy(probabilities: np.ndarray) -> float:
+    """-sum p ln p with 0 ln 0 = 0, after clipping tiny negatives.
+
+    Inputs whose total deviates from 1 by more than 1e-6 are rejected;
+    smaller deviations are renormalized away.
+    """
+    p = np.asarray(probabilities, dtype=float).ravel()
+    if p.size == 0:
+        raise ValidationError("empty probability vector")
+    smallest = float(p.min())
+    if smallest < -NEGATIVE_PROB_TOL:
+        raise ValidationError(f"probability {smallest:g} below tolerated negative noise")
+    p = np.maximum(p, 0.0)
+    total = float(p.sum())
+    if abs(total - 1.0) > NORMALIZATION_ERROR:
+        raise ValidationError(f"probabilities sum to {total!r}, not 1")
+    q = p[p > 0.0] / total
+    return 0.0 - float((q * np.log(q)).sum())  # +0.0, not -0.0, for a point mass
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

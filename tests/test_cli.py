@@ -444,8 +444,15 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
     assert tolerances["tpm.DROP_THRESHOLD"] == 1e-15
     assert tolerances["infotheory.BOUND_SLACK"] == 1e-10
     assert tolerances["experiments.GROUND_MEAN_TOL"] == 1e-10
-    assert {"tpm.PROBABILITY_TOL", "tpm.STOCHASTICITY_TOL", "tpm.NORMALIZATION_TOL",
-            "spectral.HERMITICITY_RTOL", "spectral.ORTHONORMALITY_TOL"} <= set(tolerances)
+    # every tolerance a run checks against, and none that only the test oracles use
+    assert sorted(tolerances) == [
+        "experiments.GROUND_MEAN_TOL", "infotheory.BOUND_SLACK",
+        "infotheory.GROUND_PROJECTOR_TOL", "spectral.GROUND_DEGENERACY_RTOL",
+        "spectral.HERMITICITY_RTOL", "spectral.ORTHONORMALITY_TOL", "spectral.TRACE_TOL",
+        "tpm.DEFAULT_CLUSTER_SCALE", "tpm.DROP_THRESHOLD", "tpm.NORMALIZATION_TOL",
+        "tpm.PROBABILITY_TOL", "tpm.PROXIMITY_WARNING_FACTOR", "tpm.RELATIVE_MEAN_TOL",
+        "tpm.STOCHASTICITY_TOL",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -756,6 +763,20 @@ def test_aah_hist_takes_the_grid_flags(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "aah_work_histogram", recording)
     assert main(argv) == 0
     assert deltas == [1.5, 2.0, 2.5, 3.0]
+
+
+def test_aah_hist_refuses_repeated_grid_values_before_diagonalizing(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_flat_chain", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "aah_work_histogram", lambda *args: calls.append(args))
+    out = tmp_path / "hist"
+    argv = ["aah-hist", "--out", str(out), "--fib-index", "7", "--threads", "1"]
+    assert main([*argv, "--grid-values", "1.5,2,1.5"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "validation"
+    assert "distinct" in manifest["error"]["message"]
+    assert manifest["outputs"] == [] and os.listdir(out) == ["manifest.json"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("source", ["flag", "ini"])

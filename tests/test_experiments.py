@@ -377,9 +377,9 @@ def test_thermal_sweep_computes_no_moments_and_the_same_reports(monkeypatch, tmp
     calls = []
     real_moments = tpm.work_moments
 
-    def counting_moments(work, max_order):
+    def counting_moments(work):
         calls.append(work.num_points)
-        return real_moments(work, max_order)
+        return real_moments(work)
 
     grid = [1.5, 2.5]
     states = tuple(StateSpec.thermal(beta) for beta in (0.01, 1.0, 100.0, 1e4))

@@ -14,6 +14,7 @@ from conftest import (
     random_hermitian,
     random_setup,
     relative_entropy_of_coherence,
+    shannon_entropy,
     thermal_state,
     von_neumann_entropy,
 )
@@ -35,7 +36,6 @@ from qworkstats import (
     entropy_of_work,
     level_populations,
     lz_hamiltonian,
-    shannon_entropy,
     uncollected_distribution,
     uncollected_entropy,
 )
@@ -250,15 +250,16 @@ def test_per_level_coherences_match_density_matrix_route():
 def test_effective_dimension_trivial_columns():
     deterministic = np.zeros((4, 4))
     deterministic[2, :] = 1.0
-    i, neg_log = effective_dimension(deterministic, 0)
+    i, neg_log = effective_dimension(deterministic)
     assert i == pytest.approx(1.0)
     assert neg_log == pytest.approx(0.0)
     uniform = np.full((5, 5), 0.2)
-    i, neg_log = effective_dimension(uniform, 3)
+    i, neg_log = effective_dimension(uniform)
     assert i == pytest.approx(0.2)
     assert neg_log == pytest.approx(math.log(5.0), rel=1e-12)
-    with pytest.raises(ValidationError):
-        effective_dimension(uniform, 9)
+    # the ground column alone is read
+    uniform[:, 1:] = 0.0
+    assert effective_dimension(uniform) == (i, neg_log)
 
 
 def test_effective_dimension_lower_bounds_uncollected_entropy():
@@ -270,7 +271,7 @@ def test_effective_dimension_lower_bounds_uncollected_entropy():
         di = diagonalize(hi)
         setup = QuenchSetup(hi=hi, hf=hf, rho=eigenstate_projector(di, 0))
         u = uncollected_distribution(setup)
-        i, neg_log = effective_dimension(u.table.pmn, 0)
+        i, neg_log = effective_dimension(u.table.pmn)
         assert uncollected_entropy(u) >= neg_log - 1e-10
 
 
@@ -284,6 +285,14 @@ def test_bounds_report_fields_and_chain():
     assert report.h_u <= 2 * report.s_diag + report.rec_rho_bar + 1e-10
     assert report.h_w <= report.s_diag + report.c_max + 1e-10
     assert report.per_level_coherence.shape == (5,)
+    # C(rho_bar) is the checked entropy of the rotated populations less S(rho_bar), bit for
+    # bit: the library reads them unchecked, as their factors were checked
+    for with_unitary in (True, False) * 10:
+        setup = random_setup(rng, int(rng.integers(2, 9)), with_unitary)
+        report, _, u = report_for(setup)
+        assert report.s_diag == shannon_entropy(u.pn)
+        expected = shannon_entropy(u.table.pmn @ u.pn) - report.s_diag
+        assert expected > 0.0 and report.rec_rho_bar == expected
 
 
 def test_bounds_report_scalar_terms_match_density_matrix_route():
@@ -371,9 +380,9 @@ def test_negative_rec_rho_bar_beyond_the_slack_is_a_bound_violation(monkeypatch)
     setup = QuenchSetup(hi=h, hf=h, rho=np.array([0.7, 0.3]))
     u = uncollected_distribution(setup)
     work = collect_work_distribution(u)
-    entropy = infotheory.shannon_entropy
+    entropy = infotheory._entropy
     # S(rho_bar) 1e-9 below S(diag rho): C(rho_bar) = -1e-9, ten times the slack
-    monkeypatch.setattr(infotheory, "shannon_entropy",
+    monkeypatch.setattr(infotheory, "_entropy",
                         lambda p: entropy(p) - (0.0 if p is u.pn else 1e-9))
     with pytest.raises(BoundViolationError, match="coherence_nonnegative"):
         bounds_report(setup, work, u)

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "EigensolverError",
     "FitResult",
     "HermitianOperator",
-    "MomentSummary",
     "QuenchSetup",
     "ScalingResult",
     "SpectralDecomposition",
@@ -52,7 +51,6 @@ PUBLIC_NAMES = [
     "lz_sweep",
     "max_degeneracy",
     "scaling_derivative",
-    "shannon_entropy",
     "thermal_populations",
     "transition_probabilities",
     "uncollected_distribution",

@@ -65,8 +65,8 @@ LN2 = math.log(2.0)
 # Tolerances the manifest records, by module.
 _TOLERANCES = (
     (spectral, ("HERMITICITY_RTOL", "ORTHONORMALITY_TOL", "TRACE_TOL", "GROUND_DEGENERACY_RTOL")),
-    (tpm, ("PROBABILITY_TOL", "STOCHASTICITY_TOL", "NORMALIZATION_TOL", "DEFAULT_CLUSTER_SCALE",
-           "DROP_THRESHOLD", "PROXIMITY_WARNING_FACTOR", "RELATIVE_MEAN_TOL")),
+    (tpm, ("STOCHASTICITY_TOL", "NORMALIZATION_TOL", "DEFAULT_CLUSTER_SCALE", "DROP_THRESHOLD",
+           "PROXIMITY_WARNING_FACTOR", "RELATIVE_MEAN_TOL")),
     (infotheory, ("BOUND_SLACK", "GROUND_PROJECTOR_TOL")),
     (experiments, ("GROUND_MEAN_TOL",)),
 )
@@ -349,7 +349,7 @@ def _run_single_quench(config: RunConfig, out: _Outputs):
     if config.omega_f is not None:
         hi, hf = lz_hamiltonian(config.omega_i), lz_hamiltonian(config.omega_f)
         initial = diagonalize(hi)
-        table = PairTable.of(hi, hf, initial, diagonalize(hf))
+        table = PairTable(hi, hf, initial, diagonalize(hf))
         uncollected = UncollectedDistribution(config.state_spec().build(initial), table)
         work = collect_work_distribution(uncollected, config.cluster_tol)
     else:

@@ -187,7 +187,7 @@ def _flat_chain(fib_index: int) -> SpectralDecomposition:
 def _evaluate(
     pn: np.ndarray, table: PairTable, cluster_tol: float | None, moments: bool = True
 ) -> SweepRow:
-    """One sweep row of the populations ``pn`` on ``table``, a ``PairTable.of``.
+    """One sweep row of the populations ``pn`` on ``table``.
 
     With ``moments`` false the row skips the work moments and leaves them None.
     """
@@ -238,7 +238,7 @@ def lz_sweep(
     def run_point(omega_f: float) -> SweepRow:
         with _at_point(omega_f=float(omega_f)):
             hf = lz_hamiltonian(omega_f)
-            return _evaluate(rho, PairTable.of(hi, hf, initial, diagonalize(hf)), cluster_tol)
+            return _evaluate(rho, PairTable(hi, hf, initial, diagonalize(hf)), cluster_tol)
 
     reference = run_point(1.0).moments
     rows = []
@@ -268,8 +268,8 @@ def _aah_quench(params: AahParams, direction: str) -> PairTable:
     modulated = diagonalize(aah_hamiltonian(params))
     onsite = _onsite_energies(params)
     if direction == DELTA_TO_ZERO:
-        return PairTable.of(None, None, modulated, flat, diagonal_change=-onsite)
-    return PairTable.of(None, None, flat, modulated, diagonal_change=onsite)
+        return PairTable(None, None, modulated, flat, diagonal_change=-onsite)
+    return PairTable(None, None, flat, modulated, diagonal_change=onsite)
 
 
 def aah_work_histogram(

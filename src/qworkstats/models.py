@@ -21,13 +21,6 @@ from .errors import ValidationError
 from .spectral import HermitianOperator
 from .tpm import MAX_PAIRS
 
-GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Numerically fitted curvature of the chain's spectrum edge: the extreme
-# eigenvalues sit at +-(2 + coefficient * delta^2) hoppings for delta up to
-# about four.
-BAND_EDGE_COEFFICIENT = 0.146939
-
 
 def lz_hamiltonian(omega: float) -> HermitianOperator:
     """2x2 matrix sigma_x + omega*sigma_z; eigenvalues -+sqrt(omega^2+1)."""

@@ -106,11 +106,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def spectral_span(self) -> float:
-        span = float(self.eigenvalues[-1] - self.eigenvalues[0])
-        return span if span > 0 else 1.0
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -170,17 +165,21 @@ def diagonalize(operator: HermitianOperator) -> SpectralDecomposition:
 def thermal_populations(decomposition: SpectralDecomposition, beta: float) -> np.ndarray:
     """Gibbs populations exp(-beta (E_n - E_0))/Z over the given eigenlevels.
 
-    Shifting by the ground energy makes any beta >= 0 overflow-safe.
-    ``beta = math.inf`` puts all weight on the ground level, and raises if
-    that level is degenerate.
+    Shifting by the ground energy makes any beta >= 0 overflow-safe, once
+    the spectrum's spread is refused unless finite. ``beta = math.inf`` puts
+    all weight on the ground level, and raises if that level is degenerate.
     """
     if not (beta >= 0):
         raise ValidationError(f"inverse temperature must be >= 0, got {beta!r}")
     evals = decomposition.eigenvalues
+    # In Python floats, so that an overflow gives inf without a warning.
+    spread = float(evals[-1]) - float(evals[0])
+    if not math.isfinite(spread):
+        raise ValidationError(f"eigenvalues must have a finite spread; they span {spread!r}")
     if math.isinf(beta):
         if decomposition.dim > 1:
             gap = float(evals[1] - evals[0])
-            if gap <= GROUND_DEGENERACY_RTOL * decomposition.spectral_span:
+            if gap <= GROUND_DEGENERACY_RTOL * (spread if spread > 0 else 1.0):
                 raise DegenerateGroundStateError(
                     "ground level is degenerate at beta = inf; select a level "
                     "explicitly with level_populations"

@@ -29,7 +29,6 @@ from .spectral import (
     diagonalize,
 )
 
-PROBABILITY_TOL = 1e-12
 STOCHASTICITY_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
 
@@ -98,39 +97,36 @@ class QuenchSetup:
 
 
 class PairTable:
-    """The state-independent half of a quench: transitions and both spectra.
+    """The state-independent half of the quench from ``hi`` to ``hf`` under ``u``, built from
+    both decompositions: transitions and both spectra.
 
-    ``pmn[m, n]`` are the transition probabilities (each column sums to 1);
-    ``bohr`` builds the Bohr frequencies E_m(final) - E_n(initial) from the
-    ascending ``final_energies`` and ``initial_energies``. One table serves
-    every initial state of its quench, and what derives from the table
-    alone (clusters, per-level coherences, first-moment products) is
-    computed once through ``memo``; racing threads compute equal values.
-    ``mean_work`` needs a table built by ``of``: it keeps the ``initial``
-    decomposition, and the ``diagonal_change`` of a sudden quench that
-    changes only the diagonal, or else ``hi``, ``hf`` and ``u``. A table
-    holds copies of a caller's arrays, and ``of`` the arrays it builds.
+    ``pmn[m, n]`` are the transition probabilities; ``bohr`` builds the Bohr
+    frequencies E_m(final) - E_n(initial) from the ascending ``final_energies``
+    and ``initial_energies``. One table serves every initial state of its
+    quench, and what derives from the table alone (clusters, per-level
+    coherences, first-moment products) is computed once through ``memo``;
+    racing threads compute equal values. ``mean_work`` reads the ``initial``
+    decomposition and either ``hi``, ``hf`` and ``u``, or the
+    ``diagonal_change`` diag(hf) - diag(hi) of a sudden quench that changes
+    only the diagonal, which its caller passes with no hi or hf. A table
+    holds the arrays it builds, uncopied.
     """
 
-    hi = hf = u = initial = diagonal_change = None
-
-    def __init__(self, pmn, final_energies, initial_energies):
-        pmn, ef, ei = (np.array(a, dtype=float) for a in (pmn, final_energies, initial_energies))
-        n = pmn.shape[0] if pmn.ndim == 2 else 0
-        if n < 1 or not (pmn.shape == (n, n) and ef.shape == ei.shape == (n,)):
-            raise DimensionMismatchError(
-                f"table shapes {pmn.shape}, {ef.shape}, {ei.shape} are not n x n, n and n"
-            )
-        if not (pmn.min() >= -PROBABILITY_TOL and pmn.max() <= 1 + PROBABILITY_TOL):
-            raise ValidationError(
-                f"pmn entries outside [0, 1]: pmn in [{pmn.min():g}, {pmn.max():g}]"
-            )
-        worst = float(np.abs(pmn.sum(axis=0) - 1.0).max())
-        if not worst <= STOCHASTICITY_TOL:
-            raise ValidationError(f"transition columns deviate from 1 by {worst:g}")
-        if not ((ef[1:] >= ef[:-1]).all() and (ei[1:] >= ei[:-1]).all()):  # a NaN fails
-            raise ValidationError("spectra must be ascending")
-        self._own(pmn, ef, ei)
+    def __init__(
+        self,
+        hi: HermitianOperator | None,
+        hf: HermitianOperator | None,
+        initial: SpectralDecomposition,
+        final: SpectralDecomposition,
+        u: UnitaryMatrix | None = None,
+        diagonal_change: np.ndarray | None = None,
+    ):
+        # ``transition_probabilities`` has checked that the table is doubly stochastic,
+        # and its entries are squared moduli, so they lie in [0, 1].
+        self._own(transition_probabilities(initial, final, u), final.eigenvalues,
+                  initial.eigenvalues)
+        self.hi, self.hf, self.u, self.initial = hi, hf, u, initial
+        self.diagonal_change = diagonal_change
 
     def _own(self, pmn: np.ndarray, ef: np.ndarray, ei: np.ndarray) -> None:
         if pmn.size > MAX_PAIRS:
@@ -148,35 +144,6 @@ class PairTable:
             span = max(1.0, abs(top))
         self.default_cluster_tol = DEFAULT_CLUSTER_SCALE * span
         self._memo: dict = {}
-
-    @classmethod
-    def of(
-        cls,
-        hi: HermitianOperator,
-        hf: HermitianOperator,
-        initial: SpectralDecomposition,
-        final: SpectralDecomposition,
-        u: UnitaryMatrix | None = None,
-        diagonal_change: np.ndarray | None = None,
-    ) -> PairTable:
-        """The quench from ``hi`` to ``hf`` under ``u``, given both decompositions.
-
-        ``transition_probabilities`` has checked that the table is doubly
-        stochastic, and its entries are squared moduli, so they lie in [0, 1].
-        A sudden quench known to change only diag(hf) - diag(hi) passes it, and no hi or hf.
-        """
-        table = object.__new__(cls)
-        pmn = transition_probabilities(initial, final, u)
-        table._own(pmn, final.eigenvalues, initial.eigenvalues)
-        table.hi, table.hf, table.u, table.initial = hi, hf, u, initial
-        if diagonal_change is None and u is None:
-            d = hf.entries.diagonal() - hi.entries.diagonal()
-            if np.count_nonzero(hf.entries != hi.entries) == np.count_nonzero(d):
-                diagonal_change = d
-        table.diagonal_change = diagonal_change
-        if diagonal_change is not None:  # all that the first moment reads of hi and hf
-            table.hi = table.hf = None
-        return table
 
     def bohr(self, columns: slice = slice(None), rows: slice = slice(None)) -> np.ndarray:
         """A new [m, n] array of the Bohr frequencies E_m(final) - E_n(initial) over
@@ -201,8 +168,6 @@ class PairTable:
         that it checks the collection independently; the products are
         computed once per set of levels with p_n > 0.
         """
-        if self.initial is None:
-            raise ValidationError("a table built from arrays has no Hamiltonians")
         live = np.flatnonzero(pn > 0.0)
         key = ("level_work", live.tobytes())
         diagonal = self.memo(key, lambda: _level_work(self, live))
@@ -367,11 +332,11 @@ def initial_populations(
 def uncollected_distribution(setup: QuenchSetup) -> UncollectedDistribution:
     """Assemble populations, transitions, and Bohr frequencies for a setup.
 
-    A caller with several states of one quench shares a ``PairTable.of``
+    A caller with several states of one quench shares a ``PairTable``
     instead, and pairs it with each state's populations.
     """
     initial = diagonalize(setup.hi)
-    table = PairTable.of(setup.hi, setup.hf, initial, diagonalize(setup.hf), setup.u)
+    table = PairTable(setup.hi, setup.hf, initial, diagonalize(setup.hf), setup.u)
     return UncollectedDistribution(initial_populations(setup.rho, initial), table)
 
 
@@ -507,7 +472,7 @@ def work_moments(work: WorkDistribution) -> tuple[np.ndarray, float]:
 
 
 def _level_work(table: PairTable, live: np.ndarray) -> np.ndarray:
-    """<n_i|U^dag Hf U - Hi|n_i> for the ``live`` levels n of a ``PairTable.of``.
+    """<n_i|U^dag Hf U - Hi|n_i> for the ``live`` levels n of ``table``.
 
     A sudden quench that changes only the diagonal scales the rows of the
     eigenvectors; the N^3 product with the difference adds only exact

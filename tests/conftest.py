@@ -3,13 +3,16 @@ oracles that check the library's routes.
 
 The oracles are the density-matrix route of the coherence chain (dense
 Gibbs and projector states, dephasing, the von Neumann entropy and the
-relative entropy of coherence), a checked Shannon entropy and the
-trace-formula mean work. No quench runs them: the library computes the
-chain from populations and column entropies, whose checks it made once
-when it built them, and the mean from its pair table.
+relative entropy of coherence), a checked Shannon entropy, the
+trace-formula mean work and two reference constants of the AAH ring. No
+quench runs them: the library computes the chain from populations and
+column entropies, whose checks it made once when it built them, and the
+mean from its pair table. ``pair_table`` builds a table from arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,13 +29,22 @@ from qworkstats import (
     level_populations,
     thermal_populations,
 )
+from qworkstats.tpm import STOCHASTICITY_TOL, PairTable
 
 PSD_TOL = 1e-10
+PROBABILITY_TOL = 1e-12
 NEGATIVE_PROB_TOL = 1e-12
 NORMALIZATION_ERROR = 1e-6
 # Eigenvalues below this are treated as exact zeros inside entropies, so the
 # machine-epsilon negatives produced by diagonalization never reach log().
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
+
+GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Numerically fitted curvature of the chain's spectrum edge: the extreme
+# eigenvalues sit at +-(2 + coefficient * delta^2) hoppings for delta up to
+# about four.
+BAND_EDGE_COEFFICIENT = 0.146939
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, complex_entries: bool = True):
@@ -68,6 +80,23 @@ def random_setup(rng: np.random.Generator, dim: int, with_unitary: bool = True) 
     )
 
 
+def pair_table(pmn, final_energies, initial_energies) -> PairTable:
+    """A table of the transitions ``pmn[m, n]`` between the ascending spectra, copied.
+
+    Asserts what a table of decompositions holds by construction: n x n
+    transitions in [0, 1] whose columns sum to 1, and n levels each.
+    """
+    pmn, ef, ei = (np.array(a, dtype=float) for a in (pmn, final_energies, initial_energies))
+    n = ef.size
+    assert n >= 1 and pmn.shape == (n, n) and ei.shape == ef.shape == (n,), (pmn.shape, ei.shape)
+    assert pmn.min() >= -PROBABILITY_TOL and pmn.max() <= 1 + PROBABILITY_TOL
+    assert np.abs(pmn.sum(axis=0) - 1.0).max() <= STOCHASTICITY_TOL
+    assert (ef[1:] >= ef[:-1]).all() and (ei[1:] >= ei[:-1]).all(), "spectra must be ascending"
+    table = object.__new__(PairTable)
+    table._own(pmn, ef, ei)
+    return table
+
+
 def assert_decomposes(dec: SpectralDecomposition, source: HermitianOperator,
                       tol: float = 1e-10) -> None:
     """Orthonormal eigenvectors that rebuild ``source`` to ``tol`` of the spectral span."""
@@ -76,7 +105,8 @@ def assert_decomposes(dec: SpectralDecomposition, source: HermitianOperator,
     assert residual <= tol, f"eigenvectors not orthonormal: residual {residual:g}"
     rebuilt = (v * dec.eigenvalues) @ v.conj().T
     residual = float(np.max(np.abs(rebuilt - source.entries)))
-    assert residual <= tol * dec.spectral_span, f"reconstruction residual {residual:g}"
+    span = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
+    assert residual <= tol * (span if span > 0 else 1.0), f"reconstruction residual {residual:g}"
 
 
 def assert_positive(rho: DensityMatrix, tol: float = 1e-10) -> None:

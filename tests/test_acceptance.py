@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_setup
+from conftest import BAND_EDGE_COEFFICIENT, random_setup
 from qworkstats import (
     AahParams,
     DELTA_TO_ZERO,
@@ -34,7 +34,6 @@ from qworkstats import (
     uncollected_distribution,
 )
 from qworkstats.cli import main as cli_main
-from qworkstats.models import BAND_EDGE_COEFFICIENT
 
 SLACK = 1e-10
 N987 = 16  # Fibonacci index of the production lattice size

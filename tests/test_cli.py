@@ -450,8 +450,7 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
         "infotheory.GROUND_PROJECTOR_TOL", "spectral.GROUND_DEGENERACY_RTOL",
         "spectral.HERMITICITY_RTOL", "spectral.ORTHONORMALITY_TOL", "spectral.TRACE_TOL",
         "tpm.DEFAULT_CLUSTER_SCALE", "tpm.DROP_THRESHOLD", "tpm.NORMALIZATION_TOL",
-        "tpm.PROBABILITY_TOL", "tpm.PROXIMITY_WARNING_FACTOR", "tpm.RELATIVE_MEAN_TOL",
-        "tpm.STOCHASTICITY_TOL",
+        "tpm.PROXIMITY_WARNING_FACTOR", "tpm.RELATIVE_MEAN_TOL", "tpm.STOCHASTICITY_TOL",
     ]
 
 
@@ -493,6 +492,18 @@ def test_aah_scaling_past_the_cap_exits_2_before_it_builds_a_ring(monkeypatch, t
     assert main(["aah-scaling", "--out", str(tmp_path), "--fib-max", "24", "--threads", "1"]) == 2
     error = json.loads((tmp_path / "manifest.json").read_text())["error"]
     assert error["type"] == "validation" and "Fibonacci index 24" in error["message"]
+
+
+def test_an_lz_spectrum_whose_spread_overflows_exits_2_with_a_validation_record(
+    tmp_path, capsys
+):
+    # the levels -+sqrt(omega^2 + 1) lie 2e308 apart: the thermal state refuses them
+    # instead of overflowing in its shift by the ground energy
+    argv = ["lz-sweep", "--omega-i", "1e308", "--grid-values", "1e308", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error["type"] == "validation" and "finite spread" in error["message"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 BLAS_THREADS_CHILD = r"""

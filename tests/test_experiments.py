@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import mean_work_direct
+from conftest import BAND_EDGE_COEFFICIENT, mean_work_direct
 from qworkstats import (
     AahParams,
     DELTA_TO_ZERO,
@@ -27,7 +27,6 @@ from qworkstats import (
 from qworkstats import cli, experiments, infotheory, tpm
 from qworkstats.experiments import _aah_sweeps, _flat_chain
 from qworkstats.infotheory import BoundsReport
-from qworkstats.models import BAND_EDGE_COEFFICIENT
 
 
 def test_default_grids():

@@ -136,7 +136,7 @@ def test_one_level_state_sums_its_one_live_column(level):
     flat = aah_hamiltonian(AahParams(fib_index=10, delta=0.0))
     modulated = aah_hamiltonian(AahParams(fib_index=10, delta=1.5))
     initial = diagonalize(flat)
-    table = PairTable.of(flat, modulated, initial, diagonalize(modulated))
+    table = PairTable(flat, modulated, initial, diagonalize(modulated))
     u = UncollectedDistribution(level_populations(initial, level), table)
     assert u.joint().shape == (55, 1)
     full_table = np.clip(u.pn[np.newaxis, :] * u.table.pmn, 0.0, None)

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import BAND_EDGE_COEFFICIENT, GOLDEN_RATIO_CONJUGATE
 from qworkstats import (
     AahParams,
     HermitianOperator,
@@ -14,7 +15,7 @@ from qworkstats import (
     lz_hamiltonian,
     tpm,
 )
-from qworkstats.models import BAND_EDGE_COEFFICIENT, GOLDEN_RATIO_CONJUGATE, _onsite_energies
+from qworkstats.models import _onsite_energies
 
 
 def test_lz_pure_gap():

@@ -72,7 +72,7 @@ QUENCHES = list(quenches())
 @pytest.mark.parametrize("label,hi,hf", QUENCHES, ids=[q[0] for q in QUENCHES])
 def test_populations_route_matches_density_matrix_route(label, hi, hf):
     initial = diagonalize(hi)
-    table = PairTable.of(hi, hf, initial, diagonalize(hf))
+    table = PairTable(hi, hf, initial, diagonalize(hf))
     for spec in SPECS:
         if spec.kind == "eigenstate" and spec.level >= initial.dim:
             continue

@@ -28,6 +28,7 @@ from qworkstats import (
     collect_work_distribution,
     diagonalize,
     initial_populations,
+    thermal_populations,
 )
 from qworkstats.models import AahParams, aah_hamiltonian, lz_hamiltonian
 from qworkstats.spectral import HERMITICITY_RTOL
@@ -166,7 +167,7 @@ def test_eigenvector_phases_leave_every_output_unchanged():
         return SpectralDecomposition(dec.eigenvalues, dec.eigenvectors * phases)
 
     def outputs(initial, final):
-        table = PairTable.of(setup.hi, setup.hf, initial, final, setup.u)
+        table = PairTable(setup.hi, setup.hf, initial, final, setup.u)
         uncollected = UncollectedDistribution(initial_populations(setup.rho, initial), table)
         work = collect_work_distribution(uncollected)
         return table, work, table.mean_work(uncollected.pn), bounds_report(setup, work, uncollected)
@@ -229,6 +230,18 @@ def test_thermal_state_rejects_negative_beta():
     dec = diagonalize(HermitianOperator(entries=np.diag([0.0, 1.0])))
     with pytest.raises(ValidationError):
         thermal_state(dec, -0.1)
+
+
+def test_thermal_populations_refuse_a_spread_that_overflows():
+    # levels 2e308 apart: no Gibbs weight, and no overflow warning (which tier-1 makes an error)
+    wide = SpectralDecomposition([-1e308, 1e308], np.eye(2))
+    for beta in (0.0, 0.1, math.inf):
+        with pytest.raises(ValidationError, match="finite spread; they span inf"):
+            thermal_populations(wide, beta)
+    # a spread just inside the floats is still a spectrum
+    edge = SpectralDecomposition([0.0, 1.7e308], np.eye(2))
+    for beta, expected in ((0.1, [1.0, 0.0]), (math.inf, [1.0, 0.0]), (0.0, [0.5, 0.5])):
+        assert np.array_equal(thermal_populations(edge, beta), expected)
 
 
 def test_eigenstate_projector_basics():

@@ -12,6 +12,7 @@ from conftest import (
     eigenstate_projector,
     haar_unitary,
     mean_work_direct,
+    pair_table,
     random_density,
     random_setup,
     thermal_state,
@@ -19,7 +20,6 @@ from conftest import (
 from qworkstats import (
     AahParams,
     DensityMatrix,
-    DimensionMismatchError,
     HermitianOperator,
     QuenchSetup,
     SpectralDecomposition,
@@ -31,6 +31,7 @@ from qworkstats import (
     initial_populations,
     lz_hamiltonian,
     max_degeneracy,
+    thermal_populations,
     transition_probabilities,
     uncollected_distribution,
     uncollected_entropy,
@@ -202,7 +203,7 @@ def test_collect_matches_exact_grouping_oracle():
         pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
         pn = rng.dirichlet(np.ones(dim))
         bohr = ef[:, np.newaxis] - ei[np.newaxis, :]
-        u = UncollectedDistribution(pn, PairTable(pmn, ef, ei))
+        u = UncollectedDistribution(pn, pair_table(pmn, ef, ei))
 
         groups = defaultdict(lambda: [0.0, 0])
         for m in range(dim):
@@ -250,12 +251,12 @@ def test_shared_table_collects_like_a_fresh_table_per_state():
     # in reverse, the one-level state looks its column up in the sorted
     # values before the next state builds the whole id table from the argsort
     for ordered in (populations, populations[::-1]):
-        table = PairTable(pmn, ef, ei)
+        table = pair_table(pmn, ef, ei)
         for cluster_tol in (1e-3, None, 1e-4, 1e-3):
             for pn in ordered:
                 shared = collect_work_distribution(UncollectedDistribution(pn, table), cluster_tol)
                 fresh = collect_work_distribution(
-                    UncollectedDistribution(pn, PairTable(pmn, ef, ei)), cluster_tol
+                    UncollectedDistribution(pn, pair_table(pmn, ef, ei)), cluster_tol
                 )
                 assert_same_collection(shared, fresh)
         # one id table per width, shared by the populations
@@ -289,13 +290,13 @@ def test_shared_table_matches_fresh_tables_on_random_integer_spectra():
         )
         # narrow states look their columns up until a wide one builds the id table
         for ordered in (populations, populations[::-1]):
-            table = PairTable(pmn, ef, ei)
+            table = pair_table(pmn, ef, ei)
             for pn in ordered:
                 for cluster_tol in (None, 0.5):
                     assert_same_collection(
                         collect_work_distribution(UncollectedDistribution(pn, table), cluster_tol),
                         collect_work_distribution(
-                            UncollectedDistribution(pn, PairTable(pmn, ef, ei)), cluster_tol
+                            UncollectedDistribution(pn, pair_table(pmn, ef, ei)), cluster_tol
                         ),
                     )
 
@@ -307,7 +308,7 @@ def test_one_level_state_collects_without_an_argsort(monkeypatch):
     ef = np.sort(rng.integers(-4, 5, size=dim)).astype(float)
     pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
     pn = np.eye(dim)[2]
-    argsorted = PairTable(pmn, ef, ei)
+    argsorted = pair_table(pmn, ef, ei)
     collect_work_distribution(UncollectedDistribution(np.full(dim, 1.0 / dim), argsorted))
     expected = collect_work_distribution(UncollectedDistribution(pn, argsorted))
     clusters = argsorted._memo[("cluster_ids", argsorted.default_cluster_tol)][1].size
@@ -331,7 +332,7 @@ def test_one_level_state_collects_without_an_argsort(monkeypatch):
     for name in ("cumsum", "bincount", "flatnonzero", "searchsorted", "diff", "empty", "zeros",
                  "ones", "empty_like"):
         monkeypatch.setattr(np, name, spy(name, getattr(np, name)))
-    table = PairTable(pmn, ef, ei)
+    table = pair_table(pmn, ef, ei)
     assert_same_collection(collect_work_distribution(UncollectedDistribution(pn, table)), expected)
     # the starts, where they fall among them, and the member counts beside the starts
     assert {"flatnonzero", "searchsorted", "empty_like"} <= {name for name, *_ in calls}, calls
@@ -377,7 +378,7 @@ def test_the_narrow_route_collects_the_bits_of_the_stored_route():
     dropped = 0
     for pn in populations:
         for cluster_tol in (None, 0.25, 1.5):
-            narrow, stored = narrow_and_stored(lambda: PairTable(pmn, ef, ei), pn, cluster_tol)
+            narrow, stored = narrow_and_stored(lambda: pair_table(pmn, ef, ei), pn, cluster_tol)
             assert_same_bits(narrow, stored)
             assert cluster_tol == 1.5 or narrow.multiplicity.max() >= 3
             dropped += narrow.diagnostics.dropped_mass != 0.0
@@ -403,7 +404,7 @@ def test_bohr_frequencies_and_default_width_come_from_the_spectra_bit_for_bit():
     rng = np.random.default_rng(97)
     for dim in (1, 2, 3, 8, 33, 120, 200):
         for ef, ei in ((_spectrum(rng, dim), _spectrum(rng, dim)) for _ in range(4)):
-            table = PairTable(np.full((dim, dim), 1.0 / dim), ef, ei)
+            table = pair_table(np.full((dim, dim), 1.0 / dim), ef, ei)
             dense = ef[:, np.newaxis] - ei[np.newaxis, :]
             assert table.bohr().tobytes() == dense.tobytes()
             for columns in (slice(0, 1), slice(dim // 3, dim), slice(dim - 1, dim)):
@@ -413,7 +414,7 @@ def test_bohr_frequencies_and_default_width_come_from_the_spectra_bit_for_bit():
             assert table.default_cluster_tol == tpm.DEFAULT_CLUSTER_SCALE * span or dim == 1
     # one level, or equal Bohr frequencies: the width falls back to the value or to 1
     for level, width in ((-3.0, 3.0), (0.25, 1.0)):
-        flat = PairTable(np.eye(2), [level, level], [0.0, 0.0])
+        flat = pair_table(np.eye(2), [level, level], [0.0, 0.0])
         assert flat.default_cluster_tol == tpm.DEFAULT_CLUSTER_SCALE * width
 
 
@@ -423,10 +424,9 @@ def test_a_diagonal_sudden_quench_table_keeps_no_hamiltonian():
     for delta in (0.5, 2.5):
         modulated = aah_hamiltonian(AahParams(fib_index=8, delta=delta))
         for hi, hf in ((flat, modulated), (modulated, flat)):
-            table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf))
-            assert table.hi is None and table.hf is None and table.u is None
             change = hf.entries.diagonal() - hi.entries.diagonal()
-            assert np.array_equal(table.diagonal_change, change)
+            # as the chain drivers build it: the on-site change, and no hi or hf
+            table = PairTable(None, None, diagonalize(hi), diagonalize(hf), diagonal_change=change)
             pn = np.full(n, 1.0 / n)
             setup = QuenchSetup(hi=hi, hf=hf, rho=pn)
             assert table.mean_work(pn) == mean_work_direct(setup)
@@ -442,12 +442,13 @@ def test_a_diagonal_sudden_quench_table_keeps_no_hamiltonian():
         del modulated, hi, hf, setup
         assert gone() is None
 
-    # a protocol, or a changed hopping, keeps the Hamiltonians for the dense product
+    # a table given Hamiltonians keeps them for the dense product, a diagonal change among them
     rng = np.random.default_rng(101)
     hopping = flat.entries.copy()
     hopping[0, 1] = hopping[1, 0] = -0.5
-    for hf, u in ((flat, haar_unitary(rng, n)), (HermitianOperator(entries=hopping), None)):
-        table = PairTable.of(flat, hf, diagonalize(flat), diagonalize(hf), u)
+    for hf, u in ((flat, haar_unitary(rng, n)), (HermitianOperator(entries=hopping), None),
+                  (aah_hamiltonian(AahParams(fib_index=8, delta=1.5)), None)):
+        table = PairTable(flat, hf, diagonalize(flat), diagonalize(hf), u)
         assert (table.hi, table.hf, table.u, table.diagonal_change) == (flat, hf, u, None)
 
 
@@ -466,7 +467,7 @@ def test_pair_table_memo_keeps_only_the_id_table_and_member_counts(monkeypatch):
     pmn = np.abs(haar_unitary(rng, dim).entries) ** 2
 
     # a narrow state on a fresh table sorts into locals and stores nothing
-    table = PairTable(pmn, ef, ei)
+    table = pair_table(pmn, ef, ei)
     narrow = collect_work_distribution(UncollectedDistribution(np.eye(dim)[3], table))
     assert not any(_n_squared_arrays(value, dim) for value in table._memo.values())
 
@@ -538,8 +539,8 @@ def test_diagonal_first_moment_route_matches_the_dense_product_bit_for_bit():
         for dtype in (float, complex):
             hi, hf = _changed_diagonal(rng, dim, dtype)
             initial = diagonalize(hi)
-            table = PairTable.of(hi, hf, initial, diagonalize(hf))
-            assert table.diagonal_change is not None and table.hi is None
+            change = hf.entries.diagonal() - hi.entries.diagonal()
+            table = PairTable(None, None, initial, diagonalize(hf), diagonal_change=change)
             for live in (np.arange(dim), np.arange(dim // 2 + 1), np.array([dim - 1]),
                          np.arange(0, dim, 3)):
                 v = initial.eigenvectors[:, live]
@@ -549,19 +550,40 @@ def test_diagonal_first_moment_route_matches_the_dense_product_bit_for_bit():
                 if dtype is float:  # numpy lays these products out in C order itself
                     assert np.array_equal((v.conj() * product).sum(axis=0).real, expected)
 
-    # one changed off-diagonal pair, or a protocol, takes the dense product
+    # a table given Hamiltonians takes the dense product: one changed off-diagonal pair,
+    # or a protocol
     hi, hf = _changed_diagonal(rng, 6, complex)
     entries = hf.entries.copy()
     entries[1, 4] += 0.5j
     entries[4, 1] -= 0.5j
     initial, live = diagonalize(hi), np.arange(6)
     for hf, u in ((HermitianOperator(entries=entries), None), (hf, haar_unitary(rng, 6))):
-        table = PairTable.of(hi, hf, initial, diagonalize(hf), u)
-        assert table.diagonal_change is None
+        table = PairTable(hi, hf, initial, diagonalize(hf), u)
         rotated = hf.entries if u is None else u.entries.conj().T @ hf.entries @ u.entries
         product = (rotated - hi.entries) @ initial.eigenvectors
         np.multiply(initial.eigenvectors.conj(), product, out=product)
         assert np.array_equal(tpm._level_work(table, live), product.sum(axis=0).real)
+
+
+def test_lz_tables_given_hamiltonians_or_the_diagonal_change_give_the_same_first_moment():
+    # lz-sweep and single-quench give their tables the Hamiltonians. A detuning changes
+    # only the diagonal of sigma_x + omega sigma_z, so the dense product must give the
+    # bits, signed zeros included, of the diagonal route: at the default omega_i, across
+    # the default grid and at the degenerate detunings +-omega_i
+    omega_i = -20.0
+    hi = lz_hamiltonian(omega_i)
+    initial = diagonalize(hi)
+    states = (thermal_populations(initial, experiments.DEFAULT_LZ_BETA),
+              np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    for omega_f in (*experiments.default_lz_grid()[::10], omega_i, -omega_i, 0.0, 1.0):
+        hf = lz_hamiltonian(omega_f)
+        final = diagonalize(hf)
+        dense = PairTable(hi, hf, initial, final)
+        change = hf.entries.diagonal() - hi.entries.diagonal()
+        diagonal = PairTable(None, None, initial, final, diagonal_change=change)
+        assert (dense.hi, dense.hf, dense.diagonal_change) == (hi, hf, None)
+        for pn in states:
+            assert dense.mean_work(pn).hex() == diagonal.mean_work(pn).hex(), (omega_f, pn)
 
 
 def test_pair_table_mean_work_shares_first_moment_products_per_live_set():
@@ -569,31 +591,20 @@ def test_pair_table_mean_work_shares_first_moment_products_per_live_set():
     hi = lz_hamiltonian(-3.0)
     hf = lz_hamiltonian(2.0)
     u = haar_unitary(rng, 2)
-    table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf), u)
+    table = PairTable(hi, hf, diagonalize(hi), diagonalize(hf), u)
     for rho in ([0.3, 0.7], [1.0, 0.0], [0.6, 0.4]):
         setup = QuenchSetup(hi=hi, hf=hf, rho=rho, u=u)
         assert table.mean_work(setup.rho) == mean_work_direct(setup)
     assert len([key for key in table._memo if key[0] == "level_work"]) == 2
-    with pytest.raises(ValidationError, match="no Hamiltonians"):
-        PairTable(table.pmn, table.final_energies, table.initial_energies).mean_work(
-            np.array([0.5, 0.5])
-        )
 
 
-def test_pair_table_copies_caller_arrays_and_keeps_its_own(monkeypatch):
-    pmn = np.array([[0.75, 0.25], [0.25, 0.75]])
-    ef, ei = np.array([0.0, 2.0]), np.array([-1.0, 0.0])
-    table = PairTable(pmn, ef, ei)
-    kept = (table.pmn, table.final_energies, table.initial_energies)
-    for mine, held in zip((pmn, ef, ei), kept):
-        assert not np.shares_memory(held, mine)
-        assert mine.flags.writeable and not held.flags.writeable
-    pmn[0, 0] = ef[0] = 7.0
-    assert table.pmn[0, 0] == 0.75 and table.final_energies[0] == 0.0
+def test_pair_table_keeps_the_arrays_it_builds(monkeypatch):
+    table = pair_table([[0.75, 0.25], [0.25, 0.75]], [0.0, 2.0], [-1.0, 0.0])
     assert np.array_equal(table.bohr(), [[1.0, 0.0], [3.0, 2.0]])
     assert table.default_cluster_tol == 3.0 * tpm.DEFAULT_CLUSTER_SCALE  # 3 - 0
 
-    # a table built by ``of`` holds the transition matrix it computed, uncopied
+    # a table holds the transition matrix it computed and its decompositions' spectra,
+    # uncopied and read-only
     computed = []
 
     def recording(*args):
@@ -603,39 +614,31 @@ def test_pair_table_copies_caller_arrays_and_keeps_its_own(monkeypatch):
     monkeypatch.setattr(tpm, "transition_probabilities", recording)
     hi = lz_hamiltonian(-3.0)
     hf = lz_hamiltonian(2.0)
-    table = PairTable.of(hi, hf, diagonalize(hi), diagonalize(hf))
+    initial, final = diagonalize(hi), diagonalize(hf)
+    table = PairTable(hi, hf, initial, final)
     assert table.pmn is computed[0]
+    assert table.initial_energies is initial.eigenvalues
+    assert table.final_energies is final.eigenvalues
     assert not table.pmn.flags.writeable
 
 
 def test_nan_fails_the_stochasticity_and_first_moment_checks(monkeypatch):
-    pmn = np.array([[0.75, math.nan], [0.25, 0.5]])
     ef, ei = np.array([0.0, 2.0]), np.array([-1.0, 0.0])
-    with pytest.raises(ValidationError, match="outside"):
-        PairTable(pmn, ef, ei)
-    with pytest.raises(ValidationError, match="deviate"):
-        PairTable(np.array([[0.75, 0.5], [0.5, 0.5]]), ef, ei)
     half = np.full((2, 2), 0.5)
-    for bad in ([0.0, math.nan], [math.nan, 0.0], [2.0, 0.0]):
-        for spectra in ((ef, bad), (bad, ei)):
-            with pytest.raises(ValidationError, match="spectra must be ascending"):
-                PairTable(half, *spectra)
     # an infinite level, a NaN level alone, and finite spectra whose Bohr frequencies
     # overflow, with no overflow warning
     for bad in ([0.0, math.inf], [-math.inf, 0.0]):
         for spectra in ((ef, bad), (bad, ei)):
             with pytest.raises(ValidationError, match="finite Bohr frequencies; they span inf"):
-                PairTable(half, *spectra)
+                pair_table(half, *spectra)
     for spectra in (([math.nan], [0.0]), ([0.0, 1.7e308], [-1.7e308, 0.0])):
         with pytest.raises(ValidationError, match="finite Bohr frequencies"):
-            PairTable(np.eye(len(spectra[0])), *spectra)
+            pair_table(np.eye(len(spectra[0])), *spectra)
     # so does a table of decompositions, not blaming a clustering width nobody gave
     h = lz_hamiltonian(1e308)
     d = diagonalize(h)
     with pytest.raises(ValidationError, match="finite Bohr frequencies; they span inf"):
-        PairTable.of(h, h, d, d)
-    with pytest.raises(DimensionMismatchError):
-        PairTable(half, ef, [0.0, 1.0, 2.0])
+        PairTable(h, h, d, d)
 
     # the decomposition rejects a NaN eigenvector; one that got past it
     # would still fail the stochasticity check of the transitions
@@ -713,7 +716,7 @@ def test_collection_and_the_uncollected_entropy_allocate_no_n_squared_array(monk
     n = 300
     monkeypatch.setattr(tpm, "BLOCK_PAIRS", n * n // 100)
     levels = np.arange(n, dtype=float)
-    table = PairTable(np.full((n, n), 1.0 / n), levels, levels)
+    table = pair_table(np.full((n, n), 1.0 / n), levels, levels)
     collect_work_distribution(UncollectedDistribution(np.full(n, 1.0 / n), table))
     assert any(key[0] == "cluster_ids" for key in table._memo)
     assert len(range(0, n, tpm.BLOCK_PAIRS // n)) == 100
@@ -754,7 +757,7 @@ def test_int32_cluster_ids_are_the_old_int64_ids(quench):
     # put many pairs in each value.
     if quench == "integer levels":
         levels = np.repeat(np.arange(20.0), 3)
-        table = PairTable(np.eye(levels.size), levels, levels)
+        table = pair_table(np.eye(levels.size), levels, levels)
     else:
         table = experiments._aah_quench(AahParams(fib_index=12, delta=2.5), quench)
     n, width = table.dim, table.default_cluster_tol
@@ -812,7 +815,7 @@ def test_block_sums_are_the_bits_of_one_bincount(ties):
         ef, ei = (np.sort(rng.normal(size=n)) for _ in range(2))
     pn = rng.random(n)
     pn[-5:] = 0.0  # live columns short of the table's
-    uncollected = UncollectedDistribution(pn / pn.sum(), PairTable(pmn, ef, ei))
+    uncollected = UncollectedDistribution(pn / pn.sum(), pair_table(pmn, ef, ei))
     work = collect_work_distribution(uncollected)
     support, probs, multiplicity = _one_bincount_collection(uncollected)
     if ties:
@@ -835,7 +838,7 @@ def test_proximity_warning_for_marginal_gaps():
     pn = np.array([0.5, 0.5])
     pmn = np.array([[0.5, 0.5], [0.5, 0.5]])
     # Bohr frequencies 0, -1, 1 + 5e-9 and 5e-9: the last lies 5e-9 from 0
-    u = UncollectedDistribution(pn, PairTable(pmn, [0.0, 1.0 + 5e-9], [0.0, 1.0]))
+    u = UncollectedDistribution(pn, pair_table(pmn, [0.0, 1.0 + 5e-9], [0.0, 1.0]))
     w = collect_work_distribution(u, cluster_tol=1e-9)
     assert any("resolution-marginal" in message for message in w.diagnostics.warnings)
     clean = collect_work_distribution(u, cluster_tol=1e-12)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import ctypes
-import functools
-import glob
 import json
 import math
 import os
@@ -72,24 +70,15 @@ _TOLERANCES = (
 )
 
 
-@functools.cache
 def blas_threads() -> int | None:
-    """Threads of numpy's bundled OpenBLAS, read once on first use.
-
-    ``None`` when numpy bundles no OpenBLAS with a thread-count getter:
-    the pool then sizes itself by cores alone.
-    """
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        try:
-            library = ctypes.CDLL(path)  # numpy has it loaded: this reuses its handle
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            getter = getattr(library, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return getter()
+    """Threads of numpy's bundled OpenBLAS; ``None`` when numpy bundles none with a
+    thread-count getter, and the pool then sizes itself by cores alone."""
+    library = spectral.openblas()
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(library, symbol, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter()
     return None
 
 

@@ -18,9 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundViolationError, ValidationError
-from .infotheory import (
-    BoundsReport, _column_entropies, _table_coherences, bounds_report, entropy_of_work
-)
+from .infotheory import BoundsReport, _table_coherences, bounds_report, entropy_of_work
 from .models import AahParams, _onsite_energies, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
 from .spectral import SpectralDecomposition, diagonalize, level_populations, thermal_populations
 from .tpm import (
@@ -31,7 +29,6 @@ from .tpm import (
     check_first_moment,
     collect_work_distribution,
     max_degeneracy,
-    transition_probabilities,
     work_moments,
 )
 
@@ -441,14 +438,12 @@ def eigenstate_coherence_map(
     grid = np.asarray(delta_grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("empty potential grid")
-    flat = _flat_chain(fib_index)
+    _flat_chain(fib_index)  # filled before the pool threads need it
 
     def column(delta: float) -> np.ndarray:
         with _at_point(delta=float(delta)):
             params = AahParams(fib_index=fib_index, delta=float(delta), eta=eta)
-            final = diagonalize(aah_hamiltonian(params))
-            # transition_probabilities has checked the columns at 1e-10
-            return _column_entropies(transition_probabilities(flat, final))
+            return _table_coherences(_aah_quench(params, ZERO_TO_DELTA))
 
     columns = _fan_out(column, list(grid), workers)
     return np.column_stack(columns)

@@ -11,7 +11,10 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,7 @@ HERMITICITY_RTOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 TRACE_TOL = 1e-12
 GROUND_DEGENERACY_RTOL = 1e-12
+DIRECT_MIN_LEVELS = 128  # smaller real operators keep eigh: small GEMMs round by operand layout
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -81,7 +85,7 @@ class SpectralDecomposition:
     """Sorted eigenvalues with matching orthonormal eigenvectors.
 
     Column k of ``eigenvectors`` is the eigenvector of ``eigenvalues[k]``.
-    It keeps read-only copies of a caller's arrays, and ``eigh``'s own from ``diagonalize``.
+    It keeps read-only copies of a caller's arrays, and LAPACK's own from ``diagonalize``.
     """
 
     eigenvalues: np.ndarray
@@ -149,16 +153,46 @@ class UnitaryMatrix:
         return self.entries.shape[0]
 
 
+@functools.cache
+def openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, located on first use; ``None`` when numpy bundles none."""
+    import glob  # here, so that no run start pays for it
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "*openblas*")))
+    return ctypes.CDLL(paths[0]) if paths else None  # numpy has it loaded: this reuses its handle
+
+
+@functools.cache
+def _lapacke_dsyevd():
+    """The bundled OpenBLAS's ILP64 ``LAPACKE_dsyevd``, or ``None`` when it has none."""
+    routine = getattr(openblas(), "scipy_LAPACKE_dsyevd64_", None)
+    if routine is not None:  # (layout, jobz, uplo) + (n, a) + (lda, w) -> info
+        routine.restype = ctypes.c_int64
+        routine.argtypes = ((ctypes.c_int, ctypes.c_char, ctypes.c_char)
+                            + (ctypes.c_int64, ctypes.c_void_p) * 2)
+    return routine
+
+
 def diagonalize(operator: HermitianOperator) -> SpectralDecomposition:
     """Full eigendecomposition with ascending eigenvalues.
 
     Each eigenvector keeps the phase LAPACK gives it: every output depends
-    on the vectors only through the overlaps |<m_f|U|n_i>|^2.
+    on the vectors only through the overlaps |<m_f|U|n_i>|^2. A large real operator keeps as
+    its eigenvectors the Fortran-order copy that ``dsyevd`` overwrites; eigh copies them out.
     """
-    try:
-        evals, vecs = np.linalg.eigh(operator.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
+    entries, n = operator.entries, operator.dim
+    dsyevd = _lapacke_dsyevd() if entries.dtype == np.float64 and n >= DIRECT_MIN_LEVELS else None
+    if dsyevd is None:
+        try:
+            evals, vecs = np.linalg.eigh(entries)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
+    else:
+        vecs, evals = np.array(entries, order="F"), np.empty(n)
+        # column-major (LAPACK_COL_MAJOR = 102), from the lower triangle as eigh reads it
+        info = dsyevd(102, b"V", b"L", n, vecs.ctypes.data, n, evals.ctypes.data)
+        if info != 0:
+            raise EigensolverError(f"eigensolver failed to converge: dsyevd info = {info}")
     return object.__new__(SpectralDecomposition)._own(evals, vecs)
 
 
@@ -185,7 +219,8 @@ def thermal_populations(decomposition: SpectralDecomposition, beta: float) -> np
                     "explicitly with level_populations"
                 )
         return level_populations(decomposition, 0)
-    weights = np.exp(-beta * (evals - evals[0]))
+    with np.errstate(over="ignore"):  # beta times a finite spread may pass 1e308: its weight is 0
+        weights = np.exp(-beta * (evals - evals[0]))
     return weights / weights.sum()
 
 

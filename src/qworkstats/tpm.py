@@ -464,8 +464,12 @@ def max_degeneracy(work: WorkDistribution) -> int:
 
 def work_moments(work: WorkDistribution) -> tuple[np.ndarray, float]:
     """Exact weighted power sums <W^k> of the collected distribution for k = 1..MOMENT_ORDERS,
-    and its variance."""
-    powers = work.support[np.newaxis, :] ** np.arange(1, MOMENT_ORDERS + 1)[:, np.newaxis]
+    and its variance. A support whose highest power overflows is refused."""
+    with np.errstate(over="ignore"):  # an overflow reaches the highest power first
+        powers = work.support[np.newaxis, :] ** np.arange(1, MOMENT_ORDERS + 1)[:, np.newaxis]
+    if not np.isfinite(powers[-1]).all():
+        largest = float(np.abs(work.support).max())
+        raise ValidationError(f"work values up to |W| = {largest!r} overflow power {MOMENT_ORDERS}")
     moments = powers @ work.probs
     second = float((work.support**2 * work.probs).sum())
     return moments, second - float(moments[0]) ** 2

@@ -506,6 +506,32 @@ def test_an_lz_spectrum_whose_spread_overflows_exits_2_with_a_validation_record(
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega_i", ["0", "1e77", "1e100", "1e300"])
+@pytest.mark.parametrize("beta", ["0", "1e-300", "1", "1e308", "inf"])
+def test_extreme_lz_sweeps_end_in_a_result_or_a_refusal(tmp_path, capsys, beta, omega_i):
+    # beta * spread past the largest float puts all weight on the ground level; a
+    # work value whose 4th power overflows is refused with exit 2 at its point
+    out = tmp_path / "run"
+    status = main(["lz-sweep", "--beta", beta, "--omega-i", omega_i, "--grid-points", "3",
+                   "--out", str(out)])
+    error = json.loads((out / "manifest.json").read_text()).get("error")
+    if float(omega_i) < 1e78:  # |W| ~ omega_i, and (1e77)^4 is still a float
+        assert status == 0 and error is None
+    else:
+        assert status == 2 and error["type"] == "validation"
+        assert "overflow power 4" in error["message"] and error["axis_point"] == {"omega_f": 1.0}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_the_two_lz_overflow_cases_exit_0_and_2(tmp_path):
+    assert main(["lz-sweep", "--beta", "1e308", "--grid-values", "1",
+                 "--out", str(tmp_path / "beta")]) == 0
+    argv = ["lz-sweep", "--omega-i", "1e100", "--grid-values", "1e100", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error["message"] == "work values up to |W| = 1e+100 overflow power 4"
+
+
 BLAS_THREADS_CHILD = r"""
 import json
 import sys
@@ -694,8 +720,7 @@ def test_validation_error_names_its_axis_point(tmp_path, capsys, monkeypatch, ar
         return transition_probabilities(*args)
 
     transition_probabilities = tpm.transition_probabilities
-    monkeypatch.setattr(tpm, "transition_probabilities", failing_second)
-    monkeypatch.setattr(experiments, "transition_probabilities", failing_second)
+    monkeypatch.setattr(tpm, "transition_probabilities", failing_second)  # both build a PairTable
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out), "--fib-index", "7", "--threads", "1"]) == 2
     manifest = json.loads((out / "manifest.json").read_text())

@@ -19,6 +19,7 @@ from qworkstats import (
     BoundsReport,
     DegenerateGroundStateError,
     DensityMatrix,
+    EigensolverError,
     HermitianOperator,
     SpectralDecomposition,
     UncollectedDistribution,
@@ -29,7 +30,9 @@ from qworkstats import (
     diagonalize,
     initial_populations,
     thermal_populations,
+    transition_probabilities,
 )
+from qworkstats import spectral
 from qworkstats.models import AahParams, aah_hamiltonian, lz_hamiltonian
 from qworkstats.spectral import HERMITICITY_RTOL
 from qworkstats.tpm import PairTable
@@ -87,6 +90,10 @@ def test_decomposition_rejects_non_finite_entries(bad):
         SpectralDecomposition(np.array([1.0, 0.0]), np.eye(2))
 
 
+# whether numpy bundles the ILP64 LAPACKE_dsyevd that the direct route calls
+DIRECT = spectral._lapacke_dsyevd() is not None
+
+
 def test_diagonalize_keeps_the_arrays_of_eigh_read_only(monkeypatch):
     returned = []
     eigh = np.linalg.eigh
@@ -106,6 +113,83 @@ def test_diagonalize_keeps_the_arrays_of_eigh_read_only(monkeypatch):
     assert not np.shares_memory(own.eigenvectors, vectors)
     assert not (own.eigenvalues.flags.writeable or own.eigenvectors.flags.writeable)
     assert values.flags.writeable and vectors.flags.writeable
+    if not DIRECT:
+        return
+    # the direct route: the Fortran-order copy LAPACK overwrote is the eigenvectors
+    handed = []
+    dsyevd = spectral._lapacke_dsyevd()
+
+    def handing(*args):
+        handed.append(args)
+        return dsyevd(*args)
+
+    monkeypatch.setattr(spectral, "_lapacke_dsyevd", lambda: handing)
+    monkeypatch.setattr(np.linalg, "eigh", None)  # not called
+    hamiltonian = aah_hamiltonian(AahParams(fib_index=12, delta=1.5))
+    dec = diagonalize(hamiltonian)
+    (layout, jobz, uplo, n, vectors, lda, values), = handed
+    assert (layout, jobz, uplo, n, lda) == (102, b"V", b"L", 144, 144)
+    assert dec.eigenvectors.ctypes.data == vectors and dec.eigenvalues.ctypes.data == values
+    assert dec.eigenvectors.flags.f_contiguous and dec.eigenvectors.flags.owndata
+    assert not np.shares_memory(dec.eigenvectors, hamiltonian.entries)
+    assert not (dec.eigenvalues.flags.writeable or dec.eigenvectors.flags.writeable)
+
+
+def _symmetric_and_rings(levels):
+    rng = np.random.default_rng(levels)
+    entries = rng.normal(size=(levels, levels))
+    yield HermitianOperator(entries=entries + entries.T)
+    fib_index = {89: 11, 144: 12, 233: 13, 377: 14}.get(levels)
+    if fib_index is not None:
+        for delta in (0.0, 1.5, 2.5):
+            yield aah_hamiltonian(AahParams(fib_index=fib_index, delta=delta))
+
+
+@pytest.mark.parametrize("bound", [True, False])
+@pytest.mark.parametrize("levels", [89, 127, 128, 144, 233, 377])
+def test_diagonalize_gives_the_bits_of_eigh_on_either_route(monkeypatch, levels, bound):
+    if not bound:  # as on a numpy without the symbol: every operator goes to eigh
+        monkeypatch.setattr(spectral, "_lapacke_dsyevd", lambda: None)
+    for operator in _symmetric_and_rings(levels):
+        dec = diagonalize(operator)
+        values, vectors = np.linalg.eigh(operator.entries)
+        assert np.array_equal(dec.eigenvalues, values)
+        assert np.array_equal(dec.eigenvectors, vectors)
+        direct = bound and DIRECT and levels >= spectral.DIRECT_MIN_LEVELS
+        assert dec.eigenvectors.flags.f_contiguous == direct
+        assert dec.eigenvectors.flags.c_contiguous != direct
+
+
+@pytest.mark.parametrize("levels", [128, 144, 377])
+def test_transition_probabilities_of_direct_decompositions_keep_the_bits_of_eigh(levels):
+    # Fortran-order eigenvectors give the overlap product of eigh's C-order ones
+    operators = list(_symmetric_and_rings(levels))
+    rng = np.random.default_rng(levels + 1)
+    entries = rng.normal(size=(levels, levels))
+    operators.append(HermitianOperator(entries=entries + entries.T))
+    for hi, hf in zip(operators, operators[1:]):
+        vi, vf = np.linalg.eigh(hi.entries)[1], np.linalg.eigh(hf.entries)[1]
+        overlap = vf.T @ vi
+        assert np.array_equal(transition_probabilities(diagonalize(hi), diagonalize(hf)),
+                              overlap * overlap)
+
+
+def test_complex_and_small_operators_keep_eigh(monkeypatch):
+    monkeypatch.setattr(spectral, "_lapacke_dsyevd", None)  # a call would raise
+    rng = np.random.default_rng(5)
+    small = rng.normal(size=(127, 127))
+    complex_ = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+    for entries in (small + small.T, complex_ + complex_.conj().T):
+        dec = diagonalize(HermitianOperator(entries=entries))
+        values, vectors = np.linalg.eigh(entries)
+        assert np.array_equal(dec.eigenvalues, values)
+        assert np.array_equal(dec.eigenvectors, vectors)
+
+
+def test_a_failed_direct_decomposition_raises_eigensolver_error(monkeypatch):
+    monkeypatch.setattr(spectral, "_lapacke_dsyevd", lambda: lambda *args: 1)
+    with pytest.raises(EigensolverError, match="dsyevd info = 1"):
+        diagonalize(aah_hamiltonian(AahParams(fib_index=12, delta=1.5)))
 
 
 def test_hermitian_operator_rejects_non_square():
@@ -242,6 +326,22 @@ def test_thermal_populations_refuse_a_spread_that_overflows():
     edge = SpectralDecomposition([0.0, 1.7e308], np.eye(2))
     for beta, expected in ((0.1, [1.0, 0.0]), (math.inf, [1.0, 0.0]), (0.0, [0.5, 0.5])):
         assert np.array_equal(thermal_populations(edge, beta), expected)
+
+
+def test_thermal_populations_take_an_overflowing_exponent_without_a_warning():
+    # beta times a finite spread past the largest float: all weight on the ground
+    # level, and no overflow warning (which tier-1 makes an error)
+    for levels, beta in (([-1.0, 1.0], 1e308), ([0.0, 1.7e308], 2.0), ([0.0, 0.0, 3.0], 1e308)):
+        expected = [1.0, 0.0] if len(levels) == 2 else [0.5, 0.5, 0.0]
+        decomposition = SpectralDecomposition(levels, np.eye(len(levels)))
+        assert np.array_equal(thermal_populations(decomposition, beta), expected)
+    # finite exponents keep the bits of the plain Gibbs expression
+    rng = np.random.default_rng(3)
+    for beta in (0.0, 1e-300, 0.1, 1.0, 100.0, 1e4):
+        levels = np.sort(rng.normal(size=9))
+        weights = np.exp(-beta * (levels - levels[0]))
+        decomposition = SpectralDecomposition(levels, np.eye(9))
+        assert np.array_equal(thermal_populations(decomposition, beta), weights / weights.sum())
 
 
 def test_eigenstate_projector_basics():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import weakref
 from collections import defaultdict
@@ -852,6 +853,23 @@ def test_work_moments_trivial_and_variance():
     assert moments.shape == (tpm.MOMENT_ORDERS,)
     assert np.allclose(moments, 0.0, atol=1e-12)
     assert variance == pytest.approx(0.0, abs=1e-12)
+
+
+def test_work_moments_refuse_a_support_whose_highest_power_overflows():
+    diagnostics = CollectionDiagnostics(
+        cluster_tol=1e-12, min_gap=1.0, warnings=(), dropped_pairs=0, dropped_mass=0.0
+    )
+    for support in ([-1e100, 1.0], [1.0, 2e77], [-1.5e77, 0.0]):
+        work = WorkDistribution(np.array(support), np.array([0.5, 0.5]), np.array([1, 3]),
+                                diagnostics)
+        largest = max(abs(value) for value in support)
+        with pytest.raises(ValidationError, match=re.escape(f"|W| = {largest!r} overflow power 4")):
+            work_moments(work)
+    # the largest |W| whose 4th power is finite keeps its moments
+    work = WorkDistribution(np.array([-1e77, 1e77]), np.array([0.5, 0.5]), np.array([1, 3]),
+                            diagnostics)
+    moments, variance = work_moments(work)
+    assert np.array_equal(moments, [0.0, 1e77**2, 0.0, (1e77**2) ** 2]) and variance == 1e77**2
 
 
 def test_first_moment_matches_trace_formula():

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import BoundViolationError, ValidationError
 from .infotheory import BoundsReport, _table_coherences, bounds_report, entropy_of_work
-from .models import AahParams, _onsite_energies, aah_hamiltonian, fibonacci_pair, lz_hamiltonian
+from .models import (AahParams, _onsite_energies, _ring, aah_hamiltonian, fibonacci_pair,
+                     lz_hamiltonian)
 from .spectral import SpectralDecomposition, diagonalize, level_populations, thermal_populations
 from .tpm import (
     MOMENT_ORDERS,
@@ -178,7 +179,7 @@ def _at_point(**point):
 @lru_cache(maxsize=8)
 def _flat_chain(fib_index: int) -> SpectralDecomposition:
     """The zero-potential chain's decomposition, which no phase changes; not its Hamiltonian."""
-    return diagonalize(aah_hamiltonian(AahParams(fib_index=fib_index, delta=0.0)))
+    return diagonalize(_ring(AahParams(fib_index=fib_index, delta=0.0)).T)
 
 
 def _evaluate(
@@ -260,9 +261,10 @@ def _potential_grid(delta_grid: np.ndarray) -> np.ndarray:
 
 def _aah_quench(params: AahParams, direction: str) -> PairTable:
     """The quench that switches the potential off or on: its table reads the on-site change,
-    which is the modulated chain's on-site energies, since the flat chain's are zeros."""
+    which is the modulated chain's on-site energies, since the flat chain's are zeros. Its ring
+    is diagonalized in the array it is built in: the transposed view is in Fortran order."""
     flat = _flat_chain(params.fib_index)
-    modulated = diagonalize(aah_hamiltonian(params))
+    modulated = diagonalize(_ring(params).T)
     onsite = _onsite_energies(params)
     if direction == DELTA_TO_ZERO:
         return PairTable(None, None, modulated, flat, diagonal_change=-onsite)
@@ -475,10 +477,17 @@ def bandwidth_fit(
                 params = AahParams(fib_index=fib_index, delta=float(delta), eta=float(eta))
                 evals = np.linalg.eigvalsh(aah_hamiltonian(params).entries)
             largest = max(largest, float(np.max(np.abs(evals))))
+        if not largest > 2.0:  # second order lowers the ground level: this is rounding noise
+            with _at_point(delta=float(delta)):
+                raise ValidationError(f"potential {float(delta)!r} gives edge excess "
+                                      f"{largest - 2.0!r}, not above 0: too small to fit")
         return largest - 2.0
 
     edges = np.array(_fan_out(edge_for, list(grid), workers), dtype=float)
     regressor = grid**2
-    coefficient = float(np.sum(regressor * edges) / np.sum(regressor**2))
+    quartic = float(np.sum(regressor**2))
+    if not quartic > 0:
+        raise ValidationError(f"potentials up to {float(grid.max())!r} have fourth powers of 0")
+    coefficient = float(np.sum(regressor * edges)) / quartic
     residual_max = float(np.max(np.abs(edges - coefficient * regressor) / np.abs(edges)))
     return FitResult(coefficient=coefficient, residual_max=residual_max, band_edges=edges)

@@ -83,6 +83,16 @@ def _onsite_energies(params: AahParams) -> np.ndarray:
     return params.delta * np.cos(2.0 * np.pi * params.gamma * sites + params.eta)
 
 
+def _ring(params: AahParams) -> np.ndarray:
+    """The entries of ``aah_hamiltonian(params)`` in a new, exactly symmetric C-order array."""
+    n = params.size
+    h = np.diag(_onsite_energies(params))
+    idx = np.arange(n)
+    h[idx, (idx + 1) % n] -= 1.0
+    h[(idx + 1) % n, idx] -= 1.0
+    return h
+
+
 def aah_hamiltonian(params: AahParams) -> HermitianOperator:
     """Real symmetric N x N ring Hamiltonian with quasiperiodic on-site terms.
 
@@ -90,9 +100,4 @@ def aah_hamiltonian(params: AahParams) -> HermitianOperator:
     (periodic boundary conditions), so row i holds the on-site energy plus
     the two cyclic bonds.
     """
-    n = params.size
-    h = np.diag(_onsite_energies(params))
-    idx = np.arange(n)
-    h[idx, (idx + 1) % n] -= 1.0
-    h[(idx + 1) % n, idx] -= 1.0
-    return object.__new__(HermitianOperator)._own(h)  # built here, so kept without a copy
+    return object.__new__(HermitianOperator)._own(_ring(params))  # kept without a copy

@@ -173,14 +173,20 @@ def _lapacke_dsyevd():
     return routine
 
 
-def diagonalize(operator: HermitianOperator) -> SpectralDecomposition:
+def diagonalize(operator: HermitianOperator | np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition with ascending eigenvalues.
 
-    Each eigenvector keeps the phase LAPACK gives it: every output depends
-    on the vectors only through the overlaps |<m_f|U|n_i>|^2. A large real operator keeps as
-    its eigenvectors the Fortran-order copy that ``dsyevd`` overwrites; eigh copies them out.
+    Each eigenvector keeps the phase LAPACK gives it: every output depends on the vectors only
+    through the overlaps |<m_f|U|n_i>|^2. A large real operator keeps as its eigenvectors the
+    Fortran-order copy that ``dsyevd`` overwrites (eigh copies them out). An array, checked as
+    an operator's entries are, is given up: overwritten itself when writable and in Fortran order.
     """
-    entries, n = operator.entries, operator.dim
+    given = isinstance(operator, np.ndarray)
+    entries = operator if given else operator.entries
+    if given:
+        _check_square(entries, "operator")
+        _check_hermitian(entries, "operator")
+    n = entries.shape[0]
     dsyevd = _lapacke_dsyevd() if entries.dtype == np.float64 and n >= DIRECT_MIN_LEVELS else None
     if dsyevd is None:
         try:
@@ -188,7 +194,8 @@ def diagonalize(operator: HermitianOperator) -> SpectralDecomposition:
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
     else:
-        vecs, evals = np.array(entries, order="F"), np.empty(n)
+        vecs = np.require(entries, requirements="FAW") if given else np.array(entries, order="F")
+        evals = np.empty(n)
         # column-major (LAPACK_COL_MAJOR = 102), from the lower triangle as eigh reads it
         info = dsyevd(102, b"V", b"L", n, vecs.ctypes.data, n, evals.ctypes.data)
         if info != 0:

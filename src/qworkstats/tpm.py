@@ -41,7 +41,7 @@ DEFAULT_CLUSTER_SCALE = 1e-12
 # from the support; their count and mass go to the diagnostics.
 DROP_THRESHOLD = 1e-15
 PROXIMITY_WARNING_FACTOR = 10.0
-# Pairs per block in which a state's joint table is read, and the narrow route's gaps taken.
+# Pairs per block in which a state's joint table is read, and the cluster ids built.
 BLOCK_PAIRS = 1 << 16
 CLUSTER_ID = np.int32  # the dtype of a table's stored pair ids, which bounds its pairs
 MAX_PAIRS = int(np.iinfo(CLUSTER_ID).max)
@@ -232,10 +232,10 @@ class CollectionDiagnostics:
 class WorkDistribution:
     """Degeneracy-collected discrete work distribution.
 
-    ``multiplicity`` counts every level pair collected into each work
-    value, including zero-probability pairs that happen to share it; the
-    pairs belonging to dropped (probability < 1e-15) values are accounted
-    for in the diagnostics so the total is always the full pair count.
+    ``multiplicity`` counts, as ``CLUSTER_ID`` whichever constructor built it, every level
+    pair collected into each work value, including zero-probability pairs that share it; the
+    pairs of dropped (probability < 1e-15) values are accounted for in the diagnostics, so
+    the total, summed in int64, is always the full pair count.
     """
 
     support: np.ndarray
@@ -247,7 +247,7 @@ class WorkDistribution:
         self._own(
             np.array(self.support, dtype=float),
             np.array(self.probs, dtype=float),
-            np.array(self.multiplicity, dtype=np.int64),
+            np.array(self.multiplicity, dtype=CLUSTER_ID),
             self.diagnostics,
         )
 
@@ -267,7 +267,7 @@ class WorkDistribution:
             raise ValidationError(f"probs must be >= 0 and sum to 1, not {float(probs.sum())!r}")
         if multiplicity.min() < 1:
             raise ValidationError("multiplicities must be >= 1")
-        total_pairs = int(multiplicity.sum()) + diagnostics.dropped_pairs
+        total_pairs = int(multiplicity.sum(dtype=np.int64)) + diagnostics.dropped_pairs
         if math.isqrt(total_pairs) ** 2 != total_pairs:
             raise ValidationError(
                 f"kept plus dropped pair count {total_pairs} is not a level count squared"
@@ -343,11 +343,11 @@ def uncollected_distribution(setup: QuenchSetup) -> UncollectedDistribution:
 def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[np.ndarray, ...]:
     """([m, n] cluster of each pair in ``columns``; pairs per cluster).
 
-    A state over more than half of the columns builds the whole table's int32
-    ids, scattered through one argsort, and stores them; a later state reads
-    them. A narrow state on a table without them finds its pairs' sorted
-    positions among the cluster starts, and stores nothing. Equal values share
-    a cluster, so both routes agree. No Bohr or sorted values outlive the call.
+    A state over more than half of the columns builds the whole table's int32 ids through
+    one argsort, gathering and scattering a block at a time, and stores them; a later state
+    reads them. A narrow state on a table without them finds its pairs' sorted positions
+    among the cluster starts, and stores nothing. Equal values share a cluster, so both
+    routes agree. No Bohr or sorted values outlive the call.
     """
     key, shape = ("cluster_ids", cluster_tol), table.pmn.shape
     stored = table._memo.get(key)
@@ -357,27 +357,31 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
     v = table.bohr().ravel()
     if wide:
         order = np.argsort(v)
-        v = v[order]
     else:
         v.sort()
         at = np.searchsorted(v, table.bohr(columns))
     new = np.ones(v.size, dtype=bool)  # True where a cluster starts
-    for start in range(0, v.size - 1, BLOCK_PAIRS):  # by blocks: no N^2 gaps
-        block = slice(start, start + BLOCK_PAIRS)
-        np.greater_equal(v[1:][block] - v[:-1][block], cluster_tol, out=new[1:][block])
-    del v  # N^2: freed before the starts allocate
+    for start in range(0, v.size, BLOCK_PAIRS):  # by blocks: no N^2 gaps or sorted copy
+        block = slice(start, start + BLOCK_PAIRS + 1)
+        w = v[order[block]] if wide else v[block]  # a narrow block is a view of v
+        np.greater_equal(w[1:] - w[:-1], cluster_tol, out=new[start + 1 : block.stop])
+    del v, w  # N^2: freed before the starts allocate
     starts = np.flatnonzero(new)
-    counts = np.empty_like(starts)  # written in place, with no copy of the starts
+    counts = np.empty_like(starts, dtype=CLUSTER_ID)  # written in place, with no copy of starts
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1] = new.size - starts[-1]
     if not wide:
         return np.searchsorted(starts, at, "right") - 1, counts
     del starts  # up to N^2 of them: freed before the scatter allocates
     new[0] = False  # so that the ids count from 0
-    ids = np.empty(new.size, dtype=CLUSTER_ID)
-    ids[order] = np.cumsum(new, dtype=CLUSTER_ID)
+    ids, last = np.empty(new.size, dtype=CLUSTER_ID), 0
+    for start in range(0, new.size, BLOCK_PAIRS):  # by blocks, with a carry: no N^2 cumsum
+        running = np.cumsum(new[start : start + BLOCK_PAIRS], dtype=CLUSTER_ID)
+        if last:
+            running += last
+        ids[order[start : start + BLOCK_PAIRS]], last = running, running[-1]
     del order, new
-    stored = table.memo(key, lambda: (ids.reshape(shape), counts))
+    stored = table._memo.setdefault(key, (ids.reshape(shape), counts))
     return stored[0][:, columns], stored[1]
 
 
@@ -428,7 +432,7 @@ def collect_work_distribution(
     multiplicity = members[keep]
     dropped = np.invert(keep, out=keep)  # the same mask, now over the dropped clusters
     dropped_mass = float(cluster_prob[dropped].sum())
-    dropped_pairs = int(members.sum(where=dropped))
+    dropped_pairs = int(members.sum(dtype=np.int64, where=dropped))
     if dropped_mass != 0.0:
         # With ~N^2 clusters the sub-threshold mass can accumulate to more
         # than the normalization tolerance (up to N^2 times the floor), so

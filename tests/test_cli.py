@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,20 @@ def test_cli_bandwidth_fit_files(tmp_path):
     assert run(config) == 0
     fit = json.loads((out / "bandwidth_fit_result.json").read_text())
     assert 0.05 < fit["coefficient"] < 0.3
+
+
+@pytest.mark.parametrize("warning_filter", ["error", "ignore"])
+def test_bandwidth_fit_at_a_vanishing_potential_exits_2(tmp_path, warning_filter):
+    # it wrote a NaN coefficient, or a negative one from rounding noise, with exit 0
+    for delta in ("1e-300", "1e-9"):
+        out = tmp_path / delta
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_filter, RuntimeWarning)
+            assert main(["bandwidth-fit", "--fib-index", "8", "--eta-samples", "1",
+                         "--grid-values", delta, "--out", str(out)]) == 2
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error["type"] == "validation" and error["axis_point"] == {"delta": float(delta)}
+        assert not (out / "bandwidth_fit_result.json").exists()
 
 
 def test_cli_aah_hist_files(tmp_path):

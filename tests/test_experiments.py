@@ -266,6 +266,21 @@ def test_bandwidth_fit_small_lattice():
         bandwidth_fit(10, [5.0], eta_samples=2, seed=1)
 
 
+def test_bandwidth_fit_refuses_a_potential_too_small_to_fit(monkeypatch):
+    # Second order lowers the ring's ground level for any potential, so an edge
+    # excess that is not positive is rounding noise; at 1e-300 the potential's
+    # fourth power also underflows, which alone would divide 0 by 0.
+    for delta, excess in ((1e-300, "0.0"), (1e-9, "-1.55")):
+        with pytest.raises(ValidationError, match=f"potential {delta!r} gives edge excess "
+                                                  f"{excess}.*too small to fit") as caught:
+            bandwidth_fit(8, [1.0, delta], eta_samples=1)
+        assert caught.value.axis_point == {"delta": delta}
+    # an excess that is positive but whose potential underflows in the fit
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda entries: np.array([-2.5, 2.0]))
+    with pytest.raises(ValidationError, match="potentials up to 1e-90 have fourth powers of 0"):
+        bandwidth_fit(8, [1e-100, 1e-90], eta_samples=1)
+
+
 def test_bandwidth_fit_residuals_grow_toward_validity_edge():
     # the quadratic edge law degrades approaching four hoppings, so the
     # absolute misfit climbs toward the end of the validity window
@@ -289,8 +304,8 @@ def test_each_potential_diagonalized_once_per_sweep(monkeypatch):
     calls = []
     real = experiments.diagonalize
 
-    def counting(operator):
-        calls.append(operator.dim)
+    def counting(operator):  # an operator, or the array of a ring built for it
+        calls.append(np.shape(getattr(operator, "entries", operator))[0])
         time.sleep(0.02)
         return real(operator)
 
@@ -329,15 +344,16 @@ def test_aah_quench_tables_read_the_on_site_change(monkeypatch):
                 setup = QuenchSetup(hi=hi, hf=hf, rho=pn)
                 assert table.mean_work(pn) == mean_work_direct(setup)
 
-    # one build per point, and the flat chain's one per sweep
+    # one ring built per point, and the flat chain's one per sweep, each handed
+    # to diagonalize as its array: no operator is made of it
     builds = []
-    real = experiments.aah_hamiltonian
+    real = experiments._ring
 
     def counting(params):
         builds.append(params.delta)
         return real(params)
 
-    monkeypatch.setattr(experiments, "aah_hamiltonian", counting)
+    monkeypatch.setattr(experiments, "_ring", counting)
     grid = [1.0, 2.0, 3.0]
     for direction in (ZERO_TO_DELTA, DELTA_TO_ZERO):
         builds.clear()
@@ -415,15 +431,18 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
     # per pair, and 5.6 and 2.7 (6.6 and 3.7) while each state built its joint
     # table and H_u copied its nonzero entries, and 5.2 and 2.7 (6.2 and 3.7)
     # while the wide route stored int64 ids and the work entropy copied the
-    # collected probabilities and took their whole log. Now they read 4.2 and
-    # 2.6 (5.2 and 3.6). The thermal peak is the wide state's argsort: the Bohr
-    # values, their order and the sorted copy; its work entropy, one array of
-    # quotients and a block of logs, reads 4.1 (5.1). The ground peak is the
-    # narrow state's per-cluster arrays in collection, the dropped_mass gather
-    # among them; its cluster-id build reads 2.2 (3.2). The flat chain keeps one
-    # N^2 array between rows, its eigenvectors, and no Hamiltonian. A block is
-    # cut to 0.05 N^2 (by default 0.46 N^2 here and 0.07 N^2 at N = 987), so
-    # that a block sized for small tables cannot set a peak.
+    # collected probabilities and took their whole log, and 4.2 and 2.6 (5.2
+    # and 3.6) while the wide route sorted a copy of the Bohr values and kept
+    # int64 member counts. Now they read 3.9 and 2.3 (4.9 and 3.3). Both peaks
+    # are collection's gathers of the kept clusters beside its two per-cluster
+    # sums and the int32 member counts (for a ground state, the dropped_mass
+    # gather too). The wide state's cluster-id build, the Bohr values and their
+    # argsort order, reads 3.3 (4.3), and the thermal row's work entropy 3.6
+    # (4.6); the ground row's cluster-id build reads 2.2 (3.2). Each ring is
+    # diagonalized in the array it is built in. The flat chain keeps one N^2
+    # array between rows, its eigenvectors, and no Hamiltonian. A block is cut
+    # to 0.05 N^2 (by default 0.46 N^2 here and 0.07 N^2 at N = 987), so that a
+    # block sized for small tables cannot set a peak.
     fib_index = 14
     flat = _flat_chain(fib_index)
     n_squared = flat.dim**2 * 8
@@ -434,10 +453,10 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
     betas = cli.RunConfig("thermal-sweep").state_betas
     thermal = tuple(StateSpec.thermal(beta) for beta in betas)
     budgets = (
-        (ZERO_TO_DELTA, thermal, {"moments": False}, 4.3),
-        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 2.7),
-        (DELTA_TO_ZERO, thermal, {"moments": False}, 5.3),
-        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 3.7),
+        (ZERO_TO_DELTA, thermal, {"moments": False}, 4.0),
+        (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 2.5),
+        (DELTA_TO_ZERO, thermal, {"moments": False}, 5.0),
+        (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 3.5),
     )
     for direction, states, options, budget in budgets:
         tracemalloc.start()

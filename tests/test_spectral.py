@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from qworkstats import (
     thermal_populations,
     transition_probabilities,
 )
-from qworkstats import spectral
+from qworkstats import models, spectral
 from qworkstats.models import AahParams, aah_hamiltonian, lz_hamiltonian
 from qworkstats.spectral import HERMITICITY_RTOL
 from qworkstats.tpm import PairTable
@@ -172,6 +173,77 @@ def test_transition_probabilities_of_direct_decompositions_keep_the_bits_of_eigh
         overlap = vf.T @ vi
         assert np.array_equal(transition_probabilities(diagonalize(hi), diagonalize(hf)),
                               overlap * overlap)
+
+
+def _handed_over(levels):
+    """(array, operator) pairs of equal entries: rings as the sweeps hand them over, the
+    Fortran-order transposed view of the build, and random symmetric matrices."""
+    fib_index = {89: 11, 144: 12, 377: 14}.get(levels)
+    if fib_index is not None:
+        for delta in (0.0, 1.5, 2.5):
+            params = AahParams(fib_index=fib_index, delta=delta)
+            yield models._ring(params).T, aah_hamiltonian(params)
+    else:
+        entries = np.random.default_rng(levels).normal(size=(levels, levels))
+        entries += entries.T
+        yield np.asfortranarray(entries), HermitianOperator(entries=entries)
+
+
+@pytest.mark.parametrize("levels", [89, 127, 128, 144, 377])
+def test_a_handed_over_array_gives_the_bits_of_its_operator(levels):
+    direct = DIRECT and levels >= spectral.DIRECT_MIN_LEVELS
+    for array, operator in _handed_over(levels):
+        before = operator.entries.copy()
+        expected, dec = diagonalize(operator), diagonalize(array)
+        assert np.array_equal(dec.eigenvalues, expected.eigenvalues)
+        assert np.array_equal(dec.eigenvectors, expected.eigenvectors)
+        # the operator is never overwritten; a large real array becomes the eigenvectors
+        assert np.array_equal(operator.entries, before)
+        assert not np.shares_memory(expected.eigenvectors, operator.entries)
+        assert np.shares_memory(dec.eigenvectors, array) == direct
+        assert not (dec.eigenvalues.flags.writeable or dec.eigenvectors.flags.writeable)
+
+
+@pytest.mark.skipif(not DIRECT, reason="numpy bundles no ILP64 LAPACKE_dsyevd")
+def test_a_handed_over_array_is_decomposed_without_a_copy():
+    # Traced memory over the call, at N = 377: the array's decomposition keeps only
+    # its eigenvalues beyond the array, and its checks make N^2 booleans at most;
+    # the operator's keeps its one N^2 copy.
+    params = AahParams(fib_index=14, delta=1.5)
+    n_squared = params.size**2 * 8
+    operator, array = aah_hamiltonian(params), models._ring(params).T
+    for argument in (array, operator):
+        tracemalloc.start()
+        try:
+            dec = diagonalize(argument)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if argument is array:
+            assert held < 0.01 * n_squared and peak < 0.25 * n_squared, (held, peak)
+        else:
+            assert n_squared <= held < 1.01 * n_squared, held
+        del dec
+    # an array it may not write, or one not in Fortran order, is copied
+    for other in (operator.entries.T, models._ring(params)):
+        before = other.copy()
+        dec = diagonalize(other)
+        assert not np.shares_memory(dec.eigenvectors, other)
+        assert np.array_equal(other, before)
+
+
+@pytest.mark.parametrize("levels", [89, 144])
+def test_a_bad_array_is_refused_before_lapack_runs(monkeypatch, levels):
+    monkeypatch.setattr(spectral, "_lapacke_dsyevd", None)  # a call would raise
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    ring = models._ring(AahParams(fib_index={89: 11, 144: 12}[levels], delta=1.5))
+    skewed, infinite = ring.copy(), ring.copy()
+    skewed[0, 1] += 1e-6
+    infinite[3, 3] = np.inf
+    for array, message in ((skewed, "not Hermitian"), (infinite, "non-finite"),
+                           (ring[:, :-1], "square")):
+        with pytest.raises(ValidationError, match=message):
+            diagonalize(array)
 
 
 def test_complex_and_small_operators_keep_eigh(monkeypatch):

@@ -521,6 +521,8 @@ def test_collected_distribution_keeps_its_arrays_and_copies_a_callers(monkeypatc
         assert not np.shares_memory(mine, kept)
         mine[0] = 7
     assert built.support[0] == 0.0 and built.probs[0] == 0.5 and built.multiplicity[0] == 1
+    # one multiplicity dtype, whichever constructor built the distribution
+    assert work.multiplicity.dtype == built.multiplicity.dtype == tpm.CLUSTER_ID
 
 
 def _changed_diagonal(rng, dim, dtype):
@@ -751,16 +753,17 @@ def _int64_cluster_ids(table, cluster_tol):
     return ids.reshape(table.pmn.shape), members
 
 
-@pytest.mark.parametrize("quench", ["zero-to-delta", "delta-to-zero", "integer levels"])
-def test_int32_cluster_ids_are_the_old_int64_ids(quench):
-    # Narrow states on a fresh table, then the wide state that stores the
-    # whole table's ids, then a narrow state that reads them. Integer levels
-    # put many pairs in each value.
+def _tied_table(quench):
+    """An AAH quench's table at N = 144, or one of integer levels: many pairs in each value."""
     if quench == "integer levels":
         levels = np.repeat(np.arange(20.0), 3)
-        table = pair_table(np.eye(levels.size), levels, levels)
-    else:
-        table = experiments._aah_quench(AahParams(fib_index=12, delta=2.5), quench)
+        return pair_table(np.eye(levels.size), levels, levels)
+    return experiments._aah_quench(AahParams(fib_index=12, delta=2.5), quench)
+
+
+def _assert_every_route_gives_the_old_ids(table, quench):
+    """Narrow states on a fresh table, then the wide state that stores the whole
+    table's ids, then a narrow state that reads them, each against the old ids."""
     n, width = table.dim, table.default_cluster_tol
     old_ids, old_members = _int64_cluster_ids(table, width)
     stored = False
@@ -769,9 +772,31 @@ def test_int32_cluster_ids_are_the_old_int64_ids(quench):
         ids, members = tpm._cluster_ids(table, width, columns)
         assert np.array_equal(ids, old_ids[:, columns]) and np.array_equal(members, old_members)
         assert ids.dtype == (np.int32 if stored else np.intp)
+        assert members.dtype == tpm.CLUSTER_ID
         assert (("cluster_ids", width) in table._memo) == stored
     assert old_members.size < n * n  # ties, or the ids would be a permutation
     assert old_members.max() > (2 if quench == "integer levels" else 1)
+
+
+@pytest.mark.parametrize("quench", ["zero-to-delta", "delta-to-zero", "integer levels"])
+def test_int32_cluster_ids_are_the_old_int64_ids(quench):
+    _assert_every_route_gives_the_old_ids(_tied_table(quench), quench)
+
+
+@pytest.mark.parametrize("block", [1, 7, 61])
+@pytest.mark.parametrize("quench", ["zero-to-delta", "delta-to-zero", "integer levels"])
+def test_block_wise_cluster_ids_are_the_one_array_ids(monkeypatch, quench, block):
+    # The reference sorts, gathers and scatters the whole table at once. Blocks
+    # of a few pairs make clusters, tied values and the wide route's running
+    # count cross block edges.
+    table = _tied_table(quench)
+    edges = np.arange(block, table.pmn.size, block)
+    old_ids = _int64_cluster_ids(table, table.default_cluster_tol)[0]
+    sorted_ids, sorted_values = np.sort(old_ids, axis=None), np.sort(table.bohr(), axis=None)
+    assert (sorted_ids[edges] == sorted_ids[edges - 1]).any()
+    assert (sorted_values[edges] == sorted_values[edges - 1]).any()
+    monkeypatch.setattr(tpm, "BLOCK_PAIRS", block)
+    _assert_every_route_gives_the_old_ids(table, quench)
 
 
 def test_a_table_with_more_pairs_than_int32_ids_is_refused():

@@ -43,7 +43,6 @@ from .experiments import (
     STATE_KINDS,
     ZERO_TO_DELTA,
     StateSpec,
-    _aah_sweeps,
     aah_transition_sweep,
     aah_work_histogram,
     bandwidth_fit,
@@ -190,12 +189,8 @@ def _run_aah_hist(config: RunConfig, out: _Outputs):
     if len(set(labels)) < grid.size:  # %g would merge distinct values
         labels = [repr(float(delta)) for delta in grid]
 
-    def histogram(delta: float):
-        params = AahParams(fib_index=config.fib_index, delta=float(delta), eta=config.eta)
-        return aah_work_histogram(params, config.direction, config.state_spec(), config.cluster_tol)
-
-    experiments._flat_chain(config.fib_index)  # filled before the pool starts
-    works = experiments._fan_out(histogram, list(grid), config.workers)
+    works = aah_work_histogram(config.fib_index, grid, config.direction, config.state_spec(),
+                               config.eta, config.cluster_tol, config.workers)
     for work, label in zip(works, labels):
         out.csv(f"aah_hist_delta_{label.replace('.', 'p')}.csv", _WORK_HEADER,
                 zip(work.support, work.probs, work.multiplicity))
@@ -218,11 +213,11 @@ def _sweep_csvs(result, out: _Outputs, prefix: str, axis_name: str, moments_extr
 
 
 def _run_aah_sweep(config: RunConfig, out: _Outputs):
-    result = aah_transition_sweep(
+    (result,) = aah_transition_sweep(
         fib_index=config.fib_index,
         delta_grid=config.grid(default_aah_grid()),
         direction=config.direction,
-        state=config.state_spec(),
+        states=(config.state_spec(),),
         eta=config.eta,
         cluster_tol=config.cluster_tol,
         workers=config.workers,
@@ -235,7 +230,7 @@ def _run_aah_sweep(config: RunConfig, out: _Outputs):
 
 def _run_thermal_sweep(config: RunConfig, out: _Outputs):
     states = tuple(StateSpec.thermal(beta) for beta in config.state_betas)
-    results = _aah_sweeps(
+    results = aah_transition_sweep(
         config.fib_index,
         config.grid(default_aah_grid()),
         config.direction,
@@ -342,10 +337,8 @@ def _run_single_quench(config: RunConfig, out: _Outputs):
         uncollected = UncollectedDistribution(config.state_spec().build(initial), table)
         work = collect_work_distribution(uncollected, config.cluster_tol)
     else:
-        params = AahParams(fib_index=config.fib_index, delta=config.delta, eta=config.eta)
-        work = aah_work_histogram(
-            params, config.direction, config.state_spec(), config.cluster_tol
-        )
+        (work,) = aah_work_histogram(config.fib_index, [config.delta], config.direction,
+                                     config.state_spec(), config.eta, config.cluster_tol)
     out.csv("single_quench_work.csv", _WORK_HEADER,
             zip(work.support, work.probs, work.multiplicity))
     out.json("single_quench_work.json", work.to_json_record())

@@ -2,7 +2,9 @@
 
 Drivers that walk the two-level crossing through its detuning and the AAH
 chain through its localization transition, collecting moments, work
-entropy, and the full bound report at every point. Sweep points and phase
+entropy, and the full bound report at every point. Every AAH driver runs
+its (potential, phase) points through one loop, which diagonalizes the
+flat chain once per call and keeps it no longer. Sweep points and phase
 samples are embarrassingly parallel; fan-out preserves axis order, so a
 fixed (config, seed) pair always reproduces files byte for byte.
 """
@@ -13,7 +15,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -149,7 +150,7 @@ class FitResult:
 
 def _fan_out(fn, items, workers: int):
     """Apply fn over items, fanning out across threads; results in item order."""
-    if workers is None or workers <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -174,12 +175,6 @@ def _at_point(**point):
         known = {name: value for name, value in point.items() if value is not None}
         exc.axis_point = {**known, **getattr(exc, "axis_point", {})}
         raise
-
-
-@lru_cache(maxsize=8)
-def _flat_chain(fib_index: int) -> SpectralDecomposition:
-    """The zero-potential chain's decomposition, which no phase changes; not its Hamiltonian."""
-    return diagonalize(_ring(AahParams(fib_index=fib_index, delta=0.0)).T)
 
 
 def _evaluate(
@@ -259,11 +254,11 @@ def _potential_grid(delta_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _aah_quench(params: AahParams, direction: str) -> PairTable:
-    """The quench that switches the potential off or on: its table reads the on-site change,
-    which is the modulated chain's on-site energies, since the flat chain's are zeros. Its ring
-    is diagonalized in the array it is built in: the transposed view is in Fortran order."""
-    flat = _flat_chain(params.fib_index)
+def _aah_quench(params: AahParams, direction: str, flat: SpectralDecomposition) -> PairTable:
+    """The quench that switches the potential off or on between ``flat``, the flat chain's
+    decomposition, and the modulated chain: its table reads the on-site change, which is the
+    modulated chain's on-site energies, since the flat chain's are zeros. Its ring is
+    diagonalized in the array it is built in: the transposed view is in Fortran order."""
     modulated = diagonalize(_ring(params).T)
     onsite = _onsite_energies(params)
     if direction == DELTA_TO_ZERO:
@@ -271,22 +266,38 @@ def _aah_quench(params: AahParams, direction: str) -> PairTable:
     return PairTable(None, None, flat, modulated, diagonal_change=onsite)
 
 
-def aah_work_histogram(
-    params: AahParams,
-    direction: str,
-    state: StateSpec | None = None,
-    cluster_tol: float | None = None,
-) -> WorkDistribution:
-    """Collected work distribution for switching the potential off or on."""
+def _aah_points(fib_index: int, points: list[tuple[float, float]], direction: str, point,
+                workers: int) -> list:
+    """``point(table)`` for the quench of each ``(delta, eta)`` of ``points``, in their order.
+
+    Every point is checked before any ring is built. The flat chain, which no phase changes,
+    is diagonalized once, before the pool starts, and lives only as long as this call. A
+    failure names the potential and phase of its point.
+    """
     _check_direction(direction)
-    state = state or StateSpec.ground()
-    with _at_point(delta=params.delta, eta=params.eta):
-        table = _aah_quench(params, direction)
-        uncollected = UncollectedDistribution(state.build(table.initial), table)
-        return collect_work_distribution(uncollected, cluster_tol)
+    if not points:
+        raise ValidationError("empty potential grid")
+    flat_chain = AahParams(fib_index=fib_index, delta=0.0)  # a bad index names no point
+    chains = []
+    for delta, eta in points:
+        with _at_point(delta=delta, eta=eta):
+            chains.append(AahParams(fib_index=fib_index, delta=delta, eta=eta))
+    flat = diagonalize(_ring(flat_chain).T)
+
+    def run_point(params: AahParams):
+        with _at_point(delta=params.delta, eta=params.eta):
+            return point(_aah_quench(params, direction, flat))
+
+    return _fan_out(run_point, chains, workers)
 
 
-def aah_transition_sweep(
+def _collect(state: StateSpec, cluster_tol: float | None):
+    """The ``point`` that collects the work distribution of ``state`` on a quench's table."""
+    return lambda table: collect_work_distribution(
+        UncollectedDistribution(state.build(table.initial), table), cluster_tol)
+
+
+def aah_work_histogram(
     fib_index: int,
     delta_grid: np.ndarray,
     direction: str,
@@ -294,67 +305,56 @@ def aah_transition_sweep(
     eta: float = AahParams.eta,
     cluster_tol: float | None = None,
     workers: int = 1,
-) -> SweepResult:
-    """Walk the chain through its localization transition.
+) -> list[WorkDistribution]:
+    """Collected work distribution for switching each potential of the grid off or on."""
+    points = [(float(delta), eta) for delta in np.asarray(delta_grid, dtype=float)]
+    collect = _collect(state or StateSpec.ground(), cluster_tol)
+    return _aah_points(fib_index, points, direction, collect, workers)
+
+
+def aah_transition_sweep(
+    fib_index: int,
+    delta_grid: np.ndarray,
+    direction: str,
+    states: tuple[StateSpec, ...] = (StateSpec.ground(),),
+    eta: float = AahParams.eta,
+    cluster_tol: float | None = None,
+    workers: int = 1,
+    *,
+    moments: bool = True,
+) -> tuple[SweepResult, ...]:
+    """Walk the chain through its localization transition, one ``SweepResult`` per state.
+
+    Each potential is diagonalized once, and its pair table (transitions,
+    Bohr frequencies and everything derived from them alone) built once,
+    for all of the states. A failure names its potential and phase and,
+    for a thermal state, its inverse temperature. A caller that writes no
+    moments passes ``moments=False``, and its rows skip them.
 
     For the switch-on direction from the ground state the mean work
     vanishes identically (the flat-chain ground state is uniform, and the
     quasiperiodic potential averages to zero over a full ring), which is
     asserted here to one part in 1e10 of the hopping.
     """
-    states = (state or StateSpec.ground(),)
-    (result,) = _aah_sweeps(fib_index, delta_grid, direction, states, eta, cluster_tol, workers)
-    return result
-
-
-def _aah_sweeps(
-    fib_index: int,
-    delta_grid: np.ndarray,
-    direction: str,
-    states: tuple[StateSpec, ...],
-    eta: float,
-    cluster_tol: float | None,
-    workers: int,
-    *,
-    moments: bool = True,
-) -> tuple[SweepResult, ...]:
-    """``aah_transition_sweep`` for each of ``states``, sharing each potential's quench.
-
-    Each potential is diagonalized once, and its pair table (transitions,
-    Bohr frequencies and everything derived from them alone) built once,
-    for all of the states. A failure names its potential and, for a
-    thermal state, its inverse temperature. A caller that writes no
-    moments passes ``moments=False``, and its rows skip them.
-    """
-    _check_direction(direction)
     if not states:
         raise ValidationError("a sweep needs at least one initial state")
     grid = _potential_grid(delta_grid)
-    # Filled here, so that the pool threads do not all miss the cache at once.
-    _flat_chain(fib_index)
 
-    def run_point(delta: float) -> list[SweepRow]:
-        with _at_point(delta=float(delta)):
-            params = AahParams(fib_index=fib_index, delta=float(delta), eta=eta)
-            table = _aah_quench(params, direction)
-            rows = []
-            for state in states:
-                with _at_point(beta=state.beta):
-                    row = _evaluate(state.build(table.initial), table, cluster_tol, moments)
-                    if direction == ZERO_TO_DELTA and state.kind == "ground":
-                        if abs(row.mean_direct) > GROUND_MEAN_TOL:
-                            raise ValidationError(
-                                f"switch-on ground-state mean work {row.mean_direct!r} "
-                                f"exceeds {GROUND_MEAN_TOL:g} hoppings"
-                            )
-                rows.append(row)
-            return rows
+    def evaluate_states(table: PairTable) -> list[SweepRow]:
+        rows = []
+        for state in states:
+            with _at_point(beta=state.beta):
+                row = _evaluate(state.build(table.initial), table, cluster_tol, moments)
+                switch_on_ground = direction == ZERO_TO_DELTA and state.kind == "ground"
+                if switch_on_ground and abs(row.mean_direct) > GROUND_MEAN_TOL:
+                    raise ValidationError(f"switch-on ground-state mean work {row.mean_direct!r}"
+                                          f" exceeds {GROUND_MEAN_TOL:g} hoppings")
+            rows.append(row)
+        return rows
 
-    per_point = _fan_out(run_point, list(grid), workers)
-    return tuple(
-        SweepResult(axis=grid, rows=tuple(rows[k] for rows in per_point))
-        for k in range(len(states))
-    )
+    per_point = _aah_points(fib_index, [(float(delta), eta) for delta in grid], direction,
+                            evaluate_states, workers)
+    return tuple(SweepResult(axis=grid, rows=rows) for rows in zip(*per_point))
 
 
 def scaling_derivative(
@@ -387,22 +387,18 @@ def scaling_derivative(
     _check_direction(direction)
 
     sizes = [fibonacci_pair(fib_index)[1] for fib_index in indices]  # refused before any ring
+    collect = _collect(StateSpec.ground(), cluster_tol)
     rng = np.random.default_rng(seed)
     slopes = []
     for fib_index in indices:
         etas = rng.uniform(0.0, 2.0 * math.pi, size=eta_samples)
-
-        def slope_for(eta: float) -> float:
-            upper = AahParams(fib_index=fib_index, delta=2.0 + deriv_step, eta=eta)
-            lower = AahParams(fib_index=fib_index, delta=2.0 - deriv_step, eta=eta)
-            return (
-                entropy_of_work(aah_work_histogram(upper, direction, cluster_tol=cluster_tol))
-                - entropy_of_work(aah_work_histogram(lower, direction, cluster_tol=cluster_tol))
-            ) / (2.0 * deriv_step)
-
+        points = [(delta, float(eta)) for eta in etas
+                  for delta in (2.0 + deriv_step, 2.0 - deriv_step)]
         with _at_point(fib_index=fib_index):
-            _flat_chain(fib_index)  # filled before the pool threads need it
-            per_eta = _fan_out(slope_for, list(etas), workers)
+            entropies = _aah_points(fib_index, points, direction,
+                                    lambda table: entropy_of_work(collect(table)), workers)
+        per_eta = [(upper - lower) / (2.0 * deriv_step)
+                   for upper, lower in zip(entropies[0::2], entropies[1::2])]
         slopes.append(float(np.mean(per_eta)))
 
     sizes = np.array(sizes, dtype=int)
@@ -437,18 +433,9 @@ def eigenstate_coherence_map(
     coherence floor even for vanishing potential; only the (unique) ground
     level is guaranteed to lose all coherence in that limit.
     """
-    grid = np.asarray(delta_grid, dtype=float)
-    if grid.size == 0:
-        raise ValidationError("empty potential grid")
-    _flat_chain(fib_index)  # filled before the pool threads need it
-
-    def column(delta: float) -> np.ndarray:
-        with _at_point(delta=float(delta)):
-            params = AahParams(fib_index=fib_index, delta=float(delta), eta=eta)
-            return _table_coherences(_aah_quench(params, ZERO_TO_DELTA))
-
-    columns = _fan_out(column, list(grid), workers)
-    return np.column_stack(columns)
+    points = [(float(delta), eta) for delta in np.asarray(delta_grid, dtype=float)]
+    return np.column_stack(_aah_points(fib_index, points, ZERO_TO_DELTA, _table_coherences,
+                                       workers))
 
 
 def bandwidth_fit(

@@ -7,7 +7,8 @@ relative entropy of coherence), a checked Shannon entropy, the
 trace-formula mean work and two reference constants of the AAH ring. No
 quench runs them: the library computes the chain from populations and
 column entropies, whose checks it made once when it built them, and the
-mean from its pair table. ``pair_table`` builds a table from arrays.
+mean from its pair table. ``pair_table`` builds a table from arrays, and
+``aah_quench`` the table of one AAH quench.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import numpy as np
 
 from qworkstats import (
+    AahParams,
     DensityMatrix,
     DimensionMismatchError,
     EigensolverError,
@@ -29,6 +31,7 @@ from qworkstats import (
     level_populations,
     thermal_populations,
 )
+from qworkstats import experiments, models
 from qworkstats.tpm import STOCHASTICITY_TOL, PairTable
 
 PSD_TOL = 1e-10
@@ -95,6 +98,12 @@ def pair_table(pmn, final_energies, initial_energies) -> PairTable:
     table = object.__new__(PairTable)
     table._own(pmn, ef, ei)
     return table
+
+
+def aah_quench(params: AahParams, direction: str) -> PairTable:
+    """The pair table of one AAH quench, with a flat chain diagonalized for it alone."""
+    flat = diagonalize(models._ring(AahParams(fib_index=params.fib_index, delta=0.0)).T)
+    return experiments._aah_quench(params, direction, flat)
 
 
 def assert_decomposes(dec: SpectralDecomposition, source: HermitianOperator,

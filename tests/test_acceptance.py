@@ -18,7 +18,6 @@ import pytest
 
 from conftest import BAND_EDGE_COEFFICIENT, random_setup
 from qworkstats import (
-    AahParams,
     DELTA_TO_ZERO,
     ZERO_TO_DELTA,
     StateSpec,
@@ -63,17 +62,19 @@ def random_suite():
 @pytest.fixture(scope="module")
 def z2d_default_sweep():
     """Ground-state switch-on sweep over the default grid at N = 987."""
-    return aah_transition_sweep(
-        N987, default_aah_grid(), ZERO_TO_DELTA, state=StateSpec.ground(), workers=2
+    (sweep,) = aah_transition_sweep(
+        N987, default_aah_grid(), ZERO_TO_DELTA, states=(StateSpec.ground(),), workers=2
     )
+    return sweep
 
 
 @pytest.fixture(scope="module")
 def d2z_rows():
     """Ground-state switch-off rows at the histogram potentials, N = 987."""
-    return aah_transition_sweep(
-        N987, np.array(HIST_DELTAS), DELTA_TO_ZERO, state=StateSpec.ground(), workers=2
+    (sweep,) = aah_transition_sweep(
+        N987, np.array(HIST_DELTAS), DELTA_TO_ZERO, states=(StateSpec.ground(),), workers=2
     )
+    return sweep
 
 
 def test_criterion_01_normalization_and_bound_chain(random_suite):
@@ -136,11 +137,11 @@ def test_criterion_03_lz_reproduction():
 
 def test_criterion_04_aah_histograms():
     started = time.perf_counter()
-    for delta in HIST_DELTAS:
-        params = AahParams(fib_index=N987, delta=delta)
+    offs = aah_work_histogram(N987, HIST_DELTAS, DELTA_TO_ZERO)
+    ons = aah_work_histogram(N987, HIST_DELTAS, ZERO_TO_DELTA)
+    for delta, off, on in zip(HIST_DELTAS, offs, ons):
         excess = edge_excess(delta)
 
-        off = aah_work_histogram(params, DELTA_TO_ZERO)
         low = float(off.support.min())
         high = float(off.support.max())
         assert low > 0.0
@@ -148,7 +149,6 @@ def test_criterion_04_aah_histograms():
             assert 0.9 * excess <= low <= 1.1 * excess
         assert high <= 4.0 + 1.1 * excess
 
-        on = aah_work_histogram(params, ZERO_TO_DELTA)
         assert float(on.support.min()) >= -1.1 * excess
         assert float(on.support.min()) < 0.0
         assert float(on.support.max()) <= 4.0 + 1.1 * excess
@@ -241,12 +241,10 @@ def test_criterion_09_degeneracy_bracketing(z2d_default_sweep, d2z_rows):
 def test_criterion_10_thermal_behaviour():
     betas = (1e-2, 1.0, 1e2, 1e4)  # descending temperature
     deltas = np.array([1.5, 2.0, 2.5])
-    curves = []
-    for beta in betas:
-        sweep = aah_transition_sweep(
-            N987, deltas, ZERO_TO_DELTA, state=StateSpec.thermal(beta), workers=2
-        )
-        curves.append(sweep.column("h_w"))
+    sweeps = aah_transition_sweep(
+        N987, deltas, ZERO_TO_DELTA, states=tuple(map(StateSpec.thermal, betas)), workers=2
+    )
+    curves = [sweep.column("h_w") for sweep in sweeps]
     for hotter, colder in zip(curves, curves[1:]):
         assert np.all(hotter >= colder - 1e-8)  # entropy grows with temperature
     for beta, curve in zip(betas, curves):

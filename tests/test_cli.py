@@ -16,7 +16,7 @@ import pytest
 from qworkstats import cli, experiments, infotheory, tpm
 from qworkstats.cli import RunConfig, main, parse_config, run
 from qworkstats.errors import BoundViolationError, ConfigError, ValidationError
-from qworkstats.models import AahParams, lz_hamiltonian
+from qworkstats.models import lz_hamiltonian
 from qworkstats.spectral import diagonalize
 
 
@@ -180,9 +180,8 @@ def test_aah_hist_builds_the_configured_state(tmp_path):
         assert main([*argv, "--out", str(out), *extra]) == 0
         written[name] = (out / "aah_hist_delta_2.csv").read_bytes()
     assert written["ground"] != written["thermal"]
-    work = experiments.aah_work_histogram(
-        AahParams(fib_index=9, delta=2.0), experiments.ZERO_TO_DELTA,
-        experiments.StateSpec.thermal(1.0),
+    (work,) = experiments.aah_work_histogram(
+        9, [2.0], experiments.ZERO_TO_DELTA, experiments.StateSpec.thermal(1.0)
     )
     expected = "W,P,multiplicity\n" + "".join(
         f"{w:.17g},{p:.17g},{m}\n"
@@ -500,10 +499,10 @@ def test_a_fibonacci_index_past_the_cap_exits_2_with_a_manifest(tmp_path):
 def test_aah_scaling_past_the_cap_exits_2_before_it_builds_a_ring(monkeypatch, tmp_path):
     # every index is checked before the first ring, not only when the ascending
     # loop reaches it: a ring built here would be a chain of 55 to 28,657 levels
-    def no_ring(fib_index):
-        raise AssertionError(f"ring {fib_index} built before the refusal")
+    def no_ring(params):
+        raise AssertionError(f"ring {params.fib_index} built before the refusal")
 
-    monkeypatch.setattr(experiments, "_flat_chain", no_ring)
+    monkeypatch.setattr(experiments, "_ring", no_ring)
     assert main(["aah-scaling", "--out", str(tmp_path), "--fib-max", "24", "--threads", "1"]) == 2
     error = json.loads((tmp_path / "manifest.json").read_text())["error"]
     assert error["type"] == "validation" and "Fibonacci index 24" in error["message"]
@@ -693,8 +692,8 @@ def test_equal_rotated_populations_write_zero_rec_rho_bar(tmp_path):
 @pytest.mark.parametrize(
     "argv,point",
     [
-        (["aah-sweep", "--grid-values", "1.5,2.5,3.5"], {"delta": 2.5}),
-        (["thermal-sweep", "--grid-values", "1.5,2.5"], {"delta": 1.5, "beta": 1.0}),
+        (["aah-sweep", "--grid-values", "1.5,2.5,3.5"], {"delta": 2.5, "eta": 1.2}),
+        (["thermal-sweep", "--grid-values", "1.5,2.5"], {"delta": 1.5, "eta": 1.2, "beta": 1.0}),
     ],
 )
 def test_bound_violation_names_its_axis_point(tmp_path, capsys, monkeypatch, argv, point):
@@ -721,7 +720,7 @@ def test_bound_violation_names_its_axis_point(tmp_path, capsys, monkeypatch, arg
     "argv,point",
     [
         (["aah-hist", "--grid-values", "1.5,2.5,3.5"], {"delta": 2.5, "eta": 1.2}),
-        (["coherence-map", "--grid-values", "1.5,2.5,3.5"], {"delta": 2.5}),
+        (["coherence-map", "--grid-values", "1.5,2.5,3.5"], {"delta": 2.5, "eta": 1.2}),
     ],
 )
 def test_validation_error_names_its_axis_point(tmp_path, capsys, monkeypatch, argv, point):
@@ -805,21 +804,22 @@ def test_aah_hist_takes_the_grid_flags(tmp_path, monkeypatch):
     assert json.loads((out / "manifest.json").read_text())["outputs"] == names
     # without grid settings the four default potentials stay as they were
     deltas = []
-    histogram = cli.aah_work_histogram
+    ring = experiments._ring
 
-    def recording(params, *args, **kwargs):
-        deltas.append(params.delta)
-        return histogram(params, *args, **kwargs)
+    def recording(params):
+        if params.delta != 0.0:  # not the flat chain
+            deltas.append(params.delta)
+        return ring(params)
 
-    monkeypatch.setattr(cli, "aah_work_histogram", recording)
+    monkeypatch.setattr(experiments, "_ring", recording)
     assert main(argv) == 0
     assert deltas == [1.5, 2.0, 2.5, 3.0]
 
 
 def test_aah_hist_refuses_repeated_grid_values_before_diagonalizing(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(experiments, "_flat_chain", lambda *args: calls.append(args))
-    monkeypatch.setattr(cli, "aah_work_histogram", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "_ring", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "diagonalize", lambda *args: calls.append(args))
     out = tmp_path / "hist"
     argv = ["aah-hist", "--out", str(out), "--fib-index", "7", "--threads", "1"]
     assert main([*argv, "--grid-values", "1.5,2,1.5"]) == 2

@@ -1,11 +1,11 @@
+import gc
 import math
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import BAND_EDGE_COEFFICIENT, mean_work_direct
+from conftest import BAND_EDGE_COEFFICIENT, aah_quench, mean_work_direct
 from qworkstats import (
     AahParams,
     DELTA_TO_ZERO,
@@ -25,7 +25,6 @@ from qworkstats import (
     scaling_derivative,
 )
 from qworkstats import cli, experiments, infotheory, tpm
-from qworkstats.experiments import _aah_sweeps, _flat_chain
 from qworkstats.infotheory import BoundsReport
 
 
@@ -87,20 +86,19 @@ def test_lz_sweep_rejects_empty_grid():
 
 
 def test_aah_histogram_sign_structure():
-    params = AahParams(fib_index=9, delta=2.0)
-    off = aah_work_histogram(params, DELTA_TO_ZERO)
+    delta = 2.0
+    (off,) = aah_work_histogram(9, [delta], DELTA_TO_ZERO)
     assert float(off.support.min()) > 0.0
-    on = aah_work_histogram(params, ZERO_TO_DELTA)
+    (on,) = aah_work_histogram(9, [delta], ZERO_TO_DELTA)
     assert float(on.support.min()) < 0.0 < float(on.support.max())
-    edge = 2.0 + BAND_EDGE_COEFFICIENT * params.delta**2
+    edge = 2.0 + BAND_EDGE_COEFFICIENT * delta**2
     assert float(on.support.max()) <= 4.0 + (edge - 2.0) + 0.15 * (edge - 2.0)
     with pytest.raises(ValidationError):
-        aah_work_histogram(params, "sideways")
+        aah_work_histogram(9, [delta], "sideways")
 
 
 def test_aah_histogram_small_potential_concentrates_low():
-    params = AahParams(fib_index=10, delta=1.0)
-    work = aah_work_histogram(params, ZERO_TO_DELTA)
+    (work,) = aah_work_histogram(10, [1.0], ZERO_TO_DELTA)
     order = np.argsort(work.support)
     cumulative = np.cumsum(work.probs[order])
     # delocalized phase: almost all weight within the lowest slice of support
@@ -111,21 +109,21 @@ def test_aah_histogram_small_potential_concentrates_low():
 
 
 def test_aah_sweep_ground_switch_on_mean_zero():
-    result = aah_transition_sweep(9, [0.5, 1.5, 2.5], ZERO_TO_DELTA)
+    (result,) = aah_transition_sweep(9, [0.5, 1.5, 2.5], ZERO_TO_DELTA)
     for row in result.rows:
         assert abs(row.mean_direct) <= 1e-10
         assert abs(row.moments[0]) <= 1e-10
 
 
 def test_aah_sweep_switch_off_mean_positive():
-    result = aah_transition_sweep(9, [0.5, 1.5, 2.5], DELTA_TO_ZERO)
+    (result,) = aah_transition_sweep(9, [0.5, 1.5, 2.5], DELTA_TO_ZERO)
     for row in result.rows:
         assert row.mean_direct > 0.0
         assert float(np.min(row.moments[0])) > 0.0
 
 
 def test_aah_sweep_entropy_rises_across_transition():
-    result = aah_transition_sweep(10, [1.5, 2.5], ZERO_TO_DELTA)
+    (result,) = aah_transition_sweep(10, [1.5, 2.5], ZERO_TO_DELTA)
     assert result.rows[1].report.h_w > result.rows[0].report.h_w
 
 
@@ -135,8 +133,8 @@ def test_aah_sweep_eigenstate_mean_linear_in_potential():
     # matches the quasiperiodic harmonic couple at all, so level 7 of the
     # 21-site ring is one of the two with a nonzero mean
     level = 7
-    result = aah_transition_sweep(
-        8, [0.7, 1.4], ZERO_TO_DELTA, state=StateSpec.eigenstate(level)
+    (result,) = aah_transition_sweep(
+        8, [0.7, 1.4], ZERO_TO_DELTA, states=(StateSpec.eigenstate(level),)
     )
     mean_1, mean_2 = (row.mean_direct for row in result.rows)
     assert abs(mean_1) > 1e-3
@@ -146,17 +144,16 @@ def test_aah_sweep_eigenstate_mean_linear_in_potential():
 def test_aah_sweep_zero_temperature_state_matches_ground():
     import math
 
-    cold = aah_transition_sweep(
-        8, [2.5], DELTA_TO_ZERO, state=StateSpec.thermal(math.inf)
+    cold, ground = aah_transition_sweep(
+        8, [2.5], DELTA_TO_ZERO, states=(StateSpec.thermal(math.inf), StateSpec.ground())
     )
-    ground = aah_transition_sweep(8, [2.5], DELTA_TO_ZERO, state=StateSpec.ground())
     assert cold.rows[0].report.h_w == pytest.approx(ground.rows[0].report.h_w, abs=1e-12)
     assert cold.rows[0].report.s_diag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_aah_sweep_thermal_rows_have_reports():
-    result = aah_transition_sweep(
-        8, [1.0, 3.0], ZERO_TO_DELTA, state=StateSpec.thermal(1.0)
+    (result,) = aah_transition_sweep(
+        8, [1.0, 3.0], ZERO_TO_DELTA, states=(StateSpec.thermal(1.0),)
     )
     for row in result.rows:
         assert row.report.s_diag > 0.1  # genuinely mixed
@@ -175,8 +172,8 @@ def test_aah_sweep_rejects_bad_grids():
 
 
 def test_sweep_workers_do_not_change_results():
-    serial = aah_transition_sweep(8, [1.0, 2.0, 3.0], ZERO_TO_DELTA, workers=1)
-    threaded = aah_transition_sweep(8, [1.0, 2.0, 3.0], ZERO_TO_DELTA, workers=2)
+    (serial,) = aah_transition_sweep(8, [1.0, 2.0, 3.0], ZERO_TO_DELTA, workers=1)
+    (threaded,) = aah_transition_sweep(8, [1.0, 2.0, 3.0], ZERO_TO_DELTA, workers=2)
     assert np.array_equal(serial.column("h_w"), threaded.column("h_w"))
     assert np.array_equal(serial.column("mean_direct"), threaded.column("mean_direct"))
 
@@ -195,7 +192,7 @@ def test_coherence_map_shape_and_limits():
 def test_coherence_map_ground_row_matches_sweep_report():
     grid = np.array([0.8, 2.2])
     result = eigenstate_coherence_map(9, grid)
-    sweep = aah_transition_sweep(9, grid, ZERO_TO_DELTA)
+    (sweep,) = aah_transition_sweep(9, grid, ZERO_TO_DELTA)
     for idx in range(grid.size):
         assert result[0, idx] == pytest.approx(
             sweep.rows[idx].report.per_level_coherence[0], abs=1e-12
@@ -233,13 +230,14 @@ def test_scaling_derivative_deterministic_and_increasing():
 def test_scaling_slope_is_taken_at_the_critical_point(monkeypatch):
     # delta is V/J, so the centred difference straddles delta = 2 exactly
     deltas = []
-    histogram = experiments.aah_work_histogram
+    ring = experiments._ring
 
-    def recording(params, *args, **kwargs):
-        deltas.append(params.delta)
-        return histogram(params, *args, **kwargs)
+    def recording(params):
+        if params.delta != 0.0:  # not the flat chain
+            deltas.append(params.delta)
+        return ring(params)
 
-    monkeypatch.setattr(experiments, "aah_work_histogram", recording)
+    monkeypatch.setattr(experiments, "_ring", recording)
     for step in (experiments.DEFAULT_DERIV_STEP, 0.1):
         deltas.clear()
         scaling_derivative([5, 6, 7], eta_samples=2, seed=1, deriv_step=step)
@@ -291,37 +289,61 @@ def test_bandwidth_fit_residuals_grow_toward_validity_edge():
     assert grid[int(np.argmax(misfit))] >= 3.0
 
 
-def test_flat_chain_cache_consistency():
-    dec = _flat_chain(9)
-    assert _flat_chain(9) is dec
-    assert dec.eigenvalues[0] == pytest.approx(-2.0, abs=1e-12)
+def _thermal_sweep(fib_index, grid, workers):
+    states = tuple(StateSpec.thermal(beta) for beta in (0.01, 1.0, 100.0, 1e4))
+    return aah_transition_sweep(fib_index, grid, DELTA_TO_ZERO, states, workers=workers)
 
 
-def test_each_potential_diagonalized_once_per_sweep(monkeypatch):
-    # one flat-chain decomposition plus one per potential, however many
-    # pool threads or inverse temperatures share them; the pause widens
-    # the window in which pool threads could miss the flat-chain cache
-    calls = []
+# Every driver that runs AAH points, called as (fib_index, potential grid, workers).
+# The scaling runs the three sizes up to fib_index, with two phases and no grid.
+AAH_DRIVERS = {
+    "ground-sweep": lambda fib_index, grid, workers: aah_transition_sweep(
+        fib_index, grid, ZERO_TO_DELTA, workers=workers),
+    "thermal-sweep": _thermal_sweep,
+    "histogram": lambda fib_index, grid, workers: aah_work_histogram(
+        fib_index, grid, ZERO_TO_DELTA, StateSpec.thermal(1.0), workers=workers),
+    "coherence-map": lambda fib_index, grid, workers: eigenstate_coherence_map(
+        fib_index, grid, workers=workers),
+    "scaling": lambda fib_index, grid, workers: scaling_derivative(
+        range(fib_index - 2, fib_index + 1), eta_samples=2, seed=1, workers=workers),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(AAH_DRIVERS))
+def test_each_potential_diagonalized_once_per_call(monkeypatch, driver):
+    # one flat-chain decomposition per call (per size for the scaling) plus
+    # one per point, however many pool threads or inverse temperatures share them
+    levels = []
     real = experiments.diagonalize
 
-    def counting(operator):  # an operator, or the array of a ring built for it
-        calls.append(np.shape(getattr(operator, "entries", operator))[0])
-        time.sleep(0.02)
-        return real(operator)
+    def counting(array):  # the array of a ring built for it
+        levels.append(array.shape[0])
+        return real(array)
 
     monkeypatch.setattr(experiments, "diagonalize", counting)
     grid = [1.0, 2.0, 3.0]
-    _flat_chain.cache_clear()
-    aah_transition_sweep(8, grid, ZERO_TO_DELTA, workers=2)
-    assert len(calls) == 1 + len(grid)
+    AAH_DRIVERS[driver](8, grid, 2)
+    if driver == "scaling":  # 2 * eta_samples points per size, at N = 8, 13 and 21
+        assert sorted(levels) == [8] * 5 + [13] * 5 + [21] * 5
+    else:
+        assert levels == [21] * (1 + len(grid))
 
-    calls.clear()
-    _flat_chain.cache_clear()
-    betas = (0.01, 1.0, 100.0, 1e4)
-    states = tuple(StateSpec.thermal(beta) for beta in betas)
-    results = _aah_sweeps(8, grid, DELTA_TO_ZERO, states, 1.2, None, workers=2)
-    assert len(calls) == 1 + len(grid)
-    assert len(results) == len(betas)
+
+@pytest.mark.parametrize("driver", sorted(AAH_DRIVERS))
+def test_no_n_squared_array_outlives_a_driver_call(driver):
+    # the flat chain lives for one call: a process-wide cache of it kept
+    # 1.2 N^2 arrays after a sweep at N = 144 returned
+    n_squared = AahParams(fib_index=12, delta=0.0).size ** 2 * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        AAH_DRIVERS[driver](12, [1.5, 2.5], 2)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < n_squared, (after - before) / n_squared
 
 
 def test_aah_quench_tables_read_the_on_site_change(monkeypatch):
@@ -336,7 +358,7 @@ def test_aah_quench_tables_read_the_on_site_change(monkeypatch):
         modulated = aah_hamiltonian(params)
         for direction, (hi, hf) in ((ZERO_TO_DELTA, (flat, modulated)),
                                     (DELTA_TO_ZERO, (modulated, flat))):
-            table = experiments._aah_quench(params, direction)
+            table = aah_quench(params, direction)
             assert table.hi is None and table.hf is None and table.u is None
             change = hf.entries.diagonal() - hi.entries.diagonal()
             assert table.diagonal_change.tobytes() == change.tobytes()
@@ -357,8 +379,7 @@ def test_aah_quench_tables_read_the_on_site_change(monkeypatch):
     grid = [1.0, 2.0, 3.0]
     for direction in (ZERO_TO_DELTA, DELTA_TO_ZERO):
         builds.clear()
-        _flat_chain.cache_clear()
-        _aah_sweeps(fib_index, grid, direction, (StateSpec.ground(),), 1.2, None, workers=2)
+        aah_transition_sweep(fib_index, grid, direction, workers=2)
         assert sorted(builds) == [0.0, *grid]
 
 
@@ -381,7 +402,7 @@ def test_each_potential_builds_one_pair_table_per_sweep(monkeypatch):
     monkeypatch.setattr(infotheory, "_column_entropies", counting_coherences)
     grid = [1.0, 2.0, 3.0]
     states = tuple(StateSpec.thermal(beta) for beta in (0.01, 1.0, 100.0, 1e4))
-    results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2)
+    results = aah_transition_sweep(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2)
     assert len(transitions) == len(grid)
     assert len(coherences) == len(grid)
     assert all(len(result.rows) == len(grid) for result in results)
@@ -399,11 +420,12 @@ def test_thermal_sweep_computes_no_moments_and_the_same_reports(monkeypatch, tmp
     grid = [1.5, 2.5]
     states = tuple(StateSpec.thermal(beta) for beta in (0.01, 1.0, 100.0, 1e4))
     monkeypatch.setattr(experiments, "work_moments", counting_moments)
-    full = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2)
+    full = aah_transition_sweep(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2)
     assert len(calls) == len(grid) * len(states)
 
     calls.clear()
-    lean = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2, moments=False)
+    lean = aah_transition_sweep(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2,
+                                moments=False)
     argv = ["thermal-sweep", "--out", str(tmp_path), "--fib-index", "8", "--grid-values",
             "1.5,2.5", "--threads", "2"]
     assert cli.main(argv) == 0
@@ -417,7 +439,8 @@ def test_thermal_sweep_computes_no_moments_and_the_same_reports(monkeypatch, tmp
 
 
 def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
-    # The traced peak of two sweep rows at N = 377, with the flat chain cached,
+    # The traced peak of two sweep rows at N = 377, traced from the moment the
+    # sweep's flat chain is diagonalized,
     # counted in N^2 float arrays: the thermal row (the CLI's four betas, no
     # moments) read 12.7 and the ground row 7.6 while the pair table kept its
     # sort leftovers and collection copied what it built, and 9.2 and 6.1
@@ -444,12 +467,20 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
     # to 0.05 N^2 (by default 0.46 N^2 here and 0.07 N^2 at N = 987), so that a
     # block sized for small tables cannot set a peak.
     fib_index = 14
-    flat = _flat_chain(fib_index)
-    n_squared = flat.dim**2 * 8
-    monkeypatch.setattr(tpm, "BLOCK_PAIRS", flat.dim**2 // 20)
-    held = [a for a in vars(flat).values() if isinstance(a, np.ndarray) and a.size == flat.dim**2]
-    assert isinstance(flat, SpectralDecomposition) and len(held) == 1
-    assert held[0] is flat.eigenvectors
+    n = AahParams(fib_index=fib_index, delta=0.0).size
+    n_squared = n**2 * 8
+    monkeypatch.setattr(tpm, "BLOCK_PAIRS", n**2 // 20)
+    flats = []
+    real = experiments.diagonalize
+
+    def tracing_after_the_flat_chain(array):
+        decomposition = real(array)
+        if not flats:  # a sweep diagonalizes its flat chain first
+            flats.append(decomposition)
+            tracemalloc.start()
+        return decomposition
+
+    monkeypatch.setattr(experiments, "diagonalize", tracing_after_the_flat_chain)
     betas = cli.RunConfig("thermal-sweep").state_betas
     thermal = tuple(StateSpec.thermal(beta) for beta in betas)
     budgets = (
@@ -459,13 +490,17 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
         (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 3.5),
     )
     for direction, states, options, budget in budgets:
-        tracemalloc.start()
+        flats.clear()
         try:
-            _aah_sweeps(fib_index, np.array([1.5, 2.5]), direction, states, 1.2, None, 1,
-                        **options)
+            aah_transition_sweep(fib_index, np.array([1.5, 2.5]), direction, states, 1.2, None, 1,
+                                 **options)
             peak = tracemalloc.get_traced_memory()[1] / n_squared
         finally:
             tracemalloc.stop()
+        (flat,) = flats
+        held = [a for a in vars(flat).values() if isinstance(a, np.ndarray) and a.size == n**2]
+        assert isinstance(flat, SpectralDecomposition) and len(held) == 1
+        assert held[0] is flat.eigenvectors
         assert peak <= budget, (direction, len(states), peak)
 
 
@@ -482,7 +517,7 @@ def test_the_block_size_moves_only_the_last_bits_of_h_u(monkeypatch):
         out = []
         for delta in (1.5, 2.5):
             for direction in (ZERO_TO_DELTA, DELTA_TO_ZERO):
-                table = experiments._aah_quench(AahParams(fib_index=14, delta=delta), direction)
+                table = aah_quench(AahParams(fib_index=14, delta=delta), direction)
                 for state in states:
                     pn = state.build(table.initial)
                     work = tpm.collect_work_distribution(tpm.UncollectedDistribution(pn, table))
@@ -507,13 +542,14 @@ def test_shared_sweep_matches_one_sweep_per_state():
     grid = [1.5, 2.5]
     betas = (0.01, 1.0, math.inf)
     states = (StateSpec.ground(), StateSpec.eigenstate(2), *map(StateSpec.thermal, betas))
-    results = _aah_sweeps(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2)
+    results = aah_transition_sweep(8, grid, ZERO_TO_DELTA, states, 1.2, None, workers=2)
+    assert len(results) == len(states)
     for state, result in zip(states, results):
-        alone = aah_transition_sweep(8, grid, ZERO_TO_DELTA, state=state)
+        (alone,) = aah_transition_sweep(8, grid, ZERO_TO_DELTA, states=(state,))
         for name in ("h_w", "h_u", "s_diag", "avg_coherence", "c_max", "variance", "mean_direct"):
             assert np.array_equal(result.column(name), alone.column(name))
     with pytest.raises(ValidationError):
-        _aah_sweeps(8, grid, ZERO_TO_DELTA, (), 1.2, None, 1)
+        aah_transition_sweep(8, grid, ZERO_TO_DELTA, (), 1.2, None, 1)
 
 
 def test_ring_translation_moves_no_basis_free_column():
@@ -529,7 +565,7 @@ def test_ring_translation_moves_no_basis_free_column():
     names = ("h_w", "s_diag", "ln_gamma_max", "gamma_max", "variance", "mean_direct")
     for direction in (ZERO_TO_DELTA, DELTA_TO_ZERO):
         here, there = (
-            _aah_sweeps(14, grid, direction, states, phase, None, workers=2)
+            aah_transition_sweep(14, grid, direction, states, phase, None, workers=2)
             for phase in (eta, shifted)
         )
         for a, b in zip(here, there):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    aah_quench,
     assert_positive,
     dephase,
     eigenstate_projector,
@@ -39,7 +40,7 @@ from qworkstats import (
     uncollected_distribution,
     uncollected_entropy,
 )
-from qworkstats import experiments, infotheory, tpm
+from qworkstats import infotheory, tpm
 from qworkstats.experiments import ZERO_TO_DELTA, StateSpec
 from qworkstats.infotheory import BoundsReport, _column_entropies, check_bounds
 from qworkstats.tpm import PairTable
@@ -87,7 +88,7 @@ def test_zero_entropies_are_written_as_positive_zero():
     setup = QuenchSetup(hi=hi, hf=hi, rho=[0.3, 0.7])
     one_point = collect_work_distribution(uncollected_distribution(setup))
     assert one_point.num_points == 1
-    ground_row = aah_transition_sweep(8, [1.0], ZERO_TO_DELTA).rows[0]
+    ground_row = aah_transition_sweep(8, [1.0], ZERO_TO_DELTA)[0].rows[0]
     assert ground_row.report.initial_is_ground
     for value in (
         entropy_of_work(one_point),
@@ -424,7 +425,7 @@ def test_bounds_report_cross_route_on_lattice():
     from qworkstats import AahParams, aah_hamiltonian
     from qworkstats.experiments import ZERO_TO_DELTA, StateSpec, aah_transition_sweep
 
-    sweep = aah_transition_sweep(12, [2.0], ZERO_TO_DELTA, state=StateSpec.thermal(1.0))
+    (sweep,) = aah_transition_sweep(12, [2.0], ZERO_TO_DELTA, states=(StateSpec.thermal(1.0),))
     report = sweep.rows[0].report
 
     flat = aah_hamiltonian(AahParams(fib_index=12, delta=0.0))
@@ -483,7 +484,7 @@ def test_entropy_of_work_holds_one_array_as_long_as_its_probabilities():
     # A thermal distribution at N = 377 and two hoppings and a half collects
     # about 0.5 N^2 values. Its entropy holds their quotients and either their
     # mask (a byte each) or one block of logs, and the array headers (under 1 KiB).
-    table = experiments._aah_quench(AahParams(fib_index=14, delta=2.5), ZERO_TO_DELTA)
+    table = aah_quench(AahParams(fib_index=14, delta=2.5), ZERO_TO_DELTA)
     work = collect_work_distribution(
         UncollectedDistribution(StateSpec.thermal(1.0).build(table.initial), table)
     )

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import pathlib
+import re
 import types
 
 import pytest
@@ -145,3 +146,28 @@ def test_every_public_name_is_used_by_the_program():
         for name in _public_definitions(path) - used
     }
     assert sorted(unused) == []
+
+
+def test_the_cli_reads_no_private_name_of_another_module():
+    # the front end runs the library through its public names, so a driver
+    # that the CLI needs is one that library users can call too
+    package = ROOT / "src" / "qworkstats"
+    modules = {path.stem for path in package.glob("*.py")} - {"cli", "__init__"}
+    tree = ast.parse((package / "cli.py").read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            read |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            read.add(f"{node.value.id}.{node.attr}")
+    private = [name for name in sorted(read) if re.search(r"\._(?!_)", name)]
+    assert private == []
+
+
+def test_the_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.DOTALL)
+    exec(compile(block, "README.md quick start", "exec"), {})
+    assert capsys.readouterr().out

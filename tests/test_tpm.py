@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    aah_quench,
     dephase,
     eigenstate_projector,
     haar_unitary,
@@ -389,7 +390,7 @@ def test_the_narrow_route_collects_the_bits_of_the_stored_route():
     for delta in (1.5, 2.5):
         params = AahParams(fib_index=14, delta=delta)
         for direction in (experiments.ZERO_TO_DELTA, experiments.DELTA_TO_ZERO):
-            make = lambda: experiments._aah_quench(params, direction)  # noqa: E731
+            make = lambda: aah_quench(params, direction)  # noqa: E731
             narrow, stored = narrow_and_stored(make, np.eye(params.size)[0])
             assert_same_bits(narrow, stored)
 
@@ -758,7 +759,7 @@ def _tied_table(quench):
     if quench == "integer levels":
         levels = np.repeat(np.arange(20.0), 3)
         return pair_table(np.eye(levels.size), levels, levels)
-    return experiments._aah_quench(AahParams(fib_index=12, delta=2.5), quench)
+    return aah_quench(AahParams(fib_index=12, delta=2.5), quench)
 
 
 def _assert_every_route_gives_the_old_ids(table, quench):

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands cover the full set of drivers; every run writes one CSV per
-output panel plus a JSON manifest echoing the settings in force, the
-seed, and the tolerances, which is enough to reproduce any output file
-byte for byte. Output files are written atomically (temp file + rename),
-progress goes to stderr, and stdout carries an optional machine-readable
-summary.
+output panel plus a JSON manifest echoing the settings in force (among
+them the seed of a run that samples phases) and the tolerances, which is
+enough to reproduce any output file byte for byte. Output files are
+written atomically (temp file + rename), progress goes to stderr, and
+stdout carries an optional machine-readable summary.
 
 Configuration can come from an INI-style file with sections [run],
 [model], [state], and [grid]; command-line flags override file values.
@@ -345,7 +345,7 @@ def _run_single_quench(config: RunConfig, out: _Outputs):
     return {"h_w": entropy_of_work(work)}
 
 
-_COMMON = ("subcommand", "out", "seed", "threads", "bits")
+_COMMON = ("subcommand", "out", "threads")
 _CHAIN = ("fib_index", "eta", "direction", "cluster_tol")
 _STATE = ("state_kind", "state_level", "state_beta")
 _GRID = ("grid_start", "grid_stop", "grid_points", "grid_values")
@@ -354,15 +354,16 @@ _GRID = ("grid_start", "grid_stop", "grid_points", "grid_values")
 # flags, the settings it refuses and its manifest's config echo follow. A
 # handler writes its files through an _Outputs and returns the summary's extras.
 _HANDLERS = {
-    "lz-sweep": (_run_lz_sweep, ("omega_i", "state_beta", "cluster_tol", *_GRID)),
-    "aah-hist": (_run_aah_hist, (*_CHAIN, *_STATE, *_GRID)),
-    "aah-sweep": (_run_aah_sweep, (*_CHAIN, *_STATE, *_GRID)),
+    "lz-sweep": (_run_lz_sweep, ("omega_i", "state_beta", "cluster_tol", *_GRID, "bits")),
+    "aah-hist": (_run_aah_hist, (*_CHAIN, *_STATE, *_GRID, "bits")),
+    "aah-sweep": (_run_aah_sweep, (*_CHAIN, *_STATE, *_GRID, "bits")),
     "aah-scaling": (_run_aah_scaling, ("fib_min", "fib_max", "eta_samples", "deriv_step",
-                                       "direction", "cluster_tol")),
-    "thermal-sweep": (_run_thermal_sweep, (*_CHAIN, "state_betas", *_GRID)),
-    "coherence-map": (_run_coherence_map, ("fib_index", "eta", *_GRID)),
-    "bandwidth-fit": (_run_bandwidth_fit, ("fib_index", "eta_samples", *_GRID)),
-    "single-quench": (_run_single_quench, (*_CHAIN, *_STATE, "omega_i", "omega_f", "delta")),
+                                       "direction", "cluster_tol", "seed")),
+    "thermal-sweep": (_run_thermal_sweep, (*_CHAIN, "state_betas", *_GRID, "bits")),
+    "coherence-map": (_run_coherence_map, ("fib_index", "eta", *_GRID, "bits")),
+    "bandwidth-fit": (_run_bandwidth_fit, ("fib_index", "eta_samples", *_GRID, "seed")),
+    "single-quench": (_run_single_quench, (*_CHAIN, *_STATE, "omega_i", "omega_f", "delta",
+                                           "bits")),
 }
 
 
@@ -581,7 +582,7 @@ def run(config: RunConfig) -> int:
     error_record = None
     status = 0
     try:
-        _progress(f"running {config.subcommand} (seed={config.seed})")
+        _progress(f"running {config.subcommand}")
         extras = _HANDLERS[config.subcommand][0](config, outputs)
         _progress(f"wrote {len(outputs.names)} file(s) in {time.time() - started:.1f}s")
     except BoundViolationError as exc:
@@ -628,15 +629,12 @@ def run(config: RunConfig) -> int:
         print(json.dumps(error_record), file=sys.stderr)
         status = 4
     if error_record is None:
-        summary = {"subcommand": config.subcommand, "outputs": manifest["outputs"]}
         # entropies are stored in nats everywhere; conversion is display-only
-        unit = "bits" if config.bits else "nats"
-        summary["entropy_unit"] = unit
+        summary = {"subcommand": config.subcommand, "outputs": manifest["outputs"],
+                   "entropy_unit": "bits" if config.bits else "nats"}
         for key, value in extras.items():
-            if key.startswith(("h_w", "c_max")) and config.bits:
-                summary[key] = value / LN2
-            else:
-                summary[key] = value
+            bits = config.bits and key.startswith(("h_w", "c_max"))
+            summary[key] = value / LN2 if bits else value
         print(json.dumps(summary, sort_keys=True))
     return status
 

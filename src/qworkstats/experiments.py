@@ -301,14 +301,14 @@ def aah_work_histogram(
     fib_index: int,
     delta_grid: np.ndarray,
     direction: str,
-    state: StateSpec | None = None,
+    state: StateSpec = StateSpec.ground(),
     eta: float = AahParams.eta,
     cluster_tol: float | None = None,
     workers: int = 1,
 ) -> list[WorkDistribution]:
     """Collected work distribution for switching each potential of the grid off or on."""
     points = [(float(delta), eta) for delta in np.asarray(delta_grid, dtype=float)]
-    collect = _collect(state or StateSpec.ground(), cluster_tol)
+    collect = _collect(state, cluster_tol)
     return _aah_points(fib_index, points, direction, collect, workers)
 
 
@@ -382,8 +382,8 @@ def scaling_derivative(
         raise ValidationError("lattice size indices must be ascending")
     if eta_samples < 1:
         raise ValidationError(f"eta_samples must be >= 1, got {eta_samples}")
-    if not deriv_step > 0:
-        raise ValidationError(f"deriv_step must be positive, got {deriv_step!r}")
+    if not 0 < deriv_step < 2:  # both potentials 2 +- deriv_step then lie in (0, 4)
+        raise ValidationError(f"deriv_step must lie in (0, 2), got {deriv_step!r}")
     _check_direction(direction)
 
     sizes = [fibonacci_pair(fib_index)[1] for fib_index in indices]  # refused before any ring

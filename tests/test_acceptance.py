@@ -260,7 +260,6 @@ def test_criterion_11_determinism(tmp_path):
         "aah-sweep",
         "--fib-index", "10",
         "--grid-values", "1.5,2.0,2.5",
-        "--seed", "31415",
         "--threads", "2",
     ]
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -78,7 +78,7 @@ def test_infinite_cluster_tol_is_a_config_error(tmp_path, capsys):
 
 def test_flag_overrides_file_seed(tmp_path):
     path = write_config(
-        tmp_path / "run.ini", "[run]\nsubcommand = aah-sweep\nseed = 1\n"
+        tmp_path / "run.ini", "[run]\nsubcommand = aah-scaling\nseed = 1\n"
     )
     config = parse_config(path, overrides={"seed": 7})
     assert config.seed == 7
@@ -150,6 +150,9 @@ def test_aah_scaling_cli_writes_fit(tmp_path):
     assert run(config) == 0
     fit = json.loads((out / "aah_scaling_fit.json").read_text())
     assert "fit_exponent" in fit
+    # the seed is written once, in the config echo
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "seed" not in manifest and manifest["config"]["seed"] == fit["seed"] == 5
     assert fit["sizes"] == [8, 13, 21]
     slopes_lines = (out / "aah_scaling_slopes.csv").read_text().strip().split("\n")
     assert slopes_lines[0] == "size,slope,fit_residual"
@@ -197,7 +200,6 @@ def test_cli_main_end_to_end_deterministic(tmp_path):
         "aah-sweep",
         "--fib-index", "8",
         "--grid-values", "1.0,2.0",
-        "--seed", "42",
         "--threads", "1",
     ]
     assert main(args + ["--out", str(out_a)]) == 0
@@ -405,6 +407,8 @@ def test_a_setting_the_run_does_not_read_is_refused(tmp_path, capsys, argv):
         ["bandwidth-fit", "--direction", "delta-to-zero"],
         ["aah-sweep", "--omega-f", "3"],
         ["lz-sweep", "--delta", "2"],
+        ["aah-sweep", "--seed", "1"],  # it samples no phase
+        ["aah-scaling", "--bits"],  # its summary holds no entropy
     ],
 )
 def test_a_flag_the_subcommand_does_not_take_exits_2(tmp_path, capsys, argv):
@@ -424,13 +428,18 @@ def test_an_ini_setting_the_subcommand_does_not_take_is_a_config_error(tmp_path,
                                      ("aah-sweep", "state", "betas = 0.5"),
                                      ("lz-sweep", "model", "delta = 2"),
                                      ("single-quench", "model", "omega_f = 3\ndelta = 2"),
-                                     ("single-quench", "model", "omega_f = 3\ndelta = 1.0")):
+                                     ("single-quench", "model", "omega_f = 3\ndelta = 1.0"),
+                                     ("aah-sweep", "run", "seed = 1")):
         text = f"[run]\nsubcommand = {subcommand}\n"
         text += f"{key}\n" if section == "run" else f"[{section}]\n{key}\n"
         path = write_config(tmp_path / "run.ini", text)
         assert main([subcommand, "--config", path, "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["type"] == "config-error" and "does not read" in record["message"]
+        # the refusal names the last key given, by its RunConfig field
+        name = key.splitlines()[-1].split(" = ")[0]
+        name = f"state_{name}" if section == "state" else name
+        assert record == {"type": "config-error",
+                          "message": f"{subcommand} does not read {name} in this run"}
     assert not out.exists()
 
 
@@ -451,9 +460,9 @@ def test_manifest_records_environment_and_tolerances(tmp_path):
                                       "arena_max": 1} if glibc else None)
     assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
     tolerances = manifest["tolerances"]
-    # the seed and the width are written once, in the config echo
-    assert "seed" not in manifest and "cluster_tol" not in manifest
-    assert manifest["config"]["seed"] == 12345 and manifest["config"]["cluster_tol"] is None
+    # the width is written once, in the config echo, and a sweep samples no phase
+    assert "cluster_tol" not in manifest and manifest["config"]["cluster_tol"] is None
+    assert "seed" not in manifest["config"]
     assert tolerances["tpm.DEFAULT_CLUSTER_SCALE"] == 1e-12
     assert tolerances["tpm.DROP_THRESHOLD"] == 1e-15
     assert tolerances["infotheory.BOUND_SLACK"] == 1e-10
@@ -847,7 +856,7 @@ def test_empty_grid_values_are_a_validation_error(tmp_path, source):
 
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys):
     texts = {
-        "repeated.ini": b"[run]\nsubcommand = aah-sweep\n[run]\nseed = 1\n",
+        "repeated.ini": b"[run]\nsubcommand = aah-sweep\n[run]\nthreads = 1\n",
         "percent.ini": b"[run]\nsubcommand = aah-sweep\nout = x%y\n",
         # not UTF-8, whatever the locale's encoding
         "bytes.ini": b"[run]\nsubcommand = aah-sweep\nout = \xff\xfe\n",
@@ -903,19 +912,20 @@ DEFAULTS = {
     "grid_points": None, "grid_values": None,
 }
 # The settings each subcommand takes besides COMMON, by RunConfig field.
-COMMON = ["out", "seed", "threads", "bits"]
+COMMON = ["out", "threads"]
 GRID = ["grid_start", "grid_stop", "grid_points", "grid_values"]
 STATE = ["state_kind", "state_level", "state_beta"]
 CHAIN = ["fib_index", "eta", "direction", "cluster_tol"]
 TAKES = {
-    "lz-sweep": ["omega_i", "state_beta", "cluster_tol", *GRID],
-    "aah-hist": [*CHAIN, *STATE, *GRID],
-    "aah-sweep": [*CHAIN, *STATE, *GRID],
-    "aah-scaling": ["fib_min", "fib_max", "eta_samples", "deriv_step", "direction", "cluster_tol"],
-    "thermal-sweep": [*CHAIN, "state_betas", *GRID],
-    "coherence-map": ["fib_index", "eta", *GRID],
-    "bandwidth-fit": ["fib_index", "eta_samples", *GRID],
-    "single-quench": [*CHAIN, *STATE, "omega_i", "omega_f", "delta"],
+    "lz-sweep": ["omega_i", "state_beta", "cluster_tol", *GRID, "bits"],
+    "aah-hist": [*CHAIN, *STATE, *GRID, "bits"],
+    "aah-sweep": [*CHAIN, *STATE, *GRID, "bits"],
+    "aah-scaling": ["fib_min", "fib_max", "eta_samples", "deriv_step", "direction", "cluster_tol",
+                    "seed"],
+    "thermal-sweep": [*CHAIN, "state_betas", *GRID, "bits"],
+    "coherence-map": ["fib_index", "eta", *GRID, "bits"],
+    "bandwidth-fit": ["fib_index", "eta_samples", *GRID, "seed"],
+    "single-quench": [*CHAIN, *STATE, "omega_i", "omega_f", "delta", "bits"],
 }
 # What a setting is read with: a level in an eigenstate, a beta in a
 # thermal state (where the subcommand takes a state kind), omega_i in a
@@ -949,8 +959,8 @@ def test_command_line_schema_is_unchanged(tmp_path, monkeypatch):
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(commands.choices) == SUBCOMMANDS
     flags = {row[4]: row[2] for row in SCHEMA}
-    # 98 of the 8 x 23 (subcommand, setting) pairs
-    assert sum(len(COMMON + TAKES[name]) for name in SUBCOMMANDS) == 98
+    # 90 of the 8 x 23 (subcommand, setting) pairs
+    assert sum(len(COMMON + TAKES[name]) for name in SUBCOMMANDS) == 90
     for name, command in commands.choices.items():
         actions = {flag: action for action in command._actions for flag in action.option_strings}
         taken = {flags[setting] for setting in COMMON + TAKES[name]} - {None}
@@ -1075,7 +1085,7 @@ def test_every_setting_a_run_reads_is_in_force(tmp_path, monkeypatch, subcommand
         assert reads and reads <= set(config.in_force()), (small, state, reads)
 
 
-# For each setting, out, seed, threads and bits aside: the settings of a
+# For each setting, out and threads aside: the settings of a
 # reference run and of a run that changes only that one, on top of the
 # subcommand's first small run. A None leaves a setting of the small run at
 # its default. Each value matters at that size.
@@ -1090,6 +1100,8 @@ EFFECTIVE = {
     "fib_max": ({}, {"fib_max": 8}),
     "eta_samples": ({}, {"eta_samples": 1}),  # a third phase raises no band edge at fib 8
     "deriv_step": ({}, {"deriv_step": 0.1}),
+    "seed": ({}, {"seed": 7}),
+    "bits": ({}, {"bits": True}),  # the stdout summary's entropies and their unit
     "state_betas": ({}, {"state_betas": (0.5, 3.0)}),
     "state_kind": ({}, {"state_kind": "thermal", "state_beta": 1.0}),
     "state_level": ({"state_kind": "eigenstate"}, {"state_kind": "eigenstate", "state_level": 1}),

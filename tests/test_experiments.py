@@ -206,15 +206,20 @@ def test_coherence_map_levels_jump_together_at_transition():
     assert float(np.min(jumps)) > 0.0
 
 
-def test_scaling_derivative_validation():
-    with pytest.raises(ValidationError):
-        scaling_derivative([8, 9], eta_samples=2, seed=1)
-    with pytest.raises(ValidationError):
-        scaling_derivative([9, 8, 10], eta_samples=2, seed=1)
-    with pytest.raises(ValidationError):
-        scaling_derivative([8, 9, 10], eta_samples=0, seed=1)
-    with pytest.raises(ValidationError):
-        scaling_derivative([8, 9, 10], eta_samples=2, seed=1, deriv_step=0.0)
+def test_scaling_derivative_validation(monkeypatch):
+    # every refusal comes before the first ring is built
+    monkeypatch.setattr(experiments, "_ring", lambda params: pytest.fail("built a ring"))
+    for indices, eta_samples, deriv_step, named in (
+        ([8, 9], 2, 0.15, "3 lattice sizes"),
+        ([9, 8, 10], 2, 0.15, "ascending"),
+        ([8, 9, 10], 0, 0.15, "eta_samples"),
+        ([8, 9, 10], 2, 0.0, "deriv_step"),
+        ([5, 6, 7], 1, 2.0, "deriv_step"),  # its lower potential is the flat chain
+        ([5, 6, 7], 1, 3.0, "deriv_step"),  # its lower potential is -1
+        ([5, 6, 7], 1, math.nan, "deriv_step"),
+    ):
+        with pytest.raises(ValidationError, match=named):
+            scaling_derivative(indices, eta_samples=eta_samples, seed=1, deriv_step=deriv_step)
 
 
 def test_scaling_derivative_deterministic_and_increasing():

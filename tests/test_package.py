@@ -7,6 +7,7 @@ import types
 import pytest
 
 import qworkstats
+from qworkstats import cli
 
 # The library API: every name the package exports, apart from its modules
 # and dunders. Adding or removing one is a change to this list.
@@ -171,3 +172,26 @@ def test_the_readme_quick_start_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.DOTALL)
     exec(compile(block, "README.md quick start", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_the_readme_flag_table_matches_the_parser():
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    flag = re.compile(r"`(--[a-z-]+)`")
+    (sentence,) = re.findall(r"Every subcommand takes\s(.*?)\.\s", section, re.DOTALL)
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    header, rows = rows[0], rows[2:]
+    assert header[-1] == "`--cluster-tol`"
+    documented = {}
+    for cells in rows:
+        flags = set(flag.findall(sentence)) | set(flag.findall(" ".join(cells[1:-1])))
+        if cells[header.index("Grid")].startswith("yes"):
+            flags |= {"--grid-start", "--grid-stop", "--grid-points", "--grid-values"}
+        if cells[-1].startswith("yes"):
+            flags.add("--cluster-tol")
+        documented[cells[0].strip("`")] = flags
+    commands = next(action for action in cli._build_parser()._actions
+                    if action.choices and not action.option_strings)
+    parsed = {name: {option for action in command._actions for option in action.option_strings}
+              - {"-h", "--help"} for name, command in commands.choices.items()}
+    assert documented == parsed

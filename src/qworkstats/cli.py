@@ -630,8 +630,9 @@ def run(config: RunConfig) -> int:
         status = 4
     if error_record is None:
         # entropies are stored in nats everywhere; conversion is display-only
-        summary = {"subcommand": config.subcommand, "outputs": manifest["outputs"],
-                   "entropy_unit": "bits" if config.bits else "nats"}
+        summary = {"subcommand": config.subcommand, "outputs": manifest["outputs"]}
+        if "bits" in config.in_force():  # a summary that holds an entropy
+            summary["entropy_unit"] = "bits" if config.bits else "nats"
         for key, value in extras.items():
             bits = config.bits and key.startswith(("h_w", "c_max"))
             summary[key] = value / LN2 if bits else value

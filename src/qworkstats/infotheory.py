@@ -36,14 +36,18 @@ BOUND_SLACK = 1e-10
 GROUND_PROJECTOR_TOL = 1e-12
 
 
-def _entropy(p: np.ndarray) -> float:
-    """-sum q ln q of q = p / sum(p) for a nonnegative ``p``, with 0 ln 0 = 0."""
-    q = p[p > 0.0]  # the one array as long as p; its mask is a byte per entry
-    q /= p.sum()
-    for start in range(0, q.size, tpm.BLOCK_PAIRS):
-        block = q[start : start + tpm.BLOCK_PAIRS]
-        block *= np.log(block)  # in place, so no log temporary is longer than a block
-    return 0.0 - float(q.sum())  # once, in one order: +0.0, not -0.0, when no term is nonzero
+def _entropy(p: np.ndarray, total: float | None = None) -> float:
+    """-sum q ln q of q = p / sum(p) for a nonnegative ``p``, with 0 ln 0 = 0, in the bits of one
+    numpy sum of the terms of the p > 0. Numpy splits more than 128 terms at a multiple of 8 near
+    the middle; split so until a part fits in a block, no array of terms is longer than a block."""
+    if total is None:
+        total, p = p.sum(), (p if p.min() > 0.0 else p[p > 0.0])  # a mask only where p has zeros
+    if p.size > max(tpm.BLOCK_PAIRS, 128):
+        half = p.size // 2 - p.size // 2 % 8
+        return _entropy(p[:half], total) + _entropy(p[half:], total)  # -(a + b), bit for bit
+    q = p / total
+    q *= np.log(q)
+    return 0.0 - float(q.sum())  # +0.0, not -0.0, when no term is nonzero
 
 
 def entropy_of_work(work: WorkDistribution) -> float:

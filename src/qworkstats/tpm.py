@@ -256,7 +256,7 @@ class WorkDistribution:
         object.__setattr__(self, "diagnostics", diagnostics)
         if not (support.shape == probs.shape == multiplicity.shape) or support.ndim != 1:
             raise DimensionMismatchError("support, probs, multiplicity must be equal-length vectors")
-        min_gap = float((support[1:] - support[:-1]).min()) if support.size > 1 else math.inf
+        min_gap = _min_gap(support)
         if not (np.isfinite(support).all() and min_gap > 0):  # a NaN fails
             raise ValidationError("support must be finite and strictly increasing")
         if min_gap < diagnostics.cluster_tol:
@@ -385,14 +385,21 @@ def _cluster_ids(table: PairTable, cluster_tol: float, columns: slice) -> tuple[
     return stored[0][:, columns], stored[1]
 
 
-def _cluster_width(table: PairTable, cluster_tol: float | None) -> float:
-    """``cluster_tol`` as a float, or the table's default for None; refused unless
-    positive and finite."""
-    if cluster_tol is None:
-        cluster_tol = table.default_cluster_tol
-    if not 0 < cluster_tol < math.inf:
-        raise ValidationError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
-    return float(cluster_tol)
+def _min_gap(support: np.ndarray) -> float:
+    """The smallest gap between neighbours in ``support``, a block at a time; inf below two."""
+    blocks = (support[i : i + BLOCK_PAIRS + 1] for i in range(0, support.size - 1, BLOCK_PAIRS))
+    return min((float((b[1:] - b[:-1]).min()) for b in blocks), default=math.inf)
+
+
+def _pack(values: np.ndarray, mask: np.ndarray) -> int:
+    """Move ``values[mask]`` to the front of ``values``, a block at a time; return their count."""
+    end = 0
+    for start in range(0, values.size, BLOCK_PAIRS):
+        block = values[start : start + BLOCK_PAIRS][mask[start : start + BLOCK_PAIRS]]
+        values[end : end + block.size] = block  # never past this block, which is read
+        end += block.size
+        del block  # before the next one is gathered
+    return end
 
 
 def collect_work_distribution(
@@ -407,43 +414,48 @@ def collect_work_distribution(
     per width for all of its states; a state sums over its live columns,
     one block of rows at a time, so no product of the table is built whole.
     """
-    table = uncollected.table
-    cluster_tol = _cluster_width(table, cluster_tol)
-    columns = uncollected.columns
+    table, columns = uncollected.table, uncollected.columns
+    cluster_tol = float(table.default_cluster_tol if cluster_tol is None else cluster_tol)
+    if not 0 < cluster_tol < math.inf:
+        raise ValidationError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
     ids, members = _cluster_ids(table, cluster_tol, columns)
-    # sum q[m, n] and (E_m - E_n) q[m, n] per cluster, adding the pairs one at a
-    # time in row-major order: the bits of one bincount over the whole table
-    cluster_prob, weighted_sum = np.zeros(members.size), np.zeros(members.size)
+    # sum q[m, n] and (E_m - E_n) q[m, n] per cluster, the support once divided, adding the
+    # pairs one at a time in row-major order: the bits of one bincount over the whole table
+    cluster_prob, support = np.zeros(members.size), np.zeros(members.size)
     for rows, q in uncollected.blocks():
         block_ids = ids[rows].ravel()
         np.add.at(cluster_prob, block_ids, q.ravel())  # 1-D: the fast path
         q *= table.bohr(columns, rows)
-        np.add.at(weighted_sum, block_ids, q.ravel())
+        np.add.at(support, block_ids, q.ravel())
     del ids, block_ids  # a narrow state's ids, and a view: freed before the rest allocates
 
     keep = cluster_prob >= DROP_THRESHOLD
-    if not keep.any():
+    kept = int(np.count_nonzero(keep))
+    if not kept:
         raise ValidationError("all collected work values fell below the probability floor")
-    # Probability-weighted representative keeps the first moment exact.
-    kept_probs = cluster_prob[keep]
-    support = weighted_sum[keep]
-    del weighted_sum
-    support /= kept_probs
-    multiplicity = members[keep]
-    dropped = np.invert(keep, out=keep)  # the same mask, now over the dropped clusters
-    dropped_mass = float(cluster_prob[dropped].sum())
-    dropped_pairs = int(members.sum(dtype=np.int64, where=dropped))
+    # Of the kept and the dropped clusters, the larger side moves forward in its own array and
+    # the smaller is gathered; a state that drops nothing keeps the sums and counts as they are.
+    kept_probs, multiplicity, dropped_mass = cluster_prob, members, 0.0
+    if kept < keep.size:
+        multiplicity, total = members[keep], float(cluster_prob.sum())
+        if 2 * kept >= keep.size:  # a thermal state drops a few values
+            dropped_mass = float(cluster_prob[~keep].sum())
+            for sums in (cluster_prob, support):  # cut in place: they become the distribution's
+                sums.resize(_pack(sums, keep), refcheck=False)  # no view of them is left
+        else:  # a ground state keeps a few, and sums its dropped ones where they moved, uncut
+            kept_probs, support = cluster_prob[keep], support[keep]
+            dropped = _pack(cluster_prob, np.invert(keep, out=keep))
+            dropped_mass = float(cluster_prob[:dropped].sum())
+    support /= kept_probs  # the probability-weighted mean keeps the first moment exact
+    dropped_pairs = table.pmn.size - int(multiplicity.sum(dtype=np.int64))
     if dropped_mass != 0.0:
-        # With ~N^2 clusters the sub-threshold mass can accumulate to more
-        # than the normalization tolerance (up to N^2 times the floor), so
-        # the kept probabilities absorb it proportionally. The adjustment
-        # is below 1e-8 relative in every reachable case and is auditable
-        # through dropped_mass.
-        kept_probs *= float(cluster_prob.sum()) / float(kept_probs.sum())
-    del cluster_prob, keep, dropped  # freed here: a mask freed later cost 3 MB of thermal peak RSS
+        # With ~N^2 clusters the sub-threshold mass can exceed the normalization tolerance
+        # (up to N^2 times the floor), so the kept probabilities absorb it proportionally:
+        # below 1e-8 relative in every reachable case, and auditable through dropped_mass.
+        kept_probs *= total / float(kept_probs.sum())
+    del cluster_prob, keep  # freed here: a mask freed later cost 3 MB of thermal peak RSS
 
-    # freed at once: the distribution checks gaps of its own
-    min_gap = float((support[1:] - support[:-1]).min()) if support.size > 1 else math.inf
+    min_gap = _min_gap(support)
     warnings = []
     if min_gap < PROXIMITY_WARNING_FACTOR * cluster_tol:
         warnings.append(
@@ -512,7 +524,8 @@ def check_first_moment(work: WorkDistribution, uncollected: UncollectedDistribut
     """
     from_dist = float(work.support @ work.probs)
     from_trace = uncollected.table.mean_work(uncollected.pn)
-    scale = max(abs(from_trace), float(np.abs(work.support) @ work.probs), 1e-300)
+    k = int(np.searchsorted(work.support, 0.0))  # sorted: sum |W| P = <W> - 2 sum_{W<0} W P
+    scale = max(abs(from_trace), from_dist - 2.0 * float(work.support[:k] @ work.probs[:k]), 1e-300)
     if not abs(from_dist - from_trace) <= RELATIVE_MEAN_TOL * scale:
         raise ValidationError(
             f"distribution mean {from_dist!r} and trace formula {from_trace!r} "

@@ -805,6 +805,19 @@ def test_aah_hist_gives_values_equal_at_g_precision_their_own_files(tmp_path, ca
     }
 
 
+def test_only_a_summary_that_holds_an_entropy_names_its_unit(tmp_path, capsys):
+    argv = ["single-quench", "--out", str(tmp_path / "quench"), "--omega-f", "3", "--threads", "1"]
+    assert main([*argv, "--bits"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["entropy_unit"] == "bits" and "h_w" in summary
+    argv = ["aah-scaling", "--out", str(tmp_path / "scaling"), "--fib-min", "5", "--fib-max", "7",
+            "--eta-samples", "2", "--threads", "1"]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert "entropy_unit" not in summary and "bits" not in cli._HANDLERS["aah-scaling"][1]
+    assert not any(key.startswith(("h_w", "c_max")) for key in summary), summary
+
+
 def test_aah_hist_takes_the_grid_flags(tmp_path, monkeypatch):
     out = tmp_path / "hist"
     argv = ["aah-hist", "--out", str(out), "--fib-index", "7", "--threads", "1"]

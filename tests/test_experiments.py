@@ -461,12 +461,17 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
     # while the wide route stored int64 ids and the work entropy copied the
     # collected probabilities and took their whole log, and 4.2 and 2.6 (5.2
     # and 3.6) while the wide route sorted a copy of the Bohr values and kept
-    # int64 member counts. Now they read 3.9 and 2.3 (4.9 and 3.3). Both peaks
-    # are collection's gathers of the kept clusters beside its two per-cluster
-    # sums and the int32 member counts (for a ground state, the dropped_mass
-    # gather too). The wide state's cluster-id build, the Bohr values and their
-    # argsort order, reads 3.3 (4.3), and the thermal row's work entropy 3.6
-    # (4.6); the ground row's cluster-id build reads 2.2 (3.2). Each ring is
+    # int64 member counts, and 3.9 and 2.3 (4.9 and 3.3) while collection
+    # gathered its kept clusters beside its two per-cluster sums (and a ground
+    # state its dropped ones for dropped_mass), and 3.36 and 2.35 (4.60 and
+    # 3.34) while the work entropy copied the probabilities, and the support's
+    # gaps and |W| were taken whole, beside the distribution's two arrays. Now
+    # collection moves the larger side forward in place, those three read a
+    # block at a time, and the thermal row reads 3.26 (4.25), at the wide
+    # state's cluster-id build: the Bohr values and their argsort order. The
+    # ground row reads 2.35 (3.34), where collection sums into its two
+    # per-cluster arrays beside the member counts; its cluster-id build reads
+    # 2.2 (3.2). Each ring is
     # diagonalized in the array it is built in. The flat chain keeps one N^2
     # array between rows, its eigenvectors, and no Hamiltonian. A block is cut
     # to 0.05 N^2 (by default 0.46 N^2 here and 0.07 N^2 at N = 987), so that a
@@ -489,9 +494,9 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
     betas = cli.RunConfig("thermal-sweep").state_betas
     thermal = tuple(StateSpec.thermal(beta) for beta in betas)
     budgets = (
-        (ZERO_TO_DELTA, thermal, {"moments": False}, 4.0),
+        (ZERO_TO_DELTA, thermal, {"moments": False}, 3.3),
         (ZERO_TO_DELTA, (StateSpec.ground(),), {}, 2.5),
-        (DELTA_TO_ZERO, thermal, {"moments": False}, 5.0),
+        (DELTA_TO_ZERO, thermal, {"moments": False}, 4.3),
         (DELTA_TO_ZERO, (StateSpec.ground(),), {}, 3.5),
     )
     for direction, states, options, budget in budgets:
@@ -507,6 +512,19 @@ def test_a_sweep_row_holds_few_n_squared_arrays(monkeypatch):
         assert isinstance(flat, SpectralDecomposition) and len(held) == 1
         assert held[0] is flat.eigenvectors
         assert peak <= budget, (direction, len(states), peak)
+
+
+def test_a_ground_histogram_keeps_arrays_sized_to_its_support(monkeypatch):
+    # A localized ground state keeps about N of the table's N^2 / 2 clusters, and the
+    # histogram holds one distribution per potential: none may keep a per-cluster buffer.
+    n = AahParams(fib_index=14, delta=0.0).size
+    monkeypatch.setattr(tpm, "BLOCK_PAIRS", n**2 // 20)  # the dropped clusters move in place
+    for direction in (ZERO_TO_DELTA, DELTA_TO_ZERO):
+        (work,) = aah_work_histogram(14, np.array([2.5]), direction)
+        assert work.num_points <= n and work.diagnostics.dropped_pairs > n**2 // 2
+        for arr in (work.support, work.probs, work.multiplicity):
+            owner = arr if arr.base is None else arr.base
+            assert arr.size == work.num_points and owner.nbytes == arr.nbytes
 
 
 def test_the_block_size_moves_only_the_last_bits_of_h_u(monkeypatch):

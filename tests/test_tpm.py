@@ -808,15 +808,21 @@ def test_a_table_with_more_pairs_than_int32_ids_is_refused():
         object.__new__(PairTable)._own(np.broadcast_to(0.0, (n, n)), levels, levels)
 
 
-def _one_bincount_collection(uncollected):
-    """(support, probs, multiplicity) summed by one np.bincount over the whole
-    product of the Bohr table and the joint: collection before its row blocks."""
+def _one_bincount_sums(uncollected):
+    """(probability, weighted sum, member count) per cluster, the sums by one np.bincount over
+    the whole product of the Bohr table and the joint: collection before its row blocks."""
     table, columns = uncollected.table, uncollected.columns
     ids, members = tpm._cluster_ids(table, table.default_cluster_tol, columns)
     ids = ids.ravel()
     q = uncollected.joint()
     probs = np.bincount(ids, weights=q.ravel(), minlength=members.size)
     sums = np.bincount(ids, weights=(table.bohr(columns) * q).ravel(), minlength=members.size)
+    return probs, sums, members
+
+
+def _one_bincount_collection(uncollected):
+    """(support, probs, multiplicity) of the clusters ``_one_bincount_sums`` sums."""
+    probs, sums, members = _one_bincount_sums(uncollected)
     keep = probs >= tpm.DROP_THRESHOLD
     kept = probs[keep]
     support = sums[keep] / kept
@@ -850,6 +856,76 @@ def test_block_sums_are_the_bits_of_one_bincount(ties):
     for got, want in ((work.support, support), (work.probs, probs),
                       (work.multiplicity, multiplicity)):
         assert got.dtype == want.dtype and np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _gathered(cluster_prob, weighted_sum, members):
+    """Support, probabilities, multiplicity, dropped mass and dropped pairs by the gathers that
+    collection made before it moved its kept clusters in place: the oracle of the moves."""
+    keep = cluster_prob >= tpm.DROP_THRESHOLD
+    kept_probs = cluster_prob[keep]
+    support = weighted_sum[keep]
+    support /= kept_probs
+    multiplicity = members[keep]
+    dropped = np.invert(keep)
+    dropped_mass = float(cluster_prob[dropped].sum())
+    dropped_pairs = int(members.sum(dtype=np.int64, where=dropped))
+    if dropped_mass != 0.0:
+        kept_probs *= float(cluster_prob.sum()) / float(kept_probs.sum())
+    return support, kept_probs, multiplicity, dropped_mass, dropped_pairs
+
+
+def _regime_table(rng, n, regime):
+    """Transitions, spectra and populations of a random table in one collection regime."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    pmn = q * q
+    ef, ei = (np.sort(rng.normal(size=n)) for _ in range(2))  # one pair per work value
+    pn = rng.random(n) + 0.5
+    if regime == "nothing dropped":
+        pmn = np.maximum(pmn, 1e-6)
+        ef, ei = (np.sort(rng.integers(0, 40 * n, size=n)).astype(float) for _ in range(2))
+    elif regime == "a few dropped":
+        rows, cols = rng.integers(0, n, size=(2, 40))
+        pmn[rows, cols] = rng.uniform(0.0, 2e-15, size=40)  # with p_n < 1.5, some below 1e-15
+    elif regime == "one live column":
+        pmn[:: 7, 3] = rng.uniform(0.0, 2e-15, size=pmn[:: 7, 3].size)  # a dropped mass
+        pn = np.eye(n)[3]
+    else:  # one kept cluster: one pair carries every probability
+        pmn = np.eye(n)[rng.permutation(n)]
+        pn = np.eye(n)[5]
+    pmn /= pmn.sum(axis=0)
+    return pair_table(pmn, ef, ei), pn / pn.sum()
+
+
+REGIMES = ("nothing dropped", "a few dropped", "one live column", "one kept cluster")
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_in_place_collection_gives_the_bits_of_the_gathers(monkeypatch, regime):
+    # A block of 500 pairs, so that the kept clusters of a state that drops a few, and the
+    # dropped ones of a state that keeps a few, move forward across 20 to 80 block bounds.
+    rng = np.random.default_rng(REGIMES.index(regime))
+    n = 200
+    monkeypatch.setattr(tpm, "BLOCK_PAIRS", 500)
+    table, pn = _regime_table(rng, n, regime)
+    uncollected = UncollectedDistribution(pn, table)
+    work = collect_work_distribution(uncollected)
+    cluster_prob, weighted_sum, members = _one_bincount_sums(uncollected)
+    kept = int((cluster_prob >= tpm.DROP_THRESHOLD).sum())
+    assert cluster_prob.size > 20 * tpm.BLOCK_PAIRS
+    assert {"nothing dropped": kept == cluster_prob.size < n * n,  # and pairs share values
+            "a few dropped": 0 < cluster_prob.size - kept <= 40,
+            "one live column": n // 2 < kept < n,
+            "one kept cluster": kept == 1}[regime], kept
+    support, probs, multiplicity, dropped_mass, dropped_pairs = _gathered(
+        cluster_prob, weighted_sum, members)
+    for got, want in ((work.support, support), (work.probs, probs),
+                      (work.multiplicity, multiplicity)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert repr(work.diagnostics.dropped_mass) == repr(dropped_mass)
+    assert work.diagnostics.dropped_pairs == dropped_pairs
+    assert (dropped_mass != 0.0) == (regime in ("a few dropped", "one live column"))
+    for arr in (work.support, work.probs, work.multiplicity):  # nothing longer than the support
+        assert (arr if arr.base is None else arr.base).nbytes == arr.nbytes
 
 
 def test_density_matrix_populations_are_checked_by_the_uncollected_table():

@@ -174,9 +174,11 @@ def _run_lz_sweep(config: RunConfig, out: _Outputs):
         workers=config.workers,
     )
     normalized = [f"{name}_normalized" for name in _MOMENT_HEADER]
-    _sweep_csvs(result, out, "lz_sweep", "omega_f",
-                (normalized, lambda row: row.normalized_moments),
-                (["flags"], lambda row: [";".join(row.flags)]))
+    rows = tuple(zip(result.axis, result.rows))
+    out.csv("lz_sweep_moments.csv", ["omega_f", *_MOMENT_HEADER, "variance", *normalized],
+            ([omega, *row.moments, row.variance, *row.normalized_moments] for omega, row in rows))
+    out.csv("lz_sweep_entropy.csv", ["omega_f", *_ENTROPY_HEADER, "flags"],
+            ([omega, *row.report.csv_row(), ";".join(row.flags)] for omega, row in rows))
     return {"h_w_peak": float(np.max(result.column("h_w")))}
 
 
@@ -198,33 +200,15 @@ def _run_aah_hist(config: RunConfig, out: _Outputs):
     return entropies
 
 
-def _sweep_csvs(result, out: _Outputs, prefix: str, axis_name: str, moments_extra,
-                entropy_extra) -> None:
-    """Write ``<prefix>_moments.csv`` (moments, variance) and ``<prefix>_entropy.csv`` (the
-    report), a line per axis value, each widened by its extra: (header, cells of a row)."""
-    for name, header, cells, (extra_header, extra) in (
-        ("moments", _MOMENT_HEADER + ["variance"], lambda row: [*row.moments, row.variance],
-         moments_extra),
-        ("entropy", _ENTROPY_HEADER, lambda row: row.report.csv_row(), entropy_extra),
-    ):
-        out.csv(f"{prefix}_{name}.csv", [axis_name, *header, *extra_header], (
-            [value, *cells(row), *extra(row)] for value, row in zip(result.axis, result.rows)
-        ))
-
-
 def _run_aah_sweep(config: RunConfig, out: _Outputs):
-    (result,) = aah_transition_sweep(
-        fib_index=config.fib_index,
-        delta_grid=config.grid(default_aah_grid()),
-        direction=config.direction,
-        states=(config.state_spec(),),
-        eta=config.eta,
-        cluster_tol=config.cluster_tol,
-        workers=config.workers,
-    )
-    _sweep_csvs(result, out, "aah_sweep", "delta",
-                (["mean_direct"], lambda row: [row.mean_direct]),
-                (["gamma_max"], lambda row: [row.gamma_max]))
+    (result,) = aah_transition_sweep(config.fib_index, config.grid(default_aah_grid()),
+                                     config.direction, (config.state_spec(),), config.eta,
+                                     config.cluster_tol, config.workers)
+    rows = tuple(zip(result.axis, result.rows))
+    out.csv("aah_sweep_moments.csv", ["delta", *_MOMENT_HEADER, "variance", "mean_direct"],
+            ([delta, *row.moments, row.variance, row.mean_direct] for delta, row in rows))
+    out.csv("aah_sweep_entropy.csv", ["delta", *_ENTROPY_HEADER, "gamma_max"],
+            ([delta, *row.report.csv_row(), row.gamma_max] for delta, row in rows))
     return {"h_w_max": float(np.max(result.column("h_w")))}
 
 

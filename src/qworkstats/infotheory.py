@@ -156,7 +156,7 @@ def bounds_report(
     ``quench`` is the setup or pair table it was built from; only its
     dimension is read. The terms come from the populations and transition
     matrix (the scalar route, which the tests cross-check against dephasing),
-    and those of the table alone once per table, whose columns it checked.
+    and the per-level coherences once per table, whose columns it checked.
     """
     if quench.dim != uncollected.dim:
         raise DimensionMismatchError(
@@ -166,7 +166,7 @@ def bounds_report(
     table = uncollected.table
     pmn = table.pmn
     per_level = _table_coherences(table)
-    eff_dim, neg_log_eff_dim = table.memo("effective_dimension", lambda: effective_dimension(pmn))
+    eff_dim, neg_log_eff_dim = effective_dimension(pmn)
 
     s_diag = _entropy(pn)  # the populations were checked at construction
     avg_coherence = float(pn @ per_level)

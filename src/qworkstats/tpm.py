@@ -106,10 +106,10 @@ class PairTable:
     quench, and what derives from the table alone (clusters, per-level
     coherences, first-moment products) is computed once through ``memo``;
     racing threads compute equal values. ``mean_work`` reads the ``initial``
-    decomposition and either ``hi``, ``hf`` and ``u``, or the
+    decomposition and either ``hi``, ``hf`` and ``u``, or, given alone, the
     ``diagonal_change`` diag(hf) - diag(hi) of a sudden quench that changes
-    only the diagonal, which its caller passes with no hi or hf. A table
-    holds the arrays it builds, uncopied.
+    only the diagonal; a table refuses any other form. A table holds the
+    arrays it builds, uncopied.
     """
 
     def __init__(
@@ -121,6 +121,14 @@ class PairTable:
         u: UnitaryMatrix | None = None,
         diagonal_change: np.ndarray | None = None,
     ):
+        if diagonal_change is None:
+            if hi is None or hf is None:
+                raise ValidationError("a pair table needs hi and hf, or a diagonal change")
+        elif any(given is not None for given in (hi, hf, u)):
+            raise ValidationError("a diagonal change is given alone: no hi, hf or protocol")
+        elif np.shape(diagonal_change) != (initial.dim,):
+            raise DimensionMismatchError(
+                f"diagonal change {np.shape(diagonal_change)} does not match {initial.dim} levels")
         # ``transition_probabilities`` has checked that the table is doubly stochastic,
         # and its entries are squared moduli, so they lie in [0, 1].
         self._own(transition_probabilities(initial, final, u), final.eigenvalues,
@@ -219,7 +227,8 @@ class UncollectedDistribution:
 
 @dataclass(frozen=True)
 class CollectionDiagnostics:
-    """Auditable record of one degeneracy-collection pass."""
+    """Auditable record of one degeneracy-collection pass: its width and the pairs and mass it
+    dropped, and the smallest gap of the support it kept, with the warning that gap raises."""
 
     cluster_tol: float
     min_gap: float
@@ -244,34 +253,38 @@ class WorkDistribution:
     diagnostics: CollectionDiagnostics
 
     def __post_init__(self):
-        self._own(
-            np.array(self.support, dtype=float),
-            np.array(self.probs, dtype=float),
-            np.array(self.multiplicity, dtype=CLUSTER_ID),
-            self.diagnostics,
-        )
+        given = self.diagnostics  # its gap and warnings are derived again, from this support
+        self._own(np.array(self.support, dtype=float), np.array(self.probs, dtype=float),
+                  np.array(self.multiplicity, dtype=CLUSTER_ID), given.cluster_tol,
+                  given.dropped_pairs, given.dropped_mass)
 
-    def _own(self, support, probs, multiplicity, diagnostics) -> WorkDistribution:
-        """Check and keep the arrays themselves, read-only; the caller gives them up."""
-        object.__setattr__(self, "diagnostics", diagnostics)
+    def _own(self, support, probs, multiplicity, cluster_tol, dropped_pairs,
+             dropped_mass) -> WorkDistribution:
+        """Check and keep the arrays themselves, read-only (the caller gives them up), and
+        derive the diagnostics of the support from its smallest gap."""
         if not (support.shape == probs.shape == multiplicity.shape) or support.ndim != 1:
             raise DimensionMismatchError("support, probs, multiplicity must be equal-length vectors")
         min_gap = _min_gap(support)
         if not (np.isfinite(support).all() and min_gap > 0):  # a NaN fails
             raise ValidationError("support must be finite and strictly increasing")
-        if min_gap < diagnostics.cluster_tol:
-            raise ValidationError(
-                f"support gap {min_gap:g} below clustering width {diagnostics.cluster_tol:g}"
-            )
+        if min_gap < cluster_tol:
+            raise ValidationError(f"support gap {min_gap:g} below clustering width "
+                                  f"{cluster_tol:g}")
         if not (abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL and probs.min() >= 0.0):
             raise ValidationError(f"probs must be >= 0 and sum to 1, not {float(probs.sum())!r}")
         if multiplicity.min() < 1:
             raise ValidationError("multiplicities must be >= 1")
-        total_pairs = int(multiplicity.sum(dtype=np.int64)) + diagnostics.dropped_pairs
+        total_pairs = int(multiplicity.sum(dtype=np.int64)) + dropped_pairs
         if math.isqrt(total_pairs) ** 2 != total_pairs:
             raise ValidationError(
                 f"kept plus dropped pair count {total_pairs} is not a level count squared"
             )
+        warnings = () if min_gap >= PROXIMITY_WARNING_FACTOR * cluster_tol else (
+            f"resolution-marginal spectrum: smallest collected gap {min_gap:g} is "
+            f"within {PROXIMITY_WARNING_FACTOR:g}x the clustering width {cluster_tol:g}",
+        )
+        object.__setattr__(self, "diagnostics", CollectionDiagnostics(
+            cluster_tol, min_gap, warnings, dropped_pairs, dropped_mass))
         for name, arr in (("support", support), ("probs", probs), ("multiplicity", multiplicity)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -454,23 +467,9 @@ def collect_work_distribution(
         # below 1e-8 relative in every reachable case, and auditable through dropped_mass.
         kept_probs *= total / float(kept_probs.sum())
     del cluster_prob, keep  # freed here: a mask freed later cost 3 MB of thermal peak RSS
-
-    min_gap = _min_gap(support)
-    warnings = []
-    if min_gap < PROXIMITY_WARNING_FACTOR * cluster_tol:
-        warnings.append(
-            f"resolution-marginal spectrum: smallest collected gap {min_gap:g} is "
-            f"within {PROXIMITY_WARNING_FACTOR:g}x the clustering width {cluster_tol:g}"
-        )
-    diagnostics = CollectionDiagnostics(
-        cluster_tol=cluster_tol,
-        min_gap=min_gap,
-        warnings=tuple(warnings),
-        dropped_pairs=dropped_pairs,
-        dropped_mass=dropped_mass,
-    )
     # built here, so kept without a copy
-    return object.__new__(WorkDistribution)._own(support, kept_probs, multiplicity, diagnostics)
+    return object.__new__(WorkDistribution)._own(support, kept_probs, multiplicity, cluster_tol,
+                                                 dropped_pairs, dropped_mass)
 
 
 def max_degeneracy(work: WorkDistribution) -> int:

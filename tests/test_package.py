@@ -166,6 +166,31 @@ def test_the_cli_reads_no_private_name_of_another_module():
     assert private == []
 
 
+def _callers(node, callee, scope=()):
+    """The dotted scope of each call of ``callee`` under ``node``, by plain or module name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = (*scope, node.name)
+    found = []
+    if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None),
+                                                 getattr(node.func, "attr", None)):
+        found.append(".".join(scope))
+    for child in ast.iter_child_nodes(node):
+        found += _callers(child, callee, scope)
+    return found
+
+
+def test_only_a_work_distribution_builds_its_collection_diagnostics():
+    # the smallest gap and its warning are derived from the support kept, in one place,
+    # so that no second derivation can disagree with it
+    sites = [
+        f"{path.stem}.{scope}"
+        for path in sorted((ROOT / "src" / "qworkstats").glob("*.py"))
+        for scope in _callers(ast.parse(path.read_text(), filename=str(path)),
+                              "CollectionDiagnostics")
+    ]
+    assert sites == ["tpm.WorkDistribution._own"]
+
+
 def test_the_readme_quick_start_runs(capsys):
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]

@@ -22,10 +22,12 @@ from conftest import (
 from qworkstats import (
     AahParams,
     DensityMatrix,
+    DimensionMismatchError,
     HermitianOperator,
     QuenchSetup,
     SpectralDecomposition,
     UncollectedDistribution,
+    UnitaryMatrix,
     ValidationError,
     aah_hamiltonian,
     collect_work_distribution,
@@ -497,9 +499,9 @@ def test_collected_distribution_keeps_its_arrays_and_copies_a_callers(monkeypatc
     owned = []
     own = WorkDistribution._own
 
-    def recording(self, *arrays):
-        owned.append(arrays)
-        return own(self, *arrays)
+    def recording(self, *given):
+        owned.append(given)
+        return own(self, *given)
 
     def copying(self):
         raise AssertionError("collection copied the arrays it built")
@@ -508,9 +510,12 @@ def test_collected_distribution_keeps_its_arrays_and_copies_a_callers(monkeypatc
     monkeypatch.setattr(WorkDistribution, "__post_init__", copying)
     setup = random_setup(np.random.default_rng(7), 5)
     work = collect_work_distribution(uncollected_distribution(setup))
-    (arrays,) = owned
+    ((*arrays, cluster_tol, dropped_pairs, dropped_mass),) = owned
     kept_arrays = (work.support, work.probs, work.multiplicity)
-    assert all(kept is given for kept, given in zip(kept_arrays, arrays))
+    assert all(kept is given for kept, given in zip(kept_arrays, arrays, strict=True))
+    diagnostics = work.diagnostics  # collection hands over its numbers, not diagnostics
+    assert (cluster_tol, dropped_pairs, dropped_mass) == (
+        diagnostics.cluster_tol, diagnostics.dropped_pairs, diagnostics.dropped_mass)
     assert not any(arr.flags.writeable for arr in kept_arrays)
     monkeypatch.undo()
 
@@ -588,6 +593,29 @@ def test_lz_tables_given_hamiltonians_or_the_diagonal_change_give_the_same_first
         assert (dense.hi, dense.hf, dense.diagonal_change) == (hi, hf, None)
         for pn in states:
             assert dense.mean_work(pn).hex() == diagonal.mean_work(pn).hex(), (omega_f, pn)
+
+
+def test_pair_table_refuses_first_moment_inputs_it_cannot_serve():
+    hi, hf = lz_hamiltonian(-2.0), lz_hamiltonian(1.0)
+    initial, final = diagonalize(hi), diagonalize(hf)
+    change = hf.entries.diagonal() - hi.entries.diagonal()
+    c, s = math.cos(0.7), math.sin(0.7)
+    u = UnitaryMatrix(entries=np.array([[c, -s], [s, c]]))
+    # no Hamiltonians and no diagonal change: nothing to take the first moment from
+    for operators in ((None, None), (hi, None), (None, hf)):
+        with pytest.raises(ValidationError, match="needs hi and hf, or a diagonal change"):
+            PairTable(*operators, initial, final)
+    # a diagonal change beside a Hamiltonian or a protocol, which it would ignore
+    for operators, protocol in (((None, None), u), ((hi, hf), None), ((hi, None), None)):
+        with pytest.raises(ValidationError, match="given alone"):
+            PairTable(*operators, initial, final, protocol, diagonal_change=change)
+    for wrong in (change[:1], change[:, np.newaxis], np.append(change, 0.0)):
+        with pytest.raises(DimensionMismatchError, match="does not match 2 levels"):
+            PairTable(None, None, initial, final, diagonal_change=wrong)
+    # the rotated quench given its Hamiltonians passes the first-moment check
+    table = PairTable(hi, hf, initial, final, u)
+    uncollected = UncollectedDistribution(thermal_populations(initial, 0.5), table)
+    check_first_moment(collect_work_distribution(uncollected), uncollected)
 
 
 def test_pair_table_mean_work_shares_first_moment_products_per_live_set():
@@ -946,6 +974,29 @@ def test_proximity_warning_for_marginal_gaps():
     assert any("resolution-marginal" in message for message in w.diagnostics.warnings)
     clean = collect_work_distribution(u, cluster_tol=1e-12)
     assert w.num_points <= clean.num_points
+
+
+def test_a_distribution_derives_the_gap_and_warning_of_its_own_support(monkeypatch):
+    # one smallest-gap pass per collection: the distribution's own
+    passes, min_gap = [], tpm._min_gap
+    monkeypatch.setattr(tpm, "_min_gap", lambda values: passes.append(values) or min_gap(values))
+    setup = random_setup(np.random.default_rng(5), 6)
+    work = collect_work_distribution(uncollected_distribution(setup))
+    (support,) = passes
+    assert support is work.support and work.diagnostics.min_gap == min_gap(work.support)
+    monkeypatch.undo()
+    # a caller's gap and warnings give way to those of the support it gives
+    handed = CollectionDiagnostics(
+        cluster_tol=1e-12, min_gap=1.0, warnings=(), dropped_pairs=0, dropped_mass=0.0
+    )
+    work = WorkDistribution([0, 5e-12], [0.5, 0.5], [1, 3], handed)
+    assert work.diagnostics.min_gap == 5e-12
+    (warning,) = work.diagnostics.warnings
+    assert warning.startswith("resolution-marginal spectrum: smallest collected gap 5e-12 is")
+    assert dataclasses.replace(work.diagnostics, min_gap=1.0, warnings=()) == handed
+    stale = dataclasses.replace(handed, min_gap=1e-12, warnings=("stale",))
+    work = WorkDistribution([0.0, 1.0], [0.5, 0.5], [1, 3], stale)
+    assert (work.diagnostics.min_gap, work.diagnostics.warnings) == (1.0, ())
 
 
 def test_work_moments_trivial_and_variance():
